@@ -39,6 +39,7 @@ from .data import (
 )
 from .functionals import (
     DegenerateMarginalError,
+    PerObsStats,
     debiased_group_correlation,
     group_mean,
     per_obs_stats,
@@ -117,12 +118,21 @@ def load_config(path: str | None, **overrides) -> RunConfig:
     return RunConfig(**doc)
 
 
+def _checked(section: str, build, **settings):
+    """Call a learner config constructor; a value it rejects is an input
+    error, reported like any other bad config entry."""
+    try:
+        return build(**settings)
+    except ValueError as err:
+        raise DataError(f"invalid {section} settings: {err}") from err
+
+
 def learner_config(cfg: RunConfig) -> L.LearnerConfig:
     if cfg.learner == "network":
-        return NetworkConfig(seed=cfg.seed, **cfg.network)
+        return _checked("network", NetworkConfig, seed=cfg.seed, **cfg.network)
     if cfg.learner == "forest":
-        return ForestConfig(seed=cfg.seed, **cfg.forest)
-    return BoostConfig(seed=cfg.seed, **cfg.boosted)
+        return _checked("forest", ForestConfig, seed=cfg.seed, **cfg.forest)
+    return _checked("boosted", BoostConfig, seed=cfg.seed, **cfg.boosted)
 
 
 def load_schema(cfg: RunConfig) -> CategoricalSchema:
@@ -244,7 +254,7 @@ def _grid_for(cfg: RunConfig) -> list[L.LearnerConfig]:
     if cfg.hyperopt_grid != "default":
         raise DataError(f"unknown hyperopt grid {cfg.hyperopt_grid!r}")
     if cfg.learner == "network":
-        return L.default_network_grid(seed=cfg.seed, **cfg.network)
+        return _checked("network", L.default_network_grid, seed=cfg.seed, **cfg.network)
     if cfg.learner == "forest":
         return L.default_forest_grid(seed=cfg.seed)
     return L.default_boost_grid(seed=cfg.seed)
@@ -297,16 +307,25 @@ def _five_number(values: np.ndarray) -> list[float]:
     return [float(np.quantile(values, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
+def _cross_fitted(cfg: RunConfig, d: Dataset) -> PerObsStats:
+    """Per-record statistics from cfg.folds-fold cross-fitted predictions."""
+    t0 = time.monotonic()
+    cf = per_obs_stats(
+        L.cross_fit_predict(d, learner_config(cfg), make_folds(d, cfg.folds, cfg.seed))
+    )
+    _log(f"{cfg.folds}-fold cross-fit in {time.monotonic() - t0:.1f}s")
+    return cf
+
+
 def cmd_estimate(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
-    lcfg = learner_config(cfg)
+    _write_estimates(cfg, out, d, _cross_fitted(cfg, d))
 
+
+def _write_estimates(cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats) -> None:
     t0 = time.monotonic()
-    raw_model = L.train_any(d, lcfg)
-    raw = per_obs_stats(raw_model.predict_quads(d))
-    folds = make_folds(d, cfg.folds, cfg.seed)
-    cf = per_obs_stats(L.cross_fit_predict(d, lcfg, folds))
-    _log(f"estimate: raw + {cfg.folds}-fold cross-fitted in {time.monotonic() - t0:.1f}s")
+    raw = per_obs_stats(L.train_any(d, learner_config(cfg)).predict_quads(d))
+    _log(f"estimate: raw fit in {time.monotonic() - t0:.1f}s")
 
     write_table(
         out,
@@ -389,12 +408,10 @@ def _group_estimates(cfg, d, cf, scheme):
 
 def cmd_test_intersection(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
-    lcfg = learner_config(cfg)
-    folds = make_folds(d, cfg.folds, cfg.seed)
-    t0 = time.monotonic()
-    cf = per_obs_stats(L.cross_fit_predict(d, lcfg, folds))
-    _log(f"test-intersection: cross-fit in {time.monotonic() - t0:.1f}s")
+    _write_intersection(cfg, out, d, _cross_fitted(cfg, d))
 
+
+def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats) -> None:
     rows = []
     for name in _group_feature_names(cfg, d.schema):
         cov, dd = _group_estimates(cfg, d, cf, GroupScheme("by-modality", feature=name))
@@ -427,13 +444,17 @@ def cmd_test_intersection(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def cmd_test_sorted(cfg: RunConfig, out: OutputDir) -> None:
-    d = load_dataset(cfg)
+    _write_sorted(cfg, out, load_dataset(cfg))
+
+
+def _write_sorted(cfg: RunConfig, out: OutputDir, d: Dataset) -> None:
     scfg = SortedGroupsConfig(
         n_groups=cfg.sorted_groups,
         n_splits=cfg.sorted_splits,
         main_fraction=cfg.main_fraction,
         statistic=cfg.statistic,
         learner=learner_config(cfg) if cfg.hyperopt_grid == "singleton" else None,
+        network=cfg.network,
         seed=cfg.seed,
     )
     t0 = time.monotonic()
@@ -487,10 +508,14 @@ def cmd_importance(cfg: RunConfig, out: OutputDir) -> None:
 
 def cmd_report(cfg: RunConfig, out: OutputDir) -> None:
     """Composite run: estimate, intersection test, sorted-groups test, and
-    a short plain-text digest pointing at the individual tables."""
-    cmd_estimate(cfg, out)
-    cmd_test_intersection(cfg, out)
-    cmd_test_sorted(cfg, out)
+    a short plain-text digest pointing at the individual tables.  The
+    dataset is read and cross-fitted once for both the estimate and the
+    intersection test."""
+    d = load_dataset(cfg)
+    cf = _cross_fitted(cfg, d)
+    _write_estimates(cfg, out, d, cf)
+    _write_intersection(cfg, out, d, cf)
+    _write_sorted(cfg, out, d)
     with open(out.path("report.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"pcptest report (config {cfg.fingerprint()}, seed {cfg.seed})\n\n")
         fh.write("Summary of per-observation statistics: summary.txt\n")

@@ -193,6 +193,7 @@ class SortedGroupsConfig:
     statistic: str = "correlation"  # or "covariance"
     learner: L.LearnerConfig | None = None  # fixed config, skips the search
     grid: tuple | None = None  # None with learner None = default network grid
+    network: dict = field(default_factory=dict)  # NetworkConfig settings for that grid
     seed: int = 0
     max_retries: int = 20
     hyperopt_plan: SplitPlan = field(default_factory=lambda: SplitPlan((0.70, 0.15, 0.15)))
@@ -206,6 +207,10 @@ class SortedGroupsConfig:
             raise DataError("main_fraction must lie in (0, 1)")
         if self.statistic not in ("covariance", "correlation"):
             raise DataError(f"unknown statistic {self.statistic!r}")
+        try:
+            NetworkConfig(**self.network)
+        except ValueError as err:
+            raise DataError(f"invalid network settings: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,7 @@ def _split_result(
             learner_cfg = replace(learner_cfg, seed=inner_seed)
     else:
         grid = cfg.grid if cfg.grid is not None else tuple(
-            L.default_network_grid(seed=inner_seed)
+            L.default_network_grid(seed=inner_seed, **cfg.network)
         )
         report = L.hyperopt_network(aux, grid, replace(cfg.hyperopt_plan, seed=inner_seed))
         learner_cfg = report.selected

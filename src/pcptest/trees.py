@@ -1,10 +1,15 @@
 """Tree ensembles over dummy-coded designs: random forest and gradient boosting.
 
 Both learners split on the binary design columns (the constant column is
-never a candidate).  Forest trees are grown on weighted bootstrap
-resamples and split by weighted-entropy decrease; boosted regression trees
-fit the weighted negative gradient of the softmax cross-entropy, one tree
-per class per round, with Newton leaf values.
+never a candidate).  Forest trees are grown depth first on weighted
+bootstrap resamples from the dense design and split by weighted-entropy
+decrease.  Boosted regression trees fit the weighted negative gradient of
+the softmax cross-entropy, one tree per class per round, with Newton leaf
+values.  Boosting compresses the design once per fit to its distinct rows
+with their record counts and per-class weight masses, and grows the class
+trees of a round together, one depth level at a time: a few bincounts over
+(node, active column) pairs give every open node's split histogram, in the
+manner of LightGBM's histogram split finding.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .network import _softmax
 
 __all__ = [
     "ForestConfig",
@@ -230,63 +237,6 @@ def fit_forest(
 # Gradient boosting
 
 
-def _grow_regression_tree(
-    X: np.ndarray,
-    grad: np.ndarray,  # weighted negative gradient w * (y - p)
-    hess: np.ndarray,  # w * p * (1 - p)
-    w: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-    importance: np.ndarray,
-) -> TreeNode:
-    """Fits grad/w by weighted least-squares splits; leaves take the Newton
-    step sum(grad) / sum(hess).
-
-    Weighted SSE reduction reduces to S_R^2/W_R + S_L^2/W_L - S^2/W with
-    S = sum(w * target) and W = sum(w), which vectorizes across columns.
-    """
-    candidates = np.arange(1, X.shape[1])
-    wt = grad  # w * target, since target = grad / w
-
-    def leaf(idx: np.ndarray) -> TreeNode:
-        value = grad[idx].sum() / max(hess[idx].sum(), PROB_CLIP)
-        return TreeNode(value=np.array([value]))
-
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        if depth >= max_depth or len(idx) < 2 * min_leaf:
-            return leaf(idx)
-        Xc = X[np.ix_(idx, candidates)]
-        n_right = Xc.sum(axis=0)
-        valid = (n_right >= min_leaf) & (len(idx) - n_right >= min_leaf)
-        if not valid.any():
-            return leaf(idx)
-        W = w[idx].sum()
-        S = wt[idx].sum()
-        W_r = w[idx] @ Xc
-        S_r = wt[idx] @ Xc
-        W_l = W - W_r
-        S_l = S - S_r
-        gains = (
-            S_r**2 / np.clip(W_r, PROB_CLIP, None)
-            + S_l**2 / np.clip(W_l, PROB_CLIP, None)
-            - S**2 / W
-        )
-        gains = np.where(valid, gains, -np.inf)
-        best = int(np.argmax(gains))
-        if gains[best] <= 1e-12:
-            return leaf(idx)
-        best_col = int(candidates[best])
-        importance[best_col] += gains[best]
-        right = X[idx, best_col] > 0.5
-        return TreeNode(
-            column=best_col,
-            left=grow(idx[~right], depth + 1),
-            right=grow(idx[right], depth + 1),
-        )
-
-    return grow(np.arange(X.shape[0]), 0)
-
-
 @dataclass
 class BoostModel:
     init_scores: np.ndarray  # (n_classes,)
@@ -305,18 +255,143 @@ class BoostModel:
         return scores
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
-        scores = self.raw_scores(X)
-        z = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(self.raw_scores(X))
+
+
+class _DistinctRows:
+    """The design compressed to its distinct rows, with the flat histogram
+    entries that the level-wise grower sums over.
+
+    Records that share a design row share every split decision and every
+    score, so a boosting round needs only each row's record count, total
+    weight W and per-class weight masses M: its gradient and hessian sums
+    are M_k - W p_k and W p_k (1 - p_k).  The class trees of a round are
+    grown together; item k * m + r stands for distinct row r in class tree
+    k, and an entry is one (item, active candidate column) pair.
+    """
+
+    def __init__(self, X: np.ndarray, labels: np.ndarray, w: np.ndarray, n_classes: int):
+        active = X > 0.5
+        # Packing the bits keeps the lexicographic row order and sorts 8
+        # columns per byte.
+        _, first, inverse, counts = np.unique(
+            np.packbits(active, axis=1),
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        inverse = inverse.reshape(-1)
+        m = len(first)
+        self.m, self.n_classes, self.n_cols = m, n_classes, X.shape[1]
+        self.active = active[first]  # (m, n_cols)
+        self.W = np.bincount(inverse, weights=w, minlength=m)
+        self.M = np.bincount(
+            inverse * n_classes + labels, weights=w, minlength=m * n_classes
+        ).reshape(m, n_classes)
+        self.item_count = np.tile(counts.astype(np.float64), n_classes)
+        self.item_W = np.tile(self.W, n_classes)
+
+        # Entries are ordered by class tree, then row, then column, so the
+        # histogram bins of two columns that cover the same rows of a node
+        # are summed in the same order and tie exactly.
+        r, c = np.nonzero(self.active[:, 1:])  # the constant column never splits
+        self.entry_item = (np.arange(n_classes)[:, None] * m + r).reshape(-1)
+        self.entry_col = np.tile(c + 1, n_classes)
+        self.entry_count = self.item_count[self.entry_item]
+        self.entry_W = self.item_W[self.entry_item]
+
+
+def _grow_round(
+    rows: _DistinctRows,
+    grad: np.ndarray,  # (n_classes, m) summed negative gradient M_k - W p_k
+    hess: np.ndarray,  # (n_classes, m) summed hessian W p_k (1 - p_k)
+    max_depth: int,
+    min_leaf: int,
+    importance: np.ndarray,
+) -> tuple[list[TreeNode], np.ndarray]:
+    """Grow one regression tree per class, all classes one depth level at a
+    time; return the trees and the (n_classes, m) leaf value of every row.
+
+    Each tree fits grad/w by weighted least-squares splits and its leaves
+    take the Newton step sum(grad) / sum(hess).  Weighted SSE reduction
+    reduces to S_R^2/W_R + S_L^2/W_L - S^2/W with S = sum(grad) and
+    W = sum(w); record counts serve min_leaf.  For all open nodes of a
+    level, three bincounts over the key (node * n_cols + column) give the
+    count, W and S of every candidate column's right side at once.
+    """
+    m, n_cols = rows.m, rows.n_cols
+    item_grad = grad.reshape(-1)
+    item_hess = hess.reshape(-1)
+    entry_grad = item_grad[rows.entry_item]
+    nodes = [TreeNode() for _ in range(rows.n_classes)]
+    trees = list(nodes)
+    node_of = np.repeat(np.arange(rows.n_classes), m)  # open node per item, -1 once in a leaf
+    leaf_value = np.empty(rows.n_classes * m)
+
+    for depth in range(max_depth + 1):
+        n_nodes = len(nodes)
+        live = np.flatnonzero(node_of >= 0)
+        g = node_of[live]
+        count = np.bincount(g, weights=rows.item_count[live], minlength=n_nodes)
+        W = np.bincount(g, weights=rows.item_W[live], minlength=n_nodes)
+        S = np.bincount(g, weights=item_grad[live], minlength=n_nodes)
+        H = np.bincount(g, weights=item_hess[live], minlength=n_nodes)
+
+        split_col = np.zeros(n_nodes, dtype=np.intp)  # 0 marks a leaf
+        can_split = count >= 2 * min_leaf
+        if depth < max_depth and can_split.any():
+            # Entries of rows already in a leaf (node -1) get a negative key
+            # and go to bin 0, the constant column of node 0, never a candidate.
+            key = (node_of * n_cols)[rows.entry_item]
+            key += rows.entry_col
+            np.maximum(key, 0, out=key)
+            size = n_nodes * n_cols
+
+            def hist(weights: np.ndarray) -> np.ndarray:
+                return np.bincount(key, weights=weights, minlength=size).reshape(n_nodes, n_cols)
+
+            n_r, W_r, S_r = hist(rows.entry_count), hist(rows.entry_W), hist(entry_grad)
+            W_l = W[:, None] - W_r
+            S_l = S[:, None] - S_r
+            valid = (n_r >= min_leaf) & (count[:, None] - n_r >= min_leaf) & can_split[:, None]
+            valid[:, 0] = False
+            gains = (
+                S_r**2 / np.clip(W_r, PROB_CLIP, None)
+                + S_l**2 / np.clip(W_l, PROB_CLIP, None)
+                - (S**2 / W)[:, None]
+            )
+            gains = np.where(valid, gains, -np.inf)
+            best = np.argmax(gains, axis=1)  # ties go to the lowest column
+            best_gain = gains[np.arange(n_nodes), best]
+            split_col = np.where(best_gain > 1e-12, best, 0)
+            np.add.at(importance, split_col[split_col > 0], best_gain[split_col > 0])
+
+        values = S / np.maximum(H, PROB_CLIP)
+        first_child = np.full(n_nodes, -1)
+        next_nodes = []
+        for i, node in enumerate(nodes):
+            if split_col[i]:
+                node.column = int(split_col[i])
+                node.left, node.right = TreeNode(), TreeNode()
+                first_child[i] = len(next_nodes)
+                next_nodes += [node.left, node.right]
+            else:
+                node.value = np.array([values[i]])
+
+        col = split_col[g]
+        done = col == 0
+        leaf_value[live[done]] = values[g[done]]
+        node_of[live] = np.where(done, -1, first_child[g] + rows.active[live % m, col])
+        nodes = next_nodes
+        if not nodes:
+            break
+    return trees, leaf_value.reshape(rows.n_classes, m)
 
 
 def fit_boosted(
     X: np.ndarray, labels: np.ndarray, w: np.ndarray, cfg: BoostConfig, n_classes: int = 4
 ) -> BoostModel:
-    n = X.shape[0]
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels] = 1.0
     class_w = np.bincount(labels, weights=w, minlength=n_classes)
     init = np.log(np.clip(class_w / class_w.sum(), PROB_CLIP, None))
     importance = np.zeros(X.shape[1])
@@ -324,19 +399,21 @@ def fit_boosted(
     if cfg.learning_rate == 0.0:
         return model
 
-    scores = np.tile(init, (n, 1))
+    rows = _DistinctRows(X, labels, w, n_classes)
+    W = rows.W[:, None]
+    rest = W - rows.M  # weight of each row's records in the other classes
+    scores = np.tile(init, (rows.m, 1))
     for _ in range(cfg.n_rounds):
-        z = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        round_trees = []
-        for k in range(n_classes):
-            grad = w * (onehot[:, k] - probs[:, k])
-            hess = w * probs[:, k] * (1.0 - probs[:, k])
-            tree = _grow_regression_tree(
-                X, grad, hess, w, cfg.max_depth, cfg.min_leaf, importance
-            )
-            scores[:, k] += cfg.learning_rate * _predict_tree(tree, X)[:, 0]
-            round_trees.append(tree)
+        probs = _softmax(scores)
+        q = 1.0 - probs
+        # M - W p written as M (1 - p) - (W - M) p: with p near 1 the first
+        # form loses the gradient to cancellation, while this one rounds
+        # like the per-record sum of w (y - p).
+        grad = (rows.M * q - rest * probs).T
+        hess = (W * probs * q).T
+        round_trees, leaf_value = _grow_round(
+            rows, grad, hess, cfg.max_depth, cfg.min_leaf, importance
+        )
+        scores += cfg.learning_rate * leaf_value.T
         model.rounds.append(round_trees)
     return model

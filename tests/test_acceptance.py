@@ -66,6 +66,8 @@ from pcptest.synth import (
 )
 from pcptest.trees import BoostConfig
 
+pytestmark = pytest.mark.acceptance
+
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num} ({name}): {detail}", flush=True)

@@ -5,6 +5,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from pcptest import learners as L
 from pcptest.cli import RunConfig, load_config, main
 from pcptest.data import DataError
 
@@ -203,6 +204,53 @@ class TestCommands:
         names = set(os.listdir(tmp_path / "o"))
         assert {"report.txt", "summary.csv", "intersection.csv", "sorted_median.csv"} <= names
 
+    def test_report_cross_fits_once_with_unchanged_tables(self, workdir, tmp_path, monkeypatch):
+        """report shares one cross-fit between the estimate and the
+        intersection test and writes the same bytes as those commands."""
+        for command in ("estimate", "test-intersection"):
+            p = _write_config(tmp_path / f"{command}.yaml", base_config(workdir, tmp_path / command))
+            assert run_cmd(p, command).exit_code == 0
+        calls = []
+        cross_fit = L.cross_fit_predict
+        monkeypatch.setattr(
+            L, "cross_fit_predict", lambda *a, **k: calls.append(a) or cross_fit(*a, **k)
+        )
+        p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "report"))
+        res = run_cmd(p, "report")
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
+        for command in ("estimate", "test-intersection"):
+            names = set(os.listdir(tmp_path / command)) - {"manifest.json"}
+            for name in names:
+                with open(tmp_path / command / name, "rb") as a, open(tmp_path / "report" / name, "rb") as b:
+                    assert a.read() == b.read(), name
+
+    def test_sorted_grid_takes_network_settings(self, workdir, tmp_path, monkeypatch):
+        """Every split's default-grid candidates carry the config's network
+        settings and that split's own seed."""
+        grids = []
+
+        def first_candidate(aux, grid, plan, target="cr"):
+            grids.append(grid)
+            return L.HyperoptReport(list(grid), [0.0] * len(grid), 0)
+
+        monkeypatch.setattr(L, "hyperopt_network", first_candidate)
+        doc = base_config(
+            workdir,
+            tmp_path / "o",
+            learner="network",
+            network={"max_epochs": 1},
+            hyperopt_grid="default",
+            sorted_splits=2,
+        )
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "test-sorted")
+        assert res.exit_code == 0, res.output
+        assert len(grids) == 2
+        assert all(len(grid) == 108 for grid in grids)
+        assert all(c.max_epochs == 1 for grid in grids for c in grid)
+        seeds = [{c.seed for c in grid} for grid in grids]
+        assert all(len(s) == 1 for s in seeds) and seeds[0] != seeds[1]
+
 
 class TestExitCodes:
     def test_missing_dataset_is_validation_error(self, tmp_path):
@@ -245,6 +293,18 @@ class TestExitCodes:
         res = run_cmd(p, "simulate")
         assert res.exit_code == 2
         assert "numerical failure" in res.output
+
+    @pytest.mark.parametrize(
+        "learner, settings", [("boosted", {"n_rounds": 0}), ("network", {"depth": -1})]
+    )
+    def test_invalid_learner_settings_are_validation_errors(
+        self, workdir, tmp_path, learner, settings
+    ):
+        doc = base_config(workdir, tmp_path / "o", learner=learner, **{learner: settings})
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "fit")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # not an escaped ValueError
+        assert f"error: invalid {learner} settings" in res.output
 
     def test_failed_run_leaves_no_partial_output(self, workdir, tmp_path):
         doc = base_config(workdir, tmp_path / "o")

@@ -238,6 +238,8 @@ class TestSortedGroups:
             SortedGroupsConfig(main_fraction=1.0)
         with pytest.raises(DataError):
             SortedGroupsConfig(statistic="median")
+        with pytest.raises(DataError):
+            SortedGroupsConfig(network={"patience": 0})
 
 
 class TestMCSizePower:
