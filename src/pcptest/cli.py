@@ -354,7 +354,8 @@ def _write_estimates(cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats
             try:
                 dd = debiased_group_correlation(cf, d.w, idx, group_id=ge.group_id)
                 dd_est, dd_se = dd.estimate, dd.se
-            except (DataError, DegenerateMarginalError):
+            except (DataError, DegenerateMarginalError) as err:
+                _log(f"warning: group {ge.group_id}: debiased correlation written as NaN: {err}")
                 dd_est, dd_se = float("nan"), float("nan")
             group_rows.append(
                 [name, modality, ge.estimate, ge.se, dd_est, dd_se, float(d.w[idx].sum())]
@@ -460,6 +461,7 @@ def _write_sorted(cfg: RunConfig, out: OutputDir, d: Dataset) -> None:
     t0 = time.monotonic()
     res = sorted_groups_run(d, scfg)
     _log(f"test-sorted: {scfg.n_splits} splits in {time.monotonic() - t0:.1f}s")
+    _log(f"sorted groups: {res.redraws} redraws over {scfg.n_splits} splits")
 
     rows = [
         [s + 1]

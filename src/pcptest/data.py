@@ -326,6 +326,9 @@ def load_csv(path: str, schema: CategoricalSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file")
+        duplicate = sorted({name for name in header if header.count(name) > 1})
+        if duplicate:
+            raise DataError(f"{path}: duplicate column(s) {duplicate}")
         expected = set(schema.feature_names) | {"c", "r", "w"}
         missing = expected - set(header)
         if missing:

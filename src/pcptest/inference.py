@@ -234,10 +234,7 @@ class SortedGroupsResult:
     median_statistic: float
     median_tstat: float
     median_p_value: float
-
-    @property
-    def rejected(self) -> bool:
-        return self.median_p_value < 0.05
+    redraws: int  # splits drawn again after a degenerate draw, over all splits
 
 
 def _group_quad_and_cov(
@@ -255,16 +252,17 @@ def _group_quad_and_cov(
 
 def _one_split(
     d: Dataset, cfg: SortedGroupsConfig, rng: np.random.Generator, inner_seed: int
-) -> SplitResult:
+) -> tuple[SplitResult, int]:
+    """The split's result and the number of redraws it took."""
     last_err: Exception | None = None
-    for _ in range(cfg.max_retries):
+    for redraws in range(cfg.max_retries):
         perm = rng.permutation(d.n)
         n_main = int(math.floor(d.n * cfg.main_fraction))
         if n_main < cfg.n_groups or d.n - n_main < 10:
             raise DataError("sample too small for the sorted-groups split")
         main, aux = d.take(perm[:n_main]), d.take(perm[n_main:])
         try:
-            return _split_result(main, aux, cfg, inner_seed, perm[:n_main])
+            return _split_result(main, aux, cfg, inner_seed, perm[:n_main]), redraws
         except DataError as err:
             last_err = err  # empty group or degenerate split; redraw
     raise DataError(
@@ -333,11 +331,13 @@ def sorted_groups_run(d: Dataset, cfg: SortedGroupsConfig) -> SortedGroupsResult
     """Run the sorted-groups procedure over cfg.n_splits random splits and
     report componentwise medians.  All randomness flows from cfg.seed."""
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
-    results = []
+    results, redraws = [], 0
     for child in children:
         rng = np.random.default_rng(child)
         inner_seed = int(rng.integers(2**31 - 1))
-        results.append(_one_split(d, cfg, rng, inner_seed))
+        result, n_redraws = _one_split(d, cfg, rng, inner_seed)
+        results.append(result)
+        redraws += n_redraws
     stats = np.array([r.group_stats for r in results])
     return SortedGroupsResult(
         cfg,
@@ -346,6 +346,7 @@ def sorted_groups_run(d: Dataset, cfg: SortedGroupsConfig) -> SortedGroupsResult
         float(np.median([r.statistic for r in results])),
         float(np.median([r.tstat for r in results])),
         float(np.median([r.p_value for r in results])),
+        redraws,
     )
 
 

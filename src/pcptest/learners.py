@@ -32,7 +32,6 @@ from .trees import BoostConfig, ForestConfig
 
 __all__ = [
     "ClassifierModel",
-    "WeightModel",
     "HyperoptReport",
     "LearnerConfig",
     "default_network_grid",
@@ -43,7 +42,6 @@ __all__ = [
     "train_binary",
     "train_forest",
     "train_boosted",
-    "train_weight_model",
     "hyperopt_network",
     "hyperopt_trees",
     "cross_fit_predict",
@@ -115,6 +113,11 @@ def constant_model_loss(d: Dataset, target: str = "cr") -> float:
 # Training entry points
 
 
+def _network_block(d: Dataset, target: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(design, labels, weights): what the network trainer reads of a dataset."""
+    return one_hot_encode(d).rows, _labels_for(d, target), d.w
+
+
 def train_network(
     train: Dataset,
     validation: Dataset,
@@ -125,14 +128,7 @@ def train_network(
         raise DataError("train and validation schemas differ")
     n_classes = _TARGET_CLASSES[target]
     params, report = net.fit_softmax_network(
-        one_hot_encode(train).rows,
-        _labels_for(train, target),
-        train.w,
-        one_hot_encode(validation).rows,
-        _labels_for(validation, target),
-        validation.w,
-        cfg,
-        n_classes,
+        *_network_block(train, target), *_network_block(validation, target), cfg, n_classes
     )
     return ClassifierModel(
         "network", target, n_classes, cfg, train.schema.fingerprint(), params, report
@@ -187,30 +183,6 @@ def train_any(d_train: Dataset, cfg: LearnerConfig, validation: Dataset | None =
     if isinstance(cfg, BoostConfig):
         return train_boosted(d_train, cfg)
     raise DataError(f"unknown learner config type {type(cfg).__name__}")
-
-
-@dataclass
-class WeightModel:
-    config: NetworkConfig
-    schema_fingerprint: str
-    params: net.MLPParams = field(repr=False)
-    report: TrainingReport = field(repr=False, default=None)
-
-    def predict(self, d: Dataset) -> np.ndarray:
-        if d.schema.fingerprint() != self.schema_fingerprint:
-            raise DataError("dataset schema does not match the model's schema")
-        return net.predict_weight(self.params, one_hot_encode(d).rows)
-
-    def loss(self, d: Dataset) -> float:
-        return net.weight_model_loss(self.params, one_hot_encode(d).rows, d.w)
-
-
-def train_weight_model(d: Dataset, cfg: NetworkConfig) -> WeightModel:
-    tr, va = _inner_split(d, cfg.seed)
-    params, report = net.fit_weight_network(
-        one_hot_encode(tr).rows, tr.w, one_hot_encode(va).rows, va.w, cfg
-    )
-    return WeightModel(cfg, d.schema.fingerprint(), params, report)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +274,18 @@ def hyperopt_network(
         raise DataError("empty hyperparameter grid")
     d_train, d_val, d_test = split(d, plan)
     n_inputs = d.schema.n_design_columns
-    losses = []
-    for cfg in grid:
-        model = train_network(d_train, d_val, cfg, target=target)
-        losses.append(cross_entropy_loss(model, d_test))
+    n_classes = _TARGET_CLASSES[target]
+    fits, _ = net.fit_softmax_networks(
+        *_network_block(d_train, target), *_network_block(d_val, target), grid, n_classes
+    )
+    X_test, labels_test, w_test = _network_block(d_test, target)
+    losses = [
+        net.weighted_cross_entropy(net.forward_probs(params, X_test), labels_test, w_test)
+        for params in fits
+    ]
     order = sorted(
         range(len(grid)),
-        key=lambda i: (losses[i], *_network_tie_key(grid[i], n_inputs, _TARGET_CLASSES[target]), i),
+        key=lambda i: (losses[i], *_network_tie_key(grid[i], n_inputs, n_classes), i),
     )
     return HyperoptReport(list(grid), losses, order[0])
 

@@ -4,18 +4,21 @@ Everything is plain numpy so training is bitwise deterministic given
 (dataset order, config, seed): initialization, mini-batch shuffling, and
 dropout masks all draw from a single generator seeded by the config.
 
-The same trunk also serves the sampling-weight model, whose head mixes a
-point mass at w = 1 (logistic) with a Beta mean on (0, 1) (sigmoid).
+Configs that differ only in dropout train together as one stack.  The
+parameters of the stack live in one (members, P) buffer; each layer is a
+(members, fan_in, fan_out) view of it, the passes are batched matmuls and
+Adam updates the whole buffer at once.  Every member draws the numbers it
+would draw alone, in the same order, so a stacked fit is bit-identical to
+fitting the config alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 __all__ = [
     "NetworkConfig",
@@ -23,21 +26,16 @@ __all__ = [
     "MLPParams",
     "NetworkTrainingError",
     "count_parameters",
-    "formula_parameter_count",
+    "param_views",
     "init_params",
     "forward_probs",
     "weighted_cross_entropy",
     "loss_and_gradient",
-    "flatten_params",
-    "unflatten_params",
     "fit_softmax_network",
-    "fit_weight_network",
-    "weight_model_loss",
-    "predict_weight",
+    "fit_softmax_networks",
 ]
 
 PROB_CLIP = 1e-12
-WEIGHT_BETA_DISPERSION = 5.0
 
 
 class NetworkTrainingError(RuntimeError):
@@ -82,62 +80,66 @@ class TrainingReport:
 MLPParams = list
 
 
+def _layer_shapes(cfg: NetworkConfig, n_inputs: int, n_outputs: int) -> list[tuple[int, int, bool]]:
+    """(fan_in, fan_out, has_bias) of each layer, input to output."""
+    if cfg.depth == 0:
+        return [(n_inputs, n_outputs, False)]
+    dims = [n_inputs] + [cfg.width] * cfg.depth + [n_outputs]
+    return [(a, b, True) for a, b in zip(dims[:-1], dims[1:])]
+
+
 def count_parameters(cfg: NetworkConfig, n_inputs: int, n_classes: int = 4) -> int:
     """Exact number of trainable scalars in the implemented architecture."""
-    if cfg.depth == 0:
-        return n_inputs * n_classes
-    total = n_inputs * cfg.width + cfg.width
-    total += (cfg.depth - 1) * (cfg.width * cfg.width + cfg.width)
-    total += cfg.width * n_classes + n_classes
-    return total
+    return sum(a * b + (b if bias else 0) for a, b, bias in _layer_shapes(cfg, n_inputs, n_classes))
 
 
-def formula_parameter_count(cfg: NetworkConfig, n_inputs: int) -> int:
-    """The headline parameter count n_X*W + (D-1)*W^2 + 3W (3*n_X for D=0),
-    reported separately because it does not count the implemented tensors."""
-    if cfg.depth == 0:
-        return 3 * n_inputs
-    return n_inputs * cfg.width + (cfg.depth - 1) * cfg.width**2 + 3 * cfg.width
+def param_views(buf: np.ndarray, cfg: NetworkConfig, n_inputs: int, n_outputs: int) -> MLPParams:
+    """Per-layer (W, b) views of a (..., P) parameter buffer laid out layer
+    by layer, W row-major then b: W is (..., fan_in, fan_out), b (..., fan_out)."""
+    lead = buf.shape[:-1]
+    views: MLPParams = []
+    pos = 0
+    for fan_in, fan_out, bias in _layer_shapes(cfg, n_inputs, n_outputs):
+        W = buf[..., pos : pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        pos += fan_in * fan_out
+        b = None
+        if bias:
+            b = buf[..., pos : pos + fan_out]
+            pos += fan_out
+        views.append((W, b))
+    return views
 
 
 def init_params(
     cfg: NetworkConfig, n_inputs: int, n_outputs: int, rng: np.random.Generator
-) -> MLPParams:
-    """Uniform initialization scaled by fan-in/fan-out."""
-    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    if cfg.depth == 0:
-        return [(glorot(n_inputs, n_outputs), None)]
-    params: MLPParams = [(glorot(n_inputs, cfg.width), np.zeros(cfg.width))]
-    for _ in range(cfg.depth - 1):
-        params.append((glorot(cfg.width, cfg.width), np.zeros(cfg.width)))
-    params.append((glorot(cfg.width, n_outputs), np.zeros(n_outputs)))
-    return params
+) -> np.ndarray:
+    """Flat parameter vector: uniform weights scaled by fan-in/fan-out, zero biases."""
+    flat = np.zeros(count_parameters(cfg, n_inputs, n_outputs))
+    for W, _ in param_views(flat, cfg, n_inputs, n_outputs):
+        limit = math.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    return flat
 
 
-def _forward(
-    params: MLPParams, X: np.ndarray, dropout_masks: Sequence[np.ndarray] | None = None
-):
-    """Returns (scores, cached hidden activations)."""
+def _forward(params: MLPParams, X: np.ndarray, dropout_masks: np.ndarray | None = None):
+    """Returns (scores, cached hidden activations).  Stacked parameters
+    (leading member axis) give stacked outputs."""
     h = X
     hiddens = [h]
     for i, (W, b) in enumerate(params[:-1]):
-        z = h @ W + b
-        h = np.maximum(z, 0.0)
+        h = np.maximum(h @ W + b[..., None, :], 0.0)
         if dropout_masks is not None:
             h = h * dropout_masks[i]
         hiddens.append(h)
     W, b = params[-1]
-    scores = h @ W if b is None else h @ W + b
+    scores = h @ W if b is None else h @ W + b[..., None, :]
     return scores, hiddens
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
+    z = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward_probs(params: MLPParams, X: np.ndarray) -> np.ndarray:
@@ -153,139 +155,192 @@ def weighted_cross_entropy(
     return float(-np.sum(w * np.log(picked)) / np.sum(w))
 
 
+def _dscores(probs: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of the per-unit-weight cross-entropy with respect to the scores."""
+    onehot = labels[..., None] == np.arange(probs.shape[-1])
+    return (probs - onehot) * (w / w.sum(axis=-1, keepdims=True))[..., None]
+
+
 def _backward(
     params: MLPParams,
     hiddens: list[np.ndarray],
     dscores: np.ndarray,
-    dropout_masks: Sequence[np.ndarray] | None = None,
-) -> MLPParams:
-    grads: MLPParams = [None] * len(params)
-    W, b = params[-1]
-    grads[-1] = (hiddens[-1].T @ dscores, None if b is None else dscores.sum(axis=0))
-    dh = dscores @ W.T
-    for i in range(len(params) - 2, -1, -1):
-        if dropout_masks is not None:
-            dh = dh * dropout_masks[i]
-        dz = dh * (hiddens[i + 1] > 0.0)
-        W, _ = params[i]
-        grads[i] = (hiddens[i].T @ dz, dz.sum(axis=0))
-        dh = dz @ W.T
-    return grads
+    grads: MLPParams,
+    dropout_masks: np.ndarray | None = None,
+) -> None:
+    """Backpropagate dscores, writing each layer's gradient into ``grads``
+    (views shaped like ``params``)."""
+    dz = dscores
+    for i in range(len(params) - 1, -1, -1):
+        gW, gb = grads[i]
+        gW[...] = np.swapaxes(hiddens[i], -1, -2) @ dz
+        if gb is not None:
+            gb[...] = dz.sum(axis=-2)
+        if i > 0:
+            dh = dz @ np.swapaxes(params[i][0], -1, -2)
+            if dropout_masks is not None:
+                dh = dh * dropout_masks[i - 1]
+            dz = dh * (hiddens[i] > 0.0)
 
 
 def loss_and_gradient(
-    params: MLPParams, X: np.ndarray, labels: np.ndarray, w: np.ndarray
-) -> tuple[float, MLPParams]:
-    """Weighted cross-entropy (per unit weight) and its backpropagated
-    gradient, without dropout."""
+    flat: np.ndarray,
+    cfg: NetworkConfig,
+    X: np.ndarray,
+    labels: np.ndarray,
+    w: np.ndarray,
+    n_classes: int = 4,
+) -> tuple[float, np.ndarray]:
+    """Weighted cross-entropy (per unit weight) of the flat parameter vector
+    and its backpropagated gradient in the same layout, without dropout."""
+    params = param_views(flat, cfg, X.shape[1], n_classes)
     scores, hiddens = _forward(params, X)
     probs = _softmax(scores)
-    loss = weighted_cross_entropy(probs, labels, w)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    dscores = (probs - onehot) * (w / np.sum(w))[:, None]
-    return loss, _backward(params, hiddens, dscores)
+    grad = np.empty_like(flat)
+    grad_views = param_views(grad, cfg, X.shape[1], n_classes)
+    _backward(params, hiddens, _dscores(probs, labels, w), grad_views)
+    return weighted_cross_entropy(probs, labels, w), grad
 
 
-def flatten_params(params: MLPParams) -> np.ndarray:
-    parts = []
-    for W, b in params:
-        parts.append(W.ravel())
-        if b is not None:
-            parts.append(b.ravel())
-    return np.concatenate(parts)
+def _training_key(cfg: NetworkConfig) -> NetworkConfig:
+    """Configs with equal keys train identically: at depth 0 neither width
+    nor dropout is read."""
+    return replace(cfg, width=0, dropout=0.0) if cfg.depth == 0 else cfg
 
 
-def unflatten_params(flat: np.ndarray, template: MLPParams) -> MLPParams:
-    out: MLPParams = []
-    pos = 0
-    for W, b in template:
-        w_new = flat[pos : pos + W.size].reshape(W.shape)
-        pos += W.size
-        b_new = None
-        if b is not None:
-            b_new = flat[pos : pos + b.size].reshape(b.shape)
-            pos += b.size
-        out.append((w_new, b_new))
-    return out
+def _fit_stack(
+    cfgs: Sequence[NetworkConfig],
+    X_train: np.ndarray,
+    labels_train: np.ndarray,
+    w_train: np.ndarray,
+    X_val: np.ndarray,
+    labels_val: np.ndarray,
+    w_val: np.ndarray,
+    n_classes: int,
+) -> list:
+    """Mini-batch Adam with per-member patience-based early stopping for
+    configs that differ only in dropout.  Returns, per member, (best params,
+    TrainingReport) or the NetworkTrainingError that ended its training.
 
-
-def _copy_params(params: MLPParams) -> MLPParams:
-    return [(W.copy(), None if b is None else b.copy()) for W, b in params]
-
-
-class _Adam:
-    def __init__(self, params: MLPParams, cfg: NetworkConfig):
-        self.cfg = cfg
-        self.t = 0
-        self.m = [(np.zeros_like(W), None if b is None else np.zeros_like(b)) for W, b in params]
-        self.v = [(np.zeros_like(W), None if b is None else np.zeros_like(b)) for W, b in params]
-
-    def step(self, params: MLPParams, grads: MLPParams) -> None:
-        cfg = self.cfg
-        self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
-        for i, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
-            mW, mb = self.m[i]
-            vW, vb = self.v[i]
-            mW *= cfg.beta1
-            mW += (1 - cfg.beta1) * gW
-            vW *= cfg.beta2
-            vW += (1 - cfg.beta2) * gW**2
-            W -= cfg.learning_rate * (mW / bc1) / (np.sqrt(vW / bc2) + cfg.adam_eps)
-            if b is not None:
-                mb *= cfg.beta1
-                mb += (1 - cfg.beta1) * gb
-                vb *= cfg.beta2
-                vb += (1 - cfg.beta2) * gb**2
-                b -= cfg.learning_rate * (mb / bc1) / (np.sqrt(vb / bc2) + cfg.adam_eps)
-
-
-def _train_loop(cfg, params, n_train, batch_grad_fn, eval_fn, rng):
-    """Shared mini-batch Adam loop with patience-based early stopping.
-
-    batch_grad_fn(params, batch_idx, dropout_masks) -> grads
-    eval_fn(params) -> (train_loss, validation_loss)
-    Returns (best_params, TrainingReport).
-    """
-    adam = _Adam(params, cfg)
-    report = TrainingReport()
-    best_val = math.inf
-    best_params = _copy_params(params)
-    since_best = 0
-    use_dropout = cfg.depth > 0 and cfg.dropout > 0.0
-    keep = 1.0 - cfg.dropout
+    A member draws from default_rng(seed) in the one-config order: its
+    initialization, one permutation per epoch, then the dropout masks of
+    each batch.  The members share the seed, so all members that use
+    dropout draw the same numbers and one generator serves them; a member
+    without dropout has its own."""
+    cfg = cfgs[0]
+    n_train, n_inputs = X_train.shape
+    dropping = [cfg.depth > 0 and c.dropout > 0.0 for c in cfgs]
+    rngs = {flag: np.random.default_rng(cfg.seed) for flag in dropping}
+    init = {flag: init_params(cfg, n_inputs, n_classes, rng) for flag, rng in rngs.items()}
+    params = np.stack([init[flag] for flag in dropping])
+    best = params.copy()
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
+    grads = np.empty_like(params)
+    reports = [TrainingReport() for _ in cfgs]
+    results: list = [None] * len(cfgs)
+    best_val = [math.inf] * len(cfgs)
+    since_best = [0] * len(cfgs)
+    active = list(range(len(cfgs)))  # member behind each stack row
+    step = 0
 
     for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            masks = None
-            if use_dropout:
-                masks = [
-                    (rng.random((len(batch), cfg.width)) < keep) / keep
-                    for _ in range(cfg.depth)
-                ]
-            grads = batch_grad_fn(params, batch, masks)
-            adam.step(params, grads)
-
-        train_loss, val_loss = eval_fn(params)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise NetworkTrainingError(f"non-finite loss at epoch {epoch + 1}")
-        report.train_losses.append(train_loss)
-        report.validation_losses.append(val_loss)
-        report.epochs_run = epoch + 1
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = _copy_params(params)
-            report.best_epoch = epoch
-            since_best = 0
+        views = param_views(params, cfg, n_inputs, n_classes)
+        grad_views = param_views(grads, cfg, n_inputs, n_classes)
+        perms = {flag: rngs[flag].permutation(n_train) for flag in {dropping[j] for j in active}}
+        if len(perms) == 1:  # every row shares one order
+            (order,) = perms.values()
         else:
-            since_best += 1
-            if since_best >= cfg.patience:
+            order = np.stack([perms[dropping[j]] for j in active])
+        # Without dropout keep is 1, and every draw in [0, 1) keeps its unit.
+        keep = np.array([1.0 - cfgs[j].dropout for j in active])[:, None, None]
+        for start in range(0, n_train, cfg.batch_size):
+            batch = order[..., start : start + cfg.batch_size]
+            masks = None
+            if True in perms:
+                draws = rngs[True].random((cfg.depth, batch.shape[-1], cfg.width))
+                masks = (draws[:, None] < keep) / keep
+            scores, hiddens = _forward(views, X_train[batch], masks)
+            dscores = _dscores(_softmax(scores), labels_train[batch], w_train[batch])
+            _backward(views, hiddens, dscores, grad_views, masks)
+
+            step += 1
+            adam_m *= cfg.beta1
+            adam_m += (1 - cfg.beta1) * grads
+            adam_v *= cfg.beta2
+            adam_v += (1 - cfg.beta2) * grads**2
+            params -= (
+                cfg.learning_rate
+                * (adam_m / (1.0 - cfg.beta1**step))
+                / (np.sqrt(adam_v / (1.0 - cfg.beta2**step)) + cfg.adam_eps)
+            )
+
+        stay = []
+        for row, j in enumerate(active):
+            member = [(W[row], None if b is None else b[row]) for W, b in views]
+            train_probs = forward_probs(member, X_train)
+            train_loss = weighted_cross_entropy(train_probs, labels_train, w_train)
+            val_loss = weighted_cross_entropy(forward_probs(member, X_val), labels_val, w_val)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                results[j] = NetworkTrainingError(f"non-finite loss at epoch {epoch + 1}")
+                continue
+            report = reports[j]
+            report.train_losses.append(train_loss)
+            report.validation_losses.append(val_loss)
+            report.epochs_run = epoch + 1
+            if val_loss < best_val[j]:
+                best_val[j] = val_loss
+                best[j] = params[row]
+                report.best_epoch = epoch
+                since_best[j] = 0
+            else:
+                since_best[j] += 1
+                if since_best[j] >= cfg.patience:
+                    continue
+            stay.append(row)
+        if len(stay) < len(active):
+            if not stay:
                 break
-    return best_params, report
+            params, adam_m, adam_v, grads = (a[stay] for a in (params, adam_m, adam_v, grads))
+            active = [active[row] for row in stay]
+
+    for j, c in enumerate(cfgs):
+        if results[j] is None:
+            results[j] = (param_views(best[j], c, n_inputs, n_classes), reports[j])
+    return results
+
+
+def fit_softmax_networks(
+    X_train: np.ndarray,
+    labels_train: np.ndarray,
+    w_train: np.ndarray,
+    X_val: np.ndarray,
+    labels_val: np.ndarray,
+    w_val: np.ndarray,
+    cfgs: Sequence[NetworkConfig],
+    n_classes: int,
+) -> tuple[list[MLPParams], list[TrainingReport]]:
+    """Fit every config with validation-based early stopping; returns
+    (params, reports) in input order.  Configs that train identically are
+    fitted once and share the result."""
+    keys = [_training_key(c) for c in cfgs]
+    stacks: dict[NetworkConfig, list[NetworkConfig]] = {}
+    for key in dict.fromkeys(keys):
+        stacks.setdefault(replace(key, dropout=0.0), []).append(key)
+    fitted = {}
+    for members in stacks.values():
+        fitted.update(
+            zip(
+                members,
+                _fit_stack(
+                    members, X_train, labels_train, w_train, X_val, labels_val, w_val, n_classes
+                ),
+            )
+        )
+    for key in keys:
+        if isinstance(fitted[key], NetworkTrainingError):
+            raise fitted[key]
+    return [fitted[k][0] for k in keys], [fitted[k][1] for k in keys]
 
 
 def fit_softmax_network(
@@ -298,109 +353,8 @@ def fit_softmax_network(
     cfg: NetworkConfig,
     n_classes: int,
 ) -> tuple[MLPParams, TrainingReport]:
-    rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg, X_train.shape[1], n_classes, rng)
-
-    def batch_grad(params, batch, masks):
-        X = X_train[batch]
-        y = labels_train[batch]
-        w = w_train[batch]
-        scores, hiddens = _forward(params, X, masks)
-        probs = _softmax(scores)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(len(y)), y] = 1.0
-        dscores = (probs - onehot) * (w / np.sum(w))[:, None]
-        return _backward(params, hiddens, dscores, masks)
-
-    def evaluate(params):
-        tr = weighted_cross_entropy(forward_probs(params, X_train), labels_train, w_train)
-        va = weighted_cross_entropy(forward_probs(params, X_val), labels_val, w_val)
-        return tr, va
-
-    return _train_loop(cfg, params, len(labels_train), batch_grad, evaluate, rng)
-
-
-# ---------------------------------------------------------------------------
-# Sampling-weight model: point mass at w = 1 plus a Beta component on (0, 1)
-
-
-def _weight_head(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pi = 1.0 / (1.0 + np.exp(-scores[:, 0]))
-    m = 1.0 / (1.0 + np.exp(-scores[:, 1]))
-    m = np.clip(m, 1e-6, 1.0 - 1e-6)
-    pi = np.clip(pi, 1e-12, 1.0 - 1e-12)
-    return pi, m
-
-
-def _beta_loglik(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    phi = WEIGHT_BETA_DISPERSION
-    a = m * phi
-    b = (1.0 - m) * phi
-    return (
-        (a - 1.0) * np.log(w)
-        + (b - 1.0) * np.log1p(-w)
-        + gammaln(phi)
-        - gammaln(a)
-        - gammaln(b)
+    """fit_softmax_networks for one config."""
+    params, reports = fit_softmax_networks(
+        X_train, labels_train, w_train, X_val, labels_val, w_val, [cfg], n_classes
     )
-
-
-def weight_model_loss(params: MLPParams, X: np.ndarray, w: np.ndarray) -> float:
-    """Mean negative log-likelihood of the mass-point/Beta mixture."""
-    scores, _ = _forward(params, X)
-    pi, m = _weight_head(scores)
-    at_one = w >= 1.0
-    ll = np.where(at_one, np.log(pi), np.log1p(-pi) + _beta_loglik(np.clip(w, 1e-12, 1 - 1e-12), m))
-    return float(-np.mean(ll))
-
-
-def weight_model_gradient(
-    params: MLPParams,
-    X: np.ndarray,
-    w: np.ndarray,
-    dropout_masks: Sequence[np.ndarray] | None = None,
-) -> MLPParams:
-    """Backpropagated gradient of weight_model_loss."""
-    phi = WEIGHT_BETA_DISPERSION
-    scores, hiddens = _forward(params, X, dropout_masks)
-    pi, m = _weight_head(scores)
-    at_one = w >= 1.0
-    wc = np.clip(w, 1e-12, 1.0 - 1e-12)
-    dscores = np.zeros_like(scores)
-    # d(-ll)/d logit(pi); sigmoid derivative folds into (pi - indicator)
-    dscores[:, 0] = pi - at_one
-    dll_dm = phi * (
-        np.log(wc) - np.log1p(-wc) - digamma(m * phi) + digamma((1.0 - m) * phi)
-    )
-    dscores[:, 1] = np.where(at_one, 0.0, -dll_dm * m * (1.0 - m))
-    dscores /= len(w)
-    return _backward(params, hiddens, dscores, dropout_masks)
-
-
-def fit_weight_network(
-    X_train: np.ndarray,
-    w_train: np.ndarray,
-    X_val: np.ndarray,
-    w_val: np.ndarray,
-    cfg: NetworkConfig,
-) -> tuple[MLPParams, TrainingReport]:
-    rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg, X_train.shape[1], 2, rng)
-
-    def batch_grad(params, batch, masks):
-        return weight_model_gradient(params, X_train[batch], w_train[batch], masks)
-
-    def evaluate(params):
-        return (
-            weight_model_loss(params, X_train, w_train),
-            weight_model_loss(params, X_val, w_val),
-        )
-
-    return _train_loop(cfg, params, len(w_train), batch_grad, evaluate, rng)
-
-
-def predict_weight(params: MLPParams, X: np.ndarray) -> np.ndarray:
-    """Expected weight: pi * 1 + (1 - pi) * m."""
-    scores, _ = _forward(params, X)
-    pi, m = _weight_head(scores)
-    return pi + (1.0 - pi) * m
+    return params[0], reports[0]

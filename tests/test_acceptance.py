@@ -51,10 +51,8 @@ from pcptest.learners import (
 )
 from pcptest.network import (
     NetworkConfig,
-    flatten_params,
     init_params,
     loss_and_gradient,
-    unflatten_params,
     weighted_cross_entropy,
 )
 from pcptest.synth import (
@@ -197,20 +195,18 @@ def test_criterion_03_gradient_check():
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     labels = rng.integers(0, 4, n)
     w = rng.uniform(0.2, 1.0, n)
-    params = init_params(cfg, 2, 4, rng)
-    flat = flatten_params(params)
+    flat = init_params(cfg, 2, 4, rng)
     assert flat.size <= 20
 
-    _, grads = loss_and_gradient(params, X, labels, w)
-    g = flatten_params(grads)
+    _, g = loss_and_gradient(flat, cfg, X, labels, w)
     h = 1e-6
     fd = np.zeros_like(flat)
     for j in range(flat.size):
         up, dn = flat.copy(), flat.copy()
         up[j] += h
         dn[j] -= h
-        lu, _ = loss_and_gradient(unflatten_params(up, params), X, labels, w)
-        ld, _ = loss_and_gradient(unflatten_params(dn, params), X, labels, w)
+        lu, _ = loss_and_gradient(up, cfg, X, labels, w)
+        ld, _ = loss_and_gradient(dn, cfg, X, labels, w)
         fd[j] = (lu - ld) / (2 * h)
     rel = float((np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)).max())
     elapsed = time.monotonic() - t0

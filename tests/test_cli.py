@@ -1,13 +1,15 @@
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
 from pcptest import learners as L
 from pcptest.cli import RunConfig, load_config, main
-from pcptest.data import DataError
+from pcptest.data import CategoricalSchema, DataError, Dataset, load_csv, save_csv
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +180,35 @@ class TestCommands:
         assert len(rows) - 1 == 1  # sorted_splits: 1
         assert os.path.exists(tmp_path / "o" / "sorted_median.csv")
 
+    def test_sorted_logs_redraws(self, workdir, tmp_path):
+        doc = base_config(workdir, tmp_path / "o", sorted_splits=2)
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "test-sorted")
+        assert res.exit_code == 0, res.output
+        assert re.search(r"^sorted groups: \d+ redraws over 2 splits$", res.output, re.M)
+
+    def test_failed_group_estimate_is_reported(self, workdir, tmp_path):
+        """A modality with two records cannot carry the debiased
+        regression: its row is NaN and stderr says which group and why."""
+        schema = CategoricalSchema.from_yaml(workdir["schema"])
+        d = load_csv(workdir["dataset"], schema)
+        j = schema.feature_index("b")
+        rare = np.nonzero(d.covariates[:, j] == 2)[0]
+        covariates = d.covariates.copy()
+        covariates[rare[2:], j] = 1
+        path = str(tmp_path / "rare.csv")
+        save_csv(Dataset(schema, covariates, d.c, d.r, d.w), path)
+        doc = base_config(workdir, tmp_path / "o", dataset=path)
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "estimate")
+        assert res.exit_code == 0, res.output
+        warnings = [line for line in res.output.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            "warning: group b=2: debiased correlation written as NaN: "
+            "group 'b=2' has fewer than 3 usable records"
+        ]
+        with open(tmp_path / "o" / "group_estimates.csv") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        assert [r[4] for r in rows[1:] if r[:2] == ["b", "2"]] == ["nan"]
+
     def test_fit_and_hyperopt(self, workdir, tmp_path):
         p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "o"))
         assert run_cmd(p, "fit").exit_code == 0
@@ -305,6 +336,16 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # not an escaped ValueError
         assert f"error: invalid {learner} settings" in res.output
+
+    def test_duplicate_column_is_validation_error(self, workdir, tmp_path):
+        with open(workdir["dataset"]) as fh:
+            lines = fh.read().splitlines()
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join([lines[0] + ",w"] + [line + ",2.0" for line in lines[1:]]) + "\n")
+        doc = base_config(workdir, tmp_path / "o", dataset=str(path))
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "estimate")
+        assert res.exit_code == 1
+        assert "error:" in res.output and "duplicate column(s) ['w']" in res.output
 
     def test_failed_run_leaves_no_partial_output(self, workdir, tmp_path):
         doc = base_config(workdir, tmp_path / "o")

@@ -139,6 +139,14 @@ class TestCsv:
         with pytest.raises(DataError):
             load_csv(str(p), small_schema)
 
+    def test_duplicate_column_rejected(self, small_schema, tmp_path):
+        """A repeated column is an error even when its first occurrence is
+        valid: the copy would otherwise be ignored unread."""
+        p = tmp_path / "bad.csv"
+        p.write_text("a,b,c,r,w,c\n0,0,0,0,0.5,7\n")
+        with pytest.raises(DataError, match=r"duplicate column\(s\) \['c'\]"):
+            load_csv(str(p), small_schema)
+
     def test_bad_value_reports_row(self, small_schema, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c,r,w\n0,0,0,0,0.5\n0,0,x,0,0.5\n")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from pcptest import inference
 from pcptest.data import DataError
 from pcptest.inference import (
     IntersectionInput,
@@ -19,6 +20,7 @@ from pcptest.inference import (
     sorted_groups_run,
 )
 from pcptest.network import NetworkConfig
+from pcptest.synth import sample_dataset
 from pcptest.trees import BoostConfig
 
 
@@ -219,6 +221,31 @@ class TestSortedGroups:
         np.testing.assert_array_equal(
             r1.splits[0].group_quads, r2.splits[0].group_quads
         )
+
+    def test_redraws_are_counted(self, small_dgp):
+        """On 60 records some splits leave a quartile group with a
+        degenerate marginal; those splits are drawn again and counted."""
+        d, _ = sample_dataset(small_dgp, 60, seed=3)
+        res = self.run(d)
+        assert len(res.splits) == 3
+        assert res.redraws > 0
+
+    def test_each_redraw_counts_once(self, small_dataset, monkeypatch):
+        split_result = inference._split_result
+        calls = []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise DataError("degenerate split")
+            return split_result(*args)
+
+        monkeypatch.setattr(inference, "_split_result", fail_first)
+        res = self.run(small_dataset)
+        assert len(calls) == 4
+        assert res.redraws == 1
+        monkeypatch.undo()
+        assert self.run(small_dataset).redraws == 0
 
     def test_network_learner(self, small_dataset):
         res = self.run(

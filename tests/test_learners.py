@@ -22,7 +22,6 @@ from pcptest.learners import (
     train_boosted,
     train_forest,
     train_network,
-    train_weight_model,
 )
 from pcptest.network import NetworkConfig
 from pcptest.trees import BoostConfig, ForestConfig
@@ -218,26 +217,3 @@ class TestPersistence:
             json.dump(doc, fh)
         with pytest.raises(DataError):
             load_model(path, small_dataset.schema)
-
-
-class TestWeightModel:
-    def test_predicts_unit_interval(self, small_dataset):
-        model = train_weight_model(small_dataset, FAST_NET)
-        pred = model.predict(small_dataset)
-        assert np.all(pred > 0.0) and np.all(pred <= 1.0)
-        assert np.isfinite(model.loss(small_dataset))
-
-    def test_schema_check(self, small_dataset):
-        from pcptest.data import CategoricalSchema, Dataset
-
-        model = train_weight_model(small_dataset, FAST_NET)
-        other_schema = CategoricalSchema((("a", (0, 1, 2, 3)), ("z", (0, 1, 2))))
-        other = Dataset(
-            other_schema,
-            small_dataset.covariates.copy(),
-            small_dataset.c.copy(),
-            small_dataset.r.copy(),
-            small_dataset.w.copy(),
-        )
-        with pytest.raises(DataError):
-            model.predict(other)

@@ -1,22 +1,22 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pcptest.network import (
     NetworkConfig,
+    NetworkTrainingError,
     PROB_CLIP,
+    TrainingReport,
     count_parameters,
     fit_softmax_network,
-    fit_weight_network,
-    flatten_params,
-    formula_parameter_count,
+    fit_softmax_networks,
     forward_probs,
     init_params,
     loss_and_gradient,
-    predict_weight,
-    unflatten_params,
-    weight_model_loss,
+    param_views,
     weighted_cross_entropy,
 )
 
@@ -31,6 +31,238 @@ def toy_problem(n=200, n_inputs=5, seed=0):
     return X, labels, w
 
 
+def flat_of(params) -> np.ndarray:
+    return np.concatenate([a.ravel() for layer in params for a in layer if a is not None])
+
+
+def views_of(cfg, n_inputs, seed, n_outputs=4):
+    flat = init_params(cfg, n_inputs, n_outputs, np.random.default_rng(seed))
+    return param_views(flat, cfg, n_inputs, n_outputs)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-config training loop the stacked trainer replaced.  Each
+# layer is its own array, the passes run layer by layer on one model, and
+# Adam steps layer by layer.
+
+
+def oracle_init(cfg, n_inputs, n_outputs, rng):
+    def glorot(fan_in, fan_out):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    if cfg.depth == 0:
+        return [(glorot(n_inputs, n_outputs), None)]
+    params = [(glorot(n_inputs, cfg.width), np.zeros(cfg.width))]
+    for _ in range(cfg.depth - 1):
+        params.append((glorot(cfg.width, cfg.width), np.zeros(cfg.width)))
+    params.append((glorot(cfg.width, n_outputs), np.zeros(n_outputs)))
+    return params
+
+
+def oracle_forward(params, X, masks=None):
+    h = X
+    hiddens = [h]
+    for i, (W, b) in enumerate(params[:-1]):
+        z = h @ W + b
+        h = np.maximum(z, 0.0)
+        if masks is not None:
+            h = h * masks[i]
+        hiddens.append(h)
+    W, b = params[-1]
+    scores = h @ W if b is None else h @ W + b
+    return scores, hiddens
+
+
+def oracle_softmax(scores):
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def oracle_backward(params, hiddens, dscores, masks=None):
+    grads = [None] * len(params)
+    W, b = params[-1]
+    grads[-1] = (hiddens[-1].T @ dscores, None if b is None else dscores.sum(axis=0))
+    dh = dscores @ W.T
+    for i in range(len(params) - 2, -1, -1):
+        if masks is not None:
+            dh = dh * masks[i]
+        dz = dh * (hiddens[i + 1] > 0.0)
+        W, _ = params[i]
+        grads[i] = (hiddens[i].T @ dz, dz.sum(axis=0))
+        dh = dz @ W.T
+    return grads
+
+
+def oracle_fit(X_train, labels_train, w_train, X_val, labels_val, w_val, cfg, n_classes):
+    rng = np.random.default_rng(cfg.seed)
+    params = oracle_init(cfg, X_train.shape[1], n_classes, rng)
+    m = [(np.zeros_like(W), None if b is None else np.zeros_like(b)) for W, b in params]
+    v = [(np.zeros_like(W), None if b is None else np.zeros_like(b)) for W, b in params]
+    t = 0
+
+    def copy(ps):
+        return [(W.copy(), None if b is None else b.copy()) for W, b in ps]
+
+    def adam_step(grads):
+        nonlocal t
+        t += 1
+        bc1 = 1.0 - cfg.beta1**t
+        bc2 = 1.0 - cfg.beta2**t
+        for i, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
+            for P, g, mm, vv in ((W, gW, m[i][0], v[i][0]), (b, gb, m[i][1], v[i][1])):
+                if P is None:
+                    continue
+                mm *= cfg.beta1
+                mm += (1 - cfg.beta1) * g
+                vv *= cfg.beta2
+                vv += (1 - cfg.beta2) * g**2
+                P -= cfg.learning_rate * (mm / bc1) / (np.sqrt(vv / bc2) + cfg.adam_eps)
+
+    report = TrainingReport()
+    best_val, best_params, since_best = math.inf, copy(params), 0
+    use_dropout = cfg.depth > 0 and cfg.dropout > 0.0
+    keep = 1.0 - cfg.dropout
+    n_train = len(labels_train)
+    for epoch in range(cfg.max_epochs):
+        perm = rng.permutation(n_train)
+        for start in range(0, n_train, cfg.batch_size):
+            batch = perm[start : start + cfg.batch_size]
+            masks = None
+            if use_dropout:
+                masks = [
+                    (rng.random((len(batch), cfg.width)) < keep) / keep for _ in range(cfg.depth)
+                ]
+            y, w = labels_train[batch], w_train[batch]
+            scores, hiddens = oracle_forward(params, X_train[batch], masks)
+            probs = oracle_softmax(scores)
+            onehot = np.zeros_like(probs)
+            onehot[np.arange(len(y)), y] = 1.0
+            dscores = (probs - onehot) * (w / np.sum(w))[:, None]
+            adam_step(oracle_backward(params, hiddens, dscores, masks))
+        tr = weighted_cross_entropy(
+            oracle_softmax(oracle_forward(params, X_train)[0]), labels_train, w_train
+        )
+        va = weighted_cross_entropy(
+            oracle_softmax(oracle_forward(params, X_val)[0]), labels_val, w_val
+        )
+        if not (math.isfinite(tr) and math.isfinite(va)):
+            raise NetworkTrainingError(f"non-finite loss at epoch {epoch + 1}")
+        report.train_losses.append(tr)
+        report.validation_losses.append(va)
+        report.epochs_run = epoch + 1
+        if va < best_val:
+            best_val, best_params, since_best = va, copy(params), 0
+            report.best_epoch = epoch
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+    return best_params, report
+
+
+@st.composite
+def network_grids(draw):
+    """A small design whose train size is not a multiple of the batch size,
+    and configs over depths 0-3 and two seeds with mixed dropouts (0
+    included, repeats allowed) and small patience, so members stop at
+    different epochs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_inputs = draw(st.integers(1, 6))
+    batch_size = draw(st.integers(2, 16))
+    n_train = draw(st.integers(3, 60).filter(lambda n: n % batch_size != 0))
+    n_val = draw(st.integers(1, 20))
+    n = n_train + n_val
+    X = np.column_stack([np.ones(n), rng.integers(0, 2, (n, n_inputs - 1))]).astype(float)
+    labels = rng.integers(0, 4, n)
+    w = rng.uniform(0.2, 1.0, n)
+    shared = dict(
+        batch_size=batch_size,
+        max_epochs=draw(st.integers(1, 25)),
+        patience=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([1e-3, 1e-2, 0.1])),
+    )
+    dropouts = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8])
+    cfgs = draw(
+        st.lists(
+            st.builds(
+                lambda depth, width, dropout, seed: NetworkConfig(
+                    depth=depth, width=width, dropout=dropout, seed=seed, **shared
+                ),
+                st.integers(0, 3),
+                st.integers(1, 5),
+                dropouts,
+                st.integers(0, 1),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    split = (X[:n_train], labels[:n_train], w[:n_train], X[n_train:], labels[n_train:], w[n_train:])
+    return split, cfgs
+
+
+class TestStackedMatchesOracle:
+    @given(network_grids())
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_bit_identical(self, problem):
+        split, cfgs = problem
+        params, reports = fit_softmax_networks(*split, cfgs, 4)
+        assert len(params) == len(reports) == len(cfgs)
+        for cfg, p, r in zip(cfgs, params, reports):
+            p_ref, r_ref = oracle_fit(*split, cfg, 4)
+            assert len(p) == len(p_ref)
+            for (W, b), (W_ref, b_ref) in zip(p, p_ref):
+                assert np.array_equal(W, W_ref)
+                assert (b is None) == (b_ref is None)
+                assert b is None or np.array_equal(b, b_ref)
+            assert r.train_losses == r_ref.train_losses
+            assert r.validation_losses == r_ref.validation_losses
+            assert r.best_epoch == r_ref.best_epoch
+            assert r.epochs_run == r_ref.epochs_run
+
+    def test_members_stop_on_their_own(self):
+        X, labels, w = toy_problem(n=130, seed=14)
+        split = (X[:100], labels[:100], w[:100], X[100:], labels[100:], w[100:])
+        cfgs = [
+            NetworkConfig(
+                depth=2, width=6, dropout=d / 10, patience=2, max_epochs=80, learning_rate=0.02, seed=3
+            )
+            for d in range(9)
+        ]
+        params, reports = fit_softmax_networks(*split, cfgs, 4)
+        assert len({r.epochs_run for r in reports}) > 1
+        for cfg, p, r in zip(cfgs, params, reports):
+            p_ref, r_ref = oracle_fit(*split, cfg, 4)
+            assert np.array_equal(flat_of(p), flat_of(p_ref))
+            assert r.validation_losses == r_ref.validation_losses
+
+    def test_depth_zero_configs_share_one_fit(self):
+        X, labels, w = toy_problem(n=120, seed=15)
+        split = (X[:90], labels[:90], w[:90], X[90:], labels[90:], w[90:])
+        cfgs = [
+            NetworkConfig(depth=0, width=wd, dropout=d, max_epochs=5)
+            for wd in (8, 16)
+            for d in (0.0, 0.5)
+        ]
+        params, reports = fit_softmax_networks(*split, cfgs, 4)
+        assert all(p is params[0] for p in params)
+        assert all(r is reports[0] for r in reports)
+        single, _ = fit_softmax_network(*split, cfgs[-1], 4)
+        assert np.array_equal(flat_of(params[0]), flat_of(single))
+
+    def test_non_finite_loss_raises(self):
+        X, labels, w = toy_problem(n=100, seed=16)
+        cfgs = [
+            NetworkConfig(depth=1, width=4, max_epochs=3),
+            NetworkConfig(depth=1, width=4, dropout=0.5, max_epochs=3, learning_rate=1e300),
+        ]
+        with np.errstate(all="ignore"):
+            with pytest.raises(NetworkTrainingError, match="non-finite loss at epoch 1"):
+                fit_softmax_networks(X, labels, w, X, labels, w, cfgs, 4)
+
+
 class TestParameterCount:
     def test_depth_zero(self):
         assert count_parameters(NetworkConfig(depth=0), 49) == 49 * 4
@@ -39,18 +271,11 @@ class TestParameterCount:
         # 49*16+16 (input) + 16*16+16 (hidden) + 16*4+4 (output) = 1140
         assert count_parameters(NetworkConfig(depth=2, width=16), 49) == 1140
 
-    def test_formula_count(self):
-        # n_X*W + (D-1)*W^2 + 3W = 49*16 + 256 + 48 = 1088
-        assert formula_parameter_count(NetworkConfig(depth=2, width=16), 49) == 1088
-        assert formula_parameter_count(NetworkConfig(depth=0), 49) == 147
-
     def test_count_matches_actual_tensors(self):
         for depth, width in [(0, 8), (1, 8), (3, 16)]:
             cfg = NetworkConfig(depth=depth, width=width)
-            params = init_params(cfg, 11, 4, np.random.default_rng(0))
-            total = sum(
-                W.size + (0 if b is None else b.size) for W, b in params
-            )
+            params = views_of(cfg, 11, 0)
+            total = sum(W.size + (0 if b is None else b.size) for W, b in params)
             assert total == count_parameters(cfg, 11)
 
 
@@ -58,20 +283,26 @@ class TestForward:
     def test_probs_on_simplex(self):
         X, _, _ = toy_problem()
         cfg = NetworkConfig(depth=2, width=8)
-        params = init_params(cfg, X.shape[1], 4, np.random.default_rng(1))
-        probs = forward_probs(params, X)
+        probs = forward_probs(views_of(cfg, X.shape[1], 1), X)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0)
 
     def test_depth_zero_is_linear_softmax(self):
         X, _, _ = toy_problem(n=50)
         cfg = NetworkConfig(depth=0)
-        params = init_params(cfg, X.shape[1], 4, np.random.default_rng(2))
+        params = views_of(cfg, X.shape[1], 2)
         probs = forward_probs(params, X)
         scores = X @ params[0][0]
         manual = np.exp(scores - scores.max(axis=1, keepdims=True))
         manual /= manual.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs, manual, atol=1e-12)
+
+    def test_views_alias_the_flat_buffer(self):
+        cfg = NetworkConfig(depth=2, width=3)
+        flat = init_params(cfg, 5, 4, np.random.default_rng(0))
+        params = param_views(flat, cfg, 5, 4)
+        assert np.array_equal(flat_of(params), flat)
+        assert all(np.shares_memory(a, flat) for layer in params for a in layer)
 
 
 class TestLoss:
@@ -89,9 +320,7 @@ class TestLoss:
 
     def test_weight_scaling_invariance(self):
         X, labels, w = toy_problem(n=60)
-        probs = forward_probs(
-            init_params(NetworkConfig(depth=0), X.shape[1], 4, np.random.default_rng(3)), X
-        )
+        probs = forward_probs(views_of(NetworkConfig(depth=0), X.shape[1], 3), X)
         a = weighted_cross_entropy(probs, labels, w)
         b = weighted_cross_entropy(probs, labels, 7.0 * w)
         assert a == pytest.approx(b, abs=1e-12)
@@ -107,20 +336,18 @@ class TestGradient:
         X = np.column_stack([np.ones(n), rng.normal(size=(n, n_inputs - 1))])
         labels = rng.integers(0, 4, n)
         w = rng.uniform(0.2, 1.0, n)
-        params = init_params(cfg, n_inputs, 4, rng)
-        flat = flatten_params(params)
+        flat = init_params(cfg, n_inputs, 4, rng)
         assert flat.size <= 20 or depth == 0
 
-        _, grads = loss_and_gradient(params, X, labels, w)
-        g_flat = flatten_params(grads)
+        _, g_flat = loss_and_gradient(flat, cfg, X, labels, w)
         h = 1e-6
         fd = np.zeros_like(flat)
         for j in range(flat.size):
             up, dn = flat.copy(), flat.copy()
             up[j] += h
             dn[j] -= h
-            lu, _ = loss_and_gradient(unflatten_params(up, params), X, labels, w)
-            ld, _ = loss_and_gradient(unflatten_params(dn, params), X, labels, w)
+            lu, _ = loss_and_gradient(up, cfg, X, labels, w)
+            ld, _ = loss_and_gradient(dn, cfg, X, labels, w)
             fd[j] = (lu - ld) / (2 * h)
         rel = np.abs(g_flat - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-4
@@ -133,7 +360,7 @@ class TestTraining:
         Xv, lv, wv = X[:60], labels[:60], w[:60]
         p1, r1 = fit_softmax_network(X, labels, w, Xv, lv, wv, cfg, 4)
         p2, r2 = fit_softmax_network(X, labels, w, Xv, lv, wv, cfg, 4)
-        assert np.array_equal(flatten_params(p1), flatten_params(p2))
+        assert np.array_equal(flat_of(p1), flat_of(p2))
         assert r1.validation_losses == r2.validation_losses
 
     def test_seed_changes_result(self):
@@ -145,7 +372,7 @@ class TestTraining:
         p2, _ = fit_softmax_network(
             X, labels, w, Xv, lv, wv, NetworkConfig(depth=1, width=8, seed=2, max_epochs=10), 4
         )
-        assert not np.array_equal(flatten_params(p1), flatten_params(p2))
+        assert not np.array_equal(flat_of(p1), flat_of(p2))
 
     def test_loss_decreases(self):
         X, labels, w = toy_problem(n=500, seed=7)
@@ -172,51 +399,6 @@ class TestTraining:
         assert val == pytest.approx(min(report.validation_losses), abs=1e-10)
 
 
-class TestWeightModel:
-    def test_loss_gradient_check(self):
-        """Analytic gradient of the weight NLL vs central differences."""
-        from pcptest.network import weight_model_gradient
-
-        rng = np.random.default_rng(11)
-        n = 30
-        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
-        w = np.where(rng.random(n) < 0.4, 1.0, rng.beta(2, 2, n).clip(1e-6, 1 - 1e-6))
-        cfg = NetworkConfig(depth=0, seed=0)
-        params = init_params(cfg, 3, 2, rng)
-        grads = weight_model_gradient(params, X, w)
-        flat = flatten_params(params)
-        g_flat = flatten_params(grads)
-        h = 1e-6
-        for j in range(flat.size):
-            up, dn = flat.copy(), flat.copy()
-            up[j] += h
-            dn[j] -= h
-            lu = weight_model_loss(unflatten_params(up, params), X, w)
-            ld = weight_model_loss(unflatten_params(dn, params), X, w)
-            fd = (lu - ld) / (2 * h)
-            assert g_flat[j] == pytest.approx(fd, abs=1e-6, rel=1e-4)
-
-    def test_predictions_in_unit_interval(self):
-        rng = np.random.default_rng(12)
-        n = 400
-        X = np.column_stack([np.ones(n), rng.integers(0, 2, (n, 3))]).astype(float)
-        w = np.where(rng.random(n) < 0.4, 1.0, rng.beta(2, 2, n).clip(1e-6, 1 - 1e-6))
-        cfg = NetworkConfig(depth=1, width=4, seed=1, max_epochs=50)
-        params, _ = fit_weight_network(X, w, X[:80], w[:80], cfg)
-        pred = predict_weight(params, X)
-        assert np.all(pred > 0) and np.all(pred <= 1.0)
-
-    def test_learns_mean_weight(self):
-        rng = np.random.default_rng(13)
-        n = 4000
-        X = np.ones((n, 1))
-        w = np.where(rng.random(n) < 0.4, 1.0, rng.beta(2, 2, n).clip(1e-6, 1 - 1e-6))
-        cfg = NetworkConfig(depth=0, seed=2, max_epochs=300)
-        params, _ = fit_weight_network(X, w, X[:500], w[:500], cfg)
-        pred = predict_weight(params, X[:1])
-        assert pred[0] == pytest.approx(w.mean(), abs=0.03)
-
-
 class TestValidation:
     def test_rejects_bad_dropout(self):
         with pytest.raises(ValueError):
@@ -235,6 +417,7 @@ class TestValidation:
 @settings(max_examples=50, deadline=None)
 def test_parameter_count_formula_property(depth, width, n_inputs):
     cfg = NetworkConfig(depth=depth, width=width)
-    params = init_params(cfg, n_inputs, 4, np.random.default_rng(0))
+    flat = init_params(cfg, n_inputs, 4, np.random.default_rng(0))
+    params = param_views(flat, cfg, n_inputs, 4)
     total = sum(W.size + (0 if b is None else b.size) for W, b in params)
-    assert total == count_parameters(cfg, n_inputs)
+    assert total == flat.size == count_parameters(cfg, n_inputs)
