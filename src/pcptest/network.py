@@ -80,7 +80,9 @@ class TrainingReport:
 MLPParams = list
 
 
-def _layer_shapes(cfg: NetworkConfig, n_inputs: int, n_outputs: int) -> list[tuple[int, int, bool]]:
+def _layer_shapes(
+    cfg: NetworkConfig, n_inputs: int, n_outputs: int
+) -> list[tuple[int, int, bool]]:
     """(fan_in, fan_out, has_bias) of each layer, input to output."""
     if cfg.depth == 0:
         return [(n_inputs, n_outputs, False)]
@@ -90,10 +92,13 @@ def _layer_shapes(cfg: NetworkConfig, n_inputs: int, n_outputs: int) -> list[tup
 
 def count_parameters(cfg: NetworkConfig, n_inputs: int, n_classes: int = 4) -> int:
     """Exact number of trainable scalars in the implemented architecture."""
-    return sum(a * b + (b if bias else 0) for a, b, bias in _layer_shapes(cfg, n_inputs, n_classes))
+    shapes = _layer_shapes(cfg, n_inputs, n_classes)
+    return sum(a * b + (b if bias else 0) for a, b, bias in shapes)
 
 
-def param_views(buf: np.ndarray, cfg: NetworkConfig, n_inputs: int, n_outputs: int) -> MLPParams:
+def param_views(
+    buf: np.ndarray, cfg: NetworkConfig, n_inputs: int, n_outputs: int
+) -> MLPParams:
     """Per-layer (W, b) views of a (..., P) parameter buffer laid out layer
     by layer, W row-major then b: W is (..., fan_in, fan_out), b (..., fan_out)."""
     lead = buf.shape[:-1]

@@ -227,7 +227,8 @@ class TestStackedMatchesOracle:
         split = (X[:100], labels[:100], w[:100], X[100:], labels[100:], w[100:])
         cfgs = [
             NetworkConfig(
-                depth=2, width=6, dropout=d / 10, patience=2, max_epochs=80, learning_rate=0.02, seed=3
+                depth=2, width=6, dropout=d / 10, patience=2, max_epochs=80,
+                learning_rate=0.02, seed=3,
             )
             for d in range(9)
         ]
