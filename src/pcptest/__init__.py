@@ -13,7 +13,6 @@ from .data import (
     DataError,
     Dataset,
     FoldAssignment,
-    GroupScheme,
     Record,
     SplitPlan,
     default_schema,
@@ -42,7 +41,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "FoldAssignment",
-    "GroupScheme",
     "Record",
     "SplitPlan",
     "default_schema",

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -28,7 +28,6 @@ from .data import (
     CategoricalSchema,
     DataError,
     Dataset,
-    GroupScheme,
     SplitPlan,
     default_schema,
     load_csv,
@@ -39,6 +38,7 @@ from .data import (
 )
 from .functionals import (
     DegenerateMarginalError,
+    GroupEstimate,
     PerObsStats,
     debiased_group_correlation,
     group_mean,
@@ -317,12 +317,48 @@ def _cross_fitted(cfg: RunConfig, d: Dataset) -> PerObsStats:
     return cf
 
 
+@dataclass(frozen=True)
+class ModalityGroup:
+    modality: int
+    weight: float
+    covariance: GroupEstimate
+    dd_correlation: GroupEstimate | None  # None where the debiased regression failed
+
+
+# The modality groups of each grouping feature, in schema order.
+Groups = dict[str, list[ModalityGroup]]
+
+
+def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
+    """By-modality group estimates of both statistics for each grouping
+    feature, computed once per run for the group table and the intersection
+    tests.  A failed debiased regression gets one warning on stderr."""
+    groups = {}
+    for name in _group_feature_names(cfg, d.schema):
+        j = d.schema.feature_index(name)
+        groups[name] = []
+        for idx in partition(d, name):
+            modality = int(d.covariates[idx[0], j])
+            group_id = f"{name}={modality}"
+            cov = group_mean(cf.covariance, d.w, idx, group_id=group_id)
+            try:
+                dd = debiased_group_correlation(cf, d.w, idx, group_id=group_id)
+            except (DataError, DegenerateMarginalError) as err:
+                _log(f"warning: group {group_id}: debiased correlation written as NaN: {err}")
+                dd = None
+            groups[name].append(ModalityGroup(modality, float(d.w[idx].sum()), cov, dd))
+    return groups
+
+
 def cmd_estimate(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
-    _write_estimates(cfg, out, d, _cross_fitted(cfg, d))
+    cf = _cross_fitted(cfg, d)
+    _write_estimates(cfg, out, d, cf, _group_estimates(cfg, d, cf))
 
 
-def _write_estimates(cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats) -> None:
+def _write_estimates(
+    cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats, groups: Groups
+) -> None:
     t0 = time.monotonic()
     raw = per_obs_stats(L.train_any(d, learner_config(cfg)).predict_quads(d))
     _log(f"estimate: raw fit in {time.monotonic() - t0:.1f}s")
@@ -345,20 +381,12 @@ def _write_estimates(cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats
     write_table(out, "summary", ["estimate", "statistic", "mean", "dispersion", "min", "max"], rows)
 
     group_rows = []
-    for name in _group_feature_names(cfg, d.schema):
-        scheme = GroupScheme("by-modality", feature=name)
-        j = d.schema.feature_index(name)
-        for idx in partition(d, scheme):
-            modality = int(d.covariates[idx[0], j])
-            ge = group_mean(cf.covariance, d.w, idx, group_id=f"{name}={modality}")
-            try:
-                dd = debiased_group_correlation(cf, d.w, idx, group_id=ge.group_id)
-                dd_est, dd_se = dd.estimate, dd.se
-            except (DataError, DegenerateMarginalError) as err:
-                _log(f"warning: group {ge.group_id}: debiased correlation written as NaN: {err}")
-                dd_est, dd_se = float("nan"), float("nan")
+    for name, table in groups.items():
+        for g in table:
+            dd = g.dd_correlation
+            dd_cols = [float("nan")] * 2 if dd is None else [dd.estimate, dd.se]
             group_rows.append(
-                [name, modality, ge.estimate, ge.se, dd_est, dd_se, float(d.w[idx].sum())]
+                [name, g.modality, g.covariance.estimate, g.covariance.se, *dd_cols, g.weight]
             )
     write_table(
         out,
@@ -396,27 +424,25 @@ def _group_feature_names(cfg: RunConfig, schema: CategoricalSchema) -> tuple[str
     return schema.feature_names
 
 
-def _group_estimates(cfg, d, cf, scheme):
-    """Per-group (estimate, se) pairs for both statistics."""
-    groups = partition(d, scheme)
-    cov = [group_mean(cf.covariance, d.w, idx, group_id=str(g + 1)) for g, idx in enumerate(groups)]
-    dd = [
-        debiased_group_correlation(cf, d.w, idx, group_id=str(g + 1))
-        for g, idx in enumerate(groups)
-    ]
-    return cov, dd
-
-
 def cmd_test_intersection(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
-    _write_intersection(cfg, out, d, _cross_fitted(cfg, d))
+    _write_intersection(cfg, out, d, _group_estimates(cfg, d, _cross_fitted(cfg, d)))
 
 
-def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats) -> None:
+def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Groups) -> None:
+    """One row per feature, statistic and level.  A feature with a failed
+    debiased group is not tested on that statistic: its rows carry NaN."""
+    nan = float("nan")
     rows = []
-    for name in _group_feature_names(cfg, d.schema):
-        cov, dd = _group_estimates(cfg, d, cf, GroupScheme("by-modality", feature=name))
-        for stat_name, estimates in (("covariance", cov), ("dd_correlation", dd)):
+    for name, table in groups.items():
+        for stat_name in ("covariance", "dd_correlation"):
+            estimates = [getattr(g, stat_name) for g in table]
+            if any(g is None for g in estimates):
+                rows += [
+                    [name, stat_name, alpha, nan, nan, nan, "not tested", nan, nan]
+                    for alpha in cfg.levels
+                ]
+                continue
             est = np.array([g.estimate for g in estimates])
             ses = np.array([g.se for g in estimates])
             for alpha in cfg.levels:
@@ -511,12 +537,13 @@ def cmd_importance(cfg: RunConfig, out: OutputDir) -> None:
 def cmd_report(cfg: RunConfig, out: OutputDir) -> None:
     """Composite run: estimate, intersection test, sorted-groups test, and
     a short plain-text digest pointing at the individual tables.  The
-    dataset is read and cross-fitted once for both the estimate and the
-    intersection test."""
+    dataset is read and cross-fitted, and its group estimates computed,
+    once for both the estimate and the intersection test."""
     d = load_dataset(cfg)
     cf = _cross_fitted(cfg, d)
-    _write_estimates(cfg, out, d, cf)
-    _write_intersection(cfg, out, d, cf)
+    groups = _group_estimates(cfg, d, cf)
+    _write_estimates(cfg, out, d, cf, groups)
+    _write_intersection(cfg, out, d, groups)
     _write_sorted(cfg, out, d)
     with open(out.path("report.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"pcptest report (config {cfg.fingerprint()}, seed {cfg.seed})\n\n")

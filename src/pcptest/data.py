@@ -24,14 +24,12 @@ __all__ = [
     "DesignMatrix",
     "SplitPlan",
     "FoldAssignment",
-    "GroupScheme",
     "DataError",
     "default_schema",
     "load_csv",
     "save_csv",
     "one_hot_encode",
     "encode_rows",
-    "decode_row",
     "split",
     "make_folds",
     "weighted_mean",
@@ -289,22 +287,6 @@ def one_hot_encode(d: Dataset) -> DesignMatrix:
     return DesignMatrix(X, names, feature_columns)
 
 
-def decode_row(schema: CategoricalSchema, row: np.ndarray) -> tuple[int, ...]:
-    """Invert a single design row back to modality codes."""
-    if row[0] != 1.0:
-        raise DataError("design row lacks the leading constant")
-    out = []
-    col = 1
-    for _, codes in schema.features:
-        block = row[col : col + len(codes) - 1]
-        hits = np.nonzero(block == 1.0)[0]
-        if len(hits) > 1:
-            raise DataError("design row has multiple dummies set within a feature")
-        out.append(codes[0] if len(hits) == 0 else codes[1 + hits[0]])
-        col += len(codes) - 1
-    return tuple(int(v) for v in out)
-
-
 # ---------------------------------------------------------------------------
 # CSV input/output
 
@@ -472,20 +454,6 @@ def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(weights * values) / np.sum(weights))
 
 
-@dataclass(frozen=True)
-class GroupScheme:
-    """How to carve a dataset into disjoint groups.
-
-    kind: "by-modality" or "by-quartile" (both need ``feature``), or
-    "by-statistic" with ``values`` (one real per record) and ``n_groups``.
-    """
-
-    kind: str
-    feature: str | None = None
-    values: np.ndarray | None = None
-    n_groups: int = 4
-
-
 def quantile_group_indices(
     values: np.ndarray, weights: np.ndarray, n_groups: int
 ) -> list[np.ndarray]:
@@ -512,46 +480,10 @@ def quantile_group_indices(
     return [np.sort(idx) for idx in groups]
 
 
-def partition(d: Dataset, scheme: GroupScheme) -> list[np.ndarray]:
-    """Disjoint, covering index sets for the requested grouping."""
-    if scheme.kind == "by-modality":
-        if scheme.feature is None:
-            raise DataError("by-modality grouping needs a feature")
-        j = d.schema.feature_index(scheme.feature)
-        col = d.covariates[:, j]
-        observed = [code for code in d.schema.codes_of(scheme.feature) if np.any(col == code)]
-        return [np.nonzero(col == code)[0] for code in observed]
-
-    if scheme.kind == "by-quartile":
-        if scheme.feature is None:
-            raise DataError("by-quartile grouping needs a feature")
-        j = d.schema.feature_index(scheme.feature)
-        codes = d.schema.codes_of(scheme.feature)
-        col = d.covariates[:, j]
-        # Weighted CDF over modality codes in schema (ascending) order; a
-        # modality belongs wholly to the quartile containing its CDF midpoint.
-        sorted_codes = sorted(codes)
-        masses = np.array([d.w[col == code].sum() for code in sorted_codes])
-        total = masses.sum()
-        cdf = np.cumsum(masses)
-        mids = (cdf - masses / 2.0) / total
-        bin_of_code = {
-            code: int(np.searchsorted([0.25, 0.5, 0.75], m, side="left"))
-            for code, m in zip(sorted_codes, mids)
-            if masses[sorted_codes.index(code)] > 0
-        }
-        groups = []
-        for g in range(4):
-            in_g = [code for code, b in bin_of_code.items() if b == g]
-            idx = np.nonzero(np.isin(col, in_g))[0]
-            if len(idx) == 0:
-                raise DataError(f"car-quartile group {g + 1} is empty")
-            groups.append(idx)
-        return groups
-
-    if scheme.kind == "by-statistic":
-        if scheme.values is None:
-            raise DataError("by-statistic grouping needs per-record values")
-        return quantile_group_indices(scheme.values, d.w, scheme.n_groups)
-
-    raise DataError(f"unknown group scheme kind {scheme.kind!r}")
+def partition(d: Dataset, feature: str) -> list[np.ndarray]:
+    """Disjoint, covering index sets, one per observed modality of
+    ``feature``, in schema order."""
+    j = d.schema.feature_index(feature)
+    col = d.covariates[:, j]
+    observed = [code for code in d.schema.codes_of(feature) if np.any(col == code)]
+    return [np.nonzero(col == code)[0] for code in observed]

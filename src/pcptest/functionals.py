@@ -1,11 +1,16 @@
 """Covariance and correlation functionals of predicted class probabilities.
 
-Per observation, a predicted quad (p00, p01, p10, p11) yields the plug-in
-conditional covariance C = p11 - p*q and correlation rho = C / sqrt(p(1-p)
-q(1-q)).  Group averages of the covariance are doubly robust; group
-averages of the correlation are debiased by a weighted regression of rho
-on its two probability-gradient regressors, the intercept being the
-debiased estimate.
+One vectorized kernel, ``per_obs_stats``, maps predicted quads (p00, p01,
+p10, p11) of any leading shape (..., 4) to the marginals p = p10 + p11 and
+q = p01 + p11, the conditional covariance C = p11 - p*q, the correlation
+rho = C / sqrt(p(1-p) q(1-q)), its two debiasing regressors, and the
+delta-method gradients of C and rho in the quad.  A marginal within
+DEGENERATE_TOL of 0 or 1 flags the record, whose correlation terms are
+zeroed.  Every other statistic in the package is read from this kernel.
+
+Group averages of the covariance are doubly robust; group averages of the
+correlation are debiased by a weighted regression of rho on its two
+gradient regressors, the intercept being the debiased estimate.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ __all__ = [
     "FunctionSummary",
     "covariance_from_quad",
     "correlation_from_quad",
-    "gradient_regressors",
     "per_obs_stats",
     "group_mean",
     "debiased_group_correlation",
@@ -41,75 +45,67 @@ class DegenerateMarginalError(ValueError):
     """A marginal probability sits at 0 or 1, so the correlation is undefined."""
 
 
-def _marginals(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    quad = np.asarray(quad, dtype=np.float64)
-    p = quad[..., 2] + quad[..., 3]
-    q = quad[..., 1] + quad[..., 3]
-    return p, q
-
-
-def covariance_from_quad(quad: np.ndarray) -> float:
-    p, q = _marginals(quad)
-    return float(np.asarray(quad)[..., 3] - p * q)
-
-
-def correlation_from_quad(quad: np.ndarray) -> float:
-    p, q = _marginals(quad)
-    if min(p, 1 - p, q, 1 - q) < DEGENERATE_TOL:
-        raise DegenerateMarginalError(
-            f"correlation undefined at p={float(p)}, q={float(q)}"
-        )
-    cov = float(np.asarray(quad)[..., 3] - p * q)
-    return cov / math.sqrt(p * (1 - p) * q * (1 - q))
-
-
-def gradient_regressors(quad: np.ndarray, rho: float) -> tuple[float, float]:
-    """The two regressors spanning the eta-gradient of the correlation:
-    grad1 = rho (q - 1/2) / (q (1 - q)), grad2 = rho (p - 1/2) / (p (1 - p))."""
-    p, q = _marginals(quad)
-    if min(p, 1 - p, q, 1 - q) < DEGENERATE_TOL:
-        raise DegenerateMarginalError(
-            f"gradient regressors undefined at p={float(p)}, q={float(q)}"
-        )
-    g1 = rho * (q - 0.5) / (q * (1 - q))
-    g2 = rho * (p - 0.5) / (p * (1 - p))
-    return float(g1), float(g2)
-
-
 @dataclass(frozen=True)
 class PerObsStats:
-    """Per-record plug-in statistics; degenerate marginals are flagged and
-    their correlation entries zeroed, not silently used."""
+    """Per-record plug-in statistics over any leading shape (...); degenerate
+    marginals are flagged and their correlation terms zeroed, not used."""
 
-    quads: np.ndarray  # (n, 4)
-    covariance: np.ndarray  # (n,)
-    correlation: np.ndarray  # (n,), 0 where degenerate
-    grad1: np.ndarray
-    grad2: np.ndarray
-    degenerate: np.ndarray  # (n,) bool
+    p: np.ndarray  # (...,) P(c = 1)
+    q: np.ndarray  # (...,) P(r = 1)
+    covariance: np.ndarray  # (...,)
+    correlation: np.ndarray  # (...,), 0 where degenerate
+    grad1: np.ndarray  # (...,) rho (q - 1/2) / (q (1 - q)), 0 where degenerate
+    grad2: np.ndarray  # (...,) rho (p - 1/2) / (p (1 - p)), 0 where degenerate
+    degenerate: np.ndarray  # (...,) bool
+    grad_covariance: np.ndarray  # (..., 4) d C / d quad
+    grad_correlation: np.ndarray  # (..., 4) d rho / d quad, 0 where degenerate
 
     def __len__(self) -> int:
         return len(self.covariance)
 
 
-def per_obs_stats(quads: np.ndarray) -> PerObsStats:
-    quads = np.asarray(quads, dtype=np.float64)
-    p = quads[:, 2] + quads[:, 3]
-    q = quads[:, 1] + quads[:, 3]
-    cov = quads[:, 3] - p * q
-    degenerate = (
-        (p < DEGENERATE_TOL)
-        | (p > 1 - DEGENERATE_TOL)
-        | (q < DEGENERATE_TOL)
-        | (q > 1 - DEGENERATE_TOL)
-    )
+def _stats_from_marginals(p: np.ndarray, q: np.ndarray, cov: np.ndarray) -> PerObsStats:
+    """The kernel's core.  It takes the covariance rather than the quad so
+    that the orthogonality diagnostic can pass one at perturbed marginals."""
+    degenerate = np.minimum(p, 1 - p) < DEGENERATE_TOL
+    degenerate |= np.minimum(q, 1 - q) < DEGENERATE_TOL
     safe_p = np.where(degenerate, 0.5, p)
     safe_q = np.where(degenerate, 0.5, q)
-    denom = np.sqrt(safe_p * (1 - safe_p) * safe_q * (1 - safe_q))
-    rho = np.where(degenerate, 0.0, cov / denom)
+    s = np.sqrt(safe_p * (1 - safe_p) * safe_q * (1 - safe_q))
+    rho = np.where(degenerate, 0.0, cov / s)
     g1 = np.where(degenerate, 0.0, rho * (safe_q - 0.5) / (safe_q * (1 - safe_q)))
     g2 = np.where(degenerate, 0.0, rho * (safe_p - 0.5) / (safe_p * (1 - safe_p)))
-    return PerObsStats(quads, cov, rho, g1, g2, degenerate)
+    zero = np.zeros_like(cov)
+    grad_cov = np.stack([zero, -p, -q, 1.0 - p - q], axis=-1)
+    # d rho = (1/s) dC - rho d(log s); log s depends on the quad only
+    # through p (entries p10, p11) and q (entries p01, p11).
+    dlogs_dp = (1 - 2 * safe_p) / (2 * safe_p * (1 - safe_p))
+    dlogs_dq = (1 - 2 * safe_q) / (2 * safe_q * (1 - safe_q))
+    dlogs = np.stack([zero, dlogs_dq, dlogs_dp, dlogs_dp + dlogs_dq], axis=-1)
+    grad_rho = grad_cov / s[..., None] - rho[..., None] * dlogs
+    grad_rho = np.where(degenerate[..., None], 0.0, grad_rho)
+    return PerObsStats(p, q, cov, rho, g1, g2, degenerate, grad_cov, grad_rho)
+
+
+def per_obs_stats(quads: np.ndarray) -> PerObsStats:
+    """Every statistic of the quads (..., 4), in one vectorized pass."""
+    quads = np.asarray(quads, dtype=np.float64)
+    p = quads[..., 2] + quads[..., 3]
+    q = quads[..., 1] + quads[..., 3]
+    return _stats_from_marginals(p, q, quads[..., 3] - p * q)
+
+
+def covariance_from_quad(quad: np.ndarray) -> float:
+    return float(per_obs_stats(quad).covariance)
+
+
+def correlation_from_quad(quad: np.ndarray) -> float:
+    stats = per_obs_stats(quad)
+    if stats.degenerate:
+        raise DegenerateMarginalError(
+            f"correlation undefined at p={float(stats.p)}, q={float(stats.q)}"
+        )
+    return float(stats.correlation)
 
 
 @dataclass(frozen=True)
@@ -227,27 +223,21 @@ def _population_statistic(
     E[(c - p_hat)(r - q_hat) | cell] under the true cell distribution, which
     is what the estimating equations average.
     """
-    p0 = quads0[:, 2] + quads0[:, 3]
-    q0 = quads0[:, 1] + quads0[:, 3]
-    c0 = quads0[:, 3] - p0 * q0
-    p = p0 + eps * dp
-    q = q0 + eps * dq
+    truth = per_obs_stats(quads0)
+    p = truth.p + eps * dp
+    q = truth.q + eps * dq
     # E[(c - p)(r - q)] = C0 + (p0 - p)(q0 - q)
-    cov = c0 + (p0 - p) * (q0 - q)
+    cov = truth.covariance + (truth.p - p) * (truth.q - q)
     if kind == "covariance":
         return float(np.sum(mu * cov) / np.sum(mu))
-    s = np.sqrt(p * (1 - p) * q * (1 - q))
-    rho = cov / s
+    rho = _stats_from_marginals(p, q, cov).correlation
     if kind == "naive correlation":
         return float(np.sum(mu * rho) / np.sum(mu))
     if kind == "debiased correlation":
         # Regressors are evaluated at the truth: the debiasing claim is that
         # the projection annihilates the first-order nuisance error in the
         # regressand, which lies in the span of the truth-level regressors.
-        rho0 = c0 / np.sqrt(p0 * (1 - p0) * q0 * (1 - q0))
-        g1 = rho0 * (q0 - 0.5) / (q0 * (1 - q0))
-        g2 = rho0 * (p0 - 0.5) / (p0 * (1 - p0))
-        X = np.column_stack([np.ones(len(rho)), g1, g2])
+        X = np.column_stack([np.ones(len(rho)), truth.grad1, truth.grad2])
         est, _ = _wls_intercept(rho, X, mu)
         return est
     raise DataError(f"unknown statistic kind {kind!r}")

@@ -26,8 +26,6 @@ from .data import (
 from .functionals import (
     DegenerateMarginalError,
     GroupEstimate,
-    correlation_from_quad,
-    covariance_from_quad,
     group_mean,
     per_obs_stats,
 )
@@ -147,27 +145,6 @@ def analytic_k0(L: int, gamma: float) -> float:
 # Delta-method standard errors for statistics of a group-mean quad
 
 
-def _quad_gradient(quad: np.ndarray, kind: str) -> np.ndarray:
-    """Analytic gradient of the statistic in (p00, p01, p10, p11)."""
-    quad = np.asarray(quad, dtype=np.float64)
-    p = quad[2] + quad[3]
-    q = quad[1] + quad[3]
-    grad_c = np.array([0.0, -p, -q, 1.0 - p - q])
-    if kind == "covariance":
-        return grad_c
-    if kind != "correlation":
-        raise DataError(f"unknown statistic kind {kind!r}")
-    rho = correlation_from_quad(quad)  # raises on degenerate marginals
-    s = math.sqrt(p * (1 - p) * q * (1 - q))
-    # d rho = (1/s) dC - rho * (dlog s); log s depends on the quad only
-    # through p (entries p10, p11) and q (entries p01, p11).
-    dlogs_dp = (1 - 2 * p) / (2 * p * (1 - p))
-    dlogs_dq = (1 - 2 * q) / (2 * q * (1 - q))
-    grad_p = np.array([0.0, 0.0, 1.0, 1.0])
-    grad_q = np.array([0.0, 1.0, 0.0, 1.0])
-    return grad_c / s - rho * (dlogs_dp * grad_p + dlogs_dq * grad_q)
-
-
 def delta_method_se(quad: np.ndarray, sigma: np.ndarray, kind: str) -> float:
     """sqrt(grad' Sigma grad) for the statistic of a mean quad."""
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -175,7 +152,12 @@ def delta_method_se(quad: np.ndarray, sigma: np.ndarray, kind: str) -> float:
         raise DataError("sigma must be a 4x4 covariance matrix")
     if not np.allclose(sigma, sigma.T, atol=1e-10):
         raise DataError("sigma must be symmetric")
-    g = _quad_gradient(quad, kind)
+    if kind not in ("covariance", "correlation"):
+        raise DataError(f"unknown statistic kind {kind!r}")
+    stats = per_obs_stats(quad)
+    if kind == "correlation" and stats.degenerate:
+        raise DegenerateMarginalError(f"correlation undefined at p={stats.p}, q={stats.q}")
+    g = stats.grad_covariance if kind == "covariance" else stats.grad_correlation
     var = float(g @ sigma @ g)
     # Clip tiny negative values from floating-point PSD violations.
     return math.sqrt(max(var, 0.0))
@@ -296,19 +278,20 @@ def _split_result(
 
     labels = main.class_labels()
     group_quads = np.empty((cfg.n_groups, 4))
-    group_stats = np.empty(cfg.n_groups)
-    group_ses = np.empty(cfg.n_groups)
-    predicted_means = np.empty(cfg.n_groups)
-    stat_fn = covariance_from_quad if cfg.statistic == "covariance" else correlation_from_quad
+    group_covs = np.empty((cfg.n_groups, 4, 4))
     for g, idx in enumerate(groups):
-        quad, cov = _group_quad_and_cov(labels[idx], main.w[idx])
-        try:
-            group_stats[g] = stat_fn(quad)
-        except DegenerateMarginalError as err:
-            raise DataError(f"group {g + 1}: {err}") from err
-        group_quads[g] = quad
-        group_ses[g] = delta_method_se(quad, cov, cfg.statistic)
-        predicted_means[g] = float(np.average(values[idx], weights=main.w[idx]))
+        group_quads[g], group_covs[g] = _group_quad_and_cov(labels[idx], main.w[idx])
+    at_means = per_obs_stats(group_quads)
+    if cfg.statistic == "correlation" and at_means.degenerate.any():
+        g = int(np.argmax(at_means.degenerate))
+        raise DataError(
+            f"group {g + 1}: correlation undefined at p={at_means.p[g]}, q={at_means.q[g]}"
+        )
+    group_stats = getattr(at_means, cfg.statistic)
+    group_ses = np.array(
+        [delta_method_se(quad, cov, cfg.statistic) for quad, cov in zip(group_quads, group_covs)]
+    )
+    predicted_means = np.array([np.average(values[idx], weights=main.w[idx]) for idx in groups])
 
     se1 = group_ses[0]
     if se1 <= 0.0:

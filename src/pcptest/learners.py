@@ -22,10 +22,8 @@ from .data import (
     Dataset,
     SplitPlan,
     FoldAssignment,
-    encode_rows,
     one_hot_encode,
     split,
-    split_indices,
 )
 from .network import NetworkConfig, TrainingReport
 from .trees import BoostConfig, ForestConfig
@@ -39,7 +37,6 @@ __all__ = [
     "default_boost_grid",
     "cross_entropy_loss",
     "train_network",
-    "train_binary",
     "train_forest",
     "train_boosted",
     "hyperopt_network",
@@ -88,11 +85,6 @@ class ClassifierModel:
             raise DataError("dataset schema does not match the model's schema")
         return self.predict_design(one_hot_encode(d).rows)
 
-    def predict_cells(self, schema: CategoricalSchema, cells: np.ndarray) -> np.ndarray:
-        if schema.fingerprint() != self.schema_fingerprint:
-            raise DataError("schema does not match the model's schema")
-        return self.predict_design(encode_rows(schema, cells))
-
 
 def cross_entropy_loss(model: ClassifierModel, d: Dataset) -> float:
     """Weighted cross-entropy per unit weight, probabilities clipped at 1e-12."""
@@ -137,19 +129,11 @@ def train_network(
 
 def _inner_split(d: Dataset, seed: int, val_fraction: float = 0.15):
     """Hold out a validation slice for early stopping when the caller only
-    provides one dataset (cross-fitting, sorted-groups, binary training)."""
+    provides one dataset (cross-fitting, sorted-groups)."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(d.n)
     n_val = max(1, int(np.floor(d.n * val_fraction)))
     return d.take(perm[n_val:]), d.take(perm[:n_val])
-
-
-def train_binary(d: Dataset, target: str, cfg: NetworkConfig) -> ClassifierModel:
-    """2-way classifier for c or r with an internal 85/15 early-stopping split."""
-    if target not in ("c", "r"):
-        raise DataError("binary target must be 'c' or 'r'")
-    tr, va = _inner_split(d, cfg.seed)
-    return train_network(tr, va, cfg, target=target)
 
 
 def train_forest(d: Dataset, cfg: ForestConfig, target: str = "cr") -> ClassifierModel:

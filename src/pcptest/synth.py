@@ -17,6 +17,7 @@ import numpy as np
 import yaml
 
 from .data import CategoricalSchema, DataError, Dataset, encode_rows
+from .functionals import per_obs_stats
 
 __all__ = [
     "RhoSpec",
@@ -100,7 +101,6 @@ class SyntheticDGP:
     rho: RhoSpec = field(default_factory=RhoSpec)
     weights: WeightLaw = field(default_factory=WeightLaw)
     validate_eagerly: bool | None = None
-    rejection_cap: int = 1000
 
     def __post_init__(self) -> None:
         if len(self.marginals) != self.schema.n_features:
@@ -290,17 +290,13 @@ def _ground_truth_for_cells(dgp: SyntheticDGP, cells: np.ndarray) -> GroundTruth
         block = cells[start : start + _GROUND_TRUTH_CHUNK]
         chunks.append(_quads_for_rows(dgp, encode_rows(dgp.schema, block), block))
     quads = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    p = quads[:, 2] + quads[:, 3]
-    q = quads[:, 1] + quads[:, 3]
-    cov = quads[:, 3] - p * q
-    denom = np.sqrt(p * (1 - p) * q * (1 - q))
-    corr = np.where(denom > 0, cov / np.where(denom > 0, denom, 1.0), 0.0)
+    stats = per_obs_stats(quads)
     return GroundTruth(
         dgp.schema,
         tuple(tuple(int(v) for v in cell) for cell in cells),
         quads,
-        cov,
-        corr,
+        stats.covariance,
+        stats.correlation,
         _cell_probability(dgp, cells),
     )
 

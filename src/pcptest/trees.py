@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import _softmax
+from .network import PROB_CLIP, _softmax
 
 __all__ = [
     "ForestConfig",
@@ -29,8 +29,6 @@ __all__ = [
     "fit_forest",
     "fit_boosted",
 ]
-
-PROB_CLIP = 1e-12
 
 
 @dataclass(frozen=True)

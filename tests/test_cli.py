@@ -186,9 +186,12 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert re.search(r"^sorted groups: \d+ redraws over 2 splits$", res.output, re.M)
 
-    def test_failed_group_estimate_is_reported(self, workdir, tmp_path):
+    @pytest.mark.parametrize("command", ["estimate", "test-intersection", "report"])
+    def test_failed_group_estimate_is_reported(self, workdir, tmp_path, command):
         """A modality with two records cannot carry the debiased
-        regression: its row is NaN and stderr says which group and why."""
+        regression: its row is NaN, the feature's dd_correlation
+        intersection rows are not tested, and stderr says which group and
+        why, once."""
         schema = CategoricalSchema.from_yaml(workdir["schema"])
         d = load_csv(workdir["dataset"], schema)
         j = schema.feature_index("b")
@@ -198,16 +201,27 @@ class TestCommands:
         path = str(tmp_path / "rare.csv")
         save_csv(Dataset(schema, covariates, d.c, d.r, d.w), path)
         doc = base_config(workdir, tmp_path / "o", dataset=path)
-        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "estimate")
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
         assert res.exit_code == 0, res.output
         warnings = [line for line in res.output.splitlines() if line.startswith("warning:")]
         assert warnings == [
             "warning: group b=2: debiased correlation written as NaN: "
             "group 'b=2' has fewer than 3 usable records"
         ]
-        with open(tmp_path / "o" / "group_estimates.csv") as fh:
-            rows = [line.split(",") for line in fh.read().splitlines()]
-        assert [r[4] for r in rows[1:] if r[:2] == ["b", "2"]] == ["nan"]
+        if command != "test-intersection":
+            with open(tmp_path / "o" / "group_estimates.csv") as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()]
+            assert [r[4] for r in rows[1:] if r[:2] == ["b", "2"]] == ["nan"]
+        if command != "estimate":
+            with open(tmp_path / "o" / "intersection.csv") as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+            by_test = {(r[0], r[1]): r for r in rows}
+            assert len(rows) == 12  # 2 features x 2 statistics x 3 levels
+            assert [r[3:] for r in rows if r[:2] == ["b", "dd_correlation"]] == [
+                ["nan", "nan", "nan", "not tested", "nan", "nan"]
+            ] * 3
+            for key in (("a", "covariance"), ("a", "dd_correlation"), ("b", "covariance")):
+                assert by_test[key][6] in ("rejected", "not rejected")
 
     def test_fit_and_hyperopt(self, workdir, tmp_path):
         p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "o"))

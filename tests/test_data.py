@@ -8,12 +8,9 @@ from pcptest.data import (
     DataError,
     Dataset,
     FoldAssignment,
-    GroupScheme,
     Record,
     SplitPlan,
-    decode_row,
     default_schema,
-    encode_rows,
     load_csv,
     make_folds,
     one_hot_encode,
@@ -178,12 +175,6 @@ class TestDesign:
         row = one_hot_encode(d).rows[0]
         assert row.tolist() == [1.0, 0, 0, 0, 0, 0]
 
-    def test_decode_inverts_encode(self, small_schema):
-        cells = np.array([[2, 1], [3, 2], [0, 0]], dtype=np.int64)
-        rows = encode_rows(small_schema, cells)
-        for cell, row in zip(cells, rows):
-            assert decode_row(small_schema, row) == tuple(cell)
-
 
 class TestSplitsAndFolds:
     def test_split_sizes_use_floor(self):
@@ -243,20 +234,12 @@ class TestGrouping:
 
     def test_by_modality_partition(self, small_schema):
         d = toy_dataset(small_schema, n=60, seed=5)
-        groups = partition(d, GroupScheme("by-modality", feature="a"))
+        groups = partition(d, "a")
         joined = np.sort(np.concatenate(groups))
         assert np.array_equal(joined, np.arange(60))
         j = small_schema.feature_index("a")
         for idx in groups:
             assert len(np.unique(d.covariates[idx, j])) == 1
-
-    def test_by_statistic_partition(self, small_schema):
-        d = toy_dataset(small_schema, n=60, seed=6)
-        rng = np.random.default_rng(9)
-        scheme = GroupScheme("by-statistic", values=rng.normal(size=60), n_groups=3)
-        groups = partition(d, scheme)
-        assert len(groups) == 3
-        assert sum(len(g) for g in groups) == 60
 
 
 def test_weighted_mean_matches_numpy():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from pcptest.functionals import (
     DegenerateMarginalError,
     correlation_from_quad,
     covariance_from_quad,
+    DEGENERATE_TOL,
     debiased_group_correlation,
-    gradient_regressors,
     group_mean,
     orthogonality_check,
     per_obs_stats,
@@ -74,27 +76,126 @@ class TestQuadFunctionals:
 
 class TestGradientRegressors:
     def test_centered_marginals_vanish(self):
-        quad = np.array([0.3, 0.2, 0.2, 0.3])  # p = q = 0.5
-        g1, g2 = gradient_regressors(quad, correlation_from_quad(quad))
-        assert g1 == pytest.approx(0.0, abs=1e-14)
-        assert g2 == pytest.approx(0.0, abs=1e-14)
+        stats = per_obs_stats(np.array([0.3, 0.2, 0.2, 0.3]))  # p = q = 0.5
+        assert stats.grad1 == pytest.approx(0.0, abs=1e-14)
+        assert stats.grad2 == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_value(self):
         # rho = 0.1, q = 0.25 -> grad1 = 0.1 * (0.25 - 0.5) / (0.25 * 0.75)
         p, q, rho = 0.5, 0.25, 0.1
         c = rho * np.sqrt(p * (1 - p) * q * (1 - q))
         p11 = p * q + c
-        quad = np.array([1 - p - q + p11, q - p11, p - p11, p11])
-        g1, g2 = gradient_regressors(quad, correlation_from_quad(quad))
-        assert g1 == pytest.approx(-0.13333, abs=1e-5)
-        assert g2 == pytest.approx(0.0, abs=1e-12)
+        stats = per_obs_stats(np.array([1 - p - q + p11, q - p11, p - p11, p11]))
+        assert stats.grad1 == pytest.approx(-0.13333, abs=1e-5)
+        assert stats.grad2 == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_rho_vanishes(self):
-        quad = np.array([0.48, 0.12, 0.32, 0.08])  # p = 0.4, q = 0.2, rho = 0
-        rho = correlation_from_quad(quad)
-        assert rho == pytest.approx(0.0, abs=1e-14)
-        g1, g2 = gradient_regressors(quad, rho)
-        assert (g1, g2) == (pytest.approx(0.0, abs=1e-13), pytest.approx(0.0, abs=1e-13))
+        stats = per_obs_stats(np.array([0.48, 0.12, 0.32, 0.08]))  # p = 0.4, q = 0.2, rho = 0
+        assert stats.correlation == pytest.approx(0.0, abs=1e-14)
+        assert (stats.grad1, stats.grad2) == (
+            pytest.approx(0.0, abs=1e-13),
+            pytest.approx(0.0, abs=1e-13),
+        )
+
+
+# ---------------------------------------------------------------------------
+# The scalar formulas the vectorized kernel replaced, kept as its oracle.
+
+
+def oracle_marginals(quad):
+    quad = np.asarray(quad, dtype=np.float64)
+    return quad[..., 2] + quad[..., 3], quad[..., 1] + quad[..., 3]
+
+
+def oracle_covariance(quad):
+    p, q = oracle_marginals(quad)
+    return float(np.asarray(quad)[..., 3] - p * q)
+
+
+def oracle_correlation(quad):
+    p, q = oracle_marginals(quad)
+    if min(p, 1 - p, q, 1 - q) < DEGENERATE_TOL:
+        raise DegenerateMarginalError(f"correlation undefined at p={float(p)}, q={float(q)}")
+    cov = float(np.asarray(quad)[..., 3] - p * q)
+    return cov / math.sqrt(p * (1 - p) * q * (1 - q))
+
+
+def oracle_gradient_regressors(quad, rho):
+    p, q = oracle_marginals(quad)
+    if min(p, 1 - p, q, 1 - q) < DEGENERATE_TOL:
+        raise DegenerateMarginalError(f"gradient regressors undefined at p={p}, q={q}")
+    g1 = rho * (q - 0.5) / (q * (1 - q))
+    g2 = rho * (p - 0.5) / (p * (1 - p))
+    return float(g1), float(g2)
+
+
+def oracle_quad_gradient(quad, kind):
+    quad = np.asarray(quad, dtype=np.float64)
+    p = quad[2] + quad[3]
+    q = quad[1] + quad[3]
+    grad_c = np.array([0.0, -p, -q, 1.0 - p - q])
+    if kind == "covariance":
+        return grad_c
+    rho = oracle_correlation(quad)
+    s = math.sqrt(p * (1 - p) * q * (1 - q))
+    dlogs_dp = (1 - 2 * p) / (2 * p * (1 - p))
+    dlogs_dq = (1 - 2 * q) / (2 * q * (1 - q))
+    grad_p = np.array([0.0, 0.0, 1.0, 1.0])
+    grad_q = np.array([0.0, 1.0, 0.0, 1.0])
+    return grad_c / s - rho * (dlogs_dp * grad_p + dlogs_dq * grad_q)
+
+
+def assert_bits(actual, expected):
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+# Marginals on and next to the degeneracy boundary, and generic ones.
+EDGE_MARGINALS = [0.0, 1.0, 5e-10, 1 - 5e-10, 1e-9, 1 - 1e-9, 2e-9, 1 - 2e-9, 1e-6, 0.5]
+
+
+@st.composite
+def edge_quad(draw):
+    """A quad built from marginals (p, q) and the joint mass p11, which
+    lies anywhere in its feasible range [max(0, p + q - 1), min(p, q)]."""
+    marginal = st.one_of(st.sampled_from(EDGE_MARGINALS), st.floats(0.0, 1.0))
+    p, q = draw(marginal), draw(marginal)
+    lo, hi = max(0.0, p + q - 1.0), min(p, q)
+    p11 = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    return np.array([1.0 - p - q + p11, q - p11, p - p11, p11])
+
+
+@given(quads=st.lists(st.one_of(edge_quad(), quad_strategy()), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_scalar_oracle(quads):
+    quads = np.array(quads)
+    stats = per_obs_stats(quads)
+    # Any leading shape gives the same numbers as the flat batch.
+    stacked = per_obs_stats(np.stack([quads, quads[::-1]]))
+    assert_bits(stacked.correlation[0], stats.correlation)
+    assert_bits(stacked.grad_correlation[1], stats.grad_correlation[::-1])
+    for i, quad in enumerate(quads):
+        p, q = oracle_marginals(quad)
+        assert_bits(stats.p[i], p)
+        assert_bits(stats.q[i], q)
+        assert_bits(stats.covariance[i], oracle_covariance(quad))
+        assert_bits(stats.grad_covariance[i], oracle_quad_gradient(quad, "covariance"))
+        try:
+            rho = oracle_correlation(quad)
+        except DegenerateMarginalError:
+            assert stats.degenerate[i]
+            for field in (stats.correlation, stats.grad1, stats.grad2):
+                assert_bits(field[i], 0.0)
+            assert_bits(stats.grad_correlation[i], np.zeros(4))
+            continue
+        assert not stats.degenerate[i]
+        assert_bits(stats.correlation[i], rho)
+        g1, g2 = oracle_gradient_regressors(quad, rho)
+        assert_bits(stats.grad1[i], g1)
+        assert_bits(stats.grad2[i], g2)
+        assert_bits(stats.grad_correlation[i], oracle_quad_gradient(quad, "correlation"))
 
 
 class TestBruteForceOracle:

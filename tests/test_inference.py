@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 from pcptest import inference
 from pcptest.data import DataError
+from pcptest.functionals import DegenerateMarginalError
 from pcptest.inference import (
     IntersectionInput,
     SortedGroupsConfig,
@@ -183,6 +184,8 @@ class TestDeltaMethodSE:
             delta_method_se(self.quad(), bad, "covariance")
         with pytest.raises(DataError):
             delta_method_se(self.quad(), np.zeros((4, 4)), "median")
+        with pytest.raises(DegenerateMarginalError):
+            delta_method_se(np.array([0.6, 0.4, 0.0, 0.0]), np.zeros((4, 4)), "correlation")
 
 
 class TestSortedGroups:

@@ -18,7 +18,6 @@ from pcptest.learners import (
     load_model,
     save_model,
     train_any,
-    train_binary,
     train_boosted,
     train_forest,
     train_network,
@@ -43,14 +42,6 @@ class TestTraining:
         tr, va, te = split(small_dataset, SplitPlan((0.7, 0.15, 0.15)))
         model = train_network(tr, va, NetworkConfig(depth=0, max_epochs=200, seed=1))
         assert cross_entropy_loss(model, te) < constant_model_loss(te)
-
-    def test_binary_targets(self, small_dataset):
-        for target in ("c", "r"):
-            model = train_binary(small_dataset, target, FAST_NET)
-            probs = model.predict_quads(small_dataset)
-            assert probs.shape == (small_dataset.n, 2)
-        with pytest.raises(DataError):
-            train_binary(small_dataset, "cr", FAST_NET)
 
     def test_train_any_dispatch(self, small_dataset):
         assert train_any(small_dataset, FAST_NET).kind == "network"
