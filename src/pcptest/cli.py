@@ -48,7 +48,7 @@ from .functionals import (
 from .inference import (
     IntersectionInput,
     SortedGroupsConfig,
-    intersection_test,
+    intersection_tests,
     sorted_groups_run,
 )
 from .network import NetworkConfig, NetworkTrainingError
@@ -197,13 +197,11 @@ def _fmt(value) -> str:
 
 
 def write_table(out: OutputDir, name: str, header: list[str], rows: list[list]) -> None:
-    """Emit a table as <name>.csv and aligned <name>.txt."""
-    with open(out.path(name + ".csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    """Emit a table as <name>.csv and aligned <name>.txt, formatting each
+    cell once for both."""
     cells = [header] + [[_fmt(v) for v in row] for row in rows]
+    with open(out.path(name + ".csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(cells)
     widths = [max(len(r[j]) for r in cells) for j in range(len(header))]
     with open(out.path(name + ".txt"), "w", encoding="utf-8") as fh:
         for i, row in enumerate(cells):
@@ -431,24 +429,30 @@ def cmd_test_intersection(cfg: RunConfig, out: OutputDir) -> None:
 
 def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Groups) -> None:
     """One row per feature, statistic and level.  A feature with a failed
-    debiased group is not tested on that statistic: its rows carry NaN."""
+    debiased group is not tested on that statistic: its rows carry NaN.
+    The tests of one feature share one Monte Carlo draw."""
     nan = float("nan")
     rows = []
     for name, table in groups.items():
+        tested, inputs = [], []
         for stat_name in ("covariance", "dd_correlation"):
             estimates = [getattr(g, stat_name) for g in table]
             if any(g is None for g in estimates):
-                rows += [
-                    [name, stat_name, alpha, nan, nan, nan, "not tested", nan, nan]
-                    for alpha in cfg.levels
-                ]
                 continue
+            tested.append(stat_name)
             est = np.array([g.estimate for g in estimates])
             ses = np.array([g.se for g in estimates])
+            inputs += [
+                IntersectionInput(est, ses, d.n, alpha, cfg.mc_draws, cfg.seed)
+                for alpha in cfg.levels
+            ]
+        results = iter(intersection_tests(inputs))
+        for stat_name in ("covariance", "dd_correlation"):
             for alpha in cfg.levels:
-                res = intersection_test(
-                    IntersectionInput(est, ses, d.n, alpha, cfg.mc_draws, cfg.seed)
-                )
+                if stat_name not in tested:
+                    rows.append([name, stat_name, alpha, nan, nan, nan, "not tested", nan, nan])
+                    continue
+                res = next(results)
                 rows.append(
                     [
                         name,

@@ -462,22 +462,30 @@ def quantile_group_indices(
     Records are stably sorted by (value, index) and each record is assigned
     to the quantile bin containing the midpoint of its own weight mass, so
     ties are broken by index and groups stay near-balanced even when the
-    values are degenerate.
+    values are degenerate.  A record whose weight spans a whole bin would
+    leave that bin empty, so the groups' first sorted positions are then
+    made strictly increasing: a forward pass moves each start to at least
+    one past the previous start, a backward pass to at most one before the
+    next start (n for the last).  Groups that are all nonempty are kept as
+    assigned.  Fewer records than groups raise ``DataError``.
     """
     values = np.asarray(values, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     n = len(values)
+    if n < n_groups:
+        raise DataError(f"cannot split {n} records into {n_groups} quantile groups")
     order = np.argsort(values, kind="stable")
     cw = np.cumsum(weights[order])
     total = cw[-1]
     mid = (cw - weights[order] / 2.0) / total
     cuts = np.arange(1, n_groups) / n_groups
     bin_of_sorted = np.searchsorted(cuts, mid, side="left")
-    groups = [order[bin_of_sorted == g] for g in range(n_groups)]
-    for g, idx in enumerate(groups):
-        if len(idx) == 0:
-            raise DataError(f"quantile group {g + 1} of {n_groups} is empty")
-    return [np.sort(idx) for idx in groups]
+    starts = np.searchsorted(bin_of_sorted, np.arange(n_groups + 1), side="left")
+    for g in range(1, n_groups):
+        starts[g] = max(starts[g], starts[g - 1] + 1)
+    for g in range(n_groups - 1, 0, -1):
+        starts[g] = min(starts[g], starts[g + 1] - 1)
+    return [np.sort(order[a:b]) for a, b in zip(starts[:-1], starts[1:])]
 
 
 def partition(d: Dataset, feature: str) -> list[np.ndarray]:

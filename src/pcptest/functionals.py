@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,9 @@ class DegenerateMarginalError(ValueError):
 @dataclass(frozen=True)
 class PerObsStats:
     """Per-record plug-in statistics over any leading shape (...); degenerate
-    marginals are flagged and their correlation terms zeroed, not used."""
+    marginals are flagged and their correlation terms zeroed, not used.
+    The delta-method gradients are built from the kept fields when first
+    read."""
 
     p: np.ndarray  # (...,) P(c = 1)
     q: np.ndarray  # (...,) P(r = 1)
@@ -57,11 +60,36 @@ class PerObsStats:
     grad1: np.ndarray  # (...,) rho (q - 1/2) / (q (1 - q)), 0 where degenerate
     grad2: np.ndarray  # (...,) rho (p - 1/2) / (p (1 - p)), 0 where degenerate
     degenerate: np.ndarray  # (...,) bool
-    grad_covariance: np.ndarray  # (..., 4) d C / d quad
-    grad_correlation: np.ndarray  # (..., 4) d rho / d quad, 0 where degenerate
 
     def __len__(self) -> int:
         return len(self.covariance)
+
+    @cached_property
+    def grad_covariance(self) -> np.ndarray:
+        """(..., 4) d C / d quad."""
+        p, q = self.p, self.q
+        return np.stack([np.zeros_like(self.covariance), -p, -q, 1.0 - p - q], axis=-1)
+
+    @cached_property
+    def grad_correlation(self) -> np.ndarray:
+        """(..., 4) d rho / d quad, 0 where degenerate."""
+        safe_p, safe_q, s = _safe_marginals(self.p, self.q, self.degenerate)
+        # d rho = (1/s) dC - rho d(log s); log s depends on the quad only
+        # through p (entries p10, p11) and q (entries p01, p11).
+        dlogs_dp = (1 - 2 * safe_p) / (2 * safe_p * (1 - safe_p))
+        dlogs_dq = (1 - 2 * safe_q) / (2 * safe_q * (1 - safe_q))
+        zero = np.zeros_like(self.covariance)
+        dlogs = np.stack([zero, dlogs_dq, dlogs_dp, dlogs_dp + dlogs_dq], axis=-1)
+        grad_rho = self.grad_covariance / s[..., None] - self.correlation[..., None] * dlogs
+        return np.where(self.degenerate[..., None], 0.0, grad_rho)
+
+
+def _safe_marginals(
+    p: np.ndarray, q: np.ndarray, degenerate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p and q with 1/2 on degenerate records, and sqrt(p(1-p) q(1-q)) at them."""
+    safe_p, safe_q = np.where(degenerate, 0.5, p), np.where(degenerate, 0.5, q)
+    return safe_p, safe_q, np.sqrt(safe_p * (1 - safe_p) * safe_q * (1 - safe_q))
 
 
 def _stats_from_marginals(p: np.ndarray, q: np.ndarray, cov: np.ndarray) -> PerObsStats:
@@ -69,22 +97,11 @@ def _stats_from_marginals(p: np.ndarray, q: np.ndarray, cov: np.ndarray) -> PerO
     that the orthogonality diagnostic can pass one at perturbed marginals."""
     degenerate = np.minimum(p, 1 - p) < DEGENERATE_TOL
     degenerate |= np.minimum(q, 1 - q) < DEGENERATE_TOL
-    safe_p = np.where(degenerate, 0.5, p)
-    safe_q = np.where(degenerate, 0.5, q)
-    s = np.sqrt(safe_p * (1 - safe_p) * safe_q * (1 - safe_q))
+    safe_p, safe_q, s = _safe_marginals(p, q, degenerate)
     rho = np.where(degenerate, 0.0, cov / s)
     g1 = np.where(degenerate, 0.0, rho * (safe_q - 0.5) / (safe_q * (1 - safe_q)))
     g2 = np.where(degenerate, 0.0, rho * (safe_p - 0.5) / (safe_p * (1 - safe_p)))
-    zero = np.zeros_like(cov)
-    grad_cov = np.stack([zero, -p, -q, 1.0 - p - q], axis=-1)
-    # d rho = (1/s) dC - rho d(log s); log s depends on the quad only
-    # through p (entries p10, p11) and q (entries p01, p11).
-    dlogs_dp = (1 - 2 * safe_p) / (2 * safe_p * (1 - safe_p))
-    dlogs_dq = (1 - 2 * safe_q) / (2 * safe_q * (1 - safe_q))
-    dlogs = np.stack([zero, dlogs_dq, dlogs_dp, dlogs_dp + dlogs_dq], axis=-1)
-    grad_rho = grad_cov / s[..., None] - rho[..., None] * dlogs
-    grad_rho = np.where(degenerate[..., None], 0.0, grad_rho)
-    return PerObsStats(p, q, cov, rho, g1, g2, degenerate, grad_cov, grad_rho)
+    return PerObsStats(p, q, cov, rho, g1, g2, degenerate)
 
 
 def per_obs_stats(quads: np.ndarray) -> PerObsStats:

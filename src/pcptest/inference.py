@@ -9,6 +9,7 @@ of the predicted statistic, and tests the lowest quartile directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -35,6 +36,7 @@ __all__ = [
     "IntersectionInput",
     "IntersectionResult",
     "intersection_test",
+    "intersection_tests",
     "analytic_k0",
     "gamma_n",
     "SortedGroupsConfig",
@@ -110,26 +112,43 @@ def intersection_test(inp: IntersectionInput) -> IntersectionResult:
     min over kept groups of T_l + k se_l is negative.  Deterministic
     given the seed; quantiles are type-7 (linear interpolation).
     """
-    est, ses = inp.estimates, inp.ses
-    gam = gamma_n(inp.n)
-    rng = np.random.default_rng(inp.seed)
-    xi = rng.standard_normal((inp.mc_draws, inp.L))
-    k0 = float(np.quantile(xi.max(axis=1), gam))
+    return intersection_tests([inp])[0]
 
-    threshold = np.min(est + k0 * ses)
-    keep = est <= threshold + 2.0 * k0 * ses
-    selected = tuple(int(i) for i in np.nonzero(keep)[0])
-    k = float(np.quantile(xi[:, keep].max(axis=1), 1.0 - inp.alpha))
 
-    statistic = float(np.min(est[keep] + k * ses[keep]))
-    a = float(np.min(est + k * ses))
-    b = float(np.max(est - k * ses))
-    clamped = b < a
-    if clamped:
-        b = a
-    return IntersectionResult(
-        gam, k0, selected, k, statistic, statistic < 0.0, (a, b), clamped
-    )
+def intersection_tests(inputs: Sequence[IntersectionInput]) -> list[IntersectionResult]:
+    """``intersection_test`` of every input, in order.  The normals depend
+    only on (mc_draws, L, seed), so each consecutive run of inputs that
+    share them is tested on one draw."""
+    runs = itertools.groupby(inputs, key=lambda inp: (inp.mc_draws, inp.L, inp.seed))
+    return [res for _, run in runs for res in _tests_on_one_draw(list(run))]
+
+
+def _tests_on_one_draw(inputs: list[IntersectionInput]) -> list[IntersectionResult]:
+    first = inputs[0]
+    xi = np.random.default_rng(first.seed).standard_normal((first.mc_draws, first.L))
+    row_max = xi.max(axis=1)
+    results = []
+    for inp in inputs:
+        est, ses = inp.estimates, inp.ses
+        gam = gamma_n(inp.n)
+        k0 = float(np.quantile(row_max, gam))
+
+        threshold = np.min(est + k0 * ses)
+        keep = est <= threshold + 2.0 * k0 * ses
+        selected = tuple(int(i) for i in np.nonzero(keep)[0])
+        kept_max = row_max if keep.all() else xi[:, keep].max(axis=1)
+        k = float(np.quantile(kept_max, 1.0 - inp.alpha))
+
+        statistic = float(np.min(est[keep] + k * ses[keep]))
+        a = float(np.min(est + k * ses))
+        b = float(np.max(est - k * ses))
+        clamped = b < a
+        if clamped:
+            b = a
+        results.append(
+            IntersectionResult(gam, k0, selected, k, statistic, statistic < 0.0, (a, b), clamped)
+        )
+    return results
 
 
 def analytic_k0(L: int, gamma: float) -> float:

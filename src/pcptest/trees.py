@@ -10,11 +10,20 @@ with their record counts and per-class weight masses, and grows the class
 trees of a round together, one depth level at a time: a few bincounts over
 (node, active column) pairs give every open node's split histogram, in the
 manner of LightGBM's histogram split finding.
+
+Prediction compresses its design the same way and evaluates each model on
+the distinct rows only.  A model is turned once into flat node arrays
+(split column, first child, leaf value); the class trees of a boosting
+round, or one forest tree, then route every distinct row in a fixed number
+of vectorized steps, and the sums are scattered back to the records.  They
+are added in the order of the trees, so every bit equals a walk of each
+tree over each record.  ``TreeNode`` stays the stored form of a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,27 +100,85 @@ class TreeNode:
         )
 
 
-def _predict_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Vectorized traversal; returns (n, value_dim)."""
-    out = np.empty((X.shape[0], len(_first_leaf(node).value)))
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if nd.is_leaf():
-            out[idx] = nd.value
-            continue
-        go_right = X[idx, nd.column] > 0.5
-        stack.append((nd.left, idx[~go_right]))
-        stack.append((nd.right, idx[go_right]))
-    return out
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The active (> 0.5) pattern of each distinct design row, with the row
+    of every record and the record count of every row.  Every split
+    decision reads only the active pattern."""
+    active = X > 0.5
+    # Packing the bits keeps the lexicographic row order and sorts 8
+    # columns per byte; up to 64 columns, one big-endian word per row keeps
+    # it too and sorts as a plain vector.
+    packed = np.packbits(active, axis=1)
+    if packed.shape[1] <= 8:
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        packed = words.view(">u8").reshape(-1)
+    _, first, inverse, counts = np.unique(
+        packed,
+        axis=0,
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return active[first], inverse.reshape(-1), counts
 
 
-def _first_leaf(node: TreeNode) -> TreeNode:
-    while not node.is_leaf():
-        node = node.left
-    return node
+def _routing_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of X as _FlatTrees reads them, with the sentinel
+    column in front, and the row of every record."""
+    active, inverse, _ = _distinct_rows(X)
+    return np.pad(active, ((0, 0), (1, 0))).view(np.uint8), inverse
+
+
+@dataclass(frozen=True)
+class _FlatTrees:
+    """Trees as flat node arrays, evaluated together over index arrays.
+
+    Node i reads column ``column[i]`` of the routing rows, which are the
+    design columns shifted by one behind a sentinel column 0 that is never
+    active.  The children of a split are ``left[i]`` and ``left[i] + 1``,
+    the right child taking the rows whose column is active.  A leaf holds
+    its value row ``value[i]`` and routes to itself through the sentinel,
+    so ``depth`` steps bring every row to its leaf.
+    """
+
+    column: np.ndarray  # (n_nodes,)
+    left: np.ndarray  # (n_nodes,)
+    value: np.ndarray  # (n_nodes, value_dim), 0 at splits
+    n_trees: int  # the roots are nodes 0 .. n_trees - 1
+    depth: int
+
+    @classmethod
+    def build(cls, trees: list[TreeNode]) -> "_FlatTrees":
+        nodes = list(trees)
+        column, left, leaves, depth = [], [], [], [0] * len(nodes)
+        for i, node in enumerate(nodes):  # breadth first; nodes grows as it is walked
+            if node.is_leaf():
+                column.append(0)
+                left.append(i)
+                leaves.append(i)
+            else:
+                column.append(node.column + 1)
+                left.append(len(nodes))
+                nodes += [node.left, node.right]
+                depth += [depth[i] + 1] * 2
+        value = np.zeros((len(nodes), len(nodes[leaves[0]].value)))
+        value[leaves] = [nodes[i].value for i in leaves]
+        return cls(np.array(column), np.array(left), value, len(trees), max(depth))
+
+    def leaf_values(self, rows: np.ndarray) -> np.ndarray:
+        """(m, n_trees, value_dim) leaf values of the (m, width) routing rows;
+        item i * n_trees + t stands for row i in tree t."""
+        m, width = rows.shape
+        bits = rows.reshape(-1)
+        offset = np.repeat(np.arange(0, m * width, width), self.n_trees)
+        node = np.tile(np.arange(self.n_trees), m)
+        for _ in range(self.depth):
+            at = self.column.take(node)
+            at += offset
+            node = self.left.take(node)
+            node += bits.take(at)
+        return self.value.take(node, axis=0).reshape(m, self.n_trees, -1)
 
 
 def _weighted_entropy(class_w: np.ndarray) -> float:
@@ -194,11 +261,16 @@ class ForestModel:
     n_classes: int
     importance: np.ndarray  # raw weighted-entropy decrease per design column
 
+    @cached_property
+    def _flat(self) -> list[_FlatTrees]:
+        return [_FlatTrees.build([tree]) for tree in self.trees]
+
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros((X.shape[0], self.n_classes))
-        for tree in self.trees:
-            acc += _predict_tree(tree, X)
-        return acc / len(self.trees)
+        rows, inverse = _routing_rows(X)
+        acc = np.zeros((len(rows), self.n_classes))
+        for flat in self._flat:
+            acc += flat.leaf_values(rows)[:, 0]
+        return (acc / len(self.trees))[inverse]
 
 
 def fit_forest(
@@ -243,14 +315,18 @@ class BoostModel:
     n_classes: int
     importance: np.ndarray
 
+    @cached_property
+    def _flat(self) -> list[_FlatTrees]:
+        return [_FlatTrees.build(round_trees) for round_trees in self.rounds]
+
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        scores = np.tile(self.init_scores, (X.shape[0], 1))
         if self.learning_rate == 0.0:
-            return scores
-        for round_trees in self.rounds:
-            for k, tree in enumerate(round_trees):
-                scores[:, k] += self.learning_rate * _predict_tree(tree, X)[:, 0]
-        return scores
+            return np.tile(self.init_scores, (X.shape[0], 1))
+        rows, inverse = _routing_rows(X)
+        scores = np.tile(self.init_scores, (len(rows), 1))
+        for flat in self._flat:  # the class trees of one round at a time
+            scores += self.learning_rate * flat.leaf_values(rows)[..., 0]
+        return scores[inverse]
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self.raw_scores(X))
@@ -269,20 +345,9 @@ class _DistinctRows:
     """
 
     def __init__(self, X: np.ndarray, labels: np.ndarray, w: np.ndarray, n_classes: int):
-        active = X > 0.5
-        # Packing the bits keeps the lexicographic row order and sorts 8
-        # columns per byte.
-        _, first, inverse, counts = np.unique(
-            np.packbits(active, axis=1),
-            axis=0,
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
-        )
-        inverse = inverse.reshape(-1)
-        m = len(first)
+        self.active, inverse, counts = _distinct_rows(X)  # (m, n_cols)
+        m = len(counts)
         self.m, self.n_classes, self.n_cols = m, n_classes, X.shape[1]
-        self.active = active[first]  # (m, n_cols)
         self.W = np.bincount(inverse, weights=w, minlength=m)
         self.M = np.bincount(
             inverse * n_classes + labels, weights=w, minlength=m * n_classes

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcptest.data import (
@@ -254,6 +254,7 @@ def test_weighted_mean_matches_numpy():
     seed=st.integers(min_value=0, max_value=1000),
 )
 @settings(max_examples=40, deadline=None)
+@example(n=9, n_groups=4, seed=337)  # one record's weight spans a whole bin
 def test_quantile_groups_always_partition(n, n_groups, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=n)
@@ -262,6 +263,42 @@ def test_quantile_groups_always_partition(n, n_groups, seed):
     joined = np.sort(np.concatenate(groups))
     assert np.array_equal(joined, np.arange(n))
     assert all(len(g) > 0 for g in groups)
+
+
+def midpoint_quantile_groups(values, weights, n_groups):
+    """The midpoint assignment alone, which may leave a group empty: the
+    oracle for every input where it does not."""
+    order = np.argsort(values, kind="stable")
+    cw = np.cumsum(weights[order])
+    mid = (cw - weights[order] / 2.0) / cw[-1]
+    bin_of_sorted = np.searchsorted(np.arange(1, n_groups) / n_groups, mid, side="left")
+    return [np.sort(order[bin_of_sorted == g]) for g in range(n_groups)]
+
+
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    n_groups=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ties=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_quantile_groups_match_midpoint_assignment(n, n_groups, seed, ties):
+    """Groups the midpoint assignment leaves all nonempty are kept exactly;
+    otherwise every group is a nonempty run of the sorted order."""
+    rng = np.random.default_rng(seed)
+    v = rng.integers(0, 3, n).astype(float) if ties else rng.normal(size=n)
+    w = rng.uniform(0.05, 1.0, n) ** 4
+    if n < n_groups:
+        with pytest.raises(DataError):
+            quantile_group_indices(v, w, n_groups)
+        return
+    groups = quantile_group_indices(v, w, n_groups)
+    oracle = midpoint_quantile_groups(v, w, n_groups)
+    if all(len(g) > 0 for g in oracle):
+        assert all(np.array_equal(g, o) for g, o in zip(groups, oracle))
+    assert all(len(g) > 0 for g in groups)
+    order = np.argsort(v, kind="stable")
+    assert np.array_equal(np.concatenate([order[np.isin(order, g)] for g in groups]), order)
 
 
 @given(

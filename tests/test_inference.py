@@ -17,6 +17,7 @@ from pcptest.inference import (
     gamma_n,
     gaussian_group_draw,
     intersection_test,
+    intersection_tests,
     mc_size_power,
     sorted_groups_run,
 )
@@ -145,6 +146,73 @@ class TestIntersectionTest:
         up = intersection_test(self.inp(est + shift, ses, mc_draws=5_000, seed=3))
         if not base.rejected:
             assert not up.rejected
+
+
+def oracle_intersection_test(inp):
+    """The test with its own draw and no shared row maxima."""
+    est, ses = inp.estimates, inp.ses
+    gam = gamma_n(inp.n)
+    xi = np.random.default_rng(inp.seed).standard_normal((inp.mc_draws, inp.L))
+    k0 = float(np.quantile(xi.max(axis=1), gam))
+    keep = est <= np.min(est + k0 * ses) + 2.0 * k0 * ses
+    k = float(np.quantile(xi[:, keep].max(axis=1), 1.0 - inp.alpha))
+    statistic = float(np.min(est[keep] + k * ses[keep]))
+    a, b = float(np.min(est + k * ses)), float(np.max(est - k * ses))
+    return inference.IntersectionResult(
+        gam,
+        k0,
+        tuple(int(i) for i in np.nonzero(keep)[0]),
+        k,
+        statistic,
+        statistic < 0.0,
+        (a, max(a, b)),
+        b < a,
+    )
+
+
+@st.composite
+def intersection_batches(draw):
+    """Inputs whose (mc_draws, L, seed) repeat in runs and apart; equal
+    estimates keep every group, a far larger one drops it."""
+    keys = [(200, 2, 0), (200, 3, 0), (500, 3, 0), (200, 3, 1), (300, 5, 7)]
+    batch = []
+    for _ in range(draw(st.integers(1, 10))):
+        mc_draws, L, seed = draw(st.sampled_from(keys))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        est = np.zeros(L) if draw(st.booleans()) else rng.normal(0.0, 0.1, L)
+        if draw(st.booleans()):
+            est[rng.integers(L)] = 5.0
+        ses = rng.uniform(0.01, 0.2, L)
+        alpha = draw(st.sampled_from([0.01, 0.05, 0.10]))
+        n = draw(st.sampled_from([50, 6333]))
+        batch.append(IntersectionInput(est, ses, n, alpha, mc_draws, seed))
+    return batch
+
+
+class TestSharedDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(intersection_batches())
+    def test_batch_matches_one_at_a_time(self, batch):
+        results = intersection_tests(batch)
+        assert len(results) == len(batch)
+        for inp, res in zip(batch, results):
+            assert res == intersection_test(inp)
+            assert res == oracle_intersection_test(inp)
+
+    def test_mixed_batch_keeps_all_and_subsets(self):
+        ses = np.full(3, 0.05)
+        batch = [
+            IntersectionInput(np.zeros(3), ses, 6333, 0.05, 1_000, 4),
+            IntersectionInput(np.array([0.0, 0.0, 5.0]), ses, 6333, 0.05, 1_000, 4),
+            IntersectionInput(np.array([0.0, 5.0]), ses[:2], 6333, 0.10, 1_000, 4),
+            IntersectionInput(np.zeros(3), ses, 6333, 0.01, 2_000, 4),
+            IntersectionInput(np.zeros(3), ses, 100, 0.01, 1_000, 5),
+        ]
+        results = intersection_tests(batch)
+        assert [len(r.selected) for r in results] == [3, 2, 1, 3, 3]
+        for inp, res in zip(batch, results):
+            assert res == intersection_test(inp)
+            assert res == oracle_intersection_test(inp)
 
 
 class TestDeltaMethodSE:

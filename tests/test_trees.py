@@ -1,18 +1,69 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pcptest.data import one_hot_encode
+from pcptest.learners import load_model
+from pcptest.network import _softmax
 from pcptest.trees import (
     PROB_CLIP,
     BoostConfig,
     BoostModel,
     ForestConfig,
+    ForestModel,
     TreeNode,
-    _predict_tree,
+    _distinct_rows,
     fit_boosted,
     fit_forest,
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference prediction: every tree walked over every record, node by node.
+# The models evaluate flat node arrays over distinct design rows instead,
+# and must give the same bits.
+
+
+def _first_leaf(node):
+    while not node.is_leaf():
+        node = node.left
+    return node
+
+
+def _predict_tree(node, X):
+    """Vectorized traversal; returns (n, value_dim)."""
+    out = np.empty((X.shape[0], len(_first_leaf(node).value)))
+    stack = [(node, np.arange(X.shape[0]))]
+    while stack:
+        nd, idx = stack.pop()
+        if len(idx) == 0:
+            continue
+        if nd.is_leaf():
+            out[idx] = nd.value
+            continue
+        go_right = X[idx, nd.column] > 0.5
+        stack.append((nd.left, idx[~go_right]))
+        stack.append((nd.right, idx[go_right]))
+    return out
+
+
+def oracle_boosted_probs(model, X):
+    scores = np.tile(model.init_scores, (X.shape[0], 1))
+    if model.learning_rate != 0.0:
+        for round_trees in model.rounds:
+            for k, tree in enumerate(round_trees):
+                scores[:, k] += model.learning_rate * _predict_tree(tree, X)[:, 0]
+    return _softmax(scores)
+
+
+def oracle_forest_probs(model, X):
+    acc = np.zeros((X.shape[0], model.n_classes))
+    for tree in model.trees:
+        acc += _predict_tree(tree, X)
+    return acc / len(model.trees)
 
 
 def design_problem(n=600, n_cols=6, seed=0, n_classes=4):
@@ -345,7 +396,7 @@ class TestBoostedMatchesDenseGrower:
             for tree, ref_tree in zip(round_trees, ref_trees):
                 assert_same_tree(tree, ref_tree, X, np.arange(len(X)))
         np.testing.assert_allclose(
-            model.predict_probs(X), ref.predict_probs(X), rtol=0.0, atol=1e-9
+            model.predict_probs(X), oracle_boosted_probs(ref, X), rtol=0.0, atol=1e-9
         )
 
     def test_same_importance_on_dummy_design(self):
@@ -355,4 +406,109 @@ class TestBoostedMatchesDenseGrower:
             fit_boosted(X, labels, w, cfg).importance,
             _dense_fit_boosted(X, labels, w, cfg).importance,
             rtol=1e-9,
+        )
+
+
+# ---------------------------------------------------------------------------
+# The flat evaluator against the node-by-node walk, bit for bit.
+
+
+@st.composite
+def prediction_designs(draw):
+    """A binary design with a constant column, in shuffled record order:
+    either every row distinct or rows repeated, from one record up."""
+    n_cols = draw(st.integers(2, 8))
+    distinct = draw(st.booleans())
+    patterns = np.array(
+        draw(
+            st.lists(
+                st.integers(0, 2 ** (n_cols - 1) - 1), min_size=1, max_size=24, unique=distinct
+            )
+        )
+    )
+    reps = 1 if distinct else draw(st.integers(1, 6))
+    bits = (patterns[:, None] >> np.arange(n_cols - 1)) & 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.permutation(np.repeat(bits, reps, axis=0))
+    return np.column_stack([np.ones(len(rows)), rows]).astype(float), rng
+
+
+def random_tree(rng, depth, n_cols, value_dim):
+    """A tree of at most the given depth; depth 0 is a lone leaf."""
+    if depth == 0 or rng.random() < 0.2:
+        return TreeNode(value=rng.normal(size=value_dim))
+    return TreeNode(
+        column=int(rng.integers(1, n_cols)),
+        left=random_tree(rng, depth - 1, n_cols, value_dim),
+        right=random_tree(rng, depth - 1, n_cols, value_dim),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_distinct_rows_in_lexicographic_order(n_cols, n, seed):
+    """The same rows, order and record mapping as np.unique over the rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, (n, n_cols)).astype(float)
+    X[rng.integers(n)] = X[rng.integers(n)]
+    rows, inverse, counts = _distinct_rows(X)
+    ref, ref_inverse, ref_counts = np.unique(
+        X > 0.5, axis=0, return_inverse=True, return_counts=True
+    )
+    np.testing.assert_array_equal(rows, ref)
+    np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
+    np.testing.assert_array_equal(counts, ref_counts)
+
+
+class TestFlatEvaluatorMatchesWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        prediction_designs(),
+        st.integers(0, 6),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.1, 1.0]),
+    )
+    def test_random_trees(self, design, max_depth, n_trees, learning_rate):
+        X, rng = design
+        n_cols = X.shape[1]
+        rounds = [
+            [random_tree(rng, max_depth, n_cols, 1) for _ in range(4)] for _ in range(n_trees)
+        ]
+        boosted = BoostModel(rng.normal(size=4), rounds, learning_rate, 4, np.zeros(n_cols))
+        forest = ForestModel(
+            [random_tree(rng, max_depth, n_cols, 4) for _ in range(n_trees)], 4, np.zeros(n_cols)
+        )
+        np.testing.assert_array_equal(boosted.predict_probs(X), oracle_boosted_probs(boosted, X))
+        np.testing.assert_array_equal(forest.predict_probs(X), oracle_forest_probs(forest, X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prediction_designs(),
+        st.integers(1, 6),
+        st.integers(1, 40),
+        st.sampled_from([0.0, 0.1, 1.0]),
+    )
+    def test_fitted_models(self, design, max_depth, min_leaf, learning_rate):
+        """A min_leaf above half the records leaves every tree a lone leaf."""
+        X, rng = design
+        labels = rng.integers(0, 4, len(X))
+        w = rng.uniform(0.2, 1.0, len(X))
+        boosted = fit_boosted(
+            X, labels, w, BoostConfig(3, max_depth, min_leaf, learning_rate)
+        )
+        forest = fit_forest(X, labels, w, ForestConfig(3, max_depth, min_leaf, None, seed=1))
+        for Z in (X, X[:1]):
+            np.testing.assert_array_equal(boosted.predict_probs(Z), oracle_boosted_probs(boosted, Z))
+            np.testing.assert_array_equal(forest.predict_probs(Z), oracle_forest_probs(forest, Z))
+
+    @pytest.mark.parametrize("kind", ["boosted", "forest"])
+    def test_stored_model_file(self, kind, small_dataset):
+        """A model.json saved before prediction moved to flat node arrays
+        loads and predicts the walk's bits."""
+        path = Path(__file__).parent / "data" / f"{kind}_model.json"
+        model = load_model(str(path), small_dataset.schema)
+        X = one_hot_encode(small_dataset).rows
+        oracle = oracle_boosted_probs if kind == "boosted" else oracle_forest_probs
+        np.testing.assert_array_equal(
+            model.predict_quads(small_dataset), oracle(model._predictor, X)
         )
