@@ -305,14 +305,15 @@ def _five_number(values: np.ndarray) -> list[float]:
     return [float(np.quantile(values, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
-def _cross_fitted(cfg: RunConfig, d: Dataset) -> PerObsStats:
-    """Per-record statistics from cfg.folds-fold cross-fitted predictions."""
+def _cross_fitted(cfg: RunConfig, d: Dataset, full_sample: bool = False):
+    """Per-record statistics from cfg.folds-fold cross-fitted predictions;
+    with ``full_sample`` the pair (cross-fitted, raw), the raw fit on every
+    record running in the same batch as the folds."""
     t0 = time.monotonic()
-    cf = per_obs_stats(
-        L.cross_fit_predict(d, learner_config(cfg), make_folds(d, cfg.folds, cfg.seed))
-    )
-    _log(f"{cfg.folds}-fold cross-fit in {time.monotonic() - t0:.1f}s")
-    return cf
+    folds = make_folds(d, cfg.folds, cfg.seed)
+    probs = L.cross_fit_predict(d, learner_config(cfg), folds, full_sample=full_sample)
+    _log(f"{cfg.folds}-fold cross-fit{' + raw fit' * full_sample} in {time.monotonic() - t0:.1f}s")
+    return tuple(map(per_obs_stats, probs)) if full_sample else per_obs_stats(probs)
 
 
 @dataclass(frozen=True)
@@ -350,17 +351,13 @@ def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
 
 def cmd_estimate(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
-    cf = _cross_fitted(cfg, d)
-    _write_estimates(cfg, out, d, cf, _group_estimates(cfg, d, cf))
+    cf, raw = _cross_fitted(cfg, d, full_sample=True)
+    _write_estimates(cfg, out, d, cf, raw, _group_estimates(cfg, d, cf))
 
 
 def _write_estimates(
-    cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats, groups: Groups
+    cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats, raw: PerObsStats, groups: Groups
 ) -> None:
-    t0 = time.monotonic()
-    raw = per_obs_stats(L.train_any(d, learner_config(cfg)).predict_quads(d))
-    _log(f"estimate: raw fit in {time.monotonic() - t0:.1f}s")
-
     write_table(
         out,
         "per_obs_stats",
@@ -544,9 +541,9 @@ def cmd_report(cfg: RunConfig, out: OutputDir) -> None:
     dataset is read and cross-fitted, and its group estimates computed,
     once for both the estimate and the intersection test."""
     d = load_dataset(cfg)
-    cf = _cross_fitted(cfg, d)
+    cf, raw = _cross_fitted(cfg, d, full_sample=True)
     groups = _group_estimates(cfg, d, cf)
-    _write_estimates(cfg, out, d, cf, groups)
+    _write_estimates(cfg, out, d, cf, raw, groups)
     _write_intersection(cfg, out, d, groups)
     _write_sorted(cfg, out, d)
     with open(out.path("report.txt"), "w", encoding="utf-8") as fh:

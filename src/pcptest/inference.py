@@ -31,6 +31,7 @@ from .functionals import (
     per_obs_stats,
 )
 from .network import NetworkConfig
+from .parallel import map_units
 
 __all__ = [
     "IntersectionInput",
@@ -332,23 +333,21 @@ def _split_result(
 def sorted_groups_run(d: Dataset, cfg: SortedGroupsConfig) -> SortedGroupsResult:
     """Run the sorted-groups procedure over cfg.n_splits random splits and
     report componentwise medians.  All randomness flows from cfg.seed."""
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
-    results, redraws = [], 0
-    for child in children:
+    def split_of(child: np.random.SeedSequence) -> tuple[SplitResult, int]:
         rng = np.random.default_rng(child)
-        inner_seed = int(rng.integers(2**31 - 1))
-        result, n_redraws = _one_split(d, cfg, rng, inner_seed)
-        results.append(result)
-        redraws += n_redraws
+        return _one_split(d, cfg, rng, int(rng.integers(2**31 - 1)))
+
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
+    results, redraws = zip(*map_units(split_of, children))
     stats = np.array([r.group_stats for r in results])
     return SortedGroupsResult(
         cfg,
-        tuple(results),
+        results,
         np.median(stats, axis=0),
         float(np.median([r.statistic for r in results])),
         float(np.median([r.tstat for r in results])),
         float(np.median([r.p_value for r in results])),
-        redraws,
+        sum(redraws),
     )
 
 

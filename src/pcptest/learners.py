@@ -26,6 +26,7 @@ from .data import (
     split,
 )
 from .network import NetworkConfig, TrainingReport
+from .parallel import map_units
 from .trees import BoostConfig, ForestConfig
 
 __all__ = [
@@ -316,26 +317,33 @@ def hyperopt_trees(
 
 
 def cross_fit_predict(
-    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, target: str = "cr"
-) -> np.ndarray:
+    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, target: str = "cr", full_sample=False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Predict each record's class probabilities with a model trained on
     the other folds only.  Network folds carve off 15% internally for early
-    stopping, mirroring the main training protocol."""
-    n_classes = _TARGET_CLASSES[target]
-    out = np.empty((d.n, n_classes))
+    stopping, mirroring the main training protocol.  With ``full_sample``
+    the pair (cross-fitted, full-sample) is returned, the latter from
+    ``train_any`` on every record.  The fits run as one ``map_units`` batch."""
     for k in range(folds.K):
-        train_idx = folds.complement_indices(k)
-        if len(train_idx) < 10:
+        if len(folds.complement_indices(k)) < 10:
             raise DataError(f"fold {k}: too few records to train on")
-        d_k = d.take(train_idx)
+
+    def fold_predictions(k: int) -> np.ndarray:
+        if k == folds.K:
+            return train_any(d, cfg).predict_quads(d)
+        d_k = d.take(folds.complement_indices(k))
         if isinstance(cfg, NetworkConfig):
             tr, va = _inner_split(d_k, cfg.seed + k)
             model = train_network(tr, va, cfg, target=target)
         else:
             model = train_any(d_k, cfg)
-        held = folds.fold_indices(k)
-        out[held] = model.predict_quads(d.take(held))
-    return out
+        return model.predict_quads(d.take(folds.fold_indices(k)))
+
+    probs = map_units(fold_predictions, range(folds.K + full_sample))
+    out = np.empty((d.n, _TARGET_CLASSES[target]))
+    for k in range(folds.K):
+        out[folds.fold_indices(k)] = probs[k]
+    return (out, probs[-1]) if full_sample else out
 
 
 def feature_group_importance(

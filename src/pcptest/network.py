@@ -69,7 +69,6 @@ class NetworkConfig:
 
 @dataclass
 class TrainingReport:
-    train_losses: list[float] = field(default_factory=list)
     validation_losses: list[float] = field(default_factory=list)
     best_epoch: int = -1
     epochs_run: int = 0
@@ -283,14 +282,11 @@ def _fit_stack(
         stay = []
         for row, j in enumerate(active):
             member = [(W[row], None if b is None else b[row]) for W, b in views]
-            train_probs = forward_probs(member, X_train)
-            train_loss = weighted_cross_entropy(train_probs, labels_train, w_train)
             val_loss = weighted_cross_entropy(forward_probs(member, X_val), labels_val, w_val)
-            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            if not math.isfinite(val_loss):
                 results[j] = NetworkTrainingError(f"non-finite loss at epoch {epoch + 1}")
                 continue
             report = reports[j]
-            report.train_losses.append(train_loss)
             report.validation_losses.append(val_loss)
             report.epochs_run = epoch + 1
             if val_loss < best_val[j]:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pcptest import parallel
 from pcptest.data import CategoricalSchema
 from pcptest.synth import RhoSpec, SyntheticDGP, WeightLaw, sample_dataset
 
@@ -42,3 +43,11 @@ def small_dgp(small_schema) -> SyntheticDGP:
 def small_dataset(small_dgp):
     dataset, _ = sample_dataset(small_dgp, 3000, seed=11)
     return dataset
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` runs every parallel batch of the test on n workers.
+    With 1 the units run in this process, so calls a test records in a
+    list here are all seen."""
+    return lambda n: monkeypatch.setattr(parallel, "worker_count", lambda: n)

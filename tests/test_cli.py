@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 
@@ -270,9 +271,10 @@ class TestCommands:
                 with open(tmp_path / command / name, "rb") as a, open(tmp_path / "report" / name, "rb") as b:
                     assert a.read() == b.read(), name
 
-    def test_sorted_grid_takes_network_settings(self, workdir, tmp_path, monkeypatch):
+    def test_sorted_grid_takes_network_settings(self, workdir, tmp_path, monkeypatch, workers):
         """Every split's default-grid candidates carry the config's network
         settings and that split's own seed."""
+        workers(1)
         grids = []
 
         def first_candidate(aux, grid, plan, target="cr"):
@@ -295,6 +297,38 @@ class TestCommands:
         assert all(c.max_epochs == 1 for grid in grids for c in grid)
         seeds = [{c.seed for c in grid} for grid in grids]
         assert all(len(s) == 1 for s in seeds) and seeds[0] != seeds[1]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("report", {"folds": 3, "sorted_splits": 3}),
+            ("test-sorted", {"learner": "network", "network": {"max_epochs": 1}, "sorted_splits": 3}),
+            (
+                "test-sorted",
+                {
+                    "learner": "network",
+                    "network": {"max_epochs": 1},
+                    "hyperopt_grid": "default",
+                    "sorted_splits": 3,
+                },
+            ),
+        ],
+        ids=["report-boosted", "sorted-network-singleton", "sorted-network-grid"],
+    )
+    def test_one_and_two_workers_write_the_same_manifest(
+        self, workdir, tmp_path, workers, command, extra
+    ):
+        """The fits of a batch merge in input order, so the files do not
+        depend on the worker count, and no worker outlives the command."""
+        p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "o", **extra))
+        manifests = []
+        for n in (1, 2):
+            workers(n)
+            res = run_cmd(p, command)
+            assert res.exit_code == 0, res.output
+            assert multiprocessing.active_children() == []
+            manifests.append((tmp_path / "o" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
 
 class TestExitCodes:
@@ -360,6 +394,43 @@ class TestExitCodes:
         res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "estimate")
         assert res.exit_code == 1
         assert "error:" in res.output and "duplicate column(s) ['w']" in res.output
+
+    @pytest.mark.parametrize(
+        "case, exit_code, message",
+        [
+            ("small fold", 1, "error: fold 0: too few records to train on"),
+            ("failed split", 1, "error: sorted-groups split failed after 20 retries: "),
+            ("diverged network", 2, "numerical failure: non-finite loss at epoch 1"),
+        ],
+    )
+    def test_failure_in_a_batch_ends_as_with_one_worker(
+        self, workdir, tmp_path, workers, case, exit_code, message
+    ):
+        """An error raised in a worker reaches the command line as the same
+        one-line message and exit code as in a one-worker run."""
+        schema = CategoricalSchema.from_yaml(workdir["schema"])
+        d = load_csv(workdir["dataset"], schema)
+        extra = {"sorted_splits": 3}
+        if case == "small fold":
+            command, d = "estimate", d.take(np.arange(12))
+        elif case == "failed split":  # no claims: every group's correlation is undefined
+            command, d = "test-sorted", Dataset(schema, d.covariates, 0 * d.c, d.r, d.w)
+        else:
+            command = "estimate"
+            extra.update(learner="network", network={"learning_rate": float("inf")})
+        path = str(tmp_path / "d.csv")
+        save_csv(d, path)
+        doc = base_config(workdir, tmp_path / "o", dataset=path, **extra)
+        p = _write_config(tmp_path / "c.yaml", doc)
+        outputs = []
+        for n in (1, 2):
+            workers(n)
+            res = run_cmd(p, command)
+            assert res.exit_code == exit_code
+            assert isinstance(res.exception, SystemExit)
+            outputs.append(res.output)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(message) and len(outputs[0].splitlines()) == 1
 
     def test_failed_run_leaves_no_partial_output(self, workdir, tmp_path):
         doc = base_config(workdir, tmp_path / "o")

@@ -301,7 +301,8 @@ class TestSortedGroups:
         assert len(res.splits) == 3
         assert res.redraws > 0
 
-    def test_each_redraw_counts_once(self, small_dataset, monkeypatch):
+    def test_each_redraw_counts_once(self, small_dataset, monkeypatch, workers):
+        workers(1)
         split_result = inference._split_result
         calls = []
 

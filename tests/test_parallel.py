@@ -1,0 +1,60 @@
+"""parallel.map_units: results in input order, serial fallbacks, the
+serial loop's error, and no worker left behind."""
+
+import multiprocessing
+import os
+import time
+
+import pytest
+
+from pcptest import parallel
+from pcptest.data import DataError
+
+
+def pid_and_square(u):
+    if u == 0:
+        time.sleep(0.2)  # unit 0 finishes after the others
+    return os.getpid(), u * u
+
+
+def fail_odd(u):
+    if u == 1:
+        time.sleep(0.5)  # unit 3 fails first in time
+    if u % 2:
+        raise DataError(f"unit {u}")
+    return u
+
+
+def test_results_in_input_order_from_workers(workers):
+    workers(2)
+    out = parallel.map_units(pid_and_square, range(7))
+    assert [sq for _, sq in out] == [u * u for u in range(7)]
+    assert os.getpid() not in {pid for pid, _ in out}
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_runs_in_this_process(workers):
+    workers(1)
+    assert {pid for pid, _ in parallel.map_units(pid_and_square, range(3))} == {os.getpid()}
+
+
+def test_without_fork_runs_in_this_process(workers, monkeypatch):
+    workers(2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert {pid for pid, _ in parallel.map_units(pid_and_square, range(3))} == {os.getpid()}
+
+
+def test_call_inside_a_worker_runs_serially(workers):
+    workers(2)
+    batches = parallel.map_units(lambda _: parallel.map_units(pid_and_square, range(3)), range(2))
+    for batch in batches:
+        pids = {pid for pid, _ in batch}
+        assert len(pids) == 1 and os.getpid() not in pids
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_first_failing_unit_in_input_order_raises(workers, n_workers):
+    workers(n_workers)
+    with pytest.raises(DataError, match="^unit 1$"):
+        parallel.map_units(fail_odd, range(4))
+    assert multiprocessing.active_children() == []
