@@ -157,16 +157,18 @@ def train_boosted(d: Dataset, cfg: BoostConfig, target: str = "cr") -> Classifie
     )
 
 
-def train_any(d_train: Dataset, cfg: LearnerConfig, validation: Dataset | None = None):
+def train_any(
+    d_train: Dataset, cfg: LearnerConfig, validation: Dataset | None = None, target: str = "cr"
+):
     """Dispatch on config type; networks get a validation set for stopping."""
     if isinstance(cfg, NetworkConfig):
         if validation is None:
             d_train, validation = _inner_split(d_train, cfg.seed)
-        return train_network(d_train, validation, cfg)
+        return train_network(d_train, validation, cfg, target)
     if isinstance(cfg, ForestConfig):
-        return train_forest(d_train, cfg)
+        return train_forest(d_train, cfg, target)
     if isinstance(cfg, BoostConfig):
-        return train_boosted(d_train, cfg)
+        return train_boosted(d_train, cfg, target)
     raise DataError(f"unknown learner config type {type(cfg).__name__}")
 
 
@@ -299,11 +301,11 @@ def hyperopt_trees(
     folds = make_folds(d_train, cv_folds, seed)
     losses, cv_losses = [], []
     for cfg in grid:
-        model = train_any(d_train, cfg)
+        model = train_any(d_train, cfg, target=target)
         losses.append(cross_entropy_loss(model, d_test))
         fold_losses = []
         for k in range(cv_folds):
-            m_k = train_any(d_train.take(folds.complement_indices(k)), cfg)
+            m_k = train_any(d_train.take(folds.complement_indices(k)), cfg, target=target)
             fold_losses.append(
                 cross_entropy_loss(m_k, d_train.take(folds.fold_indices(k)))
             )
@@ -330,13 +332,11 @@ def cross_fit_predict(
 
     def fold_predictions(k: int) -> np.ndarray:
         if k == folds.K:
-            return train_any(d, cfg).predict_quads(d)
-        d_k = d.take(folds.complement_indices(k))
+            return train_any(d, cfg, target=target).predict_quads(d)
+        d_k, validation = d.take(folds.complement_indices(k)), None
         if isinstance(cfg, NetworkConfig):
-            tr, va = _inner_split(d_k, cfg.seed + k)
-            model = train_network(tr, va, cfg, target=target)
-        else:
-            model = train_any(d_k, cfg)
+            d_k, validation = _inner_split(d_k, cfg.seed + k)
+        model = train_any(d_k, cfg, validation, target)
         return model.predict_quads(d.take(folds.fold_indices(k)))
 
     probs = map_units(fold_predictions, range(folds.K + full_sample))
@@ -356,11 +356,7 @@ def feature_group_importance(
     d_train, d_val, d_test = split(d, plan)
 
     def fit_loss(subset: Dataset, val: Dataset, test: Dataset) -> float:
-        if isinstance(cfg, NetworkConfig):
-            model = train_network(subset, val, cfg, target=target)
-        else:
-            model = train_any(subset, cfg)
-        return cross_entropy_loss(model, test)
+        return cross_entropy_loss(train_any(subset, cfg, val, target), test)
 
     full_loss = fit_loss(d_train, d_val, d_test)
     deltas: dict[str, float] = {"None": 0.0}

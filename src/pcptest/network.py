@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .parallel import map_units
+
 __all__ = [
     "NetworkConfig",
     "TrainingReport",
@@ -284,7 +286,11 @@ def _fit_stack(
             member = [(W[row], None if b is None else b[row]) for W, b in views]
             val_loss = weighted_cross_entropy(forward_probs(member, X_val), labels_val, w_val)
             if not math.isfinite(val_loss):
-                results[j] = NetworkTrainingError(f"non-finite loss at epoch {epoch + 1}")
+                c = cfgs[j]
+                shape = f", width {c.width}, dropout {c.dropout:g}" if c.depth else ""
+                results[j] = NetworkTrainingError(
+                    f"non-finite loss at epoch {epoch + 1} (depth {c.depth}{shape})"
+                )
                 continue
             report = reports[j]
             report.validation_losses.append(val_loss)
@@ -323,21 +329,26 @@ def fit_softmax_networks(
 ) -> tuple[list[MLPParams], list[TrainingReport]]:
     """Fit every config with validation-based early stopping; returns
     (params, reports) in input order.  Configs that train identically are
-    fitted once and share the result."""
+    fitted once and share the result.  The stacks run as one ``map_units``
+    batch, largest first; results are keyed, so the order does not matter."""
     keys = [_training_key(c) for c in cfgs]
     stacks: dict[NetworkConfig, list[NetworkConfig]] = {}
     for key in dict.fromkeys(keys):
         stacks.setdefault(replace(key, dropout=0.0), []).append(key)
+    units = sorted(
+        stacks.values(),
+        key=lambda members: -len(members)
+        * count_parameters(members[0], X_train.shape[1], n_classes),
+    )
+    fits = map_units(
+        lambda members: _fit_stack(
+            members, X_train, labels_train, w_train, X_val, labels_val, w_val, n_classes
+        ),
+        units,
+    )
     fitted = {}
-    for members in stacks.values():
-        fitted.update(
-            zip(
-                members,
-                _fit_stack(
-                    members, X_train, labels_train, w_train, X_val, labels_val, w_val, n_classes
-                ),
-            )
-        )
+    for members, results in zip(units, fits):
+        fitted.update(zip(members, results))
     for key in keys:
         if isinstance(fitted[key], NetworkTrainingError):
             raise fitted[key]

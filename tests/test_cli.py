@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from scipy.stats import gaussian_kde
 
 from pcptest import learners as L
-from pcptest.cli import RunConfig, load_config, main
+from pcptest.cli import OutputDir, RunConfig, load_config, main, write_density
 from pcptest.data import CategoricalSchema, DataError, Dataset, load_csv, save_csv
 
 
@@ -107,6 +108,30 @@ class TestConfig:
 
 def run_cmd(config_path, command):
     return CliRunner().invoke(main, ["--config", config_path, command])
+
+
+class TestDensity:
+    @pytest.mark.parametrize("repeated", [True, False], ids=["repeated", "distinct"])
+    def test_matches_per_record_kde(self, tmp_path, repeated):
+        """Summing kernels over distinct values with their counts gives the
+        per-record gaussian_kde on the same grid, up to summation order."""
+        rng = np.random.default_rng(4)
+        values = rng.normal(0.1, 0.05, 3000)
+        if repeated:
+            values = rng.choice(values[:60], 3000)
+        write_density(OutputDir(str(tmp_path)), "d", values)
+        grid, dens = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1).T
+        kde = gaussian_kde(values, bw_method="silverman")
+        h = values.std(ddof=1) * kde.factor
+        np.testing.assert_array_equal(
+            grid, np.linspace(values.min() - 3 * h, values.max() + 3 * h, 512)
+        )
+        assert np.max(np.abs(dens - kde(grid)) / kde(grid)) <= 1e-12
+
+    def test_constant_values(self, tmp_path):
+        write_density(OutputDir(str(tmp_path)), "d", np.full(5, 0.25))
+        grid, dens = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1).T
+        assert np.all(grid == 0.25) and np.all(dens == 0.0)
 
 
 class TestCommands:
@@ -312,8 +337,12 @@ class TestCommands:
                     "sorted_splits": 3,
                 },
             ),
+            (
+                "hyperopt",
+                {"learner": "network", "network": {"max_epochs": 2}, "hyperopt_grid": "default"},
+            ),
         ],
-        ids=["report-boosted", "sorted-network-singleton", "sorted-network-grid"],
+        ids=["report-boosted", "sorted-network-singleton", "sorted-network-grid", "hyperopt-grid"],
     )
     def test_one_and_two_workers_write_the_same_manifest(
         self, workdir, tmp_path, workers, command, extra
@@ -401,6 +430,7 @@ class TestExitCodes:
             ("small fold", 1, "error: fold 0: too few records to train on"),
             ("failed split", 1, "error: sorted-groups split failed after 20 retries: "),
             ("diverged network", 2, "numerical failure: non-finite loss at epoch 1"),
+            ("diverged grid", 2, "numerical failure: non-finite loss at epoch 1 (depth 0)"),
         ],
     )
     def test_failure_in_a_batch_ends_as_with_one_worker(
@@ -415,9 +445,16 @@ class TestExitCodes:
             command, d = "estimate", d.take(np.arange(12))
         elif case == "failed split":  # no claims: every group's correlation is undefined
             command, d = "test-sorted", Dataset(schema, d.covariates, 0 * d.c, d.r, d.w)
-        else:
+        elif case == "diverged network":
             command = "estimate"
             extra.update(learner="network", network={"learning_rate": float("inf")})
+        else:  # every stack diverges; the grid's first config is named
+            command = "hyperopt"
+            extra.update(
+                learner="network",
+                network={"learning_rate": float("inf"), "max_epochs": 2},
+                hyperopt_grid="default",
+            )
         path = str(tmp_path / "d.csv")
         save_csv(d, path)
         doc = base_config(workdir, tmp_path / "o", dataset=path, **extra)
@@ -428,6 +465,7 @@ class TestExitCodes:
             res = run_cmd(p, command)
             assert res.exit_code == exit_code
             assert isinstance(res.exception, SystemExit)
+            assert multiprocessing.active_children() == []
             outputs.append(res.output)
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith(message) and len(outputs[0].splitlines()) == 1

@@ -106,6 +106,18 @@ class TestCrossFit:
         p2 = cross_fit_predict(small_dataset, FAST_NET, folds)
         np.testing.assert_array_equal(p1, p2)
 
+    @pytest.mark.parametrize(
+        "cfg", [BoostConfig(n_rounds=3), ForestConfig(n_trees=5, max_depth=2)], ids=["boosted", "forest"]
+    )
+    @pytest.mark.parametrize("target", ["c", "r"])
+    def test_tree_learners_fit_binary_targets(self, small_dataset, cfg, target):
+        """A binary target gives two-class rows, cross-fitted and full-sample."""
+        d = small_dataset.take(np.arange(300))
+        folds = make_folds(d, 2, seed=0)
+        for probs in cross_fit_predict(d, cfg, folds, target=target, full_sample=True):
+            assert probs.shape == (d.n, 2)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
+
 
 class TestHyperopt:
     def test_network_selection_and_ties(self, small_dataset):

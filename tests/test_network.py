@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +259,49 @@ class TestStackedMatchesOracle:
         with np.errstate(all="ignore"):
             with pytest.raises(NetworkTrainingError, match="non-finite loss at epoch 1"):
                 fit_softmax_networks(X, labels, w, X, labels, w, cfgs, 4)
+
+
+class TestPooledGrid:
+    """The stacks of a grid are fitted as one worker batch, largest first;
+    results do not depend on the grid order or on the worker count."""
+
+    GRID = [
+        NetworkConfig(depth=depth, width=width, dropout=dropout, max_epochs=4, seed=2)
+        for depth in (0, 1, 2)
+        for width in (3, 5)
+        for dropout in (0.0, 0.3)
+    ]
+
+    def test_grid_order_and_worker_count_do_not_matter(self, workers):
+        X, labels, w = toy_problem(n=150, seed=17)
+        split = (X[:110], labels[:110], w[:110], X[110:], labels[110:], w[110:])
+        fits = []
+        for n in (1, 2):
+            workers(n)
+            for grid in (self.GRID, self.GRID[::-1]):
+                params, reports = fit_softmax_networks(*split, grid, 4)
+                assert multiprocessing.active_children() == []
+                by_config = dict(zip(grid, zip(params, reports)))
+                fits.append([by_config[c] for c in self.GRID])
+        for fit in fits[1:]:
+            for (p, r), (p_ref, r_ref) in zip(fit, fits[0]):
+                assert np.array_equal(flat_of(p), flat_of(p_ref))
+                assert r == r_ref
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_first_failing_config_in_grid_order_raises(self, workers, n_workers):
+        """Every stack diverges; the error names the grid's first config,
+        although its stack is the smallest and so submitted last."""
+        workers(n_workers)
+        X, labels, w = toy_problem(n=100, seed=16)
+        grid = [replace(c, learning_rate=math.inf) for c in self.GRID]
+        with np.errstate(all="ignore"):
+            with pytest.raises(
+                NetworkTrainingError,
+                match=r"^non-finite loss at epoch 1 \(depth 0\)$",
+            ):
+                fit_softmax_networks(X, labels, w, X, labels, w, grid, 4)
+        assert multiprocessing.active_children() == []
 
 
 class TestParameterCount:
