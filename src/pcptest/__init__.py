@@ -13,7 +13,6 @@ from .data import (
     DataError,
     Dataset,
     FoldAssignment,
-    Record,
     SplitPlan,
     default_schema,
     load_csv,
@@ -41,7 +40,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "FoldAssignment",
-    "Record",
     "SplitPlan",
     "default_schema",
     "load_csv",

@@ -51,9 +51,8 @@ from .inference import (
     intersection_tests,
     sorted_groups_run,
 )
-from .network import NetworkConfig, NetworkTrainingError
+from .network import NetworkTrainingError
 from .synth import InfeasibleCellError, SyntheticDGP, sample_dataset
-from .trees import BoostConfig, ForestConfig
 
 CONFIG_FILE_VERSION = 1
 MANIFEST_FILE_VERSION = 1
@@ -88,7 +87,7 @@ class RunConfig:
         for a in self.levels:
             if not (0.0 < a < 1.0):
                 raise DataError(f"test level {a} outside (0, 1)")
-        if self.learner not in ("network", "forest", "boosted"):
+        if self.learner not in L.KINDS:
             raise DataError(f"unknown learner {self.learner!r}")
         if self.statistic not in ("covariance", "correlation"):
             raise DataError(f"unknown statistic {self.statistic!r}")
@@ -118,21 +117,18 @@ def load_config(path: str | None, **overrides) -> RunConfig:
     return RunConfig(**doc)
 
 
-def _checked(section: str, build, **settings):
-    """Call a learner config constructor; a value it rejects is an input
+def _checked(cfg: RunConfig, build, *args):
+    """``build(*args, seed=..., **settings)`` with the settings section of
+    the config's learner; a value the learner config rejects is an input
     error, reported like any other bad config entry."""
     try:
-        return build(**settings)
+        return build(*args, seed=cfg.seed, **getattr(cfg, cfg.learner))
     except ValueError as err:
-        raise DataError(f"invalid {section} settings: {err}") from err
+        raise DataError(f"invalid {cfg.learner} settings: {err}") from err
 
 
 def learner_config(cfg: RunConfig) -> L.LearnerConfig:
-    if cfg.learner == "network":
-        return _checked("network", NetworkConfig, seed=cfg.seed, **cfg.network)
-    if cfg.learner == "forest":
-        return _checked("forest", ForestConfig, seed=cfg.seed, **cfg.forest)
-    return _checked("boosted", BoostConfig, seed=cfg.seed, **cfg.boosted)
+    return _checked(cfg, L.KINDS[cfg.learner][0])
 
 
 def load_schema(cfg: RunConfig) -> CategoricalSchema:
@@ -258,19 +254,7 @@ def _grid_for(cfg: RunConfig) -> list[L.LearnerConfig]:
         return [learner_config(cfg)]
     if cfg.hyperopt_grid != "default":
         raise DataError(f"unknown hyperopt grid {cfg.hyperopt_grid!r}")
-    if cfg.learner == "network":
-        return _checked("network", L.default_network_grid, seed=cfg.seed, **cfg.network)
-    if cfg.learner == "forest":
-        return L.default_forest_grid(seed=cfg.seed)
-    return L.default_boost_grid(seed=cfg.seed)
-
-
-def _candidate_row(c: L.LearnerConfig) -> list:
-    if isinstance(c, NetworkConfig):
-        return [c.depth, c.width, c.dropout]
-    if isinstance(c, ForestConfig):
-        return [c.max_depth, c.min_leaf, c.max_features]
-    return [c.max_depth, c.min_leaf, c.learning_rate]
+    return _checked(cfg, L.default_grid, L.KINDS[cfg.learner][0])
 
 
 def cmd_hyperopt(cfg: RunConfig, out: OutputDir) -> None:
@@ -279,23 +263,15 @@ def cmd_hyperopt(cfg: RunConfig, out: OutputDir) -> None:
     t0 = time.monotonic()
     if cfg.learner == "network":
         report = L.hyperopt_network(d, grid, SplitPlan(cfg.split_fractions, cfg.seed))
-        header = ["depth", "width", "dropout", "test_loss", "selected"]
     else:
         report = L.hyperopt_trees(d, grid, seed=cfg.seed)
-        header = (
-            ["max_depth", "min_leaf", "max_features", "test_loss", "cv_loss", "selected"]
-            if cfg.learner == "forest"
-            else ["max_depth", "min_leaf", "learning_rate", "test_loss", "cv_loss", "selected"]
-        )
     _log(f"hyperopt: {len(grid)} candidates in {time.monotonic() - t0:.1f}s")
-    rows = []
-    for i, (cand, loss) in enumerate(zip(report.candidates, report.test_losses)):
-        row = _candidate_row(cand) + [loss]
-        if report.cv_losses is not None:
-            row.append(report.cv_losses[i])
-        row.append(int(i == report.selected_index))
-        rows.append(row)
-    write_table(out, "candidates", header, rows)
+    axes = list(L.GRID_AXES[L.KINDS[cfg.learner][0]])
+    rows = [
+        [getattr(cand, axis) for axis in axes] + [loss, int(i == report.selected_index)]
+        for i, (cand, loss) in enumerate(zip(report.candidates, report.test_losses))
+    ]
+    write_table(out, "candidates", axes + ["test_loss", "selected"], rows)
     selected = L._config_doc(report.selected)
     selected["test_loss"] = report.selected_loss
     with open(out.path("selected.yaml"), "w", encoding="utf-8") as fh:
@@ -531,7 +507,7 @@ def cmd_importance(cfg: RunConfig, out: OutputDir) -> None:
         ["omitted_feature", "delta_loss"],
         [[name, delta] for name, delta in retrain.items()],
     )
-    if cfg.learner in ("forest", "boosted"):
+    if cfg.learner != "network":
         model = L.train_any(d, lcfg)
         imp = L.impurity_importance(model, d.schema)
         write_table(
@@ -612,7 +588,7 @@ def _invoke(ctx: click.Context, name: str) -> None:
 @click.option("--config", type=click.Path(), default=None, help="Run config YAML.")
 @click.option("--seed", type=int, default=None, help="Master seed override.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory override.")
-@click.option("--learner", type=click.Choice(["network", "forest", "boosted"]), default=None)
+@click.option("--learner", type=click.Choice(list(L.KINDS)), default=None)
 @click.option("--statistic", type=click.Choice(["covariance", "correlation"]), default=None)
 @click.version_option(__version__)
 @click.pass_context

@@ -19,7 +19,6 @@ import yaml
 
 __all__ = [
     "CategoricalSchema",
-    "Record",
     "Dataset",
     "DesignMatrix",
     "SplitPlan",
@@ -148,14 +147,6 @@ def default_schema() -> CategoricalSchema:
 
 
 @dataclass(frozen=True)
-class Record:
-    covariates: tuple[int, ...]
-    c: int
-    r: int
-    w: float
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable column store of validated records."""
 
@@ -199,25 +190,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.c)
-
-    @classmethod
-    def from_records(
-        cls, schema: CategoricalSchema, records: Sequence[Record]
-    ) -> "Dataset":
-        cov = np.array([rec.covariates for rec in records], dtype=np.int64)
-        c = np.array([rec.c for rec in records], dtype=np.int64)
-        r = np.array([rec.r for rec in records], dtype=np.int64)
-        w = np.array([rec.w for rec in records], dtype=np.float64)
-        return cls(schema, cov, c, r, w)
-
-    def records(self) -> Iterator[Record]:
-        for i in range(self.n):
-            yield Record(
-                tuple(int(v) for v in self.covariates[i]),
-                int(self.c[i]),
-                int(self.r[i]),
-                float(self.w[i]),
-            )
 
     def take(self, idx: np.ndarray | Sequence[int]) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)

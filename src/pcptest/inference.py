@@ -193,8 +193,7 @@ class SortedGroupsConfig:
     n_splits: int = 101
     main_fraction: float = 0.5
     statistic: str = "correlation"  # or "covariance"
-    learner: L.LearnerConfig | None = None  # fixed config, skips the search
-    grid: tuple | None = None  # None with learner None = default network grid
+    learner: L.LearnerConfig | None = None  # fixed config; None = default network grid
     network: dict = field(default_factory=dict)  # NetworkConfig settings for that grid
     seed: int = 0
     max_retries: int = 20
@@ -284,9 +283,7 @@ def _split_result(
         if isinstance(learner_cfg, NetworkConfig):
             learner_cfg = replace(learner_cfg, seed=inner_seed)
     else:
-        grid = cfg.grid if cfg.grid is not None else tuple(
-            L.default_network_grid(seed=inner_seed, **cfg.network)
-        )
+        grid = L.default_grid(NetworkConfig, seed=inner_seed, **cfg.network)
         report = L.hyperopt_network(aux, grid, replace(cfg.hyperopt_plan, seed=inner_seed))
         learner_cfg = report.selected
     model = L.train_any(aux, learner_cfg)

@@ -1,13 +1,16 @@
 """Training protocols shared by the three classifier families.
 
 One model interface covers the softmax network, the random forest, and the
-gradient-boosted ensemble: every model predicts a point on the class
-simplex for each record.  This module also carries the grid-search,
-cross-fitting, and importance procedures, and JSON persistence.
+gradient-boosted ensemble: every fitted model predicts a point on the class
+simplex for each design row, and writes and reads its own parameters.
+``KINDS`` and ``GRID_AXES`` are the only tables of the families.  This
+module also carries the grid-search, cross-fitting, and importance
+procedures, and JSON persistence.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
@@ -25,7 +28,7 @@ from .data import (
     one_hot_encode,
     split,
 )
-from .network import NetworkConfig, TrainingReport
+from .network import NetworkConfig
 from .parallel import map_units
 from .trees import BoostConfig, ForestConfig
 
@@ -33,13 +36,11 @@ __all__ = [
     "ClassifierModel",
     "HyperoptReport",
     "LearnerConfig",
-    "default_network_grid",
-    "default_forest_grid",
-    "default_boost_grid",
+    "KINDS",
+    "GRID_AXES",
+    "default_grid",
     "cross_entropy_loss",
-    "train_network",
-    "train_forest",
-    "train_boosted",
+    "train_any",
     "hyperopt_network",
     "hyperopt_trees",
     "cross_fit_predict",
@@ -52,6 +53,15 @@ __all__ = [
 MODEL_FILE_VERSION = 1
 
 LearnerConfig = NetworkConfig | ForestConfig | BoostConfig
+
+# Each family's kind, as model files and the run config's ``learner`` name
+# it, with its config class and its fitted-model class.
+KINDS = {
+    "network": (NetworkConfig, net.NetworkModel),
+    "forest": (ForestConfig, trees.ForestModel),
+    "boosted": (BoostConfig, trees.BoostModel),
+}
+_KIND_OF = {cfg_cls: kind for kind, (cfg_cls, _) in KINDS.items()}
 
 _TARGET_CLASSES = {"cr": 4, "c": 2, "r": 2}
 
@@ -66,25 +76,28 @@ def _labels_for(d: Dataset, target: str) -> np.ndarray:
     raise DataError(f"unknown target {target!r}")
 
 
+def _kind_of(cfg: LearnerConfig) -> str:
+    if type(cfg) not in _KIND_OF:
+        raise DataError(f"unknown learner config type {type(cfg).__name__}")
+    return _KIND_OF[type(cfg)]
+
+
 @dataclass
 class ClassifierModel:
-    kind: str  # "network" | "forest" | "boosted"
     target: str  # "cr" | "c" | "r"
     n_classes: int
     config: LearnerConfig
     schema_fingerprint: str
-    _predictor: object = field(repr=False)
-    report: TrainingReport | None = field(default=None, repr=False)
+    predictor: net.NetworkModel | trees.ForestModel | trees.BoostModel = field(repr=False)
 
-    def predict_design(self, X: np.ndarray) -> np.ndarray:
-        if self.kind == "network":
-            return net.forward_probs(self._predictor, X)
-        return self._predictor.predict_probs(X)
+    @property
+    def kind(self) -> str:
+        return _kind_of(self.config)
 
     def predict_quads(self, d: Dataset) -> np.ndarray:
         if d.schema.fingerprint() != self.schema_fingerprint:
             raise DataError("dataset schema does not match the model's schema")
-        return self.predict_design(one_hot_encode(d).rows)
+        return self.predictor.predict_probs(one_hot_encode(d).rows)
 
 
 def cross_entropy_loss(model: ClassifierModel, d: Dataset) -> float:
@@ -106,26 +119,9 @@ def constant_model_loss(d: Dataset, target: str = "cr") -> float:
 # Training entry points
 
 
-def _network_block(d: Dataset, target: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(design, labels, weights): what the network trainer reads of a dataset."""
+def _block(d: Dataset, target: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(design, labels, weights): what every trainer reads of a dataset."""
     return one_hot_encode(d).rows, _labels_for(d, target), d.w
-
-
-def train_network(
-    train: Dataset,
-    validation: Dataset,
-    cfg: NetworkConfig,
-    target: str = "cr",
-) -> ClassifierModel:
-    if train.schema.fingerprint() != validation.schema.fingerprint():
-        raise DataError("train and validation schemas differ")
-    n_classes = _TARGET_CLASSES[target]
-    params, report = net.fit_softmax_network(
-        *_network_block(train, target), *_network_block(validation, target), cfg, n_classes
-    )
-    return ClassifierModel(
-        "network", target, n_classes, cfg, train.schema.fingerprint(), params, report
-    )
 
 
 def _inner_split(d: Dataset, seed: int, val_fraction: float = 0.15):
@@ -137,39 +133,32 @@ def _inner_split(d: Dataset, seed: int, val_fraction: float = 0.15):
     return d.take(perm[n_val:]), d.take(perm[:n_val])
 
 
-def train_forest(d: Dataset, cfg: ForestConfig, target: str = "cr") -> ClassifierModel:
-    n_classes = _TARGET_CLASSES[target]
-    model = trees.fit_forest(
-        one_hot_encode(d).rows, _labels_for(d, target), d.w, cfg, n_classes
-    )
-    return ClassifierModel(
-        "forest", target, n_classes, cfg, d.schema.fingerprint(), model
-    )
-
-
-def train_boosted(d: Dataset, cfg: BoostConfig, target: str = "cr") -> ClassifierModel:
-    n_classes = _TARGET_CLASSES[target]
-    model = trees.fit_boosted(
-        one_hot_encode(d).rows, _labels_for(d, target), d.w, cfg, n_classes
-    )
-    return ClassifierModel(
-        "boosted", target, n_classes, cfg, d.schema.fingerprint(), model
-    )
-
-
 def train_any(
-    d_train: Dataset, cfg: LearnerConfig, validation: Dataset | None = None, target: str = "cr"
-):
-    """Dispatch on config type; networks get a validation set for stopping."""
-    if isinstance(cfg, NetworkConfig):
+    d_train: Dataset,
+    cfg: LearnerConfig,
+    validation: Dataset | None = None,
+    target: str = "cr",
+    fold: int = 0,
+) -> ClassifierModel:
+    """Fit the learner ``cfg`` configures on ``d_train``.  A network stops
+    early on ``validation``; without one it holds out 15% of ``d_train``,
+    drawn with seed ``cfg.seed + fold`` so that each cross-fitting fold
+    draws its own.  Trees read neither."""
+    kind = _kind_of(cfg)
+    n_classes = _TARGET_CLASSES[target]
+    if kind == "network":
         if validation is None:
-            d_train, validation = _inner_split(d_train, cfg.seed)
-        return train_network(d_train, validation, cfg, target)
-    if isinstance(cfg, ForestConfig):
-        return train_forest(d_train, cfg, target)
-    if isinstance(cfg, BoostConfig):
-        return train_boosted(d_train, cfg, target)
-    raise DataError(f"unknown learner config type {type(cfg).__name__}")
+            d_train, validation = _inner_split(d_train, cfg.seed + fold)
+        if d_train.schema.fingerprint() != validation.schema.fingerprint():
+            raise DataError("train and validation schemas differ")
+        params, _ = net.fit_softmax_network(
+            *_block(d_train, target), *_block(validation, target), cfg, n_classes
+        )
+        predictor = net.NetworkModel(params)
+    else:
+        fit = trees.fit_forest if kind == "forest" else trees.fit_boosted
+        predictor = fit(*_block(d_train, target), cfg, n_classes)
+    return ClassifierModel(target, n_classes, cfg, d_train.schema.fingerprint(), predictor)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +170,6 @@ class HyperoptReport:
     candidates: list[LearnerConfig]
     test_losses: list[float]
     selected_index: int
-    cv_losses: list[float] | None = None
 
     @property
     def selected(self) -> LearnerConfig:
@@ -192,56 +180,25 @@ class HyperoptReport:
         return self.test_losses[self.selected_index]
 
 
-def default_network_grid(seed: int = 0, **overrides) -> list[NetworkConfig]:
-    """D in {0,1,2,3} x W in {8,16,24} x dropout in {0,0.1,...,0.8}."""
-    grid = []
-    for depth in (0, 1, 2, 3):
-        for width in (8, 16, 24):
-            for tenths in range(0, 9):
-                grid.append(
-                    NetworkConfig(
-                        depth=depth,
-                        width=width,
-                        dropout=tenths / 10.0,
-                        seed=seed,
-                        **overrides,
-                    )
-                )
-    return grid
+# The values each family's default grid searches, per config field.
+GRID_AXES = {
+    NetworkConfig: dict(
+        depth=(0, 1, 2, 3), width=(8, 16, 24), dropout=tuple(tenths / 10.0 for tenths in range(9))
+    ),
+    ForestConfig: dict(max_depth=(3, 5, 7), min_leaf=(5, 10, 20), max_features=(3, 5, 10)),
+    BoostConfig: dict(max_depth=(2, 4, 6), min_leaf=(10, 20, 50), learning_rate=(0.01, 0.1, 0.3)),
+}
 
 
-def default_forest_grid(seed: int = 0, n_trees: int = 500) -> list[ForestConfig]:
-    grid = []
-    for depth in (3, 5, 7):
-        for leaf in (5, 10, 20):
-            for feats in (3, 5, 10):
-                grid.append(
-                    ForestConfig(
-                        n_trees=n_trees,
-                        max_depth=depth,
-                        min_leaf=leaf,
-                        max_features=feats,
-                        seed=seed,
-                    )
-                )
-    return grid
-
-
-def default_boost_grid(seed: int = 0, n_rounds: int = 500) -> list[BoostConfig]:
-    grid = []
-    for depth in (2, 4, 6):
-        for leaf in (10, 20, 50):
-            for rate in (0.01, 0.1, 0.3):
-                grid.append(
-                    BoostConfig(
-                        n_rounds=n_rounds,
-                        max_depth=depth,
-                        min_leaf=leaf,
-                        learning_rate=rate,
-                        seed=seed,
-                    )
-                )
-    return grid
+def default_grid(cls: type, seed: int = 0, **overrides) -> list[LearnerConfig]:
+    """Every combination of ``GRID_AXES[cls]``, the last axis varying
+    fastest; ``overrides`` set the other fields of every candidate and may
+    not name an axis."""
+    axes = GRID_AXES[cls]
+    return [
+        cls(**dict(zip(axes, values)), seed=seed, **overrides)
+        for values in itertools.product(*axes.values())
+    ]
 
 
 def _network_tie_key(cfg: NetworkConfig, n_inputs: int, n_classes: int) -> tuple:
@@ -263,9 +220,9 @@ def hyperopt_network(
     n_inputs = d.schema.n_design_columns
     n_classes = _TARGET_CLASSES[target]
     fits, _ = net.fit_softmax_networks(
-        *_network_block(d_train, target), *_network_block(d_val, target), grid, n_classes
+        *_block(d_train, target), *_block(d_val, target), grid, n_classes
     )
-    X_test, labels_test, w_test = _network_block(d_test, target)
+    X_test, labels_test, w_test = _block(d_test, target)
     losses = [
         net.weighted_cross_entropy(net.forward_probs(params, X_test), labels_test, w_test)
         for params in fits
@@ -278,40 +235,18 @@ def hyperopt_network(
 
 
 def hyperopt_trees(
-    d: Dataset,
-    grid: Sequence[LearnerConfig],
-    seed: int = 0,
-    target: str = "cr",
-    test_fraction: float = 0.2,
-    cv_folds: int = 5,
+    d: Dataset, grid: Sequence[LearnerConfig], seed: int = 0, target: str = "cr"
 ) -> HyperoptReport:
-    """Grid search with an 80/20 train/test split; selection is by test
-    loss, and 5-fold cross-validated losses on the training side are
-    recorded alongside."""
+    """Grid search on an 80/20 train/test split: every candidate trains on
+    the 80% and the least test loss wins, the first candidate on ties."""
     if not grid:
         raise DataError("empty hyperparameter grid")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(d.n)
-    n_test = max(1, int(np.floor(d.n * test_fraction)))
+    perm = np.random.default_rng(seed).permutation(d.n)
+    n_test = max(1, int(np.floor(d.n * 0.2)))
     d_test = d.take(perm[:n_test])
     d_train = d.take(perm[n_test:])
-
-    from .data import make_folds
-
-    folds = make_folds(d_train, cv_folds, seed)
-    losses, cv_losses = [], []
-    for cfg in grid:
-        model = train_any(d_train, cfg, target=target)
-        losses.append(cross_entropy_loss(model, d_test))
-        fold_losses = []
-        for k in range(cv_folds):
-            m_k = train_any(d_train.take(folds.complement_indices(k)), cfg, target=target)
-            fold_losses.append(
-                cross_entropy_loss(m_k, d_train.take(folds.fold_indices(k)))
-            )
-        cv_losses.append(float(np.mean(fold_losses)))
-    order = sorted(range(len(grid)), key=lambda i: (losses[i], i))
-    return HyperoptReport(list(grid), losses, order[0], cv_losses)
+    losses = [cross_entropy_loss(train_any(d_train, cfg, target=target), d_test) for cfg in grid]
+    return HyperoptReport(list(grid), losses, int(np.argmin(losses)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +268,8 @@ def cross_fit_predict(
     def fold_predictions(k: int) -> np.ndarray:
         if k == folds.K:
             return train_any(d, cfg, target=target).predict_quads(d)
-        d_k, validation = d.take(folds.complement_indices(k)), None
-        if isinstance(cfg, NetworkConfig):
-            d_k, validation = _inner_split(d_k, cfg.seed + k)
-        model = train_any(d_k, cfg, validation, target)
+        d_k = d.take(folds.complement_indices(k))
+        model = train_any(d_k, cfg, target=target, fold=k)
         return model.predict_quads(d.take(folds.fold_indices(k)))
 
     probs = map_units(fold_predictions, range(folds.K + full_sample))
@@ -388,7 +321,7 @@ def impurity_importance(model: ClassifierModel, schema: CategoricalSchema) -> di
         raise DataError("impurity importance is only defined for tree models")
     if schema.fingerprint() != model.schema_fingerprint:
         raise DataError("schema does not match the model's schema")
-    raw = model._predictor.importance
+    raw = model.predictor.importance
     total = raw.sum()
     if total <= 0.0:
         return {name: 0.0 for name, _ in schema.features}
@@ -411,31 +344,7 @@ def _config_doc(cfg: LearnerConfig) -> dict:
     return doc
 
 
-def _config_from_doc(doc: dict) -> LearnerConfig:
-    kind = doc.pop("type")
-    cls = {"NetworkConfig": NetworkConfig, "ForestConfig": ForestConfig, "BoostConfig": BoostConfig}[kind]
-    return cls(**doc)
-
-
 def save_model(model: ClassifierModel, path: str) -> None:
-    if model.kind == "network":
-        payload = [
-            {"W": W.tolist(), "b": None if b is None else b.tolist()}
-            for W, b in model._predictor
-        ]
-    elif model.kind == "forest":
-        payload = {
-            "trees": [t.to_dict() for t in model._predictor.trees],
-            "importance": model._predictor.importance.tolist(),
-        }
-    else:
-        bm = model._predictor
-        payload = {
-            "init_scores": bm.init_scores.tolist(),
-            "rounds": [[t.to_dict() for t in rnd] for rnd in bm.rounds],
-            "learning_rate": bm.learning_rate,
-            "importance": bm.importance.tolist(),
-        }
     doc = {
         "format_version": MODEL_FILE_VERSION,
         "kind": model.kind,
@@ -443,7 +352,7 @@ def save_model(model: ClassifierModel, path: str) -> None:
         "n_classes": model.n_classes,
         "schema_fingerprint": model.schema_fingerprint,
         "config": _config_doc(model.config),
-        "parameters": payload,
+        "parameters": model.predictor.to_doc(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -456,31 +365,9 @@ def load_model(path: str, schema: CategoricalSchema) -> ClassifierModel:
         raise DataError(f"unsupported model file version in {path}")
     if doc["schema_fingerprint"] != schema.fingerprint():
         raise DataError("model was trained under a different schema")
-    cfg = _config_from_doc(dict(doc["config"]))
-    kind = doc["kind"]
-    payload = doc["parameters"]
-    if kind == "network":
-        predictor = [
-            (
-                np.asarray(layer["W"], dtype=np.float64),
-                None if layer["b"] is None else np.asarray(layer["b"], dtype=np.float64),
-            )
-            for layer in payload
-        ]
-    elif kind == "forest":
-        predictor = trees.ForestModel(
-            [trees.TreeNode.from_dict(t) for t in payload["trees"]],
-            doc["n_classes"],
-            np.asarray(payload["importance"], dtype=np.float64),
-        )
-    else:
-        predictor = trees.BoostModel(
-            np.asarray(payload["init_scores"], dtype=np.float64),
-            [[trees.TreeNode.from_dict(t) for t in rnd] for rnd in payload["rounds"]],
-            float(payload["learning_rate"]),
-            doc["n_classes"],
-            np.asarray(payload["importance"], dtype=np.float64),
-        )
+    cfg_cls, model_cls = KINDS[doc["kind"]]
+    cfg = cfg_cls(**{key: v for key, v in doc["config"].items() if key != "type"})
+    predictor = model_cls.from_doc(doc["parameters"], doc["n_classes"])
     return ClassifierModel(
-        kind, doc["target"], doc["n_classes"], cfg, doc["schema_fingerprint"], predictor
+        doc["target"], doc["n_classes"], cfg, doc["schema_fingerprint"], predictor
     )

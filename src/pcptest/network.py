@@ -26,6 +26,7 @@ __all__ = [
     "NetworkConfig",
     "TrainingReport",
     "MLPParams",
+    "NetworkModel",
     "NetworkTrainingError",
     "count_parameters",
     "param_views",
@@ -151,6 +152,26 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 def forward_probs(params: MLPParams, X: np.ndarray) -> np.ndarray:
     scores, _ = _forward(params, X)
     return _softmax(scores)
+
+
+@dataclass
+class NetworkModel:
+    """A fitted network: its (W, b) layers, input to output."""
+
+    layers: MLPParams
+
+    def predict_probs(self, X: np.ndarray) -> np.ndarray:
+        return forward_probs(self.layers, X)
+
+    def to_doc(self) -> list:
+        return [{"W": W.tolist(), "b": None if b is None else b.tolist()} for W, b in self.layers]
+
+    @classmethod
+    def from_doc(cls, doc: list, n_classes: int) -> "NetworkModel":
+        def array(values) -> np.ndarray | None:
+            return None if values is None else np.asarray(values, dtype=np.float64)
+
+        return cls([(array(layer["W"]), array(layer["b"])) for layer in doc])
 
 
 def weighted_cross_entropy(

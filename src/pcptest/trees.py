@@ -272,6 +272,20 @@ class ForestModel:
             acc += flat.leaf_values(rows)[:, 0]
         return (acc / len(self.trees))[inverse]
 
+    def to_doc(self) -> dict:
+        return {
+            "trees": [t.to_dict() for t in self.trees],
+            "importance": self.importance.tolist(),
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict, n_classes: int) -> "ForestModel":
+        return cls(
+            [TreeNode.from_dict(t) for t in doc["trees"]],
+            n_classes,
+            np.asarray(doc["importance"], dtype=np.float64),
+        )
+
 
 def fit_forest(
     X: np.ndarray, labels: np.ndarray, w: np.ndarray, cfg: ForestConfig, n_classes: int = 4
@@ -330,6 +344,24 @@ class BoostModel:
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self.raw_scores(X))
+
+    def to_doc(self) -> dict:
+        return {
+            "init_scores": self.init_scores.tolist(),
+            "rounds": [[t.to_dict() for t in rnd] for rnd in self.rounds],
+            "learning_rate": self.learning_rate,
+            "importance": self.importance.tolist(),
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict, n_classes: int) -> "BoostModel":
+        return cls(
+            np.asarray(doc["init_scores"], dtype=np.float64),
+            [[TreeNode.from_dict(t) for t in rnd] for rnd in doc["rounds"]],
+            float(doc["learning_rate"]),
+            n_classes,
+            np.asarray(doc["importance"], dtype=np.float64),
+        )
 
 
 class _DistinctRows:

@@ -45,9 +45,9 @@ from pcptest.inference import (
 from pcptest.learners import (
     cross_entropy_loss,
     cross_fit_predict,
-    default_network_grid,
+    default_grid,
     hyperopt_network,
-    train_network,
+    train_any,
 )
 from pcptest.network import (
     NetworkConfig,
@@ -174,7 +174,7 @@ def test_criterion_02_convex_mle_equivalence():
     # Validating on the training set makes early stopping non-binding, so
     # the convex depth-0 problem is trained to its optimum.
     cfg = NetworkConfig(depth=0, learning_rate=5e-3, max_epochs=500, patience=500, seed=0)
-    model = train_network(d_fit, d_fit, cfg)
+    model = train_any(d_fit, cfg, d_fit)
     ce_net = cross_entropy_loss(model, d_test)
 
     diff = abs(ce_net - ce_oracle)
@@ -497,7 +497,7 @@ def test_criterion_10_hyperopt_runtime():
         WeightLaw(),
     )
     d, _ = sample_dataset(dgp, 6333, seed=10)
-    grid = default_network_grid(seed=0)
+    grid = default_grid(NetworkConfig, seed=0)
     assert len(grid) == 108
     t0 = time.monotonic()
     report = hyperopt_network(d, grid, SplitPlan((0.70, 0.15, 0.15)))

@@ -261,6 +261,19 @@ class TestCommands:
         assert selected["type"] == "BoostConfig"
         assert "test_loss" in selected
 
+    def test_tree_grid_takes_learner_settings(self, workdir, tmp_path):
+        doc = base_config(
+            workdir, tmp_path / "o", hyperopt_grid="default", boosted={"n_rounds": 2}
+        )
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "hyperopt")
+        assert res.exit_code == 0, res.output
+        with open(tmp_path / "o" / "candidates.csv") as fh:
+            header, *rows = fh.read().splitlines()
+        assert header == "max_depth,min_leaf,learning_rate,test_loss,selected"
+        assert len(rows) == 27
+        with open(tmp_path / "o" / "selected.yaml") as fh:
+            assert yaml.safe_load(fh)["n_rounds"] == 2
+
     def test_importance(self, workdir, tmp_path):
         p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "o"))
         res = run_cmd(p, "importance")
@@ -413,6 +426,20 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # not an escaped ValueError
         assert f"error: invalid {learner} settings" in res.output
+
+    def test_grid_axis_in_learner_settings_is_validation_error(self, workdir, tmp_path):
+        """The default grid sets max_depth itself; a config that also sets
+        it is rejected, not silently overridden."""
+        doc = base_config(
+            workdir, tmp_path / "o", hyperopt_grid="default", boosted={"max_depth": 3}
+        )
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "hyperopt")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line.startswith("error:") and "max_depth" in line
+        out = tmp_path / "o"
+        assert not out.exists() or os.listdir(out) == []
 
     def test_duplicate_column_is_validation_error(self, workdir, tmp_path):
         with open(workdir["dataset"]) as fh:

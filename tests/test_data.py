@@ -8,7 +8,6 @@ from pcptest.data import (
     DataError,
     Dataset,
     FoldAssignment,
-    Record,
     SplitPlan,
     default_schema,
     load_csv,
@@ -108,12 +107,6 @@ class TestDataset:
         d = toy_dataset(small_schema)
         with pytest.raises(ValueError):
             d.w[0] = 0.9
-
-    def test_records_round_trip(self, small_schema):
-        d = toy_dataset(small_schema, n=10)
-        d2 = Dataset.from_records(small_schema, list(d.records()))
-        assert np.array_equal(d2.covariates, d.covariates)
-        assert np.array_equal(d2.w, d.w)
 
 
 class TestCsv:

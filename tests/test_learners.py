@@ -8,9 +8,7 @@ from pcptest.learners import (
     constant_model_loss,
     cross_entropy_loss,
     cross_fit_predict,
-    default_boost_grid,
-    default_forest_grid,
-    default_network_grid,
+    default_grid,
     feature_group_importance,
     hyperopt_network,
     hyperopt_trees,
@@ -18,9 +16,6 @@ from pcptest.learners import (
     load_model,
     save_model,
     train_any,
-    train_boosted,
-    train_forest,
-    train_network,
 )
 from pcptest.network import NetworkConfig
 from pcptest.trees import BoostConfig, ForestConfig
@@ -33,14 +28,14 @@ FAST_BOOST = BoostConfig(n_rounds=10, max_depth=2, seed=0)
 class TestTraining:
     def test_network_predicts_simplex(self, small_dataset):
         tr, va, te = split(small_dataset, SplitPlan((0.7, 0.15, 0.15)))
-        model = train_network(tr, va, FAST_NET)
+        model = train_any(tr, FAST_NET, va)
         probs = model.predict_quads(te)
         assert probs.shape == (te.n, 4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
 
     def test_networks_beat_constant_model(self, small_dataset):
         tr, va, te = split(small_dataset, SplitPlan((0.7, 0.15, 0.15)))
-        model = train_network(tr, va, NetworkConfig(depth=0, max_epochs=200, seed=1))
+        model = train_any(tr, NetworkConfig(depth=0, max_epochs=200, seed=1), va)
         assert cross_entropy_loss(model, te) < constant_model_loss(te)
 
     def test_train_any_dispatch(self, small_dataset):
@@ -140,12 +135,15 @@ class TestHyperopt:
         assert report.test_losses[0] == report.test_losses[1]
         assert report.selected_index == 0
 
-    def test_trees_records_cv_losses(self, small_dataset):
-        grid = [FAST_FOREST, ForestConfig(n_trees=5, max_depth=2, seed=0)]
-        report = hyperopt_trees(small_dataset, grid, seed=0, cv_folds=3)
-        assert len(report.cv_losses) == 2
-        assert all(np.isfinite(report.cv_losses))
-        assert report.selected_index == int(np.argmin(report.test_losses))
+    def test_trees_select_least_test_loss(self, small_dataset):
+        """Equal configs tie; the least test loss wins, the first on ties."""
+        small = ForestConfig(n_trees=5, max_depth=2, seed=0)
+        grid = [small, FAST_FOREST, small, FAST_FOREST]
+        report = hyperopt_trees(small_dataset, grid, seed=0)
+        assert report.test_losses[:2] == report.test_losses[2:]
+        assert report.test_losses[0] != report.test_losses[1]
+        assert report.selected_index == int(np.argmin(report.test_losses[:2]))
+        assert report.selected_loss == min(report.test_losses)
 
     def test_empty_grid_rejected(self, small_dataset):
         with pytest.raises(DataError):
@@ -154,12 +152,36 @@ class TestHyperopt:
             hyperopt_trees(small_dataset, [])
 
     def test_default_grids_sizes(self):
-        assert len(default_network_grid()) == 108
-        assert len(default_forest_grid()) == 27
-        assert len(default_boost_grid()) == 27
+        """Each default grid is the nested loop over its axes, in loop order,
+        which fixes the tie-breaks and the rows of candidates.csv."""
+        network = [
+            NetworkConfig(depth=depth, width=width, dropout=tenths / 10.0, seed=3)
+            for depth in (0, 1, 2, 3)
+            for width in (8, 16, 24)
+            for tenths in range(0, 9)
+        ]
+        forest = [
+            ForestConfig(n_trees=500, max_depth=depth, min_leaf=leaf, max_features=feats, seed=3)
+            for depth in (3, 5, 7)
+            for leaf in (5, 10, 20)
+            for feats in (3, 5, 10)
+        ]
+        boosted = [
+            BoostConfig(n_rounds=500, max_depth=depth, min_leaf=leaf, learning_rate=rate, seed=3)
+            for depth in (2, 4, 6)
+            for leaf in (10, 20, 50)
+            for rate in (0.01, 0.1, 0.3)
+        ]
+        assert len(network) == 108 and len(forest) == len(boosted) == 27
+        assert default_grid(NetworkConfig, seed=3) == network
+        assert default_grid(ForestConfig, seed=3) == forest
+        assert default_grid(BoostConfig, seed=3) == boosted
         # overrides reach every candidate
-        fast = default_network_grid(max_epochs=7)
+        fast = default_grid(NetworkConfig, max_epochs=7)
         assert all(cfg.max_epochs == 7 for cfg in fast)
+        assert all(cfg.n_rounds == 2 for cfg in default_grid(BoostConfig, n_rounds=2))
+        with pytest.raises(TypeError):
+            default_grid(BoostConfig, max_depth=3)
 
 
 class TestImportance:

@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pcptest.data import one_hot_encode
-from pcptest.learners import load_model
-from pcptest.network import _softmax
+from pcptest.learners import load_model, save_model
+from pcptest.network import _softmax, forward_probs
 from pcptest.trees import (
     PROB_CLIP,
     BoostConfig,
@@ -501,14 +501,22 @@ class TestFlatEvaluatorMatchesWalk:
             np.testing.assert_array_equal(boosted.predict_probs(Z), oracle_boosted_probs(boosted, Z))
             np.testing.assert_array_equal(forest.predict_probs(Z), oracle_forest_probs(forest, Z))
 
-    @pytest.mark.parametrize("kind", ["boosted", "forest"])
-    def test_stored_model_file(self, kind, small_dataset):
-        """A model.json saved before prediction moved to flat node arrays
-        loads and predicts the walk's bits."""
+    @pytest.mark.parametrize("kind", ["boosted", "forest", "network"])
+    def test_stored_model_file(self, kind, small_dataset, tmp_path):
+        """A stored model.json of each family loads, predicts the bits of the
+        reference evaluation (tree walks; the forward pass over the stored
+        layers), and is written back byte for byte."""
         path = Path(__file__).parent / "data" / f"{kind}_model.json"
         model = load_model(str(path), small_dataset.schema)
+        assert model.kind == kind
         X = one_hot_encode(small_dataset).rows
-        oracle = oracle_boosted_probs if kind == "boosted" else oracle_forest_probs
+        oracle = {
+            "boosted": oracle_boosted_probs,
+            "forest": oracle_forest_probs,
+            "network": lambda net, X: forward_probs(net.layers, X),
+        }[kind]
         np.testing.assert_array_equal(
-            model.predict_quads(small_dataset), oracle(model._predictor, X)
+            model.predict_quads(small_dataset), oracle(model.predictor, X)
         )
+        save_model(model, str(tmp_path / "model.json"))
+        assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
