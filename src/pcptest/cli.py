@@ -91,6 +91,10 @@ class RunConfig:
             raise DataError(f"unknown learner {self.learner!r}")
         if self.statistic not in ("covariance", "correlation"):
             raise DataError(f"unknown statistic {self.statistic!r}")
+        # Every learner section is checked, used by this run or not, so that
+        # every command accepts or rejects the same config.
+        for kind, (cfg_cls, _) in L.KINDS.items():
+            _checked(self, cfg_cls, kind=kind)
 
     def fingerprint(self) -> str:
         doc = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
@@ -117,14 +121,16 @@ def load_config(path: str | None, **overrides) -> RunConfig:
     return RunConfig(**doc)
 
 
-def _checked(cfg: RunConfig, build, *args):
+def _checked(cfg: RunConfig, build, *args, kind: str | None = None):
     """``build(*args, seed=..., **settings)`` with the settings section of
-    the config's learner; a value the learner config rejects is an input
-    error, reported like any other bad config entry."""
+    ``kind``, by default the config's learner; a key or value the learner
+    config rejects is an input error, reported like any other bad config
+    entry."""
+    kind = kind or cfg.learner
     try:
-        return build(*args, seed=cfg.seed, **getattr(cfg, cfg.learner))
-    except ValueError as err:
-        raise DataError(f"invalid {cfg.learner} settings: {err}") from err
+        return build(*args, seed=cfg.seed, **getattr(cfg, kind))
+    except (TypeError, ValueError) as err:
+        raise DataError(f"invalid {kind} settings: {err}") from err
 
 
 def learner_config(cfg: RunConfig) -> L.LearnerConfig:

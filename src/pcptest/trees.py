@@ -9,7 +9,12 @@ values.  Boosting compresses the design once per fit to its distinct rows
 with their record counts and per-class weight masses, and grows the class
 trees of a round together, one depth level at a time: a few bincounts over
 (node, active column) pairs give every open node's split histogram, in the
-manner of LightGBM's histogram split finding.
+manner of LightGBM's histogram split finding.  The root's count and weight
+histograms depend on the data alone and are summed once per fit; a leaf
+keeps its rows as a node of every later level, so no level gathers the
+open rows; the last level sums only the gradient and the hessian.  Every
+bin sums the same values in the same order as a per-level pass over the
+open rows would, so the trees are bit-identical to it.
 
 Prediction compresses its design the same way and evaluates each model on
 the distinct rows only.  A model is turned once into flat node arrays
@@ -374,27 +379,50 @@ class _DistinctRows:
     are M_k - W p_k and W p_k (1 - p_k).  The class trees of a round are
     grown together; item k * m + r stands for distinct row r in class tree
     k, and an entry is one (item, active candidate column) pair.
+
+    The root of every class tree holds every row, so its record count, its
+    W and their histograms depend on the data alone.  They are summed here
+    once, from class 0's entries, whose rows come in the same order as
+    every other class's, and shared by the roots of all rounds.
     """
 
     def __init__(self, X: np.ndarray, labels: np.ndarray, w: np.ndarray, n_classes: int):
-        self.active, inverse, counts = _distinct_rows(X)  # (m, n_cols)
-        m = len(counts)
-        self.m, self.n_classes, self.n_cols = m, n_classes, X.shape[1]
+        active, inverse, counts = _distinct_rows(X)  # (m, n_cols)
+        m, n_cols = active.shape
+        self.m, self.n_classes, self.n_cols = m, n_classes, n_cols
         self.W = np.bincount(inverse, weights=w, minlength=m)
         self.M = np.bincount(
             inverse * n_classes + labels, weights=w, minlength=m * n_classes
         ).reshape(m, n_classes)
-        self.item_count = np.tile(counts.astype(np.float64), n_classes)
+        counts = counts.astype(np.float64)
+        self.item_count = np.tile(counts, n_classes)
         self.item_W = np.tile(self.W, n_classes)
 
         # Entries are ordered by class tree, then row, then column, so the
         # histogram bins of two columns that cover the same rows of a node
         # are summed in the same order and tie exactly.
-        r, c = np.nonzero(self.active[:, 1:])  # the constant column never splits
+        r, c = np.nonzero(active[:, 1:])  # the constant column never splits
+        c += 1
         self.entry_item = (np.arange(n_classes)[:, None] * m + r).reshape(-1)
-        self.entry_col = np.tile(c + 1, n_classes)
+        self.entry_col = np.tile(c, n_classes)
         self.entry_count = self.item_count[self.entry_item]
         self.entry_W = self.item_W[self.entry_item]
+
+        # Routing reads bit row * n_cols + column of the active pattern.
+        # Column 0 never splits, so it is cleared to route the rows of a
+        # leaf (split column 0) on to the leaf's own node at the next level.
+        active[:, 0] = False
+        self.bits = active.reshape(-1).view(np.uint8)
+        self.item_bit = np.tile(np.arange(0, m * n_cols, n_cols), n_classes)
+
+        # The roots: class tree k's is node k of level 0.
+        self.root_node = np.repeat(np.arange(n_classes), m)
+        self.root_key = self.root_node[self.entry_item] * n_cols + self.entry_col
+        one_bin = np.zeros(m, dtype=np.intp)
+        self.root_count = np.tile(np.bincount(one_bin, weights=counts), n_classes)
+        self.root_W = np.tile(np.bincount(one_bin, weights=self.W), n_classes)
+        self.root_n_r = np.tile(np.bincount(c, weights=counts[r], minlength=n_cols), (n_classes, 1))
+        self.root_W_r = np.tile(np.bincount(c, weights=self.W[r], minlength=n_cols), (n_classes, 1))
 
 
 def _grow_round(
@@ -411,77 +439,93 @@ def _grow_round(
     Each tree fits grad/w by weighted least-squares splits and its leaves
     take the Newton step sum(grad) / sum(hess).  Weighted SSE reduction
     reduces to S_R^2/W_R + S_L^2/W_L - S^2/W with S = sum(grad) and
-    W = sum(w); record counts serve min_leaf.  For all open nodes of a
-    level, three bincounts over the key (node * n_cols + column) give the
-    count, W and S of every candidate column's right side at once.
+    W = sum(w); record counts serve min_leaf.  For all nodes of a level,
+    bincounts over the items give the count, W, S and H of every node, and
+    three bincounts over the key (node * n_cols + column) give the count,
+    W and S of every candidate column's right side at once.  The root's
+    count and W come from ``rows``; the last level needs S and H alone.
+
+    A leaf stays a node of every later level, with its rows, so every item
+    always has a node and no pass gathers the open ones.  A bin sums its
+    items in item order, so the leaf's S and H, and its value, come out
+    the same at every level; the leaf values of all rows are read once, at
+    the end.
     """
-    m, n_cols = rows.m, rows.n_cols
+    n_cols = rows.n_cols
     item_grad = grad.reshape(-1)
     item_hess = hess.reshape(-1)
     entry_grad = item_grad[rows.entry_item]
-    nodes = [TreeNode() for _ in range(rows.n_classes)]
-    trees = list(nodes)
-    node_of = np.repeat(np.arange(rows.n_classes), m)  # open node per item, -1 once in a leaf
-    leaf_value = np.empty(rows.n_classes * m)
+    trees = [TreeNode() for _ in range(rows.n_classes)]
+    nodes: list[TreeNode | None] = list(trees)  # None: a leaf of an earlier level
+    node_of = rows.root_node
 
     for depth in range(max_depth + 1):
         n_nodes = len(nodes)
-        live = np.flatnonzero(node_of >= 0)
-        g = node_of[live]
-        count = np.bincount(g, weights=rows.item_count[live], minlength=n_nodes)
-        W = np.bincount(g, weights=rows.item_W[live], minlength=n_nodes)
-        S = np.bincount(g, weights=item_grad[live], minlength=n_nodes)
-        H = np.bincount(g, weights=item_hess[live], minlength=n_nodes)
-
-        split_col = np.zeros(n_nodes, dtype=np.intp)  # 0 marks a leaf
-        can_split = count >= 2 * min_leaf
-        if depth < max_depth and can_split.any():
-            # Entries of rows already in a leaf (node -1) get a negative key
-            # and go to bin 0, the constant column of node 0, never a candidate.
-            key = (node_of * n_cols)[rows.entry_item]
-            key += rows.entry_col
-            np.maximum(key, 0, out=key)
-            size = n_nodes * n_cols
-
-            def hist(weights: np.ndarray) -> np.ndarray:
-                return np.bincount(key, weights=weights, minlength=size).reshape(n_nodes, n_cols)
-
-            n_r, W_r, S_r = hist(rows.entry_count), hist(rows.entry_W), hist(entry_grad)
-            W_l = W[:, None] - W_r
-            S_l = S[:, None] - S_r
-            valid = (n_r >= min_leaf) & (count[:, None] - n_r >= min_leaf) & can_split[:, None]
-            valid[:, 0] = False
-            gains = (
-                S_r**2 / np.clip(W_r, PROB_CLIP, None)
-                + S_l**2 / np.clip(W_l, PROB_CLIP, None)
-                - (S**2 / W)[:, None]
-            )
-            gains = np.where(valid, gains, -np.inf)
-            best = np.argmax(gains, axis=1)  # ties go to the lowest column
-            best_gain = gains[np.arange(n_nodes), best]
-            split_col = np.where(best_gain > 1e-12, best, 0)
-            np.add.at(importance, split_col[split_col > 0], best_gain[split_col > 0])
-
+        S = np.bincount(node_of, weights=item_grad, minlength=n_nodes)
+        H = np.bincount(node_of, weights=item_hess, minlength=n_nodes)
         values = S / np.maximum(H, PROB_CLIP)
-        first_child = np.full(n_nodes, -1)
+        if depth == max_depth:
+            break
+        if depth == 0:
+            count, W, key = rows.root_count, rows.root_W, rows.root_key
+        else:
+            count = np.bincount(node_of, weights=rows.item_count, minlength=n_nodes)
+            W = np.bincount(node_of, weights=rows.item_W, minlength=n_nodes)
+            key = (node_of * n_cols).take(rows.entry_item)
+            key += rows.entry_col
+        can_split = (count >= 2 * min_leaf) & np.array([node is not None for node in nodes])
+        if not can_split.any():
+            break
+
+        def hist(weights: np.ndarray) -> np.ndarray:
+            return np.bincount(key, weights=weights, minlength=n_nodes * n_cols).reshape(
+                n_nodes, n_cols
+            )
+
+        if depth == 0:
+            n_r, W_r = rows.root_n_r, rows.root_W_r
+        else:
+            n_r, W_r = hist(rows.entry_count), hist(rows.entry_W)
+        S_r = hist(entry_grad)
+        W_l = W[:, None] - W_r
+        S_l = S[:, None] - S_r
+        valid = (n_r >= min_leaf) & (count[:, None] - n_r >= min_leaf) & can_split[:, None]
+        valid[:, 0] = False
+        gains = (
+            S_r**2 / np.clip(W_r, PROB_CLIP, None)
+            + S_l**2 / np.clip(W_l, PROB_CLIP, None)
+            - (S**2 / W)[:, None]
+        )
+        gains = np.where(valid, gains, -np.inf)
+        best = np.argmax(gains, axis=1)  # ties go to the lowest column
+        best_gain = gains[np.arange(n_nodes), best]
+        split_col = np.where(best_gain > 1e-12, best, 0)  # 0 marks a leaf
+        if not split_col.any():
+            break
+        np.add.at(importance, split_col[split_col > 0], best_gain[split_col > 0])
+
+        next_node = np.empty(n_nodes, dtype=np.intp)  # left child, or the leaf itself
         next_nodes = []
         for i, node in enumerate(nodes):
+            next_node[i] = len(next_nodes)
             if split_col[i]:
                 node.column = int(split_col[i])
                 node.left, node.right = TreeNode(), TreeNode()
-                first_child[i] = len(next_nodes)
                 next_nodes += [node.left, node.right]
             else:
-                node.value = np.array([values[i]])
-
-        col = split_col[g]
-        done = col == 0
-        leaf_value[live[done]] = values[g[done]]
-        node_of[live] = np.where(done, -1, first_child[g] + rows.active[live % m, col])
+                if node is not None:
+                    node.value = np.array([values[i]])
+                next_nodes.append(None)
+        at = split_col.take(node_of)
+        at += rows.item_bit
+        node_of = next_node.take(node_of)
+        node_of += rows.bits.take(at)
         nodes = next_nodes
-        if not nodes:
-            break
-    return trees, leaf_value.reshape(rows.n_classes, m)
+
+    for node, value in zip(nodes, values):
+        if node is not None:
+            node.value = np.array([value])
+    return trees, values.take(node_of).reshape(rows.n_classes, rows.m)
 
 
 def fit_boosted(

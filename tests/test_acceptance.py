@@ -16,6 +16,7 @@ import yaml
 from click.testing import CliRunner
 from scipy.special import logit
 
+from pcptest import parallel
 from pcptest.cli import main as cli_main
 from pcptest.data import (
     CategoricalSchema,
@@ -328,6 +329,10 @@ def _c7_dgp(rho_cells) -> SyntheticDGP:
     )
 
 
+# The replicates of criteria 7 and 8 are the pool's units; the cross-fits
+# inside them run serially in their worker.
+
+
 def _c7_rep(dgp: SyntheticDGP, seed: int):
     d, _ = sample_dataset(dgp, 6333, seed=seed)
     stats = per_obs_stats(cross_fit_predict(d, C7_LEARNER, make_folds(d, 2, seed)))
@@ -341,14 +346,11 @@ def _c7_rep(dgp: SyntheticDGP, seed: int):
 
 
 def _c7_rejection_rate(dgp: SyntheticDGP, reps: int, base_seed: int) -> float:
-    rejections = 0
-    for r in range(reps):
-        est, ses = _c7_rep(dgp, base_seed + r)
-        res = intersection_test(
-            IntersectionInput(est, ses, 6333, 0.05, 20_000, base_seed + r)
-        )
-        rejections += int(res.rejected)
-    return rejections / reps
+    def rejected(seed: int) -> bool:
+        est, ses = _c7_rep(dgp, seed)
+        return intersection_test(IntersectionInput(est, ses, 6333, 0.05, 20_000, seed)).rejected
+
+    return sum(parallel.map_units(rejected, range(base_seed, base_seed + reps))) / reps
 
 
 def test_criterion_07_ground_truth_recovery():
@@ -363,7 +365,9 @@ def test_criterion_07_ground_truth_recovery():
         [np.mean([truth.correlation[lut[(int(c),)]] for c in cells]) for cells in C7_GROUPS]
     )
     reps = 200
-    est = np.array([_c7_rep(dgp_rec, 70_000 + r)[0] for r in range(reps)])
+    est = np.array(
+        parallel.map_units(lambda seed: _c7_rep(dgp_rec, seed)[0], range(70_000, 70_000 + reps))
+    )
     mc_se = est.std(axis=0, ddof=1)
     covered = np.abs(est - true_groups) <= 3.0 * mc_se
     recovery = float(covered.all(axis=1).mean())
@@ -391,22 +395,21 @@ def test_criterion_08_sorted_groups_coverage():
     dgp = two_feature_dgp()
     learner = NetworkConfig(depth=0, max_epochs=40, patience=10)
     reps = 500
-    hits = 0
-    for r in range(reps):
-        d, truth = sample_dataset(dgp, 2000, seed=80_000 + r)
+
+    def hit(seed: int) -> bool:
+        d, truth = sample_dataset(dgp, 2000, seed=seed)
         lut = truth.lookup()
         true_quads = truth.quads[
             [lut[tuple(int(v) for v in cov)] for cov in d.covariates]
         ]
-        res = sorted_groups_run(
-            d, SortedGroupsConfig(n_splits=1, learner=learner, seed=80_000 + r)
-        )
+        res = sorted_groups_run(d, SortedGroupsConfig(n_splits=1, learner=learner, seed=seed))
         s = res.splits[0]
         rows = s.group_rows[0]
         w = d.w[rows]
         target = correlation_from_quad(true_quads[rows].T @ w / w.sum())
-        hits += int(s.statistic - 1.96 * s.se <= target <= s.statistic + 1.96 * s.se)
-    coverage = hits / reps
+        return s.statistic - 1.96 * s.se <= target <= s.statistic + 1.96 * s.se
+
+    coverage = sum(parallel.map_units(hit, range(80_000, 80_000 + reps))) / reps
     elapsed = time.monotonic() - t0
     ok = coverage >= 0.92 and elapsed < 1800.0
     _verdict(8, "sorted-groups coverage", ok, f"coverage {coverage:.3f} (>= 0.92), {elapsed:.0f}s")

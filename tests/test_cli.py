@@ -441,6 +441,35 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize(
+        "command",
+        ["fit", "hyperopt", "estimate", "test-intersection", "test-sorted", "importance", "report"],
+    )
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            (
+                {"forest": {"bogus_key": 1}, "network": {"depth": -1}},
+                "error: invalid network settings: depth must be >= 0",
+            ),
+            ({"forest": {"bogus_key": 1}}, "error: invalid forest settings: "),
+        ],
+        ids=["bad-value", "unknown-key"],
+    )
+    def test_unused_learner_sections_are_checked(
+        self, workdir, tmp_path, command, sections, message
+    ):
+        """Every command rejects a bad section of a learner the run does not
+        use, with one line and no output."""
+        out = tmp_path / "o"
+        doc = base_config(workdir, out, **sections)
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line.startswith(message)
+        assert not out.exists()
+
     def test_duplicate_column_is_validation_error(self, workdir, tmp_path):
         with open(workdir["dataset"]) as fh:
             lines = fh.read().splitlines()

@@ -1,6 +1,7 @@
 """parallel.map_units: results in input order, serial fallbacks, the
 serial loop's error, and no worker left behind."""
 
+import ctypes
 import multiprocessing
 import os
 import time
@@ -58,3 +59,26 @@ def test_first_failing_unit_in_input_order_raises(workers, n_workers):
     with pytest.raises(DataError, match="^unit 1$"):
         parallel.map_units(fail_odd, range(4))
     assert multiprocessing.active_children() == []
+
+
+def blas_thread_counts():
+    """The thread count of each loaded OpenBLAS that reports one."""
+    counts = []
+    for lib in parallel.openblas_libraries():
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                counts.append(fn())
+                break
+    return counts
+
+
+def test_workers_run_blas_on_one_thread(workers):
+    workers(2)
+    before = blas_thread_counts()
+    assert before, "numpy's OpenBLAS was not found"
+    out = parallel.map_units(lambda _: blas_thread_counts(), range(2))
+    assert out == [[1] * len(before)] * 2
+    assert blas_thread_counts() == before

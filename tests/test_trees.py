@@ -1,3 +1,5 @@
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcptest.data import one_hot_encode
-from pcptest.learners import load_model, save_model
+from pcptest.data import default_schema, one_hot_encode
+from pcptest.learners import _block, load_model, save_model, train_any
 from pcptest.network import _softmax, forward_probs
+from pcptest.synth import RhoSpec, SyntheticDGP, WeightLaw, sample_dataset
 from pcptest.trees import (
     PROB_CLIP,
     BoostConfig,
@@ -520,3 +523,90 @@ class TestFlatEvaluatorMatchesWalk:
         )
         save_model(model, str(tmp_path / "model.json"))
         assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Fitted bits, pinned.  The digests were recorded from the grower that
+# gathered the open items at every level and recomputed the root's
+# histograms every round; any change to the order in which a histogram bin
+# or a node total is summed shows up here.
+
+
+def _default8_sample(n: int):
+    """A sample of the 8-feature default schema's DGP (acceptance criterion
+    10's), whose design rows are nearly all distinct."""
+    schema = default_schema()
+    rng = np.random.default_rng(0)
+    ncols = schema.n_design_columns
+    dgp = SyntheticDGP(
+        schema,
+        tuple(tuple(1.0 / len(codes) for _ in codes) for _, codes in schema.features),
+        np.concatenate([[-0.4], rng.uniform(-0.3, 0.3, ncols - 1)]),
+        np.concatenate([[-1.5], rng.uniform(-0.3, 0.3, ncols - 1)]),
+        RhoSpec("constant", value=0.0),
+        WeightLaw(),
+    )
+    return sample_dataset(dgp, n, seed=3)[0]
+
+
+PINNED_FITS = {
+    # case: (sample, config, target, (model digest, importance digest))
+    "default8": (
+        "default8",
+        BoostConfig(n_rounds=12, max_depth=3),
+        "cr",
+        (
+            "f325442c424e7779b1122c7e5893cd2e2eeafefae0b56dcbbf643b6d638f85b1",
+            "3a3160e8d2e16a1ffa1463dc28ee2230ff778393c2af84ccf0ae4019e78cbb3b",
+        ),
+    ),
+    "12-cell": (
+        "12-cell",
+        BoostConfig(n_rounds=80, max_depth=4, min_leaf=10, learning_rate=0.5),
+        "cr",
+        (
+            "5a3ff74986ff64139573dcede8c5f1471025d130239acec87ad08c2ce2240be5",
+            "973842a90efc6395ab45ec7b3bcab87abc1495f2e591f1a4d056d7fb305f2f21",
+        ),
+    ),
+    "early-leaves": (  # leaves at depths 3 to 6
+        "default8",
+        BoostConfig(n_rounds=4, max_depth=6, min_leaf=5),
+        "cr",
+        (
+            "6b9ebbd3a82055c84f8106e049e48e59940ff5267af0b9404cd94f25f4f5cef4",
+            "10455cc20aecd70df5dcd0b0f5534cd15eb22d9707352f8f11868fa388d87bec",
+        ),
+    ),
+    "stumps": (
+        "default8",
+        BoostConfig(n_rounds=10, max_depth=1),
+        "cr",
+        (
+            "21c2bdc69d7670cc2df0cb2df4bc61b79207c8d7fbf44088205a2c13667ec87d",
+            "77d20f6dfc6b9f2c5151c0537c51fac7ba09115299a670b04ccef3aa95f16cf5",
+        ),
+    ),
+    "target-c": (
+        "default8",
+        BoostConfig(n_rounds=8, max_depth=3),
+        "c",
+        (
+            "9716a2e3d59a92c2ee1a9f122f48193ba0bc4ab218a49a667d4aa0bea880489d",
+            "01cb2168d604c173979bc3840f9c7fba6608473ffbb0e3157d2b15e921a4d790",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FITS))
+def test_fit_boosted_bits_are_pinned(case, small_dataset):
+    sample, cfg, target, digests = PINNED_FITS[case]
+    d = _default8_sample(2000) if sample == "default8" else small_dataset
+    if target == "cr":
+        model = fit_boosted(*_block(d, target), cfg)
+    else:
+        model = train_any(d, cfg, target=target).predictor
+    doc = json.dumps(model.to_doc(), sort_keys=True).encode()
+    got = (hashlib.sha256(doc).hexdigest(), hashlib.sha256(model.importance.tobytes()).hexdigest())
+    assert got == digests
