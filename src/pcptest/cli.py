@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -48,10 +49,14 @@ from .functionals import (
 from .inference import (
     IntersectionInput,
     SortedGroupsConfig,
+    SortedGroupsResult,
     intersection_tests,
+    merge_sorted_splits,
     sorted_groups_run,
+    sorted_split_units,
 )
 from .network import NetworkTrainingError
+from .parallel import call, map_units
 from .synth import InfeasibleCellError, SyntheticDGP, sample_dataset
 
 CONFIG_FILE_VERSION = 1
@@ -160,6 +165,11 @@ class OutputDir:
     def __init__(self, root: str):
         self.root = root
         self.files: list[str] = []
+        self.created: list[str] = []  # directories made for this run, deepest first
+        path = os.path.abspath(root)
+        while not os.path.isdir(path):
+            self.created.append(path)
+            path = os.path.dirname(path)
         os.makedirs(root, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -172,6 +182,10 @@ class OutputDir:
             p = os.path.join(self.root, name)
             if os.path.exists(p):
                 os.remove(p)
+        for path in self.created:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
 
     def write_manifest(self, cfg: RunConfig, command: str) -> None:
         entries = []
@@ -301,8 +315,12 @@ def _cross_fitted(cfg: RunConfig, d: Dataset, full_sample: bool = False):
     t0 = time.monotonic()
     folds = make_folds(d, cfg.folds, cfg.seed)
     probs = L.cross_fit_predict(d, learner_config(cfg), folds, full_sample=full_sample)
-    _log(f"{cfg.folds}-fold cross-fit{' + raw fit' * full_sample} in {time.monotonic() - t0:.1f}s")
+    _log_cross_fit(cfg, t0, full_sample)
     return tuple(map(per_obs_stats, probs)) if full_sample else per_obs_stats(probs)
+
+
+def _log_cross_fit(cfg: RunConfig, t0: float, full_sample: bool) -> None:
+    _log(f"{cfg.folds}-fold cross-fit{' + raw fit' * full_sample} in {time.monotonic() - t0:.1f}s")
 
 
 @dataclass(frozen=True)
@@ -461,11 +479,14 @@ def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Grou
 
 
 def cmd_test_sorted(cfg: RunConfig, out: OutputDir) -> None:
-    _write_sorted(cfg, out, load_dataset(cfg))
+    d = load_dataset(cfg)
+    scfg = _sorted_config(cfg)
+    t0 = time.monotonic()
+    _write_sorted(cfg, out, sorted_groups_run(d, scfg), t0)
 
 
-def _write_sorted(cfg: RunConfig, out: OutputDir, d: Dataset) -> None:
-    scfg = SortedGroupsConfig(
+def _sorted_config(cfg: RunConfig) -> SortedGroupsConfig:
+    return SortedGroupsConfig(
         n_groups=cfg.sorted_groups,
         n_splits=cfg.sorted_splits,
         main_fraction=cfg.main_fraction,
@@ -474,8 +495,10 @@ def _write_sorted(cfg: RunConfig, out: OutputDir, d: Dataset) -> None:
         network=cfg.network,
         seed=cfg.seed,
     )
-    t0 = time.monotonic()
-    res = sorted_groups_run(d, scfg)
+
+
+def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult, t0: float) -> None:
+    scfg = res.config
     _log(f"test-sorted: {scfg.n_splits} splits in {time.monotonic() - t0:.1f}s")
     _log(f"sorted groups: {res.redraws} redraws over {scfg.n_splits} splits")
 
@@ -528,13 +551,29 @@ def cmd_report(cfg: RunConfig, out: OutputDir) -> None:
     """Composite run: estimate, intersection test, sorted-groups test, and
     a short plain-text digest pointing at the individual tables.  The
     dataset is read and cross-fitted, and its group estimates computed,
-    once for both the estimate and the intersection test."""
+    once for both the estimate and the intersection test.
+
+    Every fit runs in one ``map_units`` batch, largest first: the raw fit,
+    the folds, then the sorted-groups splits.  The estimate tables and the
+    intersection tests are written while the splits still fit."""
     d = load_dataset(cfg)
-    cf, raw = _cross_fitted(cfg, d, full_sample=True)
-    groups = _group_estimates(cfg, d, cf)
-    _write_estimates(cfg, out, d, cf, raw, groups)
-    _write_intersection(cfg, out, d, groups)
-    _write_sorted(cfg, out, d)
+    folds = make_folds(d, cfg.folds, cfg.seed)
+    scfg = _sorted_config(cfg)
+    fold_units = L.cross_fit_units(d, learner_config(cfg), folds, full_sample=True)
+    t0 = time.monotonic()
+    results = map_units(call, fold_units + sorted_split_units(d, scfg))
+    try:
+        raw_probs, *fold_probs = itertools.islice(results, len(fold_units))
+        cf = per_obs_stats(L.merge_cross_fit(folds, fold_probs))
+        raw = per_obs_stats(raw_probs)
+        _log_cross_fit(cfg, t0, full_sample=True)
+        groups = _group_estimates(cfg, d, cf)
+        _write_estimates(cfg, out, d, cf, raw, groups)
+        _write_intersection(cfg, out, d, groups)
+        sorted_res = merge_sorted_splits(scfg, list(results))
+    finally:
+        results.close()
+    _write_sorted(cfg, out, sorted_res, t0)
     with open(out.path("report.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"pcptest report (config {cfg.fingerprint()}, seed {cfg.seed})\n\n")
         fh.write("Summary of per-observation statistics: summary.txt\n")

@@ -9,6 +9,7 @@ of the predicted statistic, and tests the lowest quartile directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,7 @@ from .functionals import (
     per_obs_stats,
 )
 from .network import NetworkConfig
-from .parallel import map_units
+from .parallel import call, map_units
 
 __all__ = [
     "IntersectionInput",
@@ -43,6 +44,8 @@ __all__ = [
     "SortedGroupsConfig",
     "SplitResult",
     "SortedGroupsResult",
+    "sorted_split_units",
+    "merge_sorted_splits",
     "sorted_groups_run",
     "delta_method_se",
     "RejectionReport",
@@ -125,21 +128,36 @@ def intersection_tests(inputs: Sequence[IntersectionInput]) -> list[Intersection
 
 
 def _tests_on_one_draw(inputs: list[IntersectionInput]) -> list[IntersectionResult]:
+    """Each quantile of the draw is taken once: k0 per distinct gamma_n, and
+    the k of every level in one call per distinct kept set."""
     first = inputs[0]
     xi = np.random.default_rng(first.seed).standard_normal((first.mc_draws, first.L))
     row_max = xi.max(axis=1)
-    results = []
+    k0_of: dict[float, float] = {}
+    kept: dict[bytes, tuple[np.ndarray, list[float]]] = {}  # kept set -> (mask, levels)
+    selections = []
     for inp in inputs:
-        est, ses = inp.estimates, inp.ses
         gam = gamma_n(inp.n)
-        k0 = float(np.quantile(row_max, gam))
+        if gam not in k0_of:
+            k0_of[gam] = float(np.quantile(row_max, gam))
+        k0 = k0_of[gam]
+        threshold = np.min(inp.estimates + k0 * inp.ses)
+        keep = inp.estimates <= threshold + 2.0 * k0 * inp.ses
+        key = keep.tobytes()
+        kept.setdefault(key, (keep, []))[1].append(inp.alpha)
+        selections.append((gam, k0, keep, key))
 
-        threshold = np.min(est + k0 * ses)
-        keep = est <= threshold + 2.0 * k0 * ses
-        selected = tuple(int(i) for i in np.nonzero(keep)[0])
+    k_of: dict[tuple[bytes, float], float] = {}
+    for key, (keep, levels) in kept.items():
         kept_max = row_max if keep.all() else xi[:, keep].max(axis=1)
-        k = float(np.quantile(kept_max, 1.0 - inp.alpha))
+        ks = np.quantile(kept_max, [1.0 - a for a in levels])
+        k_of.update(((key, a), float(k)) for a, k in zip(levels, ks))
 
+    results = []
+    for inp, (gam, k0, keep, key) in zip(inputs, selections):
+        est, ses = inp.estimates, inp.ses
+        k = k_of[key, inp.alpha]
+        selected = tuple(int(i) for i in np.nonzero(keep)[0])
         statistic = float(np.min(est[keep] + k * ses[keep]))
         a = float(np.min(est + k * ses))
         b = float(np.max(est - k * ses))
@@ -327,15 +345,27 @@ def _split_result(
     )
 
 
-def sorted_groups_run(d: Dataset, cfg: SortedGroupsConfig) -> SortedGroupsResult:
-    """Run the sorted-groups procedure over cfg.n_splits random splits and
-    report componentwise medians.  All randomness flows from cfg.seed."""
+def sorted_split_units(
+    d: Dataset, cfg: SortedGroupsConfig
+) -> list[Callable[[], tuple[SplitResult, int]]]:
+    """The cfg.n_splits splits of ``sorted_groups_run`` as zero-argument
+    units, each returning its SplitResult and its redraw count.  Split s
+    draws from the s-th child of SeedSequence(cfg.seed)."""
+
     def split_of(child: np.random.SeedSequence) -> tuple[SplitResult, int]:
         rng = np.random.default_rng(child)
         return _one_split(d, cfg, rng, int(rng.integers(2**31 - 1)))
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
-    results, redraws = zip(*map_units(split_of, children))
+    return [functools.partial(split_of, child) for child in children]
+
+
+def merge_sorted_splits(
+    cfg: SortedGroupsConfig, split_results: Sequence[tuple[SplitResult, int]]
+) -> SortedGroupsResult:
+    """Componentwise medians over the split units' results, and their
+    total redraw count."""
+    results, redraws = zip(*split_results)
     stats = np.array([r.group_stats for r in results])
     return SortedGroupsResult(
         cfg,
@@ -346,6 +376,12 @@ def sorted_groups_run(d: Dataset, cfg: SortedGroupsConfig) -> SortedGroupsResult
         float(np.median([r.p_value for r in results])),
         sum(redraws),
     )
+
+
+def sorted_groups_run(d: Dataset, cfg: SortedGroupsConfig) -> SortedGroupsResult:
+    """Run the sorted-groups procedure over cfg.n_splits random splits and
+    report componentwise medians.  All randomness flows from cfg.seed."""
+    return merge_sorted_splits(cfg, list(map_units(call, sorted_split_units(d, cfg))))
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +413,21 @@ def mc_size_power(
     """Rejection frequency of the intersection test over fresh draws.
 
     ``draw(rng)`` returns (group estimates, group SEs, sample size n) for
-    one replication; everything downstream is seeded from ``seed``.
+    one replication; everything downstream is seeded from ``seed``.  The
+    replications run as one ``map_units`` batch.
     """
     if reps < 100:
         raise DataError("reps must be at least 100")
-    rejections = 0
-    for child in np.random.SeedSequence(seed).spawn(reps):
+
+    def rejected(child: np.random.SeedSequence) -> bool:
         rng = np.random.default_rng(child)
         est, ses, n = draw(rng)
         test_seed = int(rng.integers(2**31 - 1))
-        res = intersection_test(
-            IntersectionInput(est, ses, n, alpha, mc_draws, test_seed)
-        )
-        rejections += int(res.rejected)
-    return RejectionReport(reps, rejections, alpha)
+        inp = IntersectionInput(est, ses, n, alpha, mc_draws, test_seed)
+        return intersection_test(inp).rejected
+
+    children = np.random.SeedSequence(seed).spawn(reps)
+    return RejectionReport(reps, sum(map_units(rejected, children)), alpha)
 
 
 def gaussian_group_draw(

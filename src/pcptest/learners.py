@@ -10,10 +10,11 @@ procedures, and JSON persistence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .data import (
     split,
 )
 from .network import NetworkConfig
-from .parallel import map_units
+from .parallel import call, map_units
 from .trees import BoostConfig, ForestConfig
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "train_any",
     "hyperopt_network",
     "hyperopt_trees",
+    "cross_fit_units",
+    "merge_cross_fit",
     "cross_fit_predict",
     "feature_group_importance",
     "impurity_importance",
@@ -253,6 +256,35 @@ def hyperopt_trees(
 # Cross-fitting and importances
 
 
+def cross_fit_units(
+    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, target: str = "cr", full_sample=False
+) -> list[Callable[[], np.ndarray]]:
+    """The fits of ``cross_fit_predict`` as zero-argument units, largest
+    first: with ``full_sample`` the full-sample fit, which predicts every
+    record, then fold k's fit on the other folds, which predicts fold k.
+    A fold with fewer than 10 records to train on raises in its unit."""
+
+    def full_fit() -> np.ndarray:
+        return train_any(d, cfg, target=target).predict_quads(d)
+
+    def fold_fit(k: int) -> np.ndarray:
+        train_rows = folds.complement_indices(k)
+        if len(train_rows) < 10:
+            raise DataError(f"fold {k}: too few records to train on")
+        model = train_any(d.take(train_rows), cfg, target=target, fold=k)
+        return model.predict_quads(d.take(folds.fold_indices(k)))
+
+    return [full_fit] * full_sample + [functools.partial(fold_fit, k) for k in range(folds.K)]
+
+
+def merge_cross_fit(folds: FoldAssignment, fold_probs: Sequence[np.ndarray]) -> np.ndarray:
+    """The ``(n, classes)`` cross-fitted array from the K fold units' results."""
+    out = np.empty((len(folds.fold_of), fold_probs[0].shape[1]))
+    for k, probs in enumerate(fold_probs):
+        out[folds.fold_indices(k)] = probs
+    return out
+
+
 def cross_fit_predict(
     d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, target: str = "cr", full_sample=False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -261,49 +293,37 @@ def cross_fit_predict(
     stopping, mirroring the main training protocol.  With ``full_sample``
     the pair (cross-fitted, full-sample) is returned, the latter from
     ``train_any`` on every record.  The fits run as one ``map_units`` batch."""
-    for k in range(folds.K):
-        if len(folds.complement_indices(k)) < 10:
-            raise DataError(f"fold {k}: too few records to train on")
-
-    def fold_predictions(k: int) -> np.ndarray:
-        if k == folds.K:
-            return train_any(d, cfg, target=target).predict_quads(d)
-        d_k = d.take(folds.complement_indices(k))
-        model = train_any(d_k, cfg, target=target, fold=k)
-        return model.predict_quads(d.take(folds.fold_indices(k)))
-
-    probs = map_units(fold_predictions, range(folds.K + full_sample))
-    out = np.empty((d.n, _TARGET_CLASSES[target]))
-    for k in range(folds.K):
-        out[folds.fold_indices(k)] = probs[k]
-    return (out, probs[-1]) if full_sample else out
+    probs = list(map_units(call, cross_fit_units(d, cfg, folds, target, full_sample)))
+    out = merge_cross_fit(folds, probs[full_sample:])
+    return (out, probs[0]) if full_sample else out
 
 
 def feature_group_importance(
     d: Dataset, cfg: LearnerConfig, plan: SplitPlan, target: str = "cr"
 ) -> dict[str, float]:
     """Additional test loss from retraining without each feature's dummy
-    block; the full model's own entry is 'None' = 0."""
+    block; the full model's own entry is 'None' = 0.  The full fit and the
+    retrains run as one ``map_units`` batch."""
     if d.schema.n_features < 2:
         raise DataError("importance needs at least 2 features")
-    d_train, d_val, d_test = split(d, plan)
+    names = d.schema.feature_names
+    blocks = split(d, plan)
 
-    def fit_loss(subset: Dataset, val: Dataset, test: Dataset) -> float:
-        return cross_entropy_loss(train_any(subset, cfg, val, target), test)
-
-    full_loss = fit_loss(d_train, d_val, d_test)
-    deltas: dict[str, float] = {"None": 0.0}
-    for name, _ in d.schema.features:
-        reduced = _drop_feature_schema(d.schema, name)
-        keep = [j for j, (nm, _) in enumerate(d.schema.features) if nm != name]
-
-        def shrink(ds: Dataset) -> Dataset:
-            return Dataset(
-                reduced, ds.covariates[:, keep].copy(), ds.c.copy(), ds.r.copy(), ds.w.copy()
+    def fit_loss(omitted: str | None) -> float:
+        d_train, d_val, d_test = blocks
+        if omitted is not None:
+            reduced = _drop_feature_schema(d.schema, omitted)
+            keep = [j for j, name in enumerate(names) if name != omitted]
+            d_train, d_val, d_test = (
+                Dataset(reduced, b.covariates[:, keep].copy(), b.c.copy(), b.r.copy(), b.w.copy())
+                for b in blocks
             )
+        return cross_entropy_loss(train_any(d_train, cfg, d_val, target), d_test)
 
-        omitted_loss = fit_loss(shrink(d_train), shrink(d_val), shrink(d_test))
-        deltas[name] = omitted_loss - full_loss
+    full_loss, *omitted_losses = map_units(fit_loss, [None, *names])
+    deltas: dict[str, float] = {"None": 0.0}
+    for name, loss in zip(names, omitted_losses):
+        deltas[name] = loss - full_loss
     return deltas
 
 

@@ -361,11 +361,13 @@ def fit_softmax_networks(
         key=lambda members: -len(members)
         * count_parameters(members[0], X_train.shape[1], n_classes),
     )
-    fits = map_units(
-        lambda members: _fit_stack(
-            members, X_train, labels_train, w_train, X_val, labels_val, w_val, n_classes
-        ),
-        units,
+    fits = list(
+        map_units(
+            lambda members: _fit_stack(
+                members, X_train, labels_train, w_train, X_val, labels_val, w_val, n_classes
+            ),
+            units,
+        )
     )
     fitted = {}
     for members, results in zip(units, fits):

@@ -4,12 +4,15 @@ Each unit is a pure function of its inputs, so results kept in input order
 are bit-identical to the serial loop for any worker count.  Forked workers
 inherit the function and the units; only a unit's position and its result
 cross between processes.  Each worker runs OpenBLAS on one thread.
+Results come back lazily, so a caller can work on the first ones while the
+workers still fit the rest.
 """
 
 import ctypes
 import multiprocessing as mp
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Generator, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor
 
 _job = None  # (fn, units) in a worker
 
@@ -68,13 +71,45 @@ def _run_unit(i: int):
     return fn(units[i])
 
 
-def map_units(fn, units) -> list:
-    """``[fn(u) for u in units]`` on up to one forked worker per CPU; serial
-    with one worker, without "fork" and inside a worker, so pools never nest.
-    The first unit in input order that raises raises here, as if serial."""
+def call(unit: Callable):
+    """Run a zero-argument unit: ``map_units(call, thunks)`` runs units of
+    different procedures in one batch."""
+    return unit()
+
+
+def map_units(fn, units: Sequence) -> Generator:
+    """Yield ``fn(u)`` for each unit in input order, computed on up to one
+    forked worker per CPU; serial with one worker, without "fork" and inside
+    a worker, so pools never nest.
+
+    The workers fork and every unit is submitted at the call.  Each result
+    is yielded once it and every unit before it are done; the first unit in
+    input order that raises raises here, as if serial.  When the iterator
+    is used up or closed, the pool shuts down and the units that have not
+    started are cancelled, so no worker outlives it.  Wrap the call in
+    ``list(...)`` for all results at once."""
     workers = min(worker_count(), len(units))
     if workers < 2 or mp.parent_process() is not None or "fork" not in mp.get_all_start_methods():
-        return [fn(u) for u in units]
+        return (fn(u) for u in units)
     ctx = mp.get_context("fork")
-    with ProcessPoolExecutor(workers, ctx, initializer=_inherit, initargs=(fn, units)) as pool:
-        return list(pool.map(_run_unit, range(len(units))))
+    pool = ProcessPoolExecutor(workers, ctx, initializer=_inherit, initargs=(fn, units))
+    try:
+        futures = [pool.submit(_run_unit, i) for i in range(len(units))]
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    results = _in_order(pool, futures)
+    next(results)
+    return results
+
+
+def _in_order(pool: ProcessPoolExecutor, futures: list[Future]) -> Generator:
+    """The futures' results in order.  Primed by one ``next``, so that the
+    generator sits inside the ``try`` and closing it before the first result
+    still shuts the pool down."""
+    try:
+        yield
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)

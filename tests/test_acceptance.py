@@ -366,7 +366,11 @@ def test_criterion_07_ground_truth_recovery():
     )
     reps = 200
     est = np.array(
-        parallel.map_units(lambda seed: _c7_rep(dgp_rec, seed)[0], range(70_000, 70_000 + reps))
+        list(
+            parallel.map_units(
+                lambda seed: _c7_rep(dgp_rec, seed)[0], range(70_000, 70_000 + reps)
+            )
+        )
     )
     mc_se = est.std(axis=0, ddof=1)
     covered = np.abs(est - true_groups) <= 3.0 * mc_se

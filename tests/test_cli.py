@@ -9,6 +9,7 @@ import yaml
 from click.testing import CliRunner
 from scipy.stats import gaussian_kde
 
+from pcptest import cli, inference, parallel
 from pcptest import learners as L
 from pcptest.cli import OutputDir, RunConfig, load_config, main, write_density
 from pcptest.data import CategoricalSchema, DataError, Dataset, load_csv, save_csv
@@ -104,6 +105,10 @@ class TestConfig:
     def test_fingerprint_changes_with_config(self):
         assert RunConfig(seed=1).fingerprint() != RunConfig(seed=2).fingerprint()
         assert RunConfig(seed=1).fingerprint() == RunConfig(seed=1).fingerprint()
+
+
+# A stderr line that reports a stage's wall time.
+TIMING = re.compile(r"^\d+-fold cross-fit( \+ raw fit)? in \d+\.\ds$")
 
 
 def run_cmd(config_path, command):
@@ -295,9 +300,9 @@ class TestCommands:
             p = _write_config(tmp_path / f"{command}.yaml", base_config(workdir, tmp_path / command))
             assert run_cmd(p, command).exit_code == 0
         calls = []
-        cross_fit = L.cross_fit_predict
+        cross_fit_units = L.cross_fit_units
         monkeypatch.setattr(
-            L, "cross_fit_predict", lambda *a, **k: calls.append(a) or cross_fit(*a, **k)
+            L, "cross_fit_units", lambda *a, **k: calls.append(a) or cross_fit_units(*a, **k)
         )
         p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "report"))
         res = run_cmd(p, "report")
@@ -308,6 +313,27 @@ class TestCommands:
             for name in names:
                 with open(tmp_path / command / name, "rb") as a, open(tmp_path / "report" / name, "rb") as b:
                     assert a.read() == b.read(), name
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_report_runs_one_batch(self, workdir, tmp_path, monkeypatch, workers, n_workers):
+        """The raw fit, the folds and the splits of report share one
+        map_units call, whichever module calls it, and no worker outlives
+        the command."""
+        workers(n_workers)
+        batches = []
+        map_units = parallel.map_units
+
+        def counted(fn, units):
+            batches.append(len(units))
+            return map_units(fn, units)
+
+        for module in (parallel, L, inference, cli):
+            monkeypatch.setattr(module, "map_units", counted)
+        doc = base_config(workdir, tmp_path / "o", folds=3, sorted_splits=4)
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "report")
+        assert res.exit_code == 0, res.output
+        assert batches == [1 + 3 + 4]
+        assert multiprocessing.active_children() == []
 
     def test_sorted_grid_takes_network_settings(self, workdir, tmp_path, monkeypatch, workers):
         """Every split's default-grid candidates carry the config's network
@@ -354,8 +380,15 @@ class TestCommands:
                 "hyperopt",
                 {"learner": "network", "network": {"max_epochs": 2}, "hyperopt_grid": "default"},
             ),
+            ("importance", {}),
         ],
-        ids=["report-boosted", "sorted-network-singleton", "sorted-network-grid", "hyperopt-grid"],
+        ids=[
+            "report-boosted",
+            "sorted-network-singleton",
+            "sorted-network-grid",
+            "hyperopt-grid",
+            "importance-boosted",
+        ],
     )
     def test_one_and_two_workers_write_the_same_manifest(
         self, workdir, tmp_path, workers, command, extra
@@ -485,6 +518,8 @@ class TestExitCodes:
         [
             ("small fold", 1, "error: fold 0: too few records to train on"),
             ("failed split", 1, "error: sorted-groups split failed after 20 retries: "),
+            ("report small fold", 1, "error: fold 0: too few records to train on"),
+            ("report failed split", 1, "error: sorted-groups split failed after 20 retries: "),
             ("diverged network", 2, "numerical failure: non-finite loss at epoch 1"),
             ("diverged grid", 2, "numerical failure: non-finite loss at epoch 1 (depth 0)"),
         ],
@@ -493,14 +528,19 @@ class TestExitCodes:
         self, workdir, tmp_path, workers, case, exit_code, message
     ):
         """An error raised in a worker reaches the command line as the same
-        one-line message and exit code as in a one-worker run."""
+        one-line message and exit code as in a one-worker run.  In report,
+        the folds' error is raised while the splits are still pending, and
+        the splits' error after the estimate tables were written; both
+        leave no output behind."""
         schema = CategoricalSchema.from_yaml(workdir["schema"])
         d = load_csv(workdir["dataset"], schema)
         extra = {"sorted_splits": 3}
-        if case == "small fold":
-            command, d = "estimate", d.take(np.arange(12))
-        elif case == "failed split":  # no claims: every group's correlation is undefined
-            command, d = "test-sorted", Dataset(schema, d.covariates, 0 * d.c, d.r, d.w)
+        command = "report" if case.startswith("report") else None
+        if case.endswith("small fold"):  # every split fails too, later in the batch
+            command, d = command or "estimate", d.take(np.arange(12))
+        elif case.endswith("failed split"):  # no claims: every group's correlation is undefined
+            command = command or "test-sorted"
+            d = Dataset(schema, d.covariates, 0 * d.c, d.r, d.w)
         elif case == "diverged network":
             command = "estimate"
             extra.update(learner="network", network={"learning_rate": float("inf")})
@@ -522,18 +562,27 @@ class TestExitCodes:
             assert res.exit_code == exit_code
             assert isinstance(res.exception, SystemExit)
             assert multiprocessing.active_children() == []
-            outputs.append(res.output)
+            assert not (tmp_path / "o").exists()
+            # report logs its cross-fit time before a split fails.
+            outputs.append([line for line in res.output.splitlines() if not TIMING.match(line)])
         assert outputs[0] == outputs[1]
-        assert outputs[0].startswith(message) and len(outputs[0].splitlines()) == 1
+        *warnings, error = outputs[0]
+        assert error.startswith(message)
+        assert all(line.startswith("warning: ") for line in warnings)
+        assert bool(warnings) == (case == "report failed split")
 
     def test_failed_run_leaves_no_partial_output(self, workdir, tmp_path):
-        doc = base_config(workdir, tmp_path / "o")
-        doc["dataset"] = str(tmp_path / "missing.csv")
-        p = _write_config(tmp_path / "c.yaml", doc)
-        res = run_cmd(p, "estimate")
-        assert res.exit_code == 1
-        out = tmp_path / "o"
-        assert not out.exists() or os.listdir(out) == []
+        """The directories a failed run made are removed, and one that was
+        there before is kept."""
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "o" / "run", tmp_path / "kept"):
+            doc = base_config(workdir, out)
+            doc["dataset"] = str(tmp_path / "missing.csv")
+            p = _write_config(tmp_path / "c.yaml", doc)
+            res = run_cmd(p, "estimate")
+            assert res.exit_code == 1
+        assert not (tmp_path / "o").exists()
+        assert os.listdir(tmp_path / "kept") == []
 
 
 class TestCliOverrides:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -204,12 +205,14 @@ class TestSharedDraws:
         batch = [
             IntersectionInput(np.zeros(3), ses, 6333, 0.05, 1_000, 4),
             IntersectionInput(np.array([0.0, 0.0, 5.0]), ses, 6333, 0.05, 1_000, 4),
+            IntersectionInput(np.array([0.0, 0.0, 5.0]), ses, 100, 0.05, 1_000, 4),
             IntersectionInput(np.array([0.0, 5.0]), ses[:2], 6333, 0.10, 1_000, 4),
             IntersectionInput(np.zeros(3), ses, 6333, 0.01, 2_000, 4),
             IntersectionInput(np.zeros(3), ses, 100, 0.01, 1_000, 5),
         ]
         results = intersection_tests(batch)
-        assert [len(r.selected) for r in results] == [3, 2, 1, 3, 3]
+        assert [len(r.selected) for r in results] == [3, 2, 2, 1, 3, 3]
+        assert results[1].k0 != results[2].k0  # same draw, another n
         for inp, res in zip(batch, results):
             assert res == intersection_test(inp)
             assert res == oracle_intersection_test(inp)
@@ -364,6 +367,18 @@ class TestMCSizePower:
         a = mc_size_power(draw, reps=100, seed=4, mc_draws=2_000)
         b = mc_size_power(draw, reps=100, seed=4, mc_draws=2_000)
         assert a == b
+
+    def test_one_and_two_workers_agree(self, workers):
+        """Each replicate draws from its own child seed, so the pool does
+        not change the count."""
+        draw = gaussian_group_draw([0.0, -0.1, 0.1], dispersion=1.0, n_per_group=50)
+        reports = []
+        for n in (1, 2):
+            workers(n)
+            reports.append(mc_size_power(draw, reps=200, seed=5, mc_draws=2_000))
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1]
+        assert 0 < reports[0].rejections < reports[0].reps
 
     def test_reps_validation(self):
         draw = gaussian_group_draw([0.0], 1.0, 10)
