@@ -51,7 +51,7 @@ def one_rep(dgp: SyntheticDGP, n: int, seed: int):
     stats = per_obs_stats(cross_fit_predict(d, LEARNER, make_folds(d, 2, seed)))
     groups = [
         debiased_group_correlation(
-            stats, d.w, np.nonzero(np.isin(d.covariates[:, 0], cells))[0]
+            stats, d.c, d.r, d.w, np.nonzero(np.isin(d.covariates[:, 0], cells))[0]
         )
         for cells in GROUPS
     ]

@@ -41,6 +41,7 @@ from .functionals import (
     DegenerateMarginalError,
     GroupEstimate,
     PerObsStats,
+    covariance_score,
     debiased_group_correlation,
     group_mean,
     per_obs_stats,
@@ -328,7 +329,7 @@ class ModalityGroup:
     modality: int
     weight: float
     covariance: GroupEstimate
-    dd_correlation: GroupEstimate | None  # None where the debiased regression failed
+    dd_correlation: GroupEstimate | None  # None where the group had too few usable records
 
 
 # The modality groups of each grouping feature, in schema order.
@@ -338,7 +339,9 @@ Groups = dict[str, list[ModalityGroup]]
 def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
     """By-modality group estimates of both statistics for each grouping
     feature, computed once per run for the group table and the intersection
-    tests.  A failed debiased regression gets one warning on stderr."""
+    tests.  Each is the weighted group mean of a one-step score; a failed
+    debiased correlation gets one warning on stderr."""
+    cov_score = covariance_score(cf, d.c, d.r)
     groups = {}
     for name in _group_feature_names(cfg, d.schema):
         j = d.schema.feature_index(name)
@@ -346,10 +349,10 @@ def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
         for idx in partition(d, name):
             modality = int(d.covariates[idx[0], j])
             group_id = f"{name}={modality}"
-            cov = group_mean(cf.covariance, d.w, idx, group_id=group_id)
+            cov = group_mean(cov_score, d.w, idx, group_id=group_id)
             try:
-                dd = debiased_group_correlation(cf, d.w, idx, group_id=group_id)
-            except (DataError, DegenerateMarginalError) as err:
+                dd = debiased_group_correlation(cf, d.c, d.r, d.w, idx, group_id=group_id)
+            except DataError as err:
                 _log(f"warning: group {group_id}: debiased correlation written as NaN: {err}")
                 dd = None
             groups[name].append(ModalityGroup(modality, float(d.w[idx].sum()), cov, dd))

@@ -3,14 +3,18 @@
 One vectorized kernel, ``per_obs_stats``, maps predicted quads (p00, p01,
 p10, p11) of any leading shape (..., 4) to the marginals p = p10 + p11 and
 q = p01 + p11, the conditional covariance C = p11 - p*q, the correlation
-rho = C / sqrt(p(1-p) q(1-q)), its two debiasing regressors, and the
-delta-method gradients of C and rho in the quad.  A marginal within
-DEGENERATE_TOL of 0 or 1 flags the record, whose correlation terms are
-zeroed.  Every other statistic in the package is read from this kernel.
+rho = C / sqrt(p(1-p) q(1-q)), the coefficients grad1 and grad2 of its
+one-step score, and the delta-method gradients of C and rho in the quad.
+A marginal within DEGENERATE_TOL of 0 or 1 flags the record, whose
+correlation terms are zeroed.  Every other statistic in the package is
+read from this kernel.
 
-Group averages of the covariance are doubly robust; group averages of the
-correlation are debiased by a weighted regression of rho on its two
-gradient regressors, the intercept being the debiased estimate.
+Both group statistics are weighted group means of a per-record one-step
+orthogonal score, s(quad) + grad s(quad) . (y - quad) with y the one-hot
+of the record's (c, r) class (Chernozhukov et al., "Double/debiased
+machine learning", Econometrics Journal 2018).  For C the score is the
+residual product (c - p)(r - q); for rho it adds the grad1 and grad2 terms
+to the residual product scaled by 1/sqrt(p(1-p) q(1-q)).
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ __all__ = [
     "covariance_from_quad",
     "correlation_from_quad",
     "per_obs_stats",
+    "covariance_score",
+    "correlation_score",
     "group_mean",
     "debiased_group_correlation",
     "summarize",
@@ -39,7 +45,6 @@ __all__ = [
 ]
 
 DEGENERATE_TOL = 1e-9
-RANK_TOL = 1e-10
 
 
 class DegenerateMarginalError(ValueError):
@@ -112,6 +117,21 @@ def per_obs_stats(quads: np.ndarray) -> PerObsStats:
     return _stats_from_marginals(p, q, quads[..., 3] - p * q)
 
 
+def covariance_score(stats: PerObsStats, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One-step score C + grad_covariance . (y - quad) of records with
+    outcomes (c, r), which is exactly the residual product (c - p)(r - q)."""
+    return (c - stats.p) * (r - stats.q)
+
+
+def correlation_score(stats: PerObsStats, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One-step score rho + grad_correlation . (y - quad) of records with
+    outcomes (c, r): (c - p)(r - q) / sqrt(p(1-p) q(1-q)) + grad2 (c - p)
+    + grad1 (r - q); 0 where degenerate."""
+    _, _, s = _safe_marginals(stats.p, stats.q, stats.degenerate)
+    dc, dr = c - stats.p, r - stats.q
+    return np.where(stats.degenerate, 0.0, dc * dr / s + stats.grad2 * dc + stats.grad1 * dr)
+
+
 def covariance_from_quad(quad: np.ndarray) -> float:
     return float(per_obs_stats(quad).covariance)
 
@@ -131,11 +151,6 @@ class GroupEstimate:
     kind: str  # "covariance", "naive correlation", "debiased correlation"
     estimate: float
     se: float
-    effective_size: float
-
-
-def _effective_size(w: np.ndarray) -> float:
-    return float(np.sum(w) ** 2 / np.sum(w**2))
 
 
 def group_mean(
@@ -156,54 +171,25 @@ def group_mean(
         raise DataError(f"group {group_id!r} is empty")
     est = weighted_mean(values, weights)
     se = math.sqrt(np.sum(weights**2 * (values - est) ** 2)) / np.sum(weights)
-    return GroupEstimate(group_id, kind, est, se, _effective_size(weights))
-
-
-def _wls_intercept(y: np.ndarray, X: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Weighted least squares; returns intercept and its sandwich SE.
-    X must carry the constant in column 0."""
-    sw = np.sqrt(w)
-    A = X * sw[:, None]
-    XtWX = A.T @ A
-    XtWy = A.T @ (y * sw)
-    theta = np.linalg.solve(XtWX, XtWy)
-    u = y - X @ theta
-    bread = np.linalg.inv(XtWX)
-    meat = (X * (w**2 * u**2)[:, None]).T @ X
-    V = bread @ meat @ bread
-    return float(theta[0]), float(math.sqrt(max(V[0, 0], 0.0)))
+    return GroupEstimate(group_id, kind, est, se)
 
 
 def debiased_group_correlation(
     stats: PerObsStats,
+    c: np.ndarray,
+    r: np.ndarray,
     weights: np.ndarray,
     group: np.ndarray | None = None,
     group_id: str = "",
 ) -> GroupEstimate:
-    """Intercept of the weighted regression of rho on (1, grad1, grad2)
-    over the group; heteroskedasticity-robust standard error.
-
-    Degenerate-marginal records are excluded.  If the regressor matrix is
-    rank-deficient, grad2 is dropped, then grad1; with both gone this is
-    the plain weighted group mean of rho.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
+    """Weighted group mean of the correlation's one-step score over the
+    group's non-degenerate records, with its sandwich standard error."""
     idx = np.arange(len(stats)) if group is None else np.asarray(group)
     idx = idx[~stats.degenerate[idx]]
     if len(idx) < 3:
         raise DataError(f"group {group_id!r} has fewer than 3 usable records")
-    y = stats.correlation[idx]
-    w = weights[idx]
-    columns = [np.ones(len(idx)), stats.grad1[idx], stats.grad2[idx]]
-    for n_drop in range(3):
-        X = np.column_stack(columns[: 3 - n_drop])
-        sv = np.linalg.svd(X * np.sqrt(w)[:, None], compute_uv=False)
-        if sv[-1] > RANK_TOL * sv[0]:
-            est, se = _wls_intercept(y, X, w)
-            return GroupEstimate(
-                group_id, "debiased correlation", est, se, _effective_size(w)
-            )
-    raise DataError(f"group {group_id!r}: regressors rank-deficient even without gradients")
+    psi = correlation_score(stats, c, r)
+    return group_mean(psi, weights, idx, group_id, "debiased correlation")
 
 
 @dataclass(frozen=True)
@@ -236,28 +222,26 @@ def _population_statistic(
     """Population value of the group-mean functional when the estimated
     marginals are (p0 + eps*dp, q0 + eps*dq) but outcomes follow the truth.
 
-    The covariance and correlation use the residual form
-    E[(c - p_hat)(r - q_hat) | cell] under the true cell distribution, which
-    is what the estimating equations average.
+    The residual product's cell mean E[(c - p)(r - q) | cell] stands in for
+    the covariance; the debiased correlation is the cell mean of its
+    one-step score, the residual product scaled by 1/s plus
+    grad2 (p0 - p) + grad1 (q0 - q).
     """
     truth = per_obs_stats(quads0)
     p = truth.p + eps * dp
     q = truth.q + eps * dq
     # E[(c - p)(r - q)] = C0 + (p0 - p)(q0 - q)
     cov = truth.covariance + (truth.p - p) * (truth.q - q)
+    est = _stats_from_marginals(p, q, cov)
     if kind == "covariance":
-        return float(np.sum(mu * cov) / np.sum(mu))
-    rho = _stats_from_marginals(p, q, cov).correlation
-    if kind == "naive correlation":
-        return float(np.sum(mu * rho) / np.sum(mu))
-    if kind == "debiased correlation":
-        # Regressors are evaluated at the truth: the debiasing claim is that
-        # the projection annihilates the first-order nuisance error in the
-        # regressand, which lies in the span of the truth-level regressors.
-        X = np.column_stack([np.ones(len(rho)), truth.grad1, truth.grad2])
-        est, _ = _wls_intercept(rho, X, mu)
-        return est
-    raise DataError(f"unknown statistic kind {kind!r}")
+        values = cov
+    elif kind == "naive correlation":
+        values = est.correlation
+    elif kind == "debiased correlation":
+        values = est.correlation + est.grad2 * (truth.p - p) + est.grad1 * (truth.q - q)
+    else:
+        raise DataError(f"unknown statistic kind {kind!r}")
+    return float(np.sum(mu * values) / np.sum(mu))
 
 
 @dataclass(frozen=True)
@@ -274,18 +258,15 @@ def orthogonality_check(
     n_directions: int = 8,
     step: float = 1e-4,
     seed: int = 0,
-) -> "OrthogonalityReport":
+) -> OrthogonalityReport:
     """Central-difference directional derivative of the group-mean estimating
     equation in the nuisance probabilities at the truth.
 
     The derivative is evaluated in population form (exact expectations over
     the DGP's covariate cells), so the report isolates the analytic gradient
-    from Monte Carlo noise.  For the debiased correlation the perturbation
-    directions are constant shifts of (p, q) across cells, the directions
-    whose first-order effect lies in the span of the gradient regressors.
-
-    Returns a dict with the per-direction derivatives and their max
-    magnitude.
+    from Monte Carlo noise.  Each direction perturbs p and q independently
+    in every cell, drawn from a standard normal and scaled to unit norm.
+    The report holds the per-direction derivatives and their max magnitude.
     """
     from .synth import compute_ground_truth
 
@@ -297,17 +278,11 @@ def orthogonality_check(
 
     derivs = []
     for _ in range(n_directions):
-        if kind == "debiased correlation":
-            direction = rng.standard_normal(2)
-            direction /= np.linalg.norm(direction)
-            dp = np.full(n_cells, direction[0])
-            dq = np.full(n_cells, direction[1])
-        else:
-            dp = rng.standard_normal(n_cells)
-            dq = rng.standard_normal(n_cells)
-            norm = math.sqrt(float(dp @ dp + dq @ dq))
-            dp /= norm
-            dq /= norm
+        dp = rng.standard_normal(n_cells)
+        dq = rng.standard_normal(n_cells)
+        norm = math.sqrt(float(dp @ dp + dq @ dq))
+        dp /= norm
+        dq /= norm
         up = _population_statistic(kind, quads0, mu, dp, dq, step)
         dn = _population_statistic(kind, quads0, mu, dp, dq, -step)
         derivs.append((up - dn) / (2 * step))

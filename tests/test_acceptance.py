@@ -338,7 +338,7 @@ def _c7_rep(dgp: SyntheticDGP, seed: int):
     stats = per_obs_stats(cross_fit_predict(d, C7_LEARNER, make_folds(d, 2, seed)))
     out = [
         debiased_group_correlation(
-            stats, d.w, np.nonzero(np.isin(d.covariates[:, 0], cells))[0]
+            stats, d.c, d.r, d.w, np.nonzero(np.isin(d.covariates[:, 0], cells))[0]
         )
         for cells in C7_GROUPS
     ]
@@ -388,6 +388,18 @@ def test_criterion_07_ground_truth_recovery():
         ok,
         f"recovery {recovery:.3f} (>=0.90), power {power:.2f} (>=0.8), size {size:.2f} (<= {size_bound:.3f}), {elapsed:.0f}s",
     )
+
+
+def test_criterion_07_boundary_size():
+    """Size at the boundary of the null: rho* = 0 in every cell.  Criterion
+    7's own size check runs at rho* = +0.15, deep inside the null, where
+    standard errors that are too small still reject rarely."""
+    t0 = time.monotonic()
+    size = _c7_rejection_rate(_c7_dgp(np.zeros(C7_CELLS)), 100, 73_000)
+    size_bound = 0.05 + 2 * math.sqrt(0.05 * 0.95 / 100)
+    elapsed = time.monotonic() - t0
+    ok = size <= size_bound and elapsed < 1800.0
+    _verdict(7, "boundary size", ok, f"size {size:.2f} (<= {size_bound:.3f}), {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["estimate", "test-intersection", "report"])
     def test_failed_group_estimate_is_reported(self, workdir, tmp_path, command):
         """A modality with two records cannot carry the debiased
-        regression: its row is NaN, the feature's dd_correlation
+        correlation: its row is NaN, the feature's dd_correlation
         intersection rows are not tested, and stderr says which group and
         why, once."""
         schema = CategoricalSchema.from_yaml(workdir["schema"])

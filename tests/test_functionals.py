@@ -12,6 +12,8 @@ from pcptest.functionals import (
     correlation_from_quad,
     covariance_from_quad,
     DEGENERATE_TOL,
+    correlation_score,
+    covariance_score,
     debiased_group_correlation,
     group_mean,
     orthogonality_check,
@@ -325,71 +327,71 @@ class TestGroupMean:
         assert abs(ge.estimate - target) < 3 * max(ge.se, 1e-4)
 
 
+@given(
+    records=st.lists(
+        st.tuples(st.one_of(edge_quad(), quad_strategy()), st.integers(0, 1), st.integers(0, 1)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_scores_match_one_step_oracle(records):
+    """Each closed-form score is the one-step expansion
+    s(quad) + grad s(quad) . (onehot(y) - quad) built from the kernel's
+    delta-method gradients; for C it is exactly the residual product."""
+    quads = np.array([quad for quad, _, _ in records])
+    c = np.array([rec[1] for rec in records])
+    r = np.array([rec[2] for rec in records])
+    stats = per_obs_stats(quads)
+    p, q = oracle_marginals(quads)
+    assert_bits(covariance_score(stats, c, r), (c - p) * (r - q))
+    step = np.eye(4)[2 * c + r] - quads
+    for score, value, grad in (
+        (covariance_score(stats, c, r), stats.covariance, stats.grad_covariance),
+        (correlation_score(stats, c, r), stats.correlation, stats.grad_correlation),
+    ):
+        terms = grad * step
+        one_step = value + terms.sum(axis=-1)
+        # Rounding in the quad's entries and marginals, magnified by the
+        # gradient, which grows like 1/s next to the boundary.
+        tol = 1e-12 * (1.0 + np.abs(value) + np.abs(terms).sum(axis=-1))
+        tol += 1e-14 * np.abs(grad).sum(axis=-1)
+        assert np.all(np.abs(score - one_step) <= tol), (score, one_step)
+    assert np.all(correlation_score(stats, c, r)[stats.degenerate] == 0.0)
+
+
 class TestDebiased:
     def _stats(self, seed=0, n=400):
         rng = np.random.default_rng(seed)
         raw = rng.uniform(0.05, 1.0, (n, 4))
         quads = raw / raw.sum(axis=1, keepdims=True)
-        return per_obs_stats(quads), rng.uniform(0.1, 1.0, n)
+        c, r = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        return per_obs_stats(quads), c, r, rng.uniform(0.1, 1.0, n)
 
     def test_vanishing_regressors_give_weighted_mean(self):
-        # p = q = 1/2 everywhere: rho varies, gradients vanish.
+        # p = q = 1/2 everywhere: rho varies, gradients vanish, and the
+        # score is the residual product over s = 1/4.
         rho = np.array([-0.2, 0.0, 0.3, 0.1])
         quads = np.column_stack(
             [0.25 + rho / 4, 0.25 - rho / 4, 0.25 - rho / 4, 0.25 + rho / 4]
         )
         stats = per_obs_stats(quads)
+        c, r = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
         w = np.array([0.5, 1.0, 0.7, 0.9])
-        ge = debiased_group_correlation(stats, w)
-        assert ge.estimate == pytest.approx(np.average(rho, weights=w), abs=1e-10)
-
-    def test_matches_lstsq_oracle(self):
-        stats, w = self._stats(seed=5)
-        ge = debiased_group_correlation(stats, w)
-        X = np.column_stack([np.ones(len(w)), stats.grad1, stats.grad2])
-        sw = np.sqrt(w)
-        beta, *_ = np.linalg.lstsq(X * sw[:, None], stats.correlation * sw, rcond=None)
-        assert ge.estimate == pytest.approx(beta[0], abs=1e-10)
-
-    def test_residuals_orthogonal_to_regressors(self):
-        stats, w = self._stats(seed=6)
-        X = np.column_stack([np.ones(len(w)), stats.grad1, stats.grad2])
-        sw = np.sqrt(w)
-        beta, *_ = np.linalg.lstsq(X * sw[:, None], stats.correlation * sw, rcond=None)
-        resid = stats.correlation - X @ beta
-        assert np.max(np.abs((w * resid) @ X)) < 1e-8 * len(w)
-
-    def test_span_invariance(self):
-        """Adding any combination of grad1, grad2 to rho leaves the
-        intercept unchanged."""
-        stats, w = self._stats(seed=7)
-        base = debiased_group_correlation(stats, w).estimate
-        shifted = stats.correlation + 0.8 * stats.grad1 - 1.3 * stats.grad2
-        import dataclasses
-
-        stats2 = dataclasses.replace(stats, correlation=shifted)
-        assert debiased_group_correlation(stats2, w).estimate == pytest.approx(
-            base, abs=1e-10
-        )
-
-    def test_collinear_fallback(self):
-        # All records identical: regressors constant, rank 1 -> plain mean.
-        quad = np.array([0.52, 0.11, 0.29, 0.08])
-        quads = np.tile(quad, (20, 1))
-        stats = per_obs_stats(quads)
-        w = np.ones(20)
-        ge = debiased_group_correlation(stats, w)
-        assert ge.estimate == pytest.approx(correlation_from_quad(quad), abs=1e-10)
+        ge = debiased_group_correlation(stats, c, r, w)
+        expected = group_mean((2 * c - 1) * (2 * r - 1), w)
+        assert ge.estimate == pytest.approx(expected.estimate, abs=1e-12)
+        assert ge.se == pytest.approx(expected.se, abs=1e-12)
 
     def test_small_group_rejected(self):
-        stats, w = self._stats(seed=8, n=2)
+        stats, c, r, w = self._stats(seed=8, n=2)
         with pytest.raises(Exception):
-            debiased_group_correlation(stats, w)
+            debiased_group_correlation(stats, c, r, w)
 
     def test_plugin_truth_recovers_group_mean(self, small_schema):
         """With true quads plugged in and rho constant in the group, the
-        intercept estimates the group mean of rho*."""
-        from pcptest.synth import compute_ground_truth, sample_dataset
+        mean score estimates the group mean of rho*."""
+        from pcptest.synth import sample_dataset
 
         dgp = make_dgp(
             small_schema,
@@ -401,7 +403,7 @@ class TestDebiased:
         quads = np.array([gt.quads[gt.lookup()[tuple(c)]] for c in np.unique(d.covariates, axis=0)])
         cells, inverse = np.unique(d.covariates, axis=0, return_inverse=True)
         stats = per_obs_stats(quads[inverse])
-        ge = debiased_group_correlation(stats, d.w)
+        ge = debiased_group_correlation(stats, d.c, d.r, d.w)
         assert abs(ge.estimate - 0.08) < max(3 * ge.se, 1e-3)
 
 

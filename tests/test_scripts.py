@@ -1,6 +1,7 @@
 """Every experiment script still imports and parses its options: each
 ``--help`` runs in a fresh interpreter with the package's sources on the
-path and must exit 0."""
+path and must exit 0.  The recovery experiment also runs for real, on a
+few small replicates."""
 
 import os
 import subprocess
@@ -17,11 +18,21 @@ def test_scripts_found():
     assert len(SCRIPTS) >= 4
 
 
+def run_script(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(script), *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
 def test_help_exits_zero(script):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    res = subprocess.run(
-        [sys.executable, str(script), "--help"], env=env, capture_output=True, text=True, timeout=120
-    )
+    res = run_script(script, "--help")
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage:")
+
+
+def test_recovery_experiment_runs():
+    res = run_script(ROOT / "scripts" / "recovery_experiment.py", "--reps", "2", "--n", "600")
+    assert res.returncode == 0, res.stderr
+    assert "intersection-test rejection rate" in res.stdout
