@@ -2,8 +2,8 @@
 
 Weighted 4-way classifiers estimate joint coverage/claim probabilities on
 categorical rating cells; covariance and correlation functionals of those
-probabilities are debiased and fed to multiplier-bootstrap intersection
-tests and sorted-group diagnostics.
+probabilities are debiased and fed to intersection tests, whose critical
+values come from Monte Carlo normal draws, and to the sorted-groups test.
 """
 
 __version__ = "1.0.0"

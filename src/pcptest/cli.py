@@ -97,6 +97,8 @@ class RunConfig:
             raise DataError(f"unknown learner {self.learner!r}")
         if self.statistic not in ("covariance", "correlation"):
             raise DataError(f"unknown statistic {self.statistic!r}")
+        if self.hyperopt_grid not in ("default", "singleton"):
+            raise DataError(f"unknown hyperopt grid {self.hyperopt_grid!r}")
         # Every learner section is checked, used by this run or not, so that
         # every command accepts or rejects the same config.
         for kind, (cfg_cls, _) in L.KINDS.items():
@@ -273,8 +275,6 @@ def cmd_simulate(cfg: RunConfig, out: OutputDir) -> None:
 def _grid_for(cfg: RunConfig) -> list[L.LearnerConfig]:
     if cfg.hyperopt_grid == "singleton":
         return [learner_config(cfg)]
-    if cfg.hyperopt_grid != "default":
-        raise DataError(f"unknown hyperopt grid {cfg.hyperopt_grid!r}")
     return _checked(cfg, L.default_grid, L.KINDS[cfg.learner][0])
 
 
@@ -282,10 +282,7 @@ def cmd_hyperopt(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
     grid = _grid_for(cfg)
     t0 = time.monotonic()
-    if cfg.learner == "network":
-        report = L.hyperopt_network(d, grid, SplitPlan(cfg.split_fractions, cfg.seed))
-    else:
-        report = L.hyperopt_trees(d, grid, seed=cfg.seed)
+    report = L.hyperopt(d, grid, SplitPlan(cfg.split_fractions, cfg.seed))
     _log(f"hyperopt: {len(grid)} candidates in {time.monotonic() - t0:.1f}s")
     axes = list(L.GRID_AXES[L.KINDS[cfg.learner][0]])
     rows = [
@@ -494,8 +491,7 @@ def _sorted_config(cfg: RunConfig) -> SortedGroupsConfig:
         n_splits=cfg.sorted_splits,
         main_fraction=cfg.main_fraction,
         statistic=cfg.statistic,
-        learner=learner_config(cfg) if cfg.hyperopt_grid == "singleton" else None,
-        network=cfg.network,
+        grid=tuple(_grid_for(cfg)),
         seed=cfg.seed,
     )
 
@@ -521,8 +517,13 @@ def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult, t0: f
         out,
         "sorted_median",
         [f"group{g + 1}_{cfg.statistic}" for g in range(scfg.n_groups)]
-        + ["median_statistic", "median_tstat", "median_p_value"],
-        [list(res.median_group_stats) + [res.median_statistic, res.median_tstat, res.median_p_value]],
+        + ["median_statistic", "median_tstat", "median_p_value", "adjusted_p_value"]
+        + [f"ci_{side}_{_fmt(a)}" for a in cfg.levels for side in ("lower", "upper")],
+        [
+            list(res.median_group_stats)
+            + [res.median_statistic, res.median_tstat, res.median_p_value, res.adjusted_p_value]
+            + [bound for a in cfg.levels for bound in res.interval(a)]
+        ],
     )
 
 

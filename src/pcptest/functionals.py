@@ -37,6 +37,7 @@ __all__ = [
     "per_obs_stats",
     "covariance_score",
     "correlation_score",
+    "SCORES",
     "group_mean",
     "debiased_group_correlation",
     "summarize",
@@ -130,6 +131,10 @@ def correlation_score(stats: PerObsStats, c: np.ndarray, r: np.ndarray) -> np.nd
     _, _, s = _safe_marginals(stats.p, stats.q, stats.degenerate)
     dc, dr = c - stats.p, r - stats.q
     return np.where(stats.degenerate, 0.0, dc * dr / s + stats.grad2 * dc + stats.grad1 * dr)
+
+
+# Each group statistic's one-step score, by statistic name.
+SCORES = {"covariance": covariance_score, "correlation": correlation_score}
 
 
 def covariance_from_quad(quad: np.ndarray) -> float:

@@ -4,7 +4,8 @@ The intersection test asks whether the smallest group-averaged statistic
 is negative, with Monte Carlo calibrated critical values (a selection
 value k0 and a decision value k).  The sorted-groups test repeatedly
 splits the sample, trains on one half, sorts the other half into quartiles
-of the predicted statistic, and tests the lowest quartile directly.
+of the predicted statistic, tests the lowest quartile directly, and reads
+the split medians as Chernozhukov et al. (arXiv:1712.04802) specify.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from .data import (
     SplitPlan,
     quantile_group_indices,
 )
-from .functionals import (
-    DegenerateMarginalError,
-    GroupEstimate,
-    group_mean,
-    per_obs_stats,
-)
+from .functionals import SCORES, GroupEstimate, group_mean, per_obs_stats
 from .network import NetworkConfig
 from .parallel import call, map_units
 
@@ -47,7 +43,6 @@ __all__ = [
     "sorted_split_units",
     "merge_sorted_splits",
     "sorted_groups_run",
-    "delta_method_se",
     "RejectionReport",
     "mc_size_power",
     "gaussian_group_draw",
@@ -180,29 +175,11 @@ def analytic_k0(L: int, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Delta-method standard errors for statistics of a group-mean quad
-
-
-def delta_method_se(quad: np.ndarray, sigma: np.ndarray, kind: str) -> float:
-    """sqrt(grad' Sigma grad) for the statistic of a mean quad."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != (4, 4):
-        raise DataError("sigma must be a 4x4 covariance matrix")
-    if not np.allclose(sigma, sigma.T, atol=1e-10):
-        raise DataError("sigma must be symmetric")
-    if kind not in ("covariance", "correlation"):
-        raise DataError(f"unknown statistic kind {kind!r}")
-    stats = per_obs_stats(quad)
-    if kind == "correlation" and stats.degenerate:
-        raise DegenerateMarginalError(f"correlation undefined at p={stats.p}, q={stats.q}")
-    g = stats.grad_covariance if kind == "covariance" else stats.grad_correlation
-    var = float(g @ sigma @ g)
-    # Clip tiny negative values from floating-point PSD violations.
-    return math.sqrt(max(var, 0.0))
-
-
-# ---------------------------------------------------------------------------
 # Sorted-groups test
+
+
+# Draws of one split before a degenerate split is an error.
+MAX_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -211,11 +188,11 @@ class SortedGroupsConfig:
     n_splits: int = 101
     main_fraction: float = 0.5
     statistic: str = "correlation"  # or "covariance"
-    learner: L.LearnerConfig | None = None  # fixed config; None = default network grid
-    network: dict = field(default_factory=dict)  # NetworkConfig settings for that grid
+    # One family's candidates: one is the split's learner, more are searched.
+    grid: tuple[L.LearnerConfig, ...] = field(
+        default_factory=lambda: tuple(L.default_grid(NetworkConfig))
+    )
     seed: int = 0
-    max_retries: int = 20
-    hyperopt_plan: SplitPlan = field(default_factory=lambda: SplitPlan((0.70, 0.15, 0.15)))
 
     def __post_init__(self) -> None:
         if self.n_groups < 2:
@@ -226,17 +203,15 @@ class SortedGroupsConfig:
             raise DataError("main_fraction must lie in (0, 1)")
         if self.statistic not in ("covariance", "correlation"):
             raise DataError(f"unknown statistic {self.statistic!r}")
-        try:
-            NetworkConfig(**self.network)
-        except ValueError as err:
-            raise DataError(f"invalid network settings: {err}") from err
+        if not self.grid:
+            raise DataError("empty learner grid")
 
 
 @dataclass(frozen=True)
 class SplitResult:
     group_quads: np.ndarray  # (n_groups, 4) weighted mean quads, sorted by prediction
     group_stats: np.ndarray  # (n_groups,) statistic of each mean quad
-    group_ses: np.ndarray  # delta-method SEs
+    group_ses: np.ndarray  # sandwich SEs of each group's one-step score
     predicted_means: np.ndarray  # group means of the predicted statistic
     group_rows: tuple[np.ndarray, ...]  # row indices into the full dataset
     statistic: float  # group 1 (lowest quartile)
@@ -255,18 +230,19 @@ class SortedGroupsResult:
     median_p_value: float
     redraws: int  # splits drawn again after a degenerate draw, over all splits
 
+    @property
+    def adjusted_p_value(self) -> float:
+        """The median p-value doubled, the split-median p-value that is
+        valid at its level."""
+        return min(1.0, 2.0 * self.median_p_value)
 
-def _group_quad_and_cov(
-    labels: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean of the class one-hot plus its sandwich covariance."""
-    y = np.zeros((len(labels), 4))
-    y[np.arange(len(labels)), labels] = 1.0
-    sw = w.sum()
-    mean = w @ y / sw
-    resid = y - mean
-    cov = (resid * (w**2)[:, None]).T @ resid / sw**2
-    return mean, cov
+    def interval(self, alpha: float) -> tuple[float, float]:
+        """Medians over splits of group 1's per-split bounds statistic -/+
+        z_(1-alpha/2) se; the interval covers with probability >= 1 - 2 alpha."""
+        z = float(norm.ppf(1.0 - alpha / 2.0))
+        lower = np.median([s.statistic - z * s.se for s in self.splits])
+        upper = np.median([s.statistic + z * s.se for s in self.splits])
+        return float(lower), float(upper)
 
 
 def _one_split(
@@ -274,7 +250,7 @@ def _one_split(
 ) -> tuple[SplitResult, int]:
     """The split's result and the number of redraws it took."""
     last_err: Exception | None = None
-    for redraws in range(cfg.max_retries):
+    for redraws in range(MAX_RETRIES):
         perm = rng.permutation(d.n)
         n_main = int(math.floor(d.n * cfg.main_fraction))
         if n_main < cfg.n_groups or d.n - n_main < 10:
@@ -285,7 +261,7 @@ def _one_split(
         except DataError as err:
             last_err = err  # empty group or degenerate split; redraw
     raise DataError(
-        f"sorted-groups split failed after {cfg.max_retries} retries: {last_err}"
+        f"sorted-groups split failed after {MAX_RETRIES} retries: {last_err}"
     )
 
 
@@ -296,26 +272,20 @@ def _split_result(
     inner_seed: int,
     main_rows: np.ndarray,
 ) -> SplitResult:
-    if cfg.learner is not None:
-        learner_cfg = cfg.learner
-        if isinstance(learner_cfg, NetworkConfig):
-            learner_cfg = replace(learner_cfg, seed=inner_seed)
-    else:
-        grid = L.default_grid(NetworkConfig, seed=inner_seed, **cfg.network)
-        report = L.hyperopt_network(aux, grid, replace(cfg.hyperopt_plan, seed=inner_seed))
-        learner_cfg = report.selected
-    model = L.train_any(aux, learner_cfg)
+    """Train on ``aux``, test on ``main``.  A group's SE is the ``group_mean``
+    SE of the one-step score at the group's mean class one-hot."""
+    grid = [replace(c, seed=inner_seed) for c in cfg.grid]
+    if len(grid) > 1:
+        grid = [L.hyperopt(aux, grid, SplitPlan(seed=inner_seed)).selected]
+    model = L.train_any(aux, grid[0])
 
     quads = model.predict_quads(main)
     stats = per_obs_stats(quads)
     values = stats.covariance if cfg.statistic == "covariance" else stats.correlation
     groups = quantile_group_indices(values, main.w, cfg.n_groups)
 
-    labels = main.class_labels()
-    group_quads = np.empty((cfg.n_groups, 4))
-    group_covs = np.empty((cfg.n_groups, 4, 4))
-    for g, idx in enumerate(groups):
-        group_quads[g], group_covs[g] = _group_quad_and_cov(labels[idx], main.w[idx])
+    onehot = np.eye(4)[main.class_labels()]
+    group_quads = np.array([main.w[idx] @ onehot[idx] / main.w[idx].sum() for idx in groups])
     at_means = per_obs_stats(group_quads)
     if cfg.statistic == "correlation" and at_means.degenerate.any():
         g = int(np.argmax(at_means.degenerate))
@@ -323,8 +293,12 @@ def _split_result(
             f"group {g + 1}: correlation undefined at p={at_means.p[g]}, q={at_means.q[g]}"
         )
     group_stats = getattr(at_means, cfg.statistic)
+    score = SCORES[cfg.statistic]
     group_ses = np.array(
-        [delta_method_se(quad, cov, cfg.statistic) for quad, cov in zip(group_quads, group_covs)]
+        [
+            group_mean(score(per_obs_stats(quad), main.c[idx], main.r[idx]), main.w[idx]).se
+            for quad, idx in zip(group_quads, groups)
+        ]
     )
     predicted_means = np.array([np.average(values[idx], weights=main.w[idx]) for idx in groups])
 

@@ -42,6 +42,7 @@ __all__ = [
     "default_grid",
     "cross_entropy_loss",
     "train_any",
+    "hyperopt",
     "hyperopt_network",
     "hyperopt_trees",
     "cross_fit_units",
@@ -250,6 +251,16 @@ def hyperopt_trees(
     d_train = d.take(perm[n_test:])
     losses = [cross_entropy_loss(train_any(d_train, cfg, target=target), d_test) for cfg in grid]
     return HyperoptReport(list(grid), losses, int(np.argmin(losses)))
+
+
+def hyperopt(
+    d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan, target: str = "cr"
+) -> HyperoptReport:
+    """Grid search over one family's candidates: ``hyperopt_network`` on
+    ``plan`` for networks, ``hyperopt_trees`` with ``plan.seed`` for trees."""
+    if grid and _kind_of(grid[0]) == "network":
+        return hyperopt_network(d, grid, plan, target)
+    return hyperopt_trees(d, grid, plan.seed, target)
 
 
 # ---------------------------------------------------------------------------

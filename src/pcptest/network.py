@@ -235,6 +235,7 @@ def _training_key(cfg: NetworkConfig) -> NetworkConfig:
     return replace(cfg, width=0, dropout=0.0) if cfg.depth == 0 else cfg
 
 
+@np.errstate(all="ignore")
 def _fit_stack(
     cfgs: Sequence[NetworkConfig],
     X_train: np.ndarray,
@@ -248,6 +249,7 @@ def _fit_stack(
     """Mini-batch Adam with per-member patience-based early stopping for
     configs that differ only in dropout.  Returns, per member, (best params,
     TrainingReport) or the NetworkTrainingError that ended its training.
+    Floating-point warnings are off: the non-finite loss check reports.
 
     A member draws from default_rng(seed) in the one-config order: its
     initialization, one permutation per epoch, then the dropout masks of

@@ -418,7 +418,7 @@ def test_criterion_08_sorted_groups_coverage():
         true_quads = truth.quads[
             [lut[tuple(int(v) for v in cov)] for cov in d.covariates]
         ]
-        res = sorted_groups_run(d, SortedGroupsConfig(n_splits=1, learner=learner, seed=seed))
+        res = sorted_groups_run(d, SortedGroupsConfig(n_splits=1, grid=(learner,), seed=seed))
         s = res.splits[0]
         rows = s.group_rows[0]
         w = d.w[rows]

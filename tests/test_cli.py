@@ -336,31 +336,40 @@ class TestCommands:
         assert multiprocessing.active_children() == []
 
     def test_sorted_grid_takes_network_settings(self, workdir, tmp_path, monkeypatch, workers):
-        """Every split's default-grid candidates carry the config's network
-        settings and that split's own seed."""
+        """Every split searches the default grid of the config's learner
+        family, whose candidates carry the config's settings for that
+        learner and the split's own seed."""
         workers(1)
         grids = []
 
-        def first_candidate(aux, grid, plan, target="cr"):
+        def first_candidate(aux, grid, *args):
             grids.append(grid)
             return L.HyperoptReport(list(grid), [0.0] * len(grid), 0)
 
         monkeypatch.setattr(L, "hyperopt_network", first_candidate)
-        doc = base_config(
-            workdir,
-            tmp_path / "o",
-            learner="network",
-            network={"max_epochs": 1},
-            hyperopt_grid="default",
-            sorted_splits=2,
-        )
-        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "test-sorted")
-        assert res.exit_code == 0, res.output
-        assert len(grids) == 2
-        assert all(len(grid) == 108 for grid in grids)
-        assert all(c.max_epochs == 1 for grid in grids for c in grid)
-        seeds = [{c.seed for c in grid} for grid in grids]
-        assert all(len(s) == 1 for s in seeds) and seeds[0] != seeds[1]
+        monkeypatch.setattr(L, "hyperopt_trees", first_candidate)
+        for learner, settings, size in (
+            ("network", {"max_epochs": 1}, 108),
+            ("boosted", {"n_rounds": 2}, 27),
+        ):
+            grids.clear()
+            doc = base_config(
+                workdir,
+                tmp_path / learner,
+                learner=learner,
+                hyperopt_grid="default",
+                sorted_splits=2,
+                **{learner: settings},
+            )
+            res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "test-sorted")
+            assert res.exit_code == 0, res.output
+            assert len(grids) == 2
+            assert all(len(grid) == size for grid in grids)
+            assert all(type(c) is L.KINDS[learner][0] for grid in grids for c in grid)
+            for k, v in settings.items():
+                assert all(getattr(c, k) == v for grid in grids for c in grid)
+            seeds = [{c.seed for c in grid} for grid in grids]
+            assert all(len(s) == 1 for s in seeds) and seeds[0] != seeds[1]
 
     @pytest.mark.parametrize(
         "command, extra",
@@ -501,6 +510,20 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         (line,) = res.output.splitlines()
         assert line.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["fit", "hyperopt", "estimate", "test-intersection", "test-sorted", "importance", "report"],
+    )
+    def test_unknown_hyperopt_grid_is_validation_error(self, workdir, tmp_path, command):
+        out = tmp_path / "o"
+        doc = base_config(workdir, out, hyperopt_grid="bogus")
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line == "error: unknown hyperopt grid 'bogus'"
         assert not out.exists()
 
     def test_duplicate_column_is_validation_error(self, workdir, tmp_path):

@@ -8,23 +8,25 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pcptest import inference
+from pcptest import learners as L
 from pcptest.data import DataError
-from pcptest.functionals import DegenerateMarginalError
+from pcptest.functionals import per_obs_stats
 from pcptest.inference import (
     IntersectionInput,
     SortedGroupsConfig,
+    SplitResult,
     analytic_k0,
-    delta_method_se,
     gamma_n,
     gaussian_group_draw,
     intersection_test,
     intersection_tests,
     mc_size_power,
+    merge_sorted_splits,
     sorted_groups_run,
 )
 from pcptest.network import NetworkConfig
 from pcptest.synth import sample_dataset
-from pcptest.trees import BoostConfig
+from pcptest.trees import BoostConfig, ForestConfig
 
 
 class TestGammaN:
@@ -218,50 +220,9 @@ class TestSharedDraws:
             assert res == oracle_intersection_test(inp)
 
 
-class TestDeltaMethodSE:
-    def quad(self):
-        return np.array([0.5, 0.15, 0.25, 0.10])
-
-    def stat(self, quad, kind):
-        from pcptest.functionals import correlation_from_quad, covariance_from_quad
-
-        return covariance_from_quad(quad) if kind == "covariance" else correlation_from_quad(quad)
-
-    @pytest.mark.parametrize("kind", ["covariance", "correlation"])
-    def test_matches_finite_difference_gradient(self, kind):
-        quad = self.quad()
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(4, 4))
-        sigma = A @ A.T * 1e-4
-        h = 1e-7
-        g = np.zeros(4)
-        for j in range(4):
-            up, dn = quad.copy(), quad.copy()
-            up[j] += h
-            dn[j] -= h
-            g[j] = (self.stat(up, kind) - self.stat(dn, kind)) / (2 * h)
-        expected = math.sqrt(g @ sigma @ g)
-        assert delta_method_se(quad, sigma, kind) == pytest.approx(expected, rel=1e-5)
-
-    def test_zero_sigma_gives_zero(self):
-        assert delta_method_se(self.quad(), np.zeros((4, 4)), "correlation") == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            delta_method_se(self.quad(), np.zeros((3, 3)), "covariance")
-        bad = np.zeros((4, 4))
-        bad[0, 1] = 1.0
-        with pytest.raises(DataError):
-            delta_method_se(self.quad(), bad, "covariance")
-        with pytest.raises(DataError):
-            delta_method_se(self.quad(), np.zeros((4, 4)), "median")
-        with pytest.raises(DegenerateMarginalError):
-            delta_method_se(np.array([0.6, 0.4, 0.0, 0.0]), np.zeros((4, 4)), "correlation")
-
-
 class TestSortedGroups:
     def run(self, d, **kw):
-        kw.setdefault("learner", BoostConfig(n_rounds=10, max_depth=2))
+        kw.setdefault("grid", (BoostConfig(n_rounds=10, max_depth=2),))
         kw.setdefault("n_splits", 3)
         kw.setdefault("seed", 5)
         return sorted_groups_run(d, SortedGroupsConfig(**kw))
@@ -277,6 +238,35 @@ class TestSortedGroups:
             assert 0.0 <= s.p_value <= 1.0
             assert s.statistic == pytest.approx(s.group_stats[0])
             assert s.tstat == pytest.approx(s.statistic / s.se)
+
+    @pytest.mark.parametrize("statistic", ["covariance", "correlation"])
+    def test_ses_match_delta_method_oracle(self, small_dataset, statistic):
+        """Each group's SE is sqrt(grad' Sigma grad) at the group's mean
+        class one-hot, Sigma the sandwich covariance of that mean."""
+        d = small_dataset
+        onehot = np.eye(4)[d.class_labels()]
+        for s in self.run(d, statistic=statistic).splits:
+            for g, rows in enumerate(s.group_rows):
+                y, w = onehot[rows], d.w[rows]
+                mean = w @ y / w.sum()
+                resid = y - mean
+                sigma = (resid * (w**2)[:, None]).T @ resid / w.sum() ** 2
+                grad = getattr(per_obs_stats(mean), f"grad_{statistic}")
+                expected = math.sqrt(grad @ sigma @ grad)
+                assert s.group_ses[g] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_fixed_forest_takes_each_splits_seed(self, small_dataset, monkeypatch, workers):
+        workers(1)
+        seeds = []
+        train_any = L.train_any
+
+        def recorded(d, cfg, *args, **kw):
+            seeds.append(cfg.seed)
+            return train_any(d, cfg, *args, **kw)
+
+        monkeypatch.setattr(L, "train_any", recorded)
+        self.run(small_dataset, grid=(ForestConfig(n_trees=3, max_depth=2),))
+        assert len(set(seeds)) == 3
 
     def test_medians_are_componentwise(self, small_dataset):
         res = self.run(small_dataset)
@@ -325,7 +315,7 @@ class TestSortedGroups:
     def test_network_learner(self, small_dataset):
         res = self.run(
             small_dataset,
-            learner=NetworkConfig(depth=0, max_epochs=20),
+            grid=(NetworkConfig(depth=0, max_epochs=20),),
             n_splits=1,
             statistic="covariance",
         )
@@ -341,7 +331,51 @@ class TestSortedGroups:
         with pytest.raises(DataError):
             SortedGroupsConfig(statistic="median")
         with pytest.raises(DataError):
-            SortedGroupsConfig(network={"patience": 0})
+            SortedGroupsConfig(grid=())
+
+
+class TestSortedGroupsMedians:
+    """Split medians as Chernozhukov, Demirer, Duflo and Fernandez-Val
+    (arXiv:1712.04802) read them, on hand-built splits."""
+
+    @staticmethod
+    def merged(stats, ses):
+        splits = [
+            SplitResult(
+                np.full((4, 4), 0.25),
+                np.array([t, 0.1, 0.2, 0.3]),
+                np.array([se, 1.0, 1.0, 1.0]),
+                np.zeros(4),
+                (),
+                t,
+                se,
+                t / se,
+                float(norm.cdf(t / se)),
+            )
+            for t, se in zip(stats, ses)
+        ]
+        cfg = SortedGroupsConfig(n_splits=len(splits), grid=(BoostConfig(),))
+        return merge_sorted_splits(cfg, [(s, 0) for s in splits])
+
+    def test_adjusted_p_value_doubles_the_median(self):
+        alpha = 0.05
+        z = norm.ppf(0.04)  # median p 0.04, in (alpha/2, alpha]
+        res = self.merged([z - 1.0, z, z + 0.5], [1.0, 1.0, 1.0])
+        assert alpha / 2 < res.median_p_value <= alpha
+        assert res.adjusted_p_value > alpha
+        assert res.adjusted_p_value == pytest.approx(2 * res.median_p_value)
+        assert self.merged([1.0], [1.0]).adjusted_p_value == 1.0
+
+    def test_interval_is_the_median_of_split_bounds(self):
+        stats = np.array([-0.3, 0.1, 0.0, 0.4, -0.1])
+        ses = np.array([0.05, 0.4, 0.1, 0.2, 0.3])
+        res = self.merged(stats, ses)
+        for alpha in (0.01, 0.05, 0.10):
+            z = norm.ppf(1 - alpha / 2)
+            lower, upper = np.median(stats - z * ses), np.median(stats + z * ses)
+            assert res.interval(alpha) == (lower, upper)
+            # Not the median statistic -/+ z times the median SE.
+            assert lower != np.median(stats) - z * np.median(ses)
 
 
 class TestMCSizePower:

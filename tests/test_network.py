@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -251,12 +252,15 @@ class TestStackedMatchesOracle:
         assert np.array_equal(flat_of(params[0]), flat_of(single))
 
     def test_non_finite_loss_raises(self):
+        """The non-finite loss alone reports a diverged member; numpy warns
+        of nothing on the way."""
         X, labels, w = toy_problem(n=100, seed=16)
         cfgs = [
             NetworkConfig(depth=1, width=4, max_epochs=3),
             NetworkConfig(depth=1, width=4, dropout=0.5, max_epochs=3, learning_rate=1e300),
         ]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NetworkTrainingError, match="non-finite loss at epoch 1"):
                 fit_softmax_networks(X, labels, w, X, labels, w, cfgs, 4)
 
@@ -295,7 +299,8 @@ class TestPooledGrid:
         workers(n_workers)
         X, labels, w = toy_problem(n=100, seed=16)
         grid = [replace(c, learning_rate=math.inf) for c in self.GRID]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(
                 NetworkTrainingError,
                 match=r"^non-finite loss at epoch 1 \(depth 0\)$",
