@@ -48,6 +48,7 @@ from .functionals import (
     summarize,
 )
 from .inference import (
+    MIN_MC_DRAWS,
     IntersectionInput,
     SortedGroupsConfig,
     SortedGroupsResult,
@@ -90,6 +91,8 @@ class RunConfig:
     hyperopt_grid: str = "default"  # "default" or "singleton"
 
     def __post_init__(self) -> None:
+        if not self.levels:
+            raise DataError("no test levels configured")
         for a in self.levels:
             if not (0.0 < a < 1.0):
                 raise DataError(f"test level {a} outside (0, 1)")
@@ -99,10 +102,18 @@ class RunConfig:
             raise DataError(f"unknown statistic {self.statistic!r}")
         if self.hyperopt_grid not in ("default", "singleton"):
             raise DataError(f"unknown hyperopt grid {self.hyperopt_grid!r}")
-        # Every learner section is checked, used by this run or not, so that
-        # every command accepts or rejects the same config.
+        # Every section is checked by its owner's rules, used by this run or
+        # not, so that every command accepts or rejects the same config.
         for kind, (cfg_cls, _) in L.KINDS.items():
             _checked(self, cfg_cls, kind=kind)
+        SplitPlan(self.split_fractions, self.seed)
+        if self.folds < 2:
+            raise DataError("folds must be at least 2")
+        if self.mc_draws < MIN_MC_DRAWS:
+            raise DataError(f"mc_draws must be at least {MIN_MC_DRAWS}")
+        SortedGroupsConfig(
+            self.sorted_groups, self.sorted_splits, self.main_fraction, grid=(learner_config(self),)
+        )
 
     def fingerprint(self) -> str:
         doc = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
@@ -181,7 +192,9 @@ class OutputDir:
         return p
 
     def cleanup(self) -> None:
-        for name in self.files:
+        """Remove the files this run wrote and, if it wrote any, the
+        directory's manifest: an earlier run's manifest may list them."""
+        for name in self.files + ["manifest.json"] if self.files else []:
             p = os.path.join(self.root, name)
             if os.path.exists(p):
                 os.remove(p)

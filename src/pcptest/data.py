@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ import yaml
 __all__ = [
     "CategoricalSchema",
     "Dataset",
-    "DesignMatrix",
     "SplitPlan",
     "FoldAssignment",
     "DataError",
@@ -206,39 +205,20 @@ class Dataset:
         return (2 * self.c + self.r).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Dummy-coded design: leading constant, then per-feature dummy blocks
-    omitting each feature's reference (first-listed) modality."""
-
-    rows: np.ndarray  # (n, width) float
-    column_names: tuple[str, ...]
-    feature_columns: dict[str, tuple[int, ...]] = field(repr=False, default_factory=dict)
-
-    @property
-    def width(self) -> int:
-        return self.rows.shape[1]
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-
-def _design_layout(schema: CategoricalSchema):
-    names = ["const"]
-    feature_columns: dict[str, tuple[int, ...]] = {}
+def _design_layout(schema: CategoricalSchema) -> dict[str, tuple[int, ...]]:
+    """Each feature's design columns, in schema order."""
+    feature_columns = {}
     col = 1
     for name, codes in schema.features:
-        cols = []
-        for code in codes[1:]:
-            names.append(f"{name}={code}")
-            cols.append(col)
-            col += 1
-        feature_columns[name] = tuple(cols)
-    return tuple(names), feature_columns
+        feature_columns[name] = tuple(range(col, col + len(codes) - 1))
+        col += len(codes) - 1
+    return feature_columns
 
 
 def encode_rows(schema: CategoricalSchema, covariates: np.ndarray) -> np.ndarray:
-    """Dummy-code covariate rows (any array of modality codes) to design rows."""
+    """Dummy-code covariate rows (any array of modality codes) to design rows:
+    a leading constant, then per-feature dummy blocks omitting each feature's
+    reference (first-listed) modality."""
     covariates = np.asarray(covariates)
     if covariates.ndim == 1:
         covariates = covariates[None, :]
@@ -253,10 +233,9 @@ def encode_rows(schema: CategoricalSchema, covariates: np.ndarray) -> np.ndarray
     return X
 
 
-def one_hot_encode(d: Dataset) -> DesignMatrix:
-    names, feature_columns = _design_layout(d.schema)
-    X = encode_rows(d.schema, d.covariates)
-    return DesignMatrix(X, names, feature_columns)
+def one_hot_encode(d: Dataset) -> np.ndarray:
+    """The ``(n, width)`` design of every record of ``d``."""
+    return encode_rows(d.schema, d.covariates)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +331,8 @@ class SplitPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if len(self.fractions) != 3:
+            raise DataError("split fractions must be three: train, validation, test")
         if any(not (0.0 < f < 1.0) for f in self.fractions):
             raise DataError("split fractions must lie in (0, 1)")
         if abs(sum(self.fractions) - 1.0) > 1e-9:

@@ -152,8 +152,6 @@ def correlation_from_quad(quad: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GroupEstimate:
-    group_id: str
-    kind: str  # "covariance", "naive correlation", "debiased correlation"
     estimate: float
     se: float
 
@@ -163,7 +161,6 @@ def group_mean(
     weights: np.ndarray,
     group: np.ndarray | None = None,
     group_id: str = "",
-    kind: str = "covariance",
 ) -> GroupEstimate:
     """Weighted group mean with its sandwich standard error
     se^2 = sum w_i^2 (v_i - mean)^2 / (sum w_i)^2."""
@@ -176,7 +173,7 @@ def group_mean(
         raise DataError(f"group {group_id!r} is empty")
     est = weighted_mean(values, weights)
     se = math.sqrt(np.sum(weights**2 * (values - est) ** 2)) / np.sum(weights)
-    return GroupEstimate(group_id, kind, est, se)
+    return GroupEstimate(est, se)
 
 
 def debiased_group_correlation(
@@ -194,7 +191,7 @@ def debiased_group_correlation(
     if len(idx) < 3:
         raise DataError(f"group {group_id!r} has fewer than 3 usable records")
     psi = correlation_score(stats, c, r)
-    return group_mean(psi, weights, idx, group_id, "debiased correlation")
+    return group_mean(psi, weights, idx, group_id)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,9 @@ def gamma_n(n: int) -> float:
     return 1.0 - 0.1 / math.log(n)
 
 
+MIN_MC_DRAWS = 100
+
+
 @dataclass(frozen=True)
 class IntersectionInput:
     estimates: np.ndarray  # (L,) group estimates T_l
@@ -82,8 +85,8 @@ class IntersectionInput:
             raise DataError("alpha must lie in (0, 1)")
         if self.n < 2:
             raise DataError("n must be at least 2")
-        if self.mc_draws < 100:
-            raise DataError("mc_draws must be at least 100")
+        if self.mc_draws < MIN_MC_DRAWS:
+            raise DataError(f"mc_draws must be at least {MIN_MC_DRAWS}")
 
     @property
     def L(self) -> int:

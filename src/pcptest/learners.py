@@ -56,6 +56,9 @@ __all__ = [
 
 MODEL_FILE_VERSION = 1
 
+# Every learner fits the 4-way (c, r) class of ``Dataset.class_labels``.
+N_CLASSES = 4
+
 LearnerConfig = NetworkConfig | ForestConfig | BoostConfig
 
 # Each family's kind, as model files and the run config's ``learner`` name
@@ -67,18 +70,6 @@ KINDS = {
 }
 _KIND_OF = {cfg_cls: kind for kind, (cfg_cls, _) in KINDS.items()}
 
-_TARGET_CLASSES = {"cr": 4, "c": 2, "r": 2}
-
-
-def _labels_for(d: Dataset, target: str) -> np.ndarray:
-    if target == "cr":
-        return d.class_labels()
-    if target == "c":
-        return d.c.astype(np.int64)
-    if target == "r":
-        return d.r.astype(np.int64)
-    raise DataError(f"unknown target {target!r}")
-
 
 def _kind_of(cfg: LearnerConfig) -> str:
     if type(cfg) not in _KIND_OF:
@@ -88,8 +79,6 @@ def _kind_of(cfg: LearnerConfig) -> str:
 
 @dataclass
 class ClassifierModel:
-    target: str  # "cr" | "c" | "r"
-    n_classes: int
     config: LearnerConfig
     schema_fingerprint: str
     predictor: net.NetworkModel | trees.ForestModel | trees.BoostModel = field(repr=False)
@@ -101,19 +90,18 @@ class ClassifierModel:
     def predict_quads(self, d: Dataset) -> np.ndarray:
         if d.schema.fingerprint() != self.schema_fingerprint:
             raise DataError("dataset schema does not match the model's schema")
-        return self.predictor.predict_probs(one_hot_encode(d).rows)
+        return self.predictor.predict_probs(one_hot_encode(d))
 
 
 def cross_entropy_loss(model: ClassifierModel, d: Dataset) -> float:
     """Weighted cross-entropy per unit weight, probabilities clipped at 1e-12."""
     probs = model.predict_quads(d)
-    return net.weighted_cross_entropy(probs, _labels_for(d, model.target), d.w)
+    return net.weighted_cross_entropy(probs, d.class_labels(), d.w)
 
 
-def constant_model_loss(d: Dataset, target: str = "cr") -> float:
+def constant_model_loss(d: Dataset) -> float:
     """Loss of the best constant prediction: the weighted class entropy."""
-    labels = _labels_for(d, target)
-    class_w = np.bincount(labels, weights=d.w, minlength=_TARGET_CLASSES[target])
+    class_w = np.bincount(d.class_labels(), weights=d.w, minlength=N_CLASSES)
     p = class_w / class_w.sum()
     p = np.clip(p, net.PROB_CLIP, None)
     return float(-(class_w / class_w.sum() * np.log(p)).sum())
@@ -123,17 +111,17 @@ def constant_model_loss(d: Dataset, target: str = "cr") -> float:
 # Training entry points
 
 
-def _block(d: Dataset, target: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(design, labels, weights): what every trainer reads of a dataset."""
-    return one_hot_encode(d).rows, _labels_for(d, target), d.w
+    return one_hot_encode(d), d.class_labels(), d.w
 
 
-def _inner_split(d: Dataset, seed: int, val_fraction: float = 0.15):
-    """Hold out a validation slice for early stopping when the caller only
-    provides one dataset (cross-fitting, sorted-groups)."""
+def _inner_split(d: Dataset, seed: int):
+    """Hold out 15% for early stopping when the caller only provides one
+    dataset (cross-fitting, sorted-groups)."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(d.n)
-    n_val = max(1, int(np.floor(d.n * val_fraction)))
+    n_val = max(1, int(np.floor(d.n * 0.15)))
     return d.take(perm[n_val:]), d.take(perm[:n_val])
 
 
@@ -141,7 +129,6 @@ def train_any(
     d_train: Dataset,
     cfg: LearnerConfig,
     validation: Dataset | None = None,
-    target: str = "cr",
     fold: int = 0,
 ) -> ClassifierModel:
     """Fit the learner ``cfg`` configures on ``d_train``.  A network stops
@@ -149,20 +136,17 @@ def train_any(
     drawn with seed ``cfg.seed + fold`` so that each cross-fitting fold
     draws its own.  Trees read neither."""
     kind = _kind_of(cfg)
-    n_classes = _TARGET_CLASSES[target]
     if kind == "network":
         if validation is None:
             d_train, validation = _inner_split(d_train, cfg.seed + fold)
         if d_train.schema.fingerprint() != validation.schema.fingerprint():
             raise DataError("train and validation schemas differ")
-        params, _ = net.fit_softmax_network(
-            *_block(d_train, target), *_block(validation, target), cfg, n_classes
-        )
+        params, _ = net.fit_softmax_network(*_block(d_train), *_block(validation), cfg, N_CLASSES)
         predictor = net.NetworkModel(params)
     else:
         fit = trees.fit_forest if kind == "forest" else trees.fit_boosted
-        predictor = fit(*_block(d_train, target), cfg, n_classes)
-    return ClassifierModel(target, n_classes, cfg, d_train.schema.fingerprint(), predictor)
+        predictor = fit(*_block(d_train), cfg, N_CLASSES)
+    return ClassifierModel(cfg, d_train.schema.fingerprint(), predictor)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +189,11 @@ def default_grid(cls: type, seed: int = 0, **overrides) -> list[LearnerConfig]:
     ]
 
 
-def _network_tie_key(cfg: NetworkConfig, n_inputs: int, n_classes: int) -> tuple:
-    return (net.count_parameters(cfg, n_inputs, n_classes), cfg.dropout)
+def _network_tie_key(cfg: NetworkConfig, n_inputs: int) -> tuple:
+    return (net.count_parameters(cfg, n_inputs, N_CLASSES), cfg.dropout)
 
 
-def hyperopt_network(
-    d: Dataset,
-    grid: Sequence[NetworkConfig],
-    plan: SplitPlan,
-    target: str = "cr",
-) -> HyperoptReport:
+def hyperopt_network(d: Dataset, grid: Sequence[NetworkConfig], plan: SplitPlan) -> HyperoptReport:
     """Train every candidate on the train block with validation-based early
     stopping, score on the test block, keep the minimizer.  Exact ties go to
     the smaller parameter count, then the smaller dropout."""
@@ -222,25 +201,20 @@ def hyperopt_network(
         raise DataError("empty hyperparameter grid")
     d_train, d_val, d_test = split(d, plan)
     n_inputs = d.schema.n_design_columns
-    n_classes = _TARGET_CLASSES[target]
-    fits, _ = net.fit_softmax_networks(
-        *_block(d_train, target), *_block(d_val, target), grid, n_classes
-    )
-    X_test, labels_test, w_test = _block(d_test, target)
+    fits, _ = net.fit_softmax_networks(*_block(d_train), *_block(d_val), grid, N_CLASSES)
+    X_test, labels_test, w_test = _block(d_test)
     losses = [
         net.weighted_cross_entropy(net.forward_probs(params, X_test), labels_test, w_test)
         for params in fits
     ]
     order = sorted(
         range(len(grid)),
-        key=lambda i: (losses[i], *_network_tie_key(grid[i], n_inputs, n_classes), i),
+        key=lambda i: (losses[i], *_network_tie_key(grid[i], n_inputs), i),
     )
     return HyperoptReport(list(grid), losses, order[0])
 
 
-def hyperopt_trees(
-    d: Dataset, grid: Sequence[LearnerConfig], seed: int = 0, target: str = "cr"
-) -> HyperoptReport:
+def hyperopt_trees(d: Dataset, grid: Sequence[LearnerConfig], seed: int = 0) -> HyperoptReport:
     """Grid search on an 80/20 train/test split: every candidate trains on
     the 80% and the least test loss wins, the first candidate on ties."""
     if not grid:
@@ -249,18 +223,16 @@ def hyperopt_trees(
     n_test = max(1, int(np.floor(d.n * 0.2)))
     d_test = d.take(perm[:n_test])
     d_train = d.take(perm[n_test:])
-    losses = [cross_entropy_loss(train_any(d_train, cfg, target=target), d_test) for cfg in grid]
+    losses = [cross_entropy_loss(train_any(d_train, cfg), d_test) for cfg in grid]
     return HyperoptReport(list(grid), losses, int(np.argmin(losses)))
 
 
-def hyperopt(
-    d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan, target: str = "cr"
-) -> HyperoptReport:
+def hyperopt(d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan) -> HyperoptReport:
     """Grid search over one family's candidates: ``hyperopt_network`` on
     ``plan`` for networks, ``hyperopt_trees`` with ``plan.seed`` for trees."""
     if grid and _kind_of(grid[0]) == "network":
-        return hyperopt_network(d, grid, plan, target)
-    return hyperopt_trees(d, grid, plan.seed, target)
+        return hyperopt_network(d, grid, plan)
+    return hyperopt_trees(d, grid, plan.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +240,7 @@ def hyperopt(
 
 
 def cross_fit_units(
-    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, target: str = "cr", full_sample=False
+    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, full_sample=False
 ) -> list[Callable[[], np.ndarray]]:
     """The fits of ``cross_fit_predict`` as zero-argument units, largest
     first: with ``full_sample`` the full-sample fit, which predicts every
@@ -276,13 +248,13 @@ def cross_fit_units(
     A fold with fewer than 10 records to train on raises in its unit."""
 
     def full_fit() -> np.ndarray:
-        return train_any(d, cfg, target=target).predict_quads(d)
+        return train_any(d, cfg).predict_quads(d)
 
     def fold_fit(k: int) -> np.ndarray:
         train_rows = folds.complement_indices(k)
         if len(train_rows) < 10:
             raise DataError(f"fold {k}: too few records to train on")
-        model = train_any(d.take(train_rows), cfg, target=target, fold=k)
+        model = train_any(d.take(train_rows), cfg, fold=k)
         return model.predict_quads(d.take(folds.fold_indices(k)))
 
     return [full_fit] * full_sample + [functools.partial(fold_fit, k) for k in range(folds.K)]
@@ -297,21 +269,19 @@ def merge_cross_fit(folds: FoldAssignment, fold_probs: Sequence[np.ndarray]) -> 
 
 
 def cross_fit_predict(
-    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, target: str = "cr", full_sample=False
+    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, full_sample=False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Predict each record's class probabilities with a model trained on
     the other folds only.  Network folds carve off 15% internally for early
     stopping, mirroring the main training protocol.  With ``full_sample``
     the pair (cross-fitted, full-sample) is returned, the latter from
     ``train_any`` on every record.  The fits run as one ``map_units`` batch."""
-    probs = list(map_units(call, cross_fit_units(d, cfg, folds, target, full_sample)))
+    probs = list(map_units(call, cross_fit_units(d, cfg, folds, full_sample)))
     out = merge_cross_fit(folds, probs[full_sample:])
     return (out, probs[0]) if full_sample else out
 
 
-def feature_group_importance(
-    d: Dataset, cfg: LearnerConfig, plan: SplitPlan, target: str = "cr"
-) -> dict[str, float]:
+def feature_group_importance(d: Dataset, cfg: LearnerConfig, plan: SplitPlan) -> dict[str, float]:
     """Additional test loss from retraining without each feature's dummy
     block; the full model's own entry is 'None' = 0.  The full fit and the
     retrains run as one ``map_units`` batch."""
@@ -329,7 +299,7 @@ def feature_group_importance(
                 Dataset(reduced, b.covariates[:, keep].copy(), b.c.copy(), b.r.copy(), b.w.copy())
                 for b in blocks
             )
-        return cross_entropy_loss(train_any(d_train, cfg, d_val, target), d_test)
+        return cross_entropy_loss(train_any(d_train, cfg, d_val), d_test)
 
     full_loss, *omitted_losses = map_units(fit_loss, [None, *names])
     deltas: dict[str, float] = {"None": 0.0}
@@ -358,10 +328,8 @@ def impurity_importance(model: ClassifierModel, schema: CategoricalSchema) -> di
         return {name: 0.0 for name, _ in schema.features}
     from .data import _design_layout
 
-    _, feature_columns = _design_layout(schema)
     return {
-        name: float(raw[list(cols)].sum() / total)
-        for name, cols in feature_columns.items()
+        name: float(raw[list(cols)].sum() / total) for name, cols in _design_layout(schema).items()
     }
 
 
@@ -379,8 +347,8 @@ def save_model(model: ClassifierModel, path: str) -> None:
     doc = {
         "format_version": MODEL_FILE_VERSION,
         "kind": model.kind,
-        "target": model.target,
-        "n_classes": model.n_classes,
+        "target": "cr",
+        "n_classes": N_CLASSES,
         "schema_fingerprint": model.schema_fingerprint,
         "config": _config_doc(model.config),
         "parameters": model.predictor.to_doc(),
@@ -394,11 +362,11 @@ def load_model(path: str, schema: CategoricalSchema) -> ClassifierModel:
         doc = json.load(fh)
     if doc.get("format_version") != MODEL_FILE_VERSION:
         raise DataError(f"unsupported model file version in {path}")
+    if doc.get("target") != "cr" or doc.get("n_classes") != N_CLASSES:
+        raise DataError(f"{path}: not a model of the {N_CLASSES}-way (c, r) class")
     if doc["schema_fingerprint"] != schema.fingerprint():
         raise DataError("model was trained under a different schema")
     cfg_cls, model_cls = KINDS[doc["kind"]]
     cfg = cfg_cls(**{key: v for key, v in doc["config"].items() if key != "type"})
-    predictor = model_cls.from_doc(doc["parameters"], doc["n_classes"])
-    return ClassifierModel(
-        doc["target"], doc["n_classes"], cfg, doc["schema_fingerprint"], predictor
-    )
+    predictor = model_cls.from_doc(doc["parameters"], N_CLASSES)
+    return ClassifierModel(cfg, doc["schema_fingerprint"], predictor)

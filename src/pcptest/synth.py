@@ -100,7 +100,6 @@ class SyntheticDGP:
     coef_q: np.ndarray
     rho: RhoSpec = field(default_factory=RhoSpec)
     weights: WeightLaw = field(default_factory=WeightLaw)
-    validate_eagerly: bool | None = None
 
     def __post_init__(self) -> None:
         if len(self.marginals) != self.schema.n_features:
@@ -114,10 +113,7 @@ class SyntheticDGP:
         for nm, coefs in (("coef_p", self.coef_p), ("coef_q", self.coef_q)):
             if np.asarray(coefs).shape != (width,):
                 raise DataError(f"{nm} must have length {width}")
-        eager = self.validate_eagerly
-        if eager is None:
-            eager = self.schema.n_cells <= EAGER_FEASIBILITY_CELL_LIMIT
-        if eager:
+        if self.schema.n_cells <= EAGER_FEASIBILITY_CELL_LIMIT:
             cells = _all_cells_array(self.schema)
             for start in range(0, len(cells), _GROUND_TRUTH_CHUNK):
                 block = cells[start : start + _GROUND_TRUTH_CHUNK]

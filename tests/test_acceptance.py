@@ -167,10 +167,10 @@ def test_criterion_02_convex_mle_equivalence():
     d_fit, _, d_test = split(d, SplitPlan((0.7, 0.1, 0.2)))
 
     oracle = _irls_multinomial(
-        one_hot_encode(d_fit).rows, d_fit.class_labels(), d_fit.w
+        one_hot_encode(d_fit), d_fit.class_labels(), d_fit.w
     )
     ce_oracle = weighted_cross_entropy(
-        oracle(one_hot_encode(d_test).rows), d_test.class_labels(), d_test.w
+        oracle(one_hot_encode(d_test)), d_test.class_labels(), d_test.w
     )
     # Validating on the training set makes early stopping non-binding, so
     # the convex depth-0 problem is trained to its optimum.

@@ -526,6 +526,37 @@ class TestExitCodes:
         assert line == "error: unknown hyperopt grid 'bogus'"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        ["fit", "hyperopt", "estimate", "test-intersection", "test-sorted", "importance", "report"],
+    )
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"folds": 1}, "error: folds must be at least 2"),
+            ({"mc_draws": 10}, "error: mc_draws must be at least 100"),
+            ({"sorted_groups": 1}, "error: need at least 2 groups"),
+            ({"main_fraction": 2.0}, "error: main_fraction must lie in (0, 1)"),
+            ({"split_fractions": [0.5, 0.5, 0.5]}, "error: split fractions must sum to 1"),
+            ({"split_fractions": [0.5, 0.5]}, "error: split fractions must be three"),
+            ({"levels": []}, "error: no test levels configured"),
+        ],
+        ids=[
+            "folds", "mc_draws", "sorted_groups", "main_fraction", "fractions", "two-fractions", "levels"
+        ],
+    )
+    def test_every_command_checks_every_entry(self, workdir, tmp_path, command, entry, message):
+        """An entry a command does not read is still checked, so every
+        command rejects the same config, with one line and no output."""
+        out = tmp_path / "o"
+        doc = base_config(workdir, out, **entry)
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line.startswith(message)
+        assert not out.exists()
+
     def test_duplicate_column_is_validation_error(self, workdir, tmp_path):
         with open(workdir["dataset"]) as fh:
             lines = fh.read().splitlines()
@@ -606,6 +637,25 @@ class TestExitCodes:
             assert res.exit_code == 1
         assert not (tmp_path / "o").exists()
         assert os.listdir(tmp_path / "kept") == []
+
+    def test_failed_rerun_removes_the_stale_manifest(self, workdir, tmp_path):
+        """A rerun that fails after writing removes what it wrote, and with
+        it the earlier manifest, which listed those files.  A rerun that
+        fails before writing leaves the earlier output whole."""
+        out = tmp_path / "o"
+        good = _write_config(tmp_path / "good.yaml", base_config(workdir, out))
+        assert run_cmd(good, "report").exit_code == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        missing = base_config(workdir, out, dataset=str(tmp_path / "missing.csv"))
+        assert run_cmd(_write_config(tmp_path / "missing.yaml", missing), "report").exit_code == 1
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        # 400 groups of 400 main records: every split's correlation is
+        # undefined, after the estimate tables were written.
+        failing = _write_config(tmp_path / "bad.yaml", base_config(workdir, out, sorted_groups=400))
+        res = run_cmd(failing, "report")
+        assert res.exit_code == 1
+        assert "sorted-groups split failed" in res.output.splitlines()[-1]
+        assert "manifest.json" not in os.listdir(out)
 
 
 class TestCliOverrides:

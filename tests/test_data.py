@@ -153,9 +153,9 @@ class TestCsv:
 class TestDesign:
     def test_one_hot_width(self, small_schema):
         d = toy_dataset(small_schema)
-        dm = one_hot_encode(d)
-        assert dm.width == 1 + 3 + 2
-        assert np.all(dm.rows[:, 0] == 1.0)
+        X = one_hot_encode(d)
+        assert X.shape == (d.n, 1 + 3 + 2)
+        assert np.all(X[:, 0] == 1.0)
 
     def test_reference_modality_omitted(self, small_schema):
         d = Dataset(
@@ -165,7 +165,7 @@ class TestDesign:
             np.array([0]),
             np.array([0.5]),
         )
-        row = one_hot_encode(d).rows[0]
+        row = one_hot_encode(d)[0]
         assert row.tolist() == [1.0, 0, 0, 0, 0, 0]
 
 

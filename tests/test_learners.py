@@ -101,18 +101,6 @@ class TestCrossFit:
         p2 = cross_fit_predict(small_dataset, FAST_NET, folds)
         np.testing.assert_array_equal(p1, p2)
 
-    @pytest.mark.parametrize(
-        "cfg", [BoostConfig(n_rounds=3), ForestConfig(n_trees=5, max_depth=2)], ids=["boosted", "forest"]
-    )
-    @pytest.mark.parametrize("target", ["c", "r"])
-    def test_tree_learners_fit_binary_targets(self, small_dataset, cfg, target):
-        """A binary target gives two-class rows, cross-fitted and full-sample."""
-        d = small_dataset.take(np.arange(300))
-        folds = make_folds(d, 2, seed=0)
-        for probs in cross_fit_predict(d, cfg, folds, target=target, full_sample=True):
-            assert probs.shape == (d.n, 2)
-            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
-
 
 class TestHyperopt:
     def test_network_selection_and_ties(self, small_dataset):
@@ -217,7 +205,6 @@ class TestPersistence:
         )
         assert restored.config == model.config
         assert restored.kind == model.kind
-        assert restored.target == model.target
 
     def test_load_rejects_wrong_schema(self, small_dataset, tmp_path):
         from pcptest.data import CategoricalSchema
@@ -228,6 +215,22 @@ class TestPersistence:
         other = CategoricalSchema((("x", (0, 1)),))
         with pytest.raises(DataError):
             load_model(path, other)
+
+    @pytest.mark.parametrize("key, value", [("target", "c"), ("n_classes", 2)])
+    def test_load_rejects_other_class_sets(self, small_dataset, tmp_path, key, value):
+        """Every model is of the 4-way (c, r) class; a file that says
+        otherwise is an input error."""
+        import json
+
+        path = str(tmp_path / "model.json")
+        save_model(train_any(small_dataset, FAST_FOREST), path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(DataError, match="4-way"):
+            load_model(path, small_dataset.schema)
 
     def test_load_rejects_wrong_version(self, small_dataset, tmp_path):
         import json

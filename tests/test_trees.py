@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pcptest.data import default_schema, one_hot_encode
-from pcptest.learners import _block, load_model, save_model, train_any
+from pcptest.learners import _block, load_model, save_model
 from pcptest.network import _softmax, forward_probs
 from pcptest.synth import RhoSpec, SyntheticDGP, WeightLaw, sample_dataset
 from pcptest.trees import (
@@ -512,7 +512,7 @@ class TestFlatEvaluatorMatchesWalk:
         path = Path(__file__).parent / "data" / f"{kind}_model.json"
         model = load_model(str(path), small_dataset.schema)
         assert model.kind == kind
-        X = one_hot_encode(small_dataset).rows
+        X = one_hot_encode(small_dataset)
         oracle = {
             "boosted": oracle_boosted_probs,
             "forest": oracle_forest_probs,
@@ -550,7 +550,8 @@ def _default8_sample(n: int):
 
 
 PINNED_FITS = {
-    # case: (sample, config, target, (model digest, importance digest))
+    # case: (sample, config, labels, (model digest, importance digest)); the
+    # labels are the 4-way (c, r) class, or c alone for a 2-class fit.
     "default8": (
         "default8",
         BoostConfig(n_rounds=12, max_depth=3),
@@ -601,12 +602,13 @@ PINNED_FITS = {
 
 @pytest.mark.parametrize("case", sorted(PINNED_FITS))
 def test_fit_boosted_bits_are_pinned(case, small_dataset):
-    sample, cfg, target, digests = PINNED_FITS[case]
+    sample, cfg, labels, digests = PINNED_FITS[case]
     d = _default8_sample(2000) if sample == "default8" else small_dataset
-    if target == "cr":
-        model = fit_boosted(*_block(d, target), cfg)
+    if labels == "cr":
+        model = fit_boosted(*_block(d), cfg)
     else:
-        model = train_any(d, cfg, target=target).predictor
+        X, _, w = _block(d)
+        model = fit_boosted(X, d.c, w, cfg, n_classes=2)
     doc = json.dumps(model.to_doc(), sort_keys=True).encode()
     got = (hashlib.sha256(doc).hexdigest(), hashlib.sha256(model.importance.tobytes()).hexdigest())
     assert got == digests
