@@ -22,11 +22,8 @@ from .data import (
     split,
 )
 from .functionals import (
-    DegenerateMarginalError,
     GroupEstimate,
     PerObsStats,
-    correlation_from_quad,
-    covariance_from_quad,
     debiased_group_correlation,
     group_mean,
     per_obs_stats,
@@ -47,11 +44,8 @@ __all__ = [
     "partition",
     "save_csv",
     "split",
-    "DegenerateMarginalError",
     "GroupEstimate",
     "PerObsStats",
-    "correlation_from_quad",
-    "covariance_from_quad",
     "debiased_group_correlation",
     "group_mean",
     "per_obs_stats",

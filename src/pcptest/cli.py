@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import click
 import numpy as np
@@ -28,6 +28,7 @@ from . import learners as L
 from .data import (
     CategoricalSchema,
     DataError,
+    MIN_FOLDS,
     Dataset,
     SplitPlan,
     default_schema,
@@ -35,10 +36,8 @@ from .data import (
     make_folds,
     partition,
     save_csv,
-    split,
 )
 from .functionals import (
-    DegenerateMarginalError,
     GroupEstimate,
     PerObsStats,
     covariance_score,
@@ -54,7 +53,6 @@ from .inference import (
     SortedGroupsResult,
     intersection_tests,
     merge_sorted_splits,
-    sorted_groups_run,
     sorted_split_units,
 )
 from .network import NetworkTrainingError
@@ -69,6 +67,12 @@ DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
 @dataclass
 class RunConfig:
+    """A run's settings.  Checking them builds each owner's object once, kept
+    as an attribute that is not a config field: ``learner_cfg``, the
+    configured learner; ``grid``, the candidates that ``hyperopt`` and each
+    sorted-groups split search; ``plan``, the train/validation/test split;
+    ``sorted_cfg``, the sorted-groups test."""
+
     seed: int = 0
     out: str = "out"
     dataset: str | None = None
@@ -98,25 +102,43 @@ class RunConfig:
                 raise DataError(f"test level {a} outside (0, 1)")
         if self.learner not in L.KINDS:
             raise DataError(f"unknown learner {self.learner!r}")
-        if self.statistic not in ("covariance", "correlation"):
-            raise DataError(f"unknown statistic {self.statistic!r}")
         if self.hyperopt_grid not in ("default", "singleton"):
             raise DataError(f"unknown hyperopt grid {self.hyperopt_grid!r}")
         # Every section is checked by its owner's rules, used by this run or
         # not, so that every command accepts or rejects the same config.
-        for kind, (cfg_cls, _) in L.KINDS.items():
-            _checked(self, cfg_cls, kind=kind)
-        SplitPlan(self.split_fractions, self.seed)
-        if self.folds < 2:
-            raise DataError("folds must be at least 2")
+        sections = {kind: self._checked(kind, cfg_cls) for kind, (cfg_cls, _) in L.KINDS.items()}
+        self.learner_cfg = sections[self.learner]
+        self.grid = (
+            (self.learner_cfg,)
+            if self.hyperopt_grid == "singleton"
+            else tuple(self._checked(self.learner, L.default_grid, type(self.learner_cfg)))
+        )
+        self.plan = SplitPlan(self.split_fractions, self.seed)
+        if self.folds < MIN_FOLDS:
+            raise DataError(f"folds must be at least {MIN_FOLDS}")
         if self.mc_draws < MIN_MC_DRAWS:
             raise DataError(f"mc_draws must be at least {MIN_MC_DRAWS}")
-        SortedGroupsConfig(
-            self.sorted_groups, self.sorted_splits, self.main_fraction, grid=(learner_config(self),)
+        self.sorted_cfg = SortedGroupsConfig(
+            self.sorted_groups,
+            self.sorted_splits,
+            self.main_fraction,
+            self.statistic,
+            self.grid,
+            self.seed,
         )
 
+    def _checked(self, kind: str, build, *args):
+        """``build(*args, seed=..., **settings)`` with the settings section of
+        ``kind``; a key or value the learner config rejects is an input
+        error, reported like any other bad config entry."""
+        try:
+            return build(*args, seed=self.seed, **getattr(self, kind))
+        except (TypeError, ValueError) as err:
+            raise DataError(f"invalid {kind} settings: {err}") from err
+
     def fingerprint(self) -> str:
-        doc = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        """Digest of the config fields, not of the objects built from them."""
+        doc = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
         doc["config_version"] = CONFIG_FILE_VERSION
         blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -140,26 +162,13 @@ def load_config(path: str | None, **overrides) -> RunConfig:
     return RunConfig(**doc)
 
 
-def _checked(cfg: RunConfig, build, *args, kind: str | None = None):
-    """``build(*args, seed=..., **settings)`` with the settings section of
-    ``kind``, by default the config's learner; a key or value the learner
-    config rejects is an input error, reported like any other bad config
-    entry."""
-    kind = kind or cfg.learner
-    try:
-        return build(*args, seed=cfg.seed, **getattr(cfg, kind))
-    except (TypeError, ValueError) as err:
-        raise DataError(f"invalid {kind} settings: {err}") from err
-
-
-def learner_config(cfg: RunConfig) -> L.LearnerConfig:
-    return _checked(cfg, L.KINDS[cfg.learner][0])
-
-
 def load_schema(cfg: RunConfig) -> CategoricalSchema:
-    if cfg.schema is None:
-        return default_schema()
-    return CategoricalSchema.from_yaml(cfg.schema)
+    """The run's schema, which must have every feature ``group_features`` names."""
+    schema = default_schema() if cfg.schema is None else CategoricalSchema.from_yaml(cfg.schema)
+    unknown = [name for name in cfg.group_features if name not in schema.feature_names]
+    if unknown:
+        raise DataError(f"group_features names features the schema lacks: {unknown}")
+    return schema
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
@@ -285,19 +294,12 @@ def cmd_simulate(cfg: RunConfig, out: OutputDir) -> None:
     dgp.schema.to_yaml(out.path("schema.yaml"))
 
 
-def _grid_for(cfg: RunConfig) -> list[L.LearnerConfig]:
-    if cfg.hyperopt_grid == "singleton":
-        return [learner_config(cfg)]
-    return _checked(cfg, L.default_grid, L.KINDS[cfg.learner][0])
-
-
 def cmd_hyperopt(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
-    grid = _grid_for(cfg)
     t0 = time.monotonic()
-    report = L.hyperopt(d, grid, SplitPlan(cfg.split_fractions, cfg.seed))
-    _log(f"hyperopt: {len(grid)} candidates in {time.monotonic() - t0:.1f}s")
-    axes = list(L.GRID_AXES[L.KINDS[cfg.learner][0]])
+    report = L.hyperopt(d, cfg.grid, cfg.plan)
+    _log(f"hyperopt: {len(cfg.grid)} candidates in {time.monotonic() - t0:.1f}s")
+    axes = list(L.GRID_AXES[type(cfg.learner_cfg)])
     rows = [
         [getattr(cand, axis) for axis in axes] + [loss, int(i == report.selected_index)]
         for i, (cand, loss) in enumerate(zip(report.candidates, report.test_losses))
@@ -311,27 +313,11 @@ def cmd_hyperopt(cfg: RunConfig, out: OutputDir) -> None:
 
 def cmd_fit(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
-    model = L.train_any(d, learner_config(cfg))
-    L.save_model(model, out.path("model.json"))
+    L.save_model(L.train_any(d, cfg.learner_cfg), out.path("model.json"))
 
 
 def _five_number(values: np.ndarray) -> list[float]:
     return [float(np.quantile(values, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
-
-
-def _cross_fitted(cfg: RunConfig, d: Dataset, full_sample: bool = False):
-    """Per-record statistics from cfg.folds-fold cross-fitted predictions;
-    with ``full_sample`` the pair (cross-fitted, raw), the raw fit on every
-    record running in the same batch as the folds."""
-    t0 = time.monotonic()
-    folds = make_folds(d, cfg.folds, cfg.seed)
-    probs = L.cross_fit_predict(d, learner_config(cfg), folds, full_sample=full_sample)
-    _log_cross_fit(cfg, t0, full_sample)
-    return tuple(map(per_obs_stats, probs)) if full_sample else per_obs_stats(probs)
-
-
-def _log_cross_fit(cfg: RunConfig, t0: float, full_sample: bool) -> None:
-    _log(f"{cfg.folds}-fold cross-fit{' + raw fit' * full_sample} in {time.monotonic() - t0:.1f}s")
 
 
 @dataclass(frozen=True)
@@ -353,7 +339,7 @@ def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
     debiased correlation gets one warning on stderr."""
     cov_score = covariance_score(cf, d.c, d.r)
     groups = {}
-    for name in _group_feature_names(cfg, d.schema):
+    for name in cfg.group_features or d.schema.feature_names:
         j = d.schema.feature_index(name)
         groups[name] = []
         for idx in partition(d, name):
@@ -369,10 +355,48 @@ def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
     return groups
 
 
-def cmd_estimate(cfg: RunConfig, out: OutputDir) -> None:
+def _fit_batch(
+    cfg: RunConfig,
+    out: OutputDir,
+    *,
+    estimates: bool = False,
+    intersection: bool = False,
+    sorted_groups: bool = False,
+) -> None:
+    """Write the estimate, intersection and sorted-groups tables asked for.
+    Every fit they need runs in one ``map_units`` batch, largest first: the
+    raw fit on every record for the estimates, the cross-fitting folds, then
+    the sorted-groups splits.  The estimate and intersection tables are
+    written while the splits still fit."""
     d = load_dataset(cfg)
-    cf, raw = _cross_fitted(cfg, d, full_sample=True)
-    _write_estimates(cfg, out, d, cf, raw, _group_estimates(cfg, d, cf))
+    cross_fit = estimates or intersection
+    units = [lambda: L.train_any(d, cfg.learner_cfg).predict_quads(d)] if estimates else []
+    if cross_fit:
+        folds = make_folds(d, cfg.folds, cfg.seed)
+        units += L.cross_fit_units(d, cfg.learner_cfg, folds)
+    if sorted_groups:
+        units += sorted_split_units(d, cfg.sorted_cfg)
+    t0 = time.monotonic()
+    results = map_units(call, units)
+    try:
+        raw = per_obs_stats(next(results)) if estimates else None
+        if cross_fit:
+            cf = per_obs_stats(L.merge_cross_fit(folds, list(itertools.islice(results, folds.K))))
+            elapsed = time.monotonic() - t0
+            _log(f"{cfg.folds}-fold cross-fit{' + raw fit' * estimates} in {elapsed:.1f}s")
+            groups = _group_estimates(cfg, d, cf)
+            if estimates:
+                _write_estimates(cfg, out, d, cf, raw, groups)
+            if intersection:
+                _write_intersection(cfg, out, d, groups)
+        if sorted_groups:
+            _write_sorted(cfg, out, merge_sorted_splits(cfg.sorted_cfg, list(results)), t0)
+    finally:
+        results.close()
+
+
+def cmd_estimate(cfg: RunConfig, out: OutputDir) -> None:
+    _fit_batch(cfg, out, estimates=True)
 
 
 def _write_estimates(
@@ -431,17 +455,8 @@ def _write_estimates(
     )
 
 
-def _group_feature_names(cfg: RunConfig, schema: CategoricalSchema) -> tuple[str, ...]:
-    if cfg.group_features:
-        for name in cfg.group_features:
-            schema.feature_index(name)  # raises on unknown names
-        return cfg.group_features
-    return schema.feature_names
-
-
 def cmd_test_intersection(cfg: RunConfig, out: OutputDir) -> None:
-    d = load_dataset(cfg)
-    _write_intersection(cfg, out, d, _group_estimates(cfg, d, _cross_fitted(cfg, d)))
+    _fit_batch(cfg, out, intersection=True)
 
 
 def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Groups) -> None:
@@ -492,21 +507,7 @@ def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Grou
 
 
 def cmd_test_sorted(cfg: RunConfig, out: OutputDir) -> None:
-    d = load_dataset(cfg)
-    scfg = _sorted_config(cfg)
-    t0 = time.monotonic()
-    _write_sorted(cfg, out, sorted_groups_run(d, scfg), t0)
-
-
-def _sorted_config(cfg: RunConfig) -> SortedGroupsConfig:
-    return SortedGroupsConfig(
-        n_groups=cfg.sorted_groups,
-        n_splits=cfg.sorted_splits,
-        main_fraction=cfg.main_fraction,
-        statistic=cfg.statistic,
-        grid=tuple(_grid_for(cfg)),
-        seed=cfg.seed,
-    )
+    _fit_batch(cfg, out, sorted_groups=True)
 
 
 def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult, t0: float) -> None:
@@ -542,10 +543,8 @@ def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult, t0: f
 
 def cmd_importance(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
-    lcfg = learner_config(cfg)
-    plan = SplitPlan(cfg.split_fractions, cfg.seed)
     t0 = time.monotonic()
-    retrain = L.feature_group_importance(d, lcfg, plan)
+    retrain = L.feature_group_importance(d, cfg.learner_cfg, cfg.plan)
     _log(f"importance: retrain in {time.monotonic() - t0:.1f}s")
     write_table(
         out,
@@ -554,7 +553,7 @@ def cmd_importance(cfg: RunConfig, out: OutputDir) -> None:
         [[name, delta] for name, delta in retrain.items()],
     )
     if cfg.learner != "network":
-        model = L.train_any(d, lcfg)
+        model = L.train_any(d, cfg.learner_cfg)
         imp = L.impurity_importance(model, d.schema)
         write_table(
             out,
@@ -568,29 +567,9 @@ def cmd_report(cfg: RunConfig, out: OutputDir) -> None:
     """Composite run: estimate, intersection test, sorted-groups test, and
     a short plain-text digest pointing at the individual tables.  The
     dataset is read and cross-fitted, and its group estimates computed,
-    once for both the estimate and the intersection test.
-
-    Every fit runs in one ``map_units`` batch, largest first: the raw fit,
-    the folds, then the sorted-groups splits.  The estimate tables and the
-    intersection tests are written while the splits still fit."""
-    d = load_dataset(cfg)
-    folds = make_folds(d, cfg.folds, cfg.seed)
-    scfg = _sorted_config(cfg)
-    fold_units = L.cross_fit_units(d, learner_config(cfg), folds, full_sample=True)
-    t0 = time.monotonic()
-    results = map_units(call, fold_units + sorted_split_units(d, scfg))
-    try:
-        raw_probs, *fold_probs = itertools.islice(results, len(fold_units))
-        cf = per_obs_stats(L.merge_cross_fit(folds, fold_probs))
-        raw = per_obs_stats(raw_probs)
-        _log_cross_fit(cfg, t0, full_sample=True)
-        groups = _group_estimates(cfg, d, cf)
-        _write_estimates(cfg, out, d, cf, raw, groups)
-        _write_intersection(cfg, out, d, groups)
-        sorted_res = merge_sorted_splits(scfg, list(results))
-    finally:
-        results.close()
-    _write_sorted(cfg, out, sorted_res, t0)
+    once for both the estimate and the intersection test, and every fit
+    runs in one batch."""
+    _fit_batch(cfg, out, estimates=True, intersection=True, sorted_groups=True)
     with open(out.path("report.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"pcptest report (config {cfg.fingerprint()}, seed {cfg.seed})\n\n")
         fh.write("Summary of per-observation statistics: summary.txt\n")
@@ -638,7 +617,6 @@ def _invoke(ctx: click.Context, name: str) -> None:
     except (
         NetworkTrainingError,
         InfeasibleCellError,
-        DegenerateMarginalError,
         FloatingPointError,
         np.linalg.LinAlgError,
     ) as err:

@@ -374,11 +374,14 @@ class FoldAssignment:
         return np.nonzero(self.fold_of != k)[0]
 
 
+MIN_FOLDS = 2
+
+
 def make_folds(d: Dataset, K: int, seed: int = 0) -> FoldAssignment:
     """Balanced random folds; the first n % K folds get one extra record."""
     n = d.n
-    if K < 2:
-        raise DataError("K must be at least 2")
+    if K < MIN_FOLDS:
+        raise DataError(f"K must be at least {MIN_FOLDS}")
     if K > n:
         raise DataError(f"cannot make {K} folds from {n} records")
     rng = np.random.default_rng(seed)

@@ -3,11 +3,10 @@
 One vectorized kernel, ``per_obs_stats``, maps predicted quads (p00, p01,
 p10, p11) of any leading shape (..., 4) to the marginals p = p10 + p11 and
 q = p01 + p11, the conditional covariance C = p11 - p*q, the correlation
-rho = C / sqrt(p(1-p) q(1-q)), the coefficients grad1 and grad2 of its
-one-step score, and the delta-method gradients of C and rho in the quad.
-A marginal within DEGENERATE_TOL of 0 or 1 flags the record, whose
-correlation terms are zeroed.  Every other statistic in the package is
-read from this kernel.
+rho = C / sqrt(p(1-p) q(1-q)) and the coefficients grad1 and grad2 of its
+one-step score.  A marginal within DEGENERATE_TOL of 0 or 1 flags the
+record, whose correlation terms are zeroed.  Every other statistic in the
+package is read from this kernel.
 
 Both group statistics are weighted group means of a per-record one-step
 orthogonal score, s(quad) + grad s(quad) . (y - quad) with y the one-hot
@@ -21,19 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .data import DataError, weighted_mean
 
 __all__ = [
-    "DegenerateMarginalError",
     "PerObsStats",
     "GroupEstimate",
     "FunctionSummary",
-    "covariance_from_quad",
-    "correlation_from_quad",
     "per_obs_stats",
     "covariance_score",
     "correlation_score",
@@ -48,16 +43,10 @@ __all__ = [
 DEGENERATE_TOL = 1e-9
 
 
-class DegenerateMarginalError(ValueError):
-    """A marginal probability sits at 0 or 1, so the correlation is undefined."""
-
-
 @dataclass(frozen=True)
 class PerObsStats:
     """Per-record plug-in statistics over any leading shape (...); degenerate
-    marginals are flagged and their correlation terms zeroed, not used.
-    The delta-method gradients are built from the kept fields when first
-    read."""
+    marginals are flagged and their correlation terms zeroed, not used."""
 
     p: np.ndarray  # (...,) P(c = 1)
     q: np.ndarray  # (...,) P(r = 1)
@@ -69,25 +58,6 @@ class PerObsStats:
 
     def __len__(self) -> int:
         return len(self.covariance)
-
-    @cached_property
-    def grad_covariance(self) -> np.ndarray:
-        """(..., 4) d C / d quad."""
-        p, q = self.p, self.q
-        return np.stack([np.zeros_like(self.covariance), -p, -q, 1.0 - p - q], axis=-1)
-
-    @cached_property
-    def grad_correlation(self) -> np.ndarray:
-        """(..., 4) d rho / d quad, 0 where degenerate."""
-        safe_p, safe_q, s = _safe_marginals(self.p, self.q, self.degenerate)
-        # d rho = (1/s) dC - rho d(log s); log s depends on the quad only
-        # through p (entries p10, p11) and q (entries p01, p11).
-        dlogs_dp = (1 - 2 * safe_p) / (2 * safe_p * (1 - safe_p))
-        dlogs_dq = (1 - 2 * safe_q) / (2 * safe_q * (1 - safe_q))
-        zero = np.zeros_like(self.covariance)
-        dlogs = np.stack([zero, dlogs_dq, dlogs_dp, dlogs_dp + dlogs_dq], axis=-1)
-        grad_rho = self.grad_covariance / s[..., None] - self.correlation[..., None] * dlogs
-        return np.where(self.degenerate[..., None], 0.0, grad_rho)
 
 
 def _safe_marginals(
@@ -119,13 +89,13 @@ def per_obs_stats(quads: np.ndarray) -> PerObsStats:
 
 
 def covariance_score(stats: PerObsStats, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """One-step score C + grad_covariance . (y - quad) of records with
+    """One-step score C + grad C . (y - quad) of records with
     outcomes (c, r), which is exactly the residual product (c - p)(r - q)."""
     return (c - stats.p) * (r - stats.q)
 
 
 def correlation_score(stats: PerObsStats, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """One-step score rho + grad_correlation . (y - quad) of records with
+    """One-step score rho + grad rho . (y - quad) of records with
     outcomes (c, r): (c - p)(r - q) / sqrt(p(1-p) q(1-q)) + grad2 (c - p)
     + grad1 (r - q); 0 where degenerate."""
     _, _, s = _safe_marginals(stats.p, stats.q, stats.degenerate)
@@ -135,19 +105,6 @@ def correlation_score(stats: PerObsStats, c: np.ndarray, r: np.ndarray) -> np.nd
 
 # Each group statistic's one-step score, by statistic name.
 SCORES = {"covariance": covariance_score, "correlation": correlation_score}
-
-
-def covariance_from_quad(quad: np.ndarray) -> float:
-    return float(per_obs_stats(quad).covariance)
-
-
-def correlation_from_quad(quad: np.ndarray) -> float:
-    stats = per_obs_stats(quad)
-    if stats.degenerate:
-        raise DegenerateMarginalError(
-            f"correlation undefined at p={float(stats.p)}, q={float(stats.q)}"
-        )
-    return float(stats.correlation)
 
 
 @dataclass(frozen=True)

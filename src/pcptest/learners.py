@@ -99,14 +99,6 @@ def cross_entropy_loss(model: ClassifierModel, d: Dataset) -> float:
     return net.weighted_cross_entropy(probs, d.class_labels(), d.w)
 
 
-def constant_model_loss(d: Dataset) -> float:
-    """Loss of the best constant prediction: the weighted class entropy."""
-    class_w = np.bincount(d.class_labels(), weights=d.w, minlength=N_CLASSES)
-    p = class_w / class_w.sum()
-    p = np.clip(p, net.PROB_CLIP, None)
-    return float(-(class_w / class_w.sum() * np.log(p)).sum())
-
-
 # ---------------------------------------------------------------------------
 # Training entry points
 
@@ -183,6 +175,11 @@ def default_grid(cls: type, seed: int = 0, **overrides) -> list[LearnerConfig]:
     fastest; ``overrides`` set the other fields of every candidate and may
     not name an axis."""
     axes = GRID_AXES[cls]
+    clash = [axis for axis in axes if axis in overrides]
+    if clash:
+        raise DataError(
+            f"the default grid searches {', '.join(clash)}, which the settings may not also set"
+        )
     return [
         cls(**dict(zip(axes, values)), seed=seed, **overrides)
         for values in itertools.product(*axes.values())
@@ -240,15 +237,11 @@ def hyperopt(d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan) -> Hype
 
 
 def cross_fit_units(
-    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, full_sample=False
+    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment
 ) -> list[Callable[[], np.ndarray]]:
-    """The fits of ``cross_fit_predict`` as zero-argument units, largest
-    first: with ``full_sample`` the full-sample fit, which predicts every
-    record, then fold k's fit on the other folds, which predicts fold k.
-    A fold with fewer than 10 records to train on raises in its unit."""
-
-    def full_fit() -> np.ndarray:
-        return train_any(d, cfg).predict_quads(d)
+    """The fits of ``cross_fit_predict`` as zero-argument units: fold k's
+    fit on the other folds, which predicts fold k.  A fold with fewer than
+    10 records to train on raises in its unit."""
 
     def fold_fit(k: int) -> np.ndarray:
         train_rows = folds.complement_indices(k)
@@ -257,7 +250,7 @@ def cross_fit_units(
         model = train_any(d.take(train_rows), cfg, fold=k)
         return model.predict_quads(d.take(folds.fold_indices(k)))
 
-    return [full_fit] * full_sample + [functools.partial(fold_fit, k) for k in range(folds.K)]
+    return [functools.partial(fold_fit, k) for k in range(folds.K)]
 
 
 def merge_cross_fit(folds: FoldAssignment, fold_probs: Sequence[np.ndarray]) -> np.ndarray:
@@ -268,17 +261,12 @@ def merge_cross_fit(folds: FoldAssignment, fold_probs: Sequence[np.ndarray]) -> 
     return out
 
 
-def cross_fit_predict(
-    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, full_sample=False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def cross_fit_predict(d: Dataset, cfg: LearnerConfig, folds: FoldAssignment) -> np.ndarray:
     """Predict each record's class probabilities with a model trained on
     the other folds only.  Network folds carve off 15% internally for early
-    stopping, mirroring the main training protocol.  With ``full_sample``
-    the pair (cross-fitted, full-sample) is returned, the latter from
-    ``train_any`` on every record.  The fits run as one ``map_units`` batch."""
-    probs = list(map_units(call, cross_fit_units(d, cfg, folds, full_sample)))
-    out = merge_cross_fit(folds, probs[full_sample:])
-    return (out, probs[0]) if full_sample else out
+    stopping, mirroring the main training protocol.  The fits run as one
+    ``map_units`` batch."""
+    return merge_cross_fit(folds, list(map_units(call, cross_fit_units(d, cfg, folds))))
 
 
 def feature_group_importance(d: Dataset, cfg: LearnerConfig, plan: SplitPlan) -> dict[str, float]:

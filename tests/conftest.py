@@ -1,10 +1,15 @@
-"""Shared fixtures: small schemas and synthetic DGPs used across suites."""
+"""Shared fixtures: small schemas and synthetic DGPs used across suites,
+and the scalar oracles several suites compare the package against."""
+
+import math
 
 import numpy as np
 import pytest
 
 from pcptest import parallel
-from pcptest.data import CategoricalSchema
+from pcptest.data import CategoricalSchema, Dataset
+from pcptest.functionals import DEGENERATE_TOL, per_obs_stats
+from pcptest.network import PROB_CLIP
 from pcptest.synth import RhoSpec, SyntheticDGP, WeightLaw, sample_dataset
 
 
@@ -51,3 +56,60 @@ def workers(monkeypatch):
     With 1 the units run in this process, so calls a test records in a
     list here are all seen."""
     return lambda n: monkeypatch.setattr(parallel, "worker_count", lambda: n)
+
+
+class DegenerateMarginalError(ValueError):
+    """A marginal probability sits at 0 or 1, so the correlation is undefined."""
+
+
+def covariance_from_quad(quad: np.ndarray) -> float:
+    return float(per_obs_stats(quad).covariance)
+
+
+def correlation_from_quad(quad: np.ndarray) -> float:
+    stats = per_obs_stats(quad)
+    if stats.degenerate:
+        raise DegenerateMarginalError(
+            f"correlation undefined at p={float(stats.p)}, q={float(stats.q)}"
+        )
+    return float(stats.correlation)
+
+
+# The scalar formulas the vectorized kernel replaced, kept as its oracle.
+
+
+def oracle_marginals(quad):
+    quad = np.asarray(quad, dtype=np.float64)
+    return quad[..., 2] + quad[..., 3], quad[..., 1] + quad[..., 3]
+
+
+def oracle_correlation(quad):
+    p, q = oracle_marginals(quad)
+    if min(p, 1 - p, q, 1 - q) < DEGENERATE_TOL:
+        raise DegenerateMarginalError(f"correlation undefined at p={float(p)}, q={float(q)}")
+    cov = float(np.asarray(quad)[..., 3] - p * q)
+    return cov / math.sqrt(p * (1 - p) * q * (1 - q))
+
+
+def oracle_quad_gradient(quad, kind):
+    quad = np.asarray(quad, dtype=np.float64)
+    p = quad[2] + quad[3]
+    q = quad[1] + quad[3]
+    grad_c = np.array([0.0, -p, -q, 1.0 - p - q])
+    if kind == "covariance":
+        return grad_c
+    rho = oracle_correlation(quad)
+    s = math.sqrt(p * (1 - p) * q * (1 - q))
+    dlogs_dp = (1 - 2 * p) / (2 * p * (1 - p))
+    dlogs_dq = (1 - 2 * q) / (2 * q * (1 - q))
+    grad_p = np.array([0.0, 0.0, 1.0, 1.0])
+    grad_q = np.array([0.0, 1.0, 0.0, 1.0])
+    return grad_c / s - rho * (dlogs_dp * grad_p + dlogs_dq * grad_q)
+
+
+def constant_model_loss(d: Dataset) -> float:
+    """Loss of the best constant prediction: the weighted class entropy."""
+    class_w = np.bincount(d.class_labels(), weights=d.w, minlength=4)
+    p = class_w / class_w.sum()
+    p = np.clip(p, PROB_CLIP, None)
+    return float(-(class_w / class_w.sum() * np.log(p)).sum())

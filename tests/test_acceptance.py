@@ -16,6 +16,7 @@ import yaml
 from click.testing import CliRunner
 from scipy.special import logit
 
+from conftest import correlation_from_quad, covariance_from_quad
 from pcptest import parallel
 from pcptest.cli import main as cli_main
 from pcptest.data import (
@@ -27,8 +28,6 @@ from pcptest.data import (
     split,
 )
 from pcptest.functionals import (
-    correlation_from_quad,
-    covariance_from_quad,
     debiased_group_correlation,
     orthogonality_check,
     per_obs_stats,

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.stats import gaussian_kde
 from pcptest import cli, inference, parallel
 from pcptest import learners as L
 from pcptest.cli import OutputDir, RunConfig, load_config, main, write_density
-from pcptest.data import CategoricalSchema, DataError, Dataset, load_csv, save_csv
+from pcptest.data import CategoricalSchema, DataError, Dataset, SplitPlan, load_csv, save_csv
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +80,11 @@ class TestConfig:
         assert cfg.learner == "forest"
 
     def test_unknown_keys_rejected(self, tmp_path):
-        p = _write_config(tmp_path / "c.yaml", {"nonsense": 1})
-        with pytest.raises(DataError, match="unknown config keys"):
-            load_config(p)
+        # The objects a config builds are attributes, not keys.
+        for key in ("nonsense", "learner_cfg", "grid", "plan", "sorted_cfg"):
+            p = _write_config(tmp_path / "c.yaml", {key: 1})
+            with pytest.raises(DataError, match=f"unknown config keys: \\['{key}'\\]"):
+                load_config(p)
 
     def test_version_check(self, tmp_path):
         p = _write_config(tmp_path / "c.yaml", {"version": 99})
@@ -106,6 +109,43 @@ class TestConfig:
         assert RunConfig(seed=1).fingerprint() != RunConfig(seed=2).fingerprint()
         assert RunConfig(seed=1).fingerprint() == RunConfig(seed=1).fingerprint()
 
+    def test_fingerprint_hashes_only_the_fields(self):
+        """The objects a config builds are not hashed, so manifests keep
+        the fingerprints of configs written before they were kept."""
+        assert RunConfig().fingerprint() == "3dd079228b0aa1b4"
+        cfg = RunConfig(
+            seed=7,
+            learner="boosted",
+            boosted={"n_rounds": 40, "max_depth": 3},
+            hyperopt_grid="singleton",
+            group_features=("a", "b"),
+            levels=(0.05,),
+        )
+        assert cfg.fingerprint() == "bb86354e4f4cd5d3"
+
+    def test_built_objects_follow_the_config(self):
+        cfg = RunConfig(seed=4, learner="boosted", boosted={"n_rounds": 3}, statistic="covariance")
+        assert cfg.learner_cfg == L.BoostConfig(n_rounds=3, seed=4)
+        assert cfg.grid == tuple(L.default_grid(L.BoostConfig, seed=4, n_rounds=3))
+        assert cfg.plan == SplitPlan(cfg.split_fractions, 4)
+        assert cfg.sorted_cfg == inference.SortedGroupsConfig(
+            cfg.sorted_groups, cfg.sorted_splits, cfg.main_fraction, "covariance", cfg.grid, 4
+        )
+        assert RunConfig(hyperopt_grid="singleton").grid == (L.NetworkConfig(),)
+
+    def test_readme_run_config_loads(self, tmp_path):
+        """The README's minimal run config is one every command accepts."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"A minimal run config:\n\n```yaml\n(.*?)```", readme, re.S)
+        doc = yaml.safe_load(block.group(1))
+        cfg = load_config(_write_config(tmp_path / "c.yaml", doc))
+        assert cfg.learner == doc["learner"]
+
+
+# Every command that reads a dataset.
+DATA_COMMANDS = [
+    "fit", "hyperopt", "estimate", "test-intersection", "test-sorted", "importance", "report"
+]
 
 # A stderr line that reports a stage's wall time.
 TIMING = re.compile(r"^\d+-fold cross-fit( \+ raw fit)? in \d+\.\ds$")
@@ -335,6 +375,22 @@ class TestCommands:
         assert batches == [1 + 3 + 4]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("command", ["hyperopt", "importance", "test-sorted", "report"])
+    def test_run_builds_plan_and_sorted_config_once(self, workdir, tmp_path, monkeypatch, command):
+        """The config builds the split plan and the sorted-groups config,
+        and the command reads them rather than building its own."""
+        built = []
+
+        def counted(cls):
+            return lambda *a, **k: built.append(cls) or cls(*a, **k)
+
+        for name in ("SplitPlan", "SortedGroupsConfig"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        doc = base_config(workdir, tmp_path / "o")
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
+        assert res.exit_code == 0, res.output
+        assert sorted(cls.__name__ for cls in built) == ["SortedGroupsConfig", "SplitPlan"]
+
     def test_sorted_grid_takes_network_settings(self, workdir, tmp_path, monkeypatch, workers):
         """Every split searches the default grid of the config's learner
         family, whose candidates carry the config's settings for that
@@ -469,24 +525,36 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)  # not an escaped ValueError
         assert f"error: invalid {learner} settings" in res.output
 
-    def test_grid_axis_in_learner_settings_is_validation_error(self, workdir, tmp_path):
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_grid_axis_in_learner_settings_is_validation_error(self, workdir, tmp_path, command):
         """The default grid sets max_depth itself; a config that also sets
-        it is rejected, not silently overridden."""
-        doc = base_config(
-            workdir, tmp_path / "o", hyperopt_grid="default", boosted={"max_depth": 3}
-        )
-        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "hyperopt")
+        it is rejected by every command, not silently overridden."""
+        out = tmp_path / "o"
+        doc = base_config(workdir, out, hyperopt_grid="default", boosted={"max_depth": 3})
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         (line,) = res.output.splitlines()
-        assert line.startswith("error:") and "max_depth" in line
-        out = tmp_path / "o"
-        assert not out.exists() or os.listdir(out) == []
+        assert line == (
+            "error: invalid boosted settings: the default grid searches max_depth,"
+            " which the settings may not also set"
+        )
+        assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command",
-        ["fit", "hyperopt", "estimate", "test-intersection", "test-sorted", "importance", "report"],
-    )
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_unknown_group_feature_is_validation_error(self, workdir, tmp_path, command):
+        """group_features is checked against the schema when it is loaded,
+        before any fit, whether the command groups or not."""
+        out = tmp_path / "o"
+        doc = base_config(workdir, out, group_features=["a", "bogus"])
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line == "error: group_features names features the schema lacks: ['bogus']"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
     @pytest.mark.parametrize(
         "sections, message",
         [
@@ -512,10 +580,7 @@ class TestExitCodes:
         assert line.startswith(message)
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command",
-        ["fit", "hyperopt", "estimate", "test-intersection", "test-sorted", "importance", "report"],
-    )
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_unknown_hyperopt_grid_is_validation_error(self, workdir, tmp_path, command):
         out = tmp_path / "o"
         doc = base_config(workdir, out, hyperopt_grid="bogus")
@@ -526,10 +591,7 @@ class TestExitCodes:
         assert line == "error: unknown hyperopt grid 'bogus'"
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command",
-        ["fit", "hyperopt", "estimate", "test-intersection", "test-sorted", "importance", "report"],
-    )
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
     @pytest.mark.parametrize(
         "entry, message",
         [

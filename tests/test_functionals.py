@@ -1,16 +1,20 @@
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dgp
-from pcptest.data import Dataset
-from pcptest.functionals import (
+from conftest import (
     DegenerateMarginalError,
     correlation_from_quad,
     covariance_from_quad,
+    make_dgp,
+    oracle_correlation,
+    oracle_marginals,
+    oracle_quad_gradient,
+)
+from pcptest.data import Dataset
+from pcptest.functionals import (
     DEGENERATE_TOL,
     correlation_score,
     covariance_score,
@@ -101,25 +105,13 @@ class TestGradientRegressors:
 
 
 # ---------------------------------------------------------------------------
-# The scalar formulas the vectorized kernel replaced, kept as its oracle.
-
-
-def oracle_marginals(quad):
-    quad = np.asarray(quad, dtype=np.float64)
-    return quad[..., 2] + quad[..., 3], quad[..., 1] + quad[..., 3]
+# The scalar formulas the vectorized kernel replaced, kept as its oracle;
+# the marginals, correlation and quad gradient are in conftest.
 
 
 def oracle_covariance(quad):
     p, q = oracle_marginals(quad)
     return float(np.asarray(quad)[..., 3] - p * q)
-
-
-def oracle_correlation(quad):
-    p, q = oracle_marginals(quad)
-    if min(p, 1 - p, q, 1 - q) < DEGENERATE_TOL:
-        raise DegenerateMarginalError(f"correlation undefined at p={float(p)}, q={float(q)}")
-    cov = float(np.asarray(quad)[..., 3] - p * q)
-    return cov / math.sqrt(p * (1 - p) * q * (1 - q))
 
 
 def oracle_gradient_regressors(quad, rho):
@@ -129,22 +121,6 @@ def oracle_gradient_regressors(quad, rho):
     g1 = rho * (q - 0.5) / (q * (1 - q))
     g2 = rho * (p - 0.5) / (p * (1 - p))
     return float(g1), float(g2)
-
-
-def oracle_quad_gradient(quad, kind):
-    quad = np.asarray(quad, dtype=np.float64)
-    p = quad[2] + quad[3]
-    q = quad[1] + quad[3]
-    grad_c = np.array([0.0, -p, -q, 1.0 - p - q])
-    if kind == "covariance":
-        return grad_c
-    rho = oracle_correlation(quad)
-    s = math.sqrt(p * (1 - p) * q * (1 - q))
-    dlogs_dp = (1 - 2 * p) / (2 * p * (1 - p))
-    dlogs_dq = (1 - 2 * q) / (2 * q * (1 - q))
-    grad_p = np.array([0.0, 0.0, 1.0, 1.0])
-    grad_q = np.array([0.0, 1.0, 0.0, 1.0])
-    return grad_c / s - rho * (dlogs_dp * grad_p + dlogs_dq * grad_q)
 
 
 def assert_bits(actual, expected):
@@ -177,27 +153,24 @@ def test_kernel_matches_scalar_oracle(quads):
     # Any leading shape gives the same numbers as the flat batch.
     stacked = per_obs_stats(np.stack([quads, quads[::-1]]))
     assert_bits(stacked.correlation[0], stats.correlation)
-    assert_bits(stacked.grad_correlation[1], stats.grad_correlation[::-1])
+    assert_bits(stacked.grad1[1], stats.grad1[::-1])
     for i, quad in enumerate(quads):
         p, q = oracle_marginals(quad)
         assert_bits(stats.p[i], p)
         assert_bits(stats.q[i], q)
         assert_bits(stats.covariance[i], oracle_covariance(quad))
-        assert_bits(stats.grad_covariance[i], oracle_quad_gradient(quad, "covariance"))
         try:
             rho = oracle_correlation(quad)
         except DegenerateMarginalError:
             assert stats.degenerate[i]
             for field in (stats.correlation, stats.grad1, stats.grad2):
                 assert_bits(field[i], 0.0)
-            assert_bits(stats.grad_correlation[i], np.zeros(4))
             continue
         assert not stats.degenerate[i]
         assert_bits(stats.correlation[i], rho)
         g1, g2 = oracle_gradient_regressors(quad, rho)
         assert_bits(stats.grad1[i], g1)
         assert_bits(stats.grad2[i], g2)
-        assert_bits(stats.grad_correlation[i], oracle_quad_gradient(quad, "correlation"))
 
 
 class TestBruteForceOracle:
@@ -337,8 +310,9 @@ class TestGroupMean:
 @settings(max_examples=300, deadline=None)
 def test_scores_match_one_step_oracle(records):
     """Each closed-form score is the one-step expansion
-    s(quad) + grad s(quad) . (onehot(y) - quad) built from the kernel's
-    delta-method gradients; for C it is exactly the residual product."""
+    s(quad) + grad s(quad) . (onehot(y) - quad) built from the oracle's
+    delta-method gradients, 0 for rho where degenerate; for C it is exactly
+    the residual product."""
     quads = np.array([quad for quad, _, _ in records])
     c = np.array([rec[1] for rec in records])
     r = np.array([rec[2] for rec in records])
@@ -346,9 +320,16 @@ def test_scores_match_one_step_oracle(records):
     p, q = oracle_marginals(quads)
     assert_bits(covariance_score(stats, c, r), (c - p) * (r - q))
     step = np.eye(4)[2 * c + r] - quads
+    grad_c = np.array([oracle_quad_gradient(quad, "covariance") for quad in quads])
+    grad_rho = np.array(
+        [
+            np.zeros(4) if degenerate else oracle_quad_gradient(quad, "correlation")
+            for quad, degenerate in zip(quads, stats.degenerate)
+        ]
+    )
     for score, value, grad in (
-        (covariance_score(stats, c, r), stats.covariance, stats.grad_covariance),
-        (correlation_score(stats, c, r), stats.correlation, stats.grad_correlation),
+        (covariance_score(stats, c, r), stats.covariance, grad_c),
+        (correlation_score(stats, c, r), stats.correlation, grad_rho),
     ):
         terms = grad * step
         one_step = value + terms.sum(axis=-1)

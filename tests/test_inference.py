@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from conftest import oracle_quad_gradient
 from pcptest import inference
 from pcptest import learners as L
 from pcptest.data import DataError
-from pcptest.functionals import per_obs_stats
 from pcptest.inference import (
     IntersectionInput,
     SortedGroupsConfig,
@@ -251,7 +251,7 @@ class TestSortedGroups:
                 mean = w @ y / w.sum()
                 resid = y - mean
                 sigma = (resid * (w**2)[:, None]).T @ resid / w.sum() ** 2
-                grad = getattr(per_obs_stats(mean), f"grad_{statistic}")
+                grad = oracle_quad_gradient(mean, statistic)
                 expected = math.sqrt(grad @ sigma @ grad)
                 assert s.group_ses[g] == pytest.approx(expected, rel=1e-12, abs=0.0)
 

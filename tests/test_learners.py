@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import constant_model_loss
 from pcptest.data import DataError, SplitPlan, make_folds, split
 from pcptest.learners import (
     ClassifierModel,
     HyperoptReport,
-    constant_model_loss,
     cross_entropy_loss,
     cross_fit_predict,
     default_grid,
@@ -168,8 +168,10 @@ class TestHyperopt:
         fast = default_grid(NetworkConfig, max_epochs=7)
         assert all(cfg.max_epochs == 7 for cfg in fast)
         assert all(cfg.n_rounds == 2 for cfg in default_grid(BoostConfig, n_rounds=2))
-        with pytest.raises(TypeError):
+        with pytest.raises(DataError, match="^the default grid searches max_depth, which"):
             default_grid(BoostConfig, max_depth=3)
+        with pytest.raises(DataError, match="searches max_depth, learning_rate, which"):
+            default_grid(BoostConfig, learning_rate=0.5, max_depth=3)
 
 
 class TestImportance:
