@@ -12,7 +12,6 @@ power when all rho* are negative and size when all are nonnegative.
 import argparse
 
 import numpy as np
-from scipy.special import logit
 
 from pcptest.data import CategoricalSchema, make_folds
 from pcptest.functionals import debiased_group_correlation, per_obs_stats
@@ -27,6 +26,10 @@ P = np.tile([0.30, 0.52, 0.72], 4)
 Q = np.tile([0.66, 0.45, 0.28], 4)
 GROUPS = [np.arange(3 * g, 3 * g + 3) for g in range(4)]
 LEARNER = BoostConfig(n_rounds=80, max_depth=4, min_leaf=10, learning_rate=0.5)
+
+
+def logit(p: np.ndarray) -> np.ndarray:
+    return np.log(p / (1 - p))
 
 
 def build_dgp(rho_cells: np.ndarray) -> SyntheticDGP:

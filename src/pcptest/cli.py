@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 import click
 import numpy as np
 import yaml
-from scipy.stats import gaussian_kde
 
 from . import __version__
 from . import learners as L
@@ -251,6 +250,16 @@ def write_table(out: OutputDir, name: str, header: list[str], rows: list[list]) 
                 fh.write("  ".join("-" * w for w in widths) + "\n")
 
 
+def silverman_factor(n: int) -> float:
+    """Silverman's bandwidth factor for n equally weighted 1-D points, the
+    ``gaussian_kde(values, bw_method="silverman").factor`` of scipy.  The
+    effective size is computed as scipy computes it, from the weights'
+    dot product, so the factor matches scipy's to the bit."""
+    w = np.ones(n) / n
+    neff = 1.0 / np.dot(w, w)
+    return float(np.power(neff * 3.0 / 4.0, -0.2))
+
+
 def write_density(out: OutputDir, name: str, values: np.ndarray) -> None:
     """Gaussian KDE with Silverman bandwidth on a 512-point grid.  The kernels
     sum over the distinct values weighted by their counts, a block of grid
@@ -260,7 +269,7 @@ def write_density(out: OutputDir, name: str, values: np.ndarray) -> None:
         grid = np.full(512, values[0])
         dens = np.zeros(512)
     else:
-        h = values.std(ddof=1) * gaussian_kde(values, bw_method="silverman").factor
+        h = values.std(ddof=1) * silverman_factor(len(values))
         grid = np.linspace(values.min() - 3 * h, values.max() + 3 * h, 512)
         distinct, counts = np.unique(values, return_counts=True)
         step = max(1, 2**16 // len(distinct))
@@ -390,7 +399,17 @@ def _fit_batch(
             if intersection:
                 _write_intersection(cfg, out, d, groups)
         if sorted_groups:
-            _write_sorted(cfg, out, merge_sorted_splits(cfg.sorted_cfg, list(results)), t0)
+            res = merge_sorted_splits(cfg.sorted_cfg, list(results))
+            elapsed = time.monotonic() - t0
+            # The splits share the batch, and its clock, with any folds.
+            when = (
+                f"done {elapsed:.1f}s into the fit batch"
+                f" (shared with the {cfg.folds}-fold cross-fit)"
+                if cross_fit
+                else f"in {elapsed:.1f}s"
+            )
+            _log(f"test-sorted: {cfg.sorted_cfg.n_splits} splits {when}")
+            _write_sorted(cfg, out, res)
     finally:
         results.close()
 
@@ -510,9 +529,8 @@ def cmd_test_sorted(cfg: RunConfig, out: OutputDir) -> None:
     _fit_batch(cfg, out, sorted_groups=True)
 
 
-def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult, t0: float) -> None:
+def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult) -> None:
     scfg = res.config
-    _log(f"test-sorted: {scfg.n_splits} splits in {time.monotonic() - t0:.1f}s")
     _log(f"sorted groups: {res.redraws} redraws over {scfg.n_splits} splits")
 
     rows = [

@@ -14,10 +14,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from . import learners as L
 from .data import (
@@ -35,7 +35,6 @@ __all__ = [
     "IntersectionResult",
     "intersection_test",
     "intersection_tests",
-    "analytic_k0",
     "gamma_n",
     "SortedGroupsConfig",
     "SplitResult",
@@ -168,17 +167,14 @@ def _tests_on_one_draw(inputs: list[IntersectionInput]) -> list[IntersectionResu
     return results
 
 
-def analytic_k0(L: int, gamma: float) -> float:
-    """Quantile of the max of L independent standard normals: Phi^-1(gamma^(1/L))."""
-    if L < 1:
-        raise DataError("L must be at least 1")
-    if not (0.0 < gamma < 1.0):
-        raise DataError("gamma must lie in (0, 1)")
-    return float(norm.ppf(gamma ** (1.0 / L)))
-
-
 # ---------------------------------------------------------------------------
 # Sorted-groups test
+
+
+def normal_cdf(t: float) -> float:
+    """Standard normal CDF through erfc, which keeps its relative accuracy
+    in the far lower tail, where ``NormalDist().cdf`` underflows to 0."""
+    return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
 # Draws of one split before a degenerate split is an error.
@@ -242,7 +238,7 @@ class SortedGroupsResult:
     def interval(self, alpha: float) -> tuple[float, float]:
         """Medians over splits of group 1's per-split bounds statistic -/+
         z_(1-alpha/2) se; the interval covers with probability >= 1 - 2 alpha."""
-        z = float(norm.ppf(1.0 - alpha / 2.0))
+        z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         lower = np.median([s.statistic - z * s.se for s in self.splits])
         upper = np.median([s.statistic + z * s.se for s in self.splits])
         return float(lower), float(upper)
@@ -318,7 +314,7 @@ def _split_result(
         float(group_stats[0]),
         float(se1),
         float(tstat),
-        float(norm.cdf(tstat)),
+        normal_cdf(tstat),
     )
 
 

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from pcptest import parallel
-from pcptest.data import CategoricalSchema, Dataset
+from pcptest.data import CategoricalSchema, DataError, Dataset
 from pcptest.functionals import DEGENERATE_TOL, per_obs_stats
 from pcptest.network import PROB_CLIP
 from pcptest.synth import RhoSpec, SyntheticDGP, WeightLaw, sample_dataset
@@ -113,3 +114,13 @@ def constant_model_loss(d: Dataset) -> float:
     p = class_w / class_w.sum()
     p = np.clip(p, PROB_CLIP, None)
     return float(-(class_w / class_w.sum() * np.log(p)).sum())
+
+
+def analytic_k0(L: int, gamma: float) -> float:
+    """Quantile of the max of L independent standard normals: Phi^-1(gamma^(1/L)),
+    the closed form the intersection test's Monte Carlo k0 approaches."""
+    if L < 1:
+        raise DataError("L must be at least 1")
+    if not (0.0 < gamma < 1.0):
+        raise DataError("gamma must lie in (0, 1)")
+    return float(norm.ppf(gamma ** (1.0 / L)))

@@ -16,7 +16,7 @@ import yaml
 from click.testing import CliRunner
 from scipy.special import logit
 
-from conftest import correlation_from_quad, covariance_from_quad
+from conftest import analytic_k0, correlation_from_quad, covariance_from_quad
 from pcptest import parallel
 from pcptest.cli import main as cli_main
 from pcptest.data import (
@@ -35,7 +35,6 @@ from pcptest.functionals import (
 from pcptest.inference import (
     IntersectionInput,
     SortedGroupsConfig,
-    analytic_k0,
     gamma_n,
     gaussian_group_draw,
     intersection_test,

@@ -1,18 +1,23 @@
+import ast
 import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gaussian_kde
 
 from pcptest import cli, inference, parallel
 from pcptest import learners as L
-from pcptest.cli import OutputDir, RunConfig, load_config, main, write_density
+from pcptest.cli import OutputDir, RunConfig, load_config, main, silverman_factor, write_density
 from pcptest.data import CategoricalSchema, DataError, Dataset, SplitPlan, load_csv, save_csv
 
 
@@ -41,6 +46,9 @@ def workdir(tmp_path_factory, small_dgp):
         "schema": str(root / "sim" / "schema.yaml"),
         "dgp": str(dgp_path),
     }
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_config(path, doc):
@@ -178,6 +186,12 @@ class TestDensity:
         grid, dens = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1).T
         assert np.all(grid == 0.25) and np.all(dens == 0.0)
 
+    @given(n=st.integers(2, 20_000))
+    @settings(max_examples=200, deadline=None)
+    def test_silverman_factor_is_scipys(self, n):
+        values = np.arange(n, dtype=np.float64)
+        assert silverman_factor(n) == gaussian_kde(values, bw_method="silverman").factor
+
 
 class TestCommands:
     def test_simulate_outputs(self, workdir):
@@ -256,6 +270,19 @@ class TestCommands:
         res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "test-sorted")
         assert res.exit_code == 0, res.output
         assert re.search(r"^sorted groups: \d+ redraws over 2 splits$", res.output, re.M)
+
+    @pytest.mark.parametrize("command", ["test-sorted", "report"])
+    def test_sorted_timing_names_a_shared_batch(self, workdir, tmp_path, command):
+        """report's splits run in one batch with the folds and are timed from
+        its start, so their line says so; test-sorted's splits run alone."""
+        p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "o"))
+        res = run_cmd(p, command)
+        assert res.exit_code == 0, res.output
+        when = {
+            "test-sorted": r"in \d+\.\ds",
+            "report": r"done \d+\.\ds into the fit batch \(shared with the 2-fold cross-fit\)",
+        }[command]
+        assert re.search(rf"^test-sorted: 1 splits {when}$", res.output, re.M)
 
     @pytest.mark.parametrize("command", ["estimate", "test-intersection", "report"])
     def test_failed_group_estimate_is_reported(self, workdir, tmp_path, command):
@@ -730,3 +757,45 @@ class TestCliOverrides:
         assert res.exit_code == 0, res.output
         with open(tmp_path / "flag" / "manifest.json") as fh:
             assert json.load(fh)["seed"] == 42
+
+
+class TestRuntimeImports:
+    # Import names whose distribution is named otherwise.
+    DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+    def test_no_scipy_at_run_time(self, workdir, tmp_path):
+        """scipy is a test oracle, not a runtime dependency: a fresh
+        interpreter that imports the CLI and runs a report never loads it,
+        and every third-party module the package imports is a declared
+        dependency."""
+        p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "o"))
+        code = (
+            "import sys; from click.testing import CliRunner; import pcptest.cli; "
+            "res = CliRunner().invoke(pcptest.cli.main, ['--config', sys.argv[1], 'report']); "
+            "assert res.exit_code == 0, res.output; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        res = subprocess.run(
+            [sys.executable, "-c", code, p], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            declared = {
+                re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+                for dep in tomllib.load(fh)["project"]["dependencies"]
+            }
+        assert "scipy" not in declared
+        imported = set()
+        for path in (ROOT / "src" / "pcptest").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"pcptest"}
+        assert third_party
+        assert {self.DISTRIBUTIONS.get(m, m) for m in third_party} <= declared

@@ -1,13 +1,14 @@
 import math
 import multiprocessing
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from conftest import oracle_quad_gradient
+from conftest import analytic_k0, oracle_quad_gradient
 from pcptest import inference
 from pcptest import learners as L
 from pcptest.data import DataError
@@ -15,7 +16,6 @@ from pcptest.inference import (
     IntersectionInput,
     SortedGroupsConfig,
     SplitResult,
-    analytic_k0,
     gamma_n,
     gaussian_group_draw,
     intersection_test,
@@ -371,11 +371,32 @@ class TestSortedGroupsMedians:
         ses = np.array([0.05, 0.4, 0.1, 0.2, 0.3])
         res = self.merged(stats, ses)
         for alpha in (0.01, 0.05, 0.10):
-            z = norm.ppf(1 - alpha / 2)
+            z = NormalDist().inv_cdf(1 - alpha / 2)
             lower, upper = np.median(stats - z * ses), np.median(stats + z * ses)
             assert res.interval(alpha) == (lower, upper)
             # Not the median statistic -/+ z times the median SE.
             assert lower != np.median(stats) - z * np.median(ses)
+
+    @given(alpha=st.floats(2e-12, 1.0, exclude_max=True))
+    @example(alpha=2e-12)
+    @settings(max_examples=300, deadline=None)
+    def test_interval_quantile_matches_scipy(self, alpha):
+        """A unit split's interval is -/+ z_(1-alpha/2), within a few ulps of
+        scipy's quantile over p = 1 - alpha/2 in (0.5, 1 - 1e-12)."""
+        lower, upper = self.merged([0.0], [1.0]).interval(alpha)
+        assert lower == -upper
+        assert upper == pytest.approx(norm.ppf(1 - alpha / 2), abs=2e-15, rel=1.5e-15)
+
+    @given(t=st.floats(-37.0, 37.0))
+    @example(t=-37.0)
+    @example(t=37.0)
+    @settings(max_examples=300, deadline=None)
+    def test_split_p_value_cdf_matches_scipy(self, t):
+        """The split p-value's normal CDF keeps its relative accuracy, and
+        stays positive, far into the lower tail."""
+        p = inference.normal_cdf(t)
+        assert p > 0.0
+        assert p == pytest.approx(norm.cdf(t), rel=1e-12, abs=0.0)
 
 
 class TestMCSizePower:
