@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import click
 import numpy as np
@@ -230,24 +231,22 @@ class OutputDir:
             fh.write("\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
-def write_table(out: OutputDir, name: str, header: list[str], rows: list[list]) -> None:
+def write_table(out: OutputDir, name: str, header: list[str], rows: Sequence[Sequence]) -> None:
     """Emit a table as <name>.csv and aligned <name>.txt, formatting each
-    cell once for both."""
-    cells = [header] + [[_fmt(v) for v in row] for row in rows]
+    cell once for both: a float to 6 significant digits, anything else by
+    ``str``.  Each .txt line is one format of a template padded to the
+    column widths."""
+    cells = [header] + [
+        [format(v, ".6g") if isinstance(v, float) else str(v) for v in row] for row in rows
+    ]
     with open(out.path(name + ".csv"), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(cells)
-    widths = [max(len(r[j]) for r in cells) for j in range(len(header))]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths)
     with open(out.path(name + ".txt"), "w", encoding="utf-8") as fh:
-        for i, row in enumerate(cells):
-            fh.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
-            if i == 0:
-                fh.write("  ".join("-" * w for w in widths) + "\n")
+        fh.write(line.format(*header).rstrip() + "\n")
+        fh.write("  ".join("-" * w for w in widths) + "\n")
+        fh.writelines(line.format(*row).rstrip() + "\n" for row in cells[1:])
 
 
 def silverman_factor(n: int) -> float:
@@ -421,14 +420,12 @@ def cmd_estimate(cfg: RunConfig, out: OutputDir) -> None:
 def _write_estimates(
     cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats, raw: PerObsStats, groups: Groups
 ) -> None:
+    columns = [raw.covariance, raw.correlation, cf.covariance, cf.correlation, d.w]
     write_table(
         out,
         "per_obs_stats",
         ["raw_covariance", "raw_correlation", "cf_covariance", "cf_correlation", "w"],
-        [
-            [raw.covariance[i], raw.correlation[i], cf.covariance[i], cf.correlation[i], d.w[i]]
-            for i in range(d.n)
-        ],
+        list(zip(*(column.tolist() for column in columns))),
     )
 
     rows = []
@@ -481,26 +478,28 @@ def cmd_test_intersection(cfg: RunConfig, out: OutputDir) -> None:
 def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Groups) -> None:
     """One row per feature, statistic and level.  A feature with a failed
     debiased group is not tested on that statistic: its rows carry NaN.
-    The tests of one feature share one Monte Carlo draw."""
+    Every test is run in one call, so all the features with the same
+    number of groups share one Monte Carlo draw."""
     nan = float("nan")
-    rows = []
+    tested, inputs = set(), []
     for name, table in groups.items():
-        tested, inputs = [], []
         for stat_name in ("covariance", "dd_correlation"):
             estimates = [getattr(g, stat_name) for g in table]
             if any(g is None for g in estimates):
                 continue
-            tested.append(stat_name)
+            tested.add((name, stat_name))
             est = np.array([g.estimate for g in estimates])
             ses = np.array([g.se for g in estimates])
             inputs += [
                 IntersectionInput(est, ses, d.n, alpha, cfg.mc_draws, cfg.seed)
                 for alpha in cfg.levels
             ]
-        results = iter(intersection_tests(inputs))
+    results = iter(intersection_tests(inputs))
+    rows = []
+    for name in groups:
         for stat_name in ("covariance", "dd_correlation"):
             for alpha in cfg.levels:
-                if stat_name not in tested:
+                if (name, stat_name) not in tested:
                     rows.append([name, stat_name, alpha, nan, nan, nan, "not tested", nan, nan])
                     continue
                 res = next(results)
@@ -550,7 +549,7 @@ def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult) -> No
         "sorted_median",
         [f"group{g + 1}_{cfg.statistic}" for g in range(scfg.n_groups)]
         + ["median_statistic", "median_tstat", "median_p_value", "adjusted_p_value"]
-        + [f"ci_{side}_{_fmt(a)}" for a in cfg.levels for side in ("lower", "upper")],
+        + [f"ci_{side}_{a:.6g}" for a in cfg.levels for side in ("lower", "upper")],
         [
             list(res.median_group_stats)
             + [res.median_statistic, res.median_tstat, res.median_p_value, res.adjusted_p_value]

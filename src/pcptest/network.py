@@ -143,10 +143,26 @@ def _forward(params: MLPParams, X: np.ndarray, dropout_masks: np.ndarray | None 
     return scores, hiddens
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over the class axis: the last one, or axis 0 of class-major
+    scores.  The max and the sum take the classes one at a time, left to
+    right, which is the order numpy's own reduction takes over a short last
+    axis, so the bits are those of ``scores.max`` and ``e.sum`` either way.
+    Over a leading axis numpy's reduction itself runs class after class;
+    over the last axis the classes are taken as columns, which costs a
+    fraction of a reduction over a few classes."""
+    if axis == 0:
+        e = np.exp(scores - scores.max(axis=0))
+        return e / e.sum(axis=0)
+    n_classes = scores.shape[-1]
+    top = scores[..., 0]
+    for k in range(1, n_classes):
+        top = np.maximum(top, scores[..., k])
+    e = np.exp(scores - top[..., None])
+    total = e[..., 0]
+    for k in range(1, n_classes):
+        total = total + e[..., k]
+    return e / total[..., None]
 
 
 def forward_probs(params: MLPParams, X: np.ndarray) -> np.ndarray:

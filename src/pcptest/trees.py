@@ -16,17 +16,22 @@ open rows; the last level sums only the gradient and the hessian.  Every
 bin sums the same values in the same order as a per-level pass over the
 open rows would, so the trees are bit-identical to it.
 
-Prediction compresses its design the same way and evaluates each model on
-the distinct rows only.  A model is turned once into flat node arrays
-(split column, first child, leaf value); the class trees of a boosting
-round, or one forest tree, then route every distinct row in a fixed number
-of vectorized steps, and the sums are scattered back to the records.  They
-are added in the order of the trees, so every bit equals a walk of each
-tree over each record.  ``TreeNode`` stays the stored form of a tree.
+A boosting round is kept as the grower leaves it: for each splitting
+level, the split column of every node at that level (0 at a leaf) and the
+node's first node at the next level, and the leaf values of the last
+level.  One routing function moves rows down those levels, a take and an
+add per array and level, in the grower and in prediction alike; a forest
+turns each of its trees into the same form once.  Prediction compresses
+its design the same way and routes the distinct rows only; the sums are
+added in the order of the trees and scattered back to the records, so
+every bit equals a walk of each tree over each record.  ``TreeNode`` stays
+the stored form of a tree: ``BoostModel.rounds`` builds it from the levels
+on first read, and ``from_doc`` turns it back into levels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,62 +133,88 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return active[first], inverse.reshape(-1), counts
 
 
-def _routing_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of X as _FlatTrees reads them, with the sentinel
-    column in front, and the row of every record."""
+def _flat_bits(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n_cols) active pattern as ``_route`` reads it, flat, and the
+    first bit of each row.  Column 0 never splits, so it is cleared: a leaf
+    (split column 0) routes its rows on to its own node at the next level."""
+    m, n_cols = active.shape
+    active[:, 0] = False
+    return active.reshape(-1).view(np.uint8), np.arange(0, m * n_cols, n_cols)
+
+
+def _routing_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of X as ``_route`` reads them, the first bit of each
+    row, and the row of every record."""
     active, inverse, _ = _distinct_rows(X)
-    return np.pad(active, ((0, 0), (1, 0))).view(np.uint8), inverse
+    return *_flat_bits(active), inverse
 
 
 @dataclass(frozen=True)
-class _FlatTrees:
-    """Trees as flat node arrays, evaluated together over index arrays.
+class _Levels:
+    """Trees as the level-wise grower leaves them: index arrays per level.
 
-    Node i reads column ``column[i]`` of the routing rows, which are the
-    design columns shifted by one behind a sentinel column 0 that is never
-    active.  The children of a split are ``left[i]`` and ``left[i] + 1``,
-    the right child taking the rows whose column is active.  A leaf holds
-    its value row ``value[i]`` and routes to itself through the sentinel,
-    so ``depth`` steps bring every row to its leaf.
+    For each splitting level, ``splits`` holds the split column of every
+    node at that level, 0 at a leaf, and the node's first node at the next
+    level.  A split's children are that node and the next one, the right
+    child taking the rows whose column is active; a leaf is carried on as
+    one node of the next level, so after the last level every row stands at
+    its leaf and reads its row of ``value``.  Tree t's root is node t of
+    level 0.
     """
 
-    column: np.ndarray  # (n_nodes,)
-    left: np.ndarray  # (n_nodes,)
-    value: np.ndarray  # (n_nodes, value_dim), 0 at splits
-    n_trees: int  # the roots are nodes 0 .. n_trees - 1
-    depth: int
+    splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # per level: (split column, first child)
+    value: np.ndarray  # (nodes of the last level, value_dim)
 
-    @classmethod
-    def build(cls, trees: list[TreeNode]) -> "_FlatTrees":
-        nodes = list(trees)
-        column, left, leaves, depth = [], [], [], [0] * len(nodes)
-        for i, node in enumerate(nodes):  # breadth first; nodes grows as it is walked
-            if node.is_leaf():
-                column.append(0)
-                left.append(i)
-                leaves.append(i)
-            else:
-                column.append(node.column + 1)
-                left.append(len(nodes))
-                nodes += [node.left, node.right]
-                depth += [depth[i] + 1] * 2
-        value = np.zeros((len(nodes), len(nodes[leaves[0]].value)))
-        value[leaves] = [nodes[i].value for i in leaves]
-        return cls(np.array(column), np.array(left), value, len(trees), max(depth))
 
-    def leaf_values(self, rows: np.ndarray) -> np.ndarray:
-        """(m, n_trees, value_dim) leaf values of the (m, width) routing rows;
-        item i * n_trees + t stands for row i in tree t."""
-        m, width = rows.shape
-        bits = rows.reshape(-1)
-        offset = np.repeat(np.arange(0, m * width, width), self.n_trees)
-        node = np.tile(np.arange(self.n_trees), m)
-        for _ in range(self.depth):
-            at = self.column.take(node)
-            at += offset
-            node = self.left.take(node)
-            node += bits.take(at)
-        return self.value.take(node, axis=0).reshape(m, self.n_trees, -1)
+def _first_child(split_col: np.ndarray) -> np.ndarray:
+    """Each node's first node at the next level: a split has two, a leaf one."""
+    width = (split_col > 0) + 1
+    first = width.cumsum()
+    first -= width
+    return first
+
+
+def _route(
+    splits: Sequence[tuple[np.ndarray, np.ndarray]],
+    node: np.ndarray,
+    bits: np.ndarray,
+    item_bit: np.ndarray,
+) -> np.ndarray:
+    """The node of every item after the given levels.  Item i starts at
+    ``node[i]`` and reads bit ``item_bit[i] + column`` of ``bits``."""
+    for split_col, first in splits:
+        at = split_col.take(node)
+        at += item_bit
+        node = first.take(node)
+        node += bits.take(at)
+    return node
+
+
+def _levels_of(trees: list[TreeNode]) -> _Levels:
+    """The level form of TreeNode trees, read level by level."""
+    splits, nodes = [], list(trees)
+    while not all(node.is_leaf() for node in nodes):
+        if any(not node.is_leaf() and node.column < 1 for node in nodes):
+            raise ValueError("a tree splits on column 0, the constant column")
+        split_col = np.array([0 if node.is_leaf() else node.column for node in nodes])
+        splits.append((split_col, _first_child(split_col)))
+        nodes = [
+            child
+            for node in nodes
+            for child in ((node,) if node.is_leaf() else (node.left, node.right))
+        ]
+    return _Levels(tuple(splits), np.array([node.value for node in nodes]))
+
+
+def _trees_of(levels: _Levels) -> list[TreeNode]:
+    """The TreeNode roots of trees in level form, built from the last level up."""
+    nodes = [TreeNode(value=value) for value in levels.value]
+    for split_col, first in reversed(levels.splits):
+        nodes = [
+            TreeNode(column=col, left=nodes[f], right=nodes[f + 1]) if col else nodes[f]
+            for col, f in zip(split_col.tolist(), first.tolist())
+        ]
+    return nodes
 
 
 def _weighted_entropy(class_w: np.ndarray) -> float:
@@ -267,14 +298,15 @@ class ForestModel:
     importance: np.ndarray  # raw weighted-entropy decrease per design column
 
     @cached_property
-    def _flat(self) -> list[_FlatTrees]:
-        return [_FlatTrees.build([tree]) for tree in self.trees]
+    def _levels(self) -> list[_Levels]:
+        return [_levels_of([tree]) for tree in self.trees]
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
-        rows, inverse = _routing_rows(X)
-        acc = np.zeros((len(rows), self.n_classes))
-        for flat in self._flat:
-            acc += flat.leaf_values(rows)[:, 0]
+        bits, row_bit, inverse = _routing_rows(X)
+        root = np.zeros(len(row_bit), dtype=np.intp)
+        acc = np.zeros((len(row_bit), self.n_classes))
+        for tree in self._levels:
+            acc += tree.value.take(_route(tree.splits, root, bits, row_bit), axis=0)
         return (acc / len(self.trees))[inverse]
 
     def to_doc(self) -> dict:
@@ -329,26 +361,27 @@ def fit_forest(
 @dataclass
 class BoostModel:
     init_scores: np.ndarray  # (n_classes,)
-    rounds: list[list[TreeNode]]  # per round, one tree per class
+    levels: list[_Levels]  # per round, the class trees; tree k's root is node k
     learning_rate: float
     n_classes: int
     importance: np.ndarray
 
     @cached_property
-    def _flat(self) -> list[_FlatTrees]:
-        return [_FlatTrees.build(round_trees) for round_trees in self.rounds]
-
-    def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        if self.learning_rate == 0.0:
-            return np.tile(self.init_scores, (X.shape[0], 1))
-        rows, inverse = _routing_rows(X)
-        scores = np.tile(self.init_scores, (len(rows), 1))
-        for flat in self._flat:  # the class trees of one round at a time
-            scores += self.learning_rate * flat.leaf_values(rows)[..., 0]
-        return scores[inverse]
+    def rounds(self) -> list[list[TreeNode]]:
+        """Per round, one TreeNode tree per class: the stored form."""
+        return [_trees_of(rnd) for rnd in self.levels]
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
-        return _softmax(self.raw_scores(X))
+        bits, row_bit, inverse = _routing_rows(X)
+        k, m = self.n_classes, len(row_bit)
+        scores = np.repeat(self.init_scores[:, None], m, axis=1)  # (n_classes, m)
+        if self.learning_rate != 0.0:
+            root = np.repeat(np.arange(k), m)  # item t * m + r: row r in class tree t
+            item_bit = np.tile(row_bit, k)
+            for rnd in self.levels:
+                node = _route(rnd.splits, root, bits, item_bit)
+                scores += self.learning_rate * rnd.value.take(node, axis=0).reshape(k, m)
+        return _softmax(scores, axis=0).T[inverse]
 
     def to_doc(self) -> dict:
         return {
@@ -362,7 +395,7 @@ class BoostModel:
     def from_doc(cls, doc: dict, n_classes: int) -> "BoostModel":
         return cls(
             np.asarray(doc["init_scores"], dtype=np.float64),
-            [[TreeNode.from_dict(t) for t in rnd] for rnd in doc["rounds"]],
+            [_levels_of([TreeNode.from_dict(t) for t in rnd]) for rnd in doc["rounds"]],
             float(doc["learning_rate"]),
             n_classes,
             np.asarray(doc["importance"], dtype=np.float64),
@@ -378,22 +411,28 @@ class _DistinctRows:
     weight W and per-class weight masses M: its gradient and hessian sums
     are M_k - W p_k and W p_k (1 - p_k).  The class trees of a round are
     grown together; item k * m + r stands for distinct row r in class tree
-    k, and an entry is one (item, active candidate column) pair.
+    k, and an entry is one (item, active candidate column) pair.  M, the
+    scores, the gradient and the hessian are laid out the same way,
+    class-major.
 
     The root of every class tree holds every row, so its record count, its
-    W and their histograms depend on the data alone.  They are summed here
-    once, from class 0's entries, whose rows come in the same order as
-    every other class's, and shared by the roots of all rounds.
+    W and their histograms depend on the data alone, and so do the splits
+    that leave min_leaf records on each side.  They are summed here once,
+    from class 0's entries, whose rows come in the same order as every
+    other class's, and shared by the roots of all rounds.
     """
 
-    def __init__(self, X: np.ndarray, labels: np.ndarray, w: np.ndarray, n_classes: int):
+    def __init__(
+        self, X: np.ndarray, labels: np.ndarray, w: np.ndarray, n_classes: int, min_leaf: int
+    ):
         active, inverse, counts = _distinct_rows(X)  # (m, n_cols)
         m, n_cols = active.shape
         self.m, self.n_classes, self.n_cols = m, n_classes, n_cols
+        self.min_leaf = min_leaf
         self.W = np.bincount(inverse, weights=w, minlength=m)
         self.M = np.bincount(
-            inverse * n_classes + labels, weights=w, minlength=m * n_classes
-        ).reshape(m, n_classes)
+            labels * m + inverse, weights=w, minlength=n_classes * m
+        ).reshape(n_classes, m)
         counts = counts.astype(np.float64)
         self.item_count = np.tile(counts, n_classes)
         self.item_W = np.tile(self.W, n_classes)
@@ -408,21 +447,29 @@ class _DistinctRows:
         self.entry_count = self.item_count[self.entry_item]
         self.entry_W = self.item_W[self.entry_item]
 
-        # Routing reads bit row * n_cols + column of the active pattern.
-        # Column 0 never splits, so it is cleared to route the rows of a
-        # leaf (split column 0) on to the leaf's own node at the next level.
-        active[:, 0] = False
-        self.bits = active.reshape(-1).view(np.uint8)
-        self.item_bit = np.tile(np.arange(0, m * n_cols, n_cols), n_classes)
+        self.bits, row_bit = _flat_bits(active)
+        self.item_bit = np.tile(row_bit, n_classes)
 
         # The roots: class tree k's is node k of level 0.
         self.root_node = np.repeat(np.arange(n_classes), m)
         self.root_key = self.root_node[self.entry_item] * n_cols + self.entry_col
         one_bin = np.zeros(m, dtype=np.intp)
-        self.root_count = np.tile(np.bincount(one_bin, weights=counts), n_classes)
+        root_count = np.tile(np.bincount(one_bin, weights=counts), n_classes)
+        root_n_r = np.tile(np.bincount(c, weights=counts[r], minlength=n_cols), (n_classes, 1))
         self.root_W = np.tile(np.bincount(one_bin, weights=self.W), n_classes)
-        self.root_n_r = np.tile(np.bincount(c, weights=counts[r], minlength=n_cols), (n_classes, 1))
         self.root_W_r = np.tile(np.bincount(c, weights=self.W[r], minlength=n_cols), (n_classes, 1))
+        self.root_W_l = self.root_W[:, None] - self.root_W_r
+        self.root_can_split = root_count >= 2 * min_leaf
+        self.root_valid = _valid_splits(root_n_r, root_count, self.root_can_split, min_leaf)
+
+
+def _valid_splits(
+    n_r: np.ndarray, count: np.ndarray, can_split: np.ndarray, min_leaf: int
+) -> np.ndarray:
+    """The (node, column) splits that leave min_leaf records on each side."""
+    valid = (n_r >= min_leaf) & (count[:, None] - n_r >= min_leaf) & can_split[:, None]
+    valid[:, 0] = False
+    return valid
 
 
 def _grow_round(
@@ -430,50 +477,49 @@ def _grow_round(
     grad: np.ndarray,  # (n_classes, m) summed negative gradient M_k - W p_k
     hess: np.ndarray,  # (n_classes, m) summed hessian W p_k (1 - p_k)
     max_depth: int,
-    min_leaf: int,
     importance: np.ndarray,
-) -> tuple[list[TreeNode], np.ndarray]:
+) -> tuple[_Levels, np.ndarray]:
     """Grow one regression tree per class, all classes one depth level at a
-    time; return the trees and the (n_classes, m) leaf value of every row.
+    time; return the trees in level form and the (n_classes, m) leaf value
+    of every row.
 
     Each tree fits grad/w by weighted least-squares splits and its leaves
     take the Newton step sum(grad) / sum(hess).  Weighted SSE reduction
     reduces to S_R^2/W_R + S_L^2/W_L - S^2/W with S = sum(grad) and
-    W = sum(w); record counts serve min_leaf.  For all nodes of a level,
-    bincounts over the items give the count, W, S and H of every node, and
-    three bincounts over the key (node * n_cols + column) give the count,
-    W and S of every candidate column's right side at once.  The root's
-    count and W come from ``rows``; the last level needs S and H alone.
+    W = sum(w); record counts serve ``rows.min_leaf``.  For all nodes of a
+    level, bincounts over the items give the count, W, S and H of every
+    node, and three bincounts over the key (node * n_cols + column) give
+    the count, W and S of every candidate column's right side at once.
+    The root's count and W, and its valid splits, come from ``rows``; H is
+    summed at the last level alone.
 
     A leaf stays a node of every later level, with its rows, so every item
     always has a node and no pass gathers the open ones.  A bin sums its
     items in item order, so the leaf's S and H, and its value, come out
-    the same at every level; the leaf values of all rows are read once, at
-    the end.
+    the same at every level; the leaf values of all nodes, and of all rows,
+    are read once, at the last level.
     """
-    n_cols = rows.n_cols
+    n_cols, min_leaf = rows.n_cols, rows.min_leaf
     item_grad = grad.reshape(-1)
     item_hess = hess.reshape(-1)
     entry_grad = item_grad[rows.entry_item]
-    trees = [TreeNode() for _ in range(rows.n_classes)]
-    nodes: list[TreeNode | None] = list(trees)  # None: a leaf of an earlier level
+    splits = []
+    is_open = np.ones(rows.n_classes, dtype=bool)  # False: a leaf of an earlier level
     node_of = rows.root_node
 
     for depth in range(max_depth + 1):
-        n_nodes = len(nodes)
+        n_nodes = len(is_open)
         S = np.bincount(node_of, weights=item_grad, minlength=n_nodes)
-        H = np.bincount(node_of, weights=item_hess, minlength=n_nodes)
-        values = S / np.maximum(H, PROB_CLIP)
         if depth == max_depth:
             break
-        if depth == 0:
-            count, W, key = rows.root_count, rows.root_W, rows.root_key
+        if depth == 0:  # the root's counts and weights depend on the data alone
+            W, key, can_split = rows.root_W, rows.root_key, rows.root_can_split
         else:
             count = np.bincount(node_of, weights=rows.item_count, minlength=n_nodes)
             W = np.bincount(node_of, weights=rows.item_W, minlength=n_nodes)
             key = (node_of * n_cols).take(rows.entry_item)
             key += rows.entry_col
-        can_split = (count >= 2 * min_leaf) & np.array([node is not None for node in nodes])
+            can_split = (count >= 2 * min_leaf) & is_open
         if not can_split.any():
             break
 
@@ -483,49 +529,35 @@ def _grow_round(
             )
 
         if depth == 0:
-            n_r, W_r = rows.root_n_r, rows.root_W_r
+            W_r, W_l, valid = rows.root_W_r, rows.root_W_l, rows.root_valid
         else:
             n_r, W_r = hist(rows.entry_count), hist(rows.entry_W)
+            W_l = W[:, None] - W_r
+            valid = _valid_splits(n_r, count, can_split, min_leaf)
         S_r = hist(entry_grad)
-        W_l = W[:, None] - W_r
         S_l = S[:, None] - S_r
-        valid = (n_r >= min_leaf) & (count[:, None] - n_r >= min_leaf) & can_split[:, None]
-        valid[:, 0] = False
         gains = (
-            S_r**2 / np.clip(W_r, PROB_CLIP, None)
-            + S_l**2 / np.clip(W_l, PROB_CLIP, None)
+            S_r**2 / np.maximum(W_r, PROB_CLIP)
+            + S_l**2 / np.maximum(W_l, PROB_CLIP)
             - (S**2 / W)[:, None]
         )
         gains = np.where(valid, gains, -np.inf)
-        best = np.argmax(gains, axis=1)  # ties go to the lowest column
+        best = gains.argmax(axis=1)  # ties go to the lowest column
         best_gain = gains[np.arange(n_nodes), best]
         split_col = np.where(best_gain > 1e-12, best, 0)  # 0 marks a leaf
-        if not split_col.any():
+        split = split_col > 0
+        if not split.any():
             break
-        np.add.at(importance, split_col[split_col > 0], best_gain[split_col > 0])
+        np.add.at(importance, split_col[split], best_gain[split])
+        splits.append((split_col, _first_child(split_col)))
+        node_of = _route(splits[-1:], node_of, rows.bits, rows.item_bit)
+        is_open = np.repeat(split, split + 1)
 
-        next_node = np.empty(n_nodes, dtype=np.intp)  # left child, or the leaf itself
-        next_nodes = []
-        for i, node in enumerate(nodes):
-            next_node[i] = len(next_nodes)
-            if split_col[i]:
-                node.column = int(split_col[i])
-                node.left, node.right = TreeNode(), TreeNode()
-                next_nodes += [node.left, node.right]
-            else:
-                if node is not None:
-                    node.value = np.array([values[i]])
-                next_nodes.append(None)
-        at = split_col.take(node_of)
-        at += rows.item_bit
-        node_of = next_node.take(node_of)
-        node_of += rows.bits.take(at)
-        nodes = next_nodes
-
-    for node, value in zip(nodes, values):
-        if node is not None:
-            node.value = np.array([value])
-    return trees, values.take(node_of).reshape(rows.n_classes, rows.m)
+    # The level the loop stopped at holds every leaf.
+    H = np.bincount(node_of, weights=item_hess, minlength=n_nodes)
+    values = S / np.maximum(H, PROB_CLIP)
+    leaf_value = values.take(node_of).reshape(rows.n_classes, rows.m)
+    return _Levels(tuple(splits), values[:, None]), leaf_value
 
 
 def fit_boosted(
@@ -538,21 +570,18 @@ def fit_boosted(
     if cfg.learning_rate == 0.0:
         return model
 
-    rows = _DistinctRows(X, labels, w, n_classes)
-    W = rows.W[:, None]
-    rest = W - rows.M  # weight of each row's records in the other classes
-    scores = np.tile(init, (rows.m, 1))
+    rows = _DistinctRows(X, labels, w, n_classes, cfg.min_leaf)
+    rest = rows.W - rows.M  # weight of each row's records in the other classes
+    scores = np.repeat(init[:, None], rows.m, axis=1)  # (n_classes, m), like M
     for _ in range(cfg.n_rounds):
-        probs = _softmax(scores)
+        probs = _softmax(scores, axis=0)
         q = 1.0 - probs
         # M - W p written as M (1 - p) - (W - M) p: with p near 1 the first
         # form loses the gradient to cancellation, while this one rounds
         # like the per-record sum of w (y - p).
-        grad = (rows.M * q - rest * probs).T
-        hess = (W * probs * q).T
-        round_trees, leaf_value = _grow_round(
-            rows, grad, hess, cfg.max_depth, cfg.min_leaf, importance
-        )
-        scores += cfg.learning_rate * leaf_value.T
-        model.rounds.append(round_trees)
+        grad = rows.M * q - rest * probs
+        hess = rows.W * probs * q
+        levels, leaf_value = _grow_round(rows, grad, hess, cfg.max_depth, importance)
+        scores += cfg.learning_rate * leaf_value
+        model.levels.append(levels)
     return model

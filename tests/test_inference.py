@@ -220,6 +220,31 @@ class TestSharedDraws:
             assert res == oracle_intersection_test(inp)
 
 
+    def test_one_draw_per_key_wherever_the_inputs_sit(self, monkeypatch):
+        """Inputs with two values of L, interleaved: one draw per L, and the
+        results of testing each input alone, in input order."""
+        rng = np.random.default_rng(11)
+        batch = [
+            IntersectionInput(
+                rng.normal(0.0, 0.1, L), rng.uniform(0.01, 0.2, L), 6333, alpha, 1_000, 3
+            )
+            for L in (7, 3, 7, 3, 3, 7)
+            for alpha in (0.05, 0.10)
+        ]
+        draws = []
+        one_draw = inference._tests_on_one_draw
+
+        def counted(inputs):
+            draws.append(len(inputs))
+            return one_draw(inputs)
+
+        monkeypatch.setattr(inference, "_tests_on_one_draw", counted)
+        results = intersection_tests(batch)
+        assert draws == [6, 6]
+        monkeypatch.undo()
+        assert results == [intersection_test(inp) for inp in batch]
+
+
 class TestSortedGroups:
     def run(self, d, **kw):
         kw.setdefault("grid", (BoostConfig(n_rounds=10, max_depth=2),))

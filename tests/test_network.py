@@ -21,6 +21,7 @@ from pcptest.network import (
     loss_and_gradient,
     param_views,
     weighted_cross_entropy,
+    _softmax,
 )
 
 
@@ -78,9 +79,9 @@ def oracle_forward(params, X, masks=None):
 
 
 def oracle_softmax(scores):
-    z = scores - scores.max(axis=1, keepdims=True)
+    z = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def oracle_backward(params, hiddens, dscores, masks=None):
@@ -349,6 +350,28 @@ class TestForward:
         params = param_views(flat, cfg, 5, 4)
         assert np.array_equal(flat_of(params), flat)
         assert all(np.shares_memory(a, flat) for layer in params for a in layer)
+
+
+class TestSoftmax:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([(), (1,), (7,), (64,), (300,), (1, 5), (9, 64), (3, 2, 5)]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.1, 5.0, 60.0]),
+        st.booleans(),
+    )
+    def test_bits_match_the_reductions(self, n_classes, lead, seed, scale, ties):
+        """Column-by-column max and sum give the reductions' bits, over the
+        last axis of 1-D, 2-D and stacked inputs, and over axis 0 of the
+        class-major transpose; rounded scores tie for the max."""
+        scores = np.random.default_rng(seed).normal(0.0, scale, (*lead, n_classes))
+        if ties:
+            scores = np.round(scores)
+        expected = oracle_softmax(scores)
+        np.testing.assert_array_equal(_softmax(scores), expected)
+        class_major = np.ascontiguousarray(np.moveaxis(scores, -1, 0))
+        np.testing.assert_array_equal(np.moveaxis(_softmax(class_major, axis=0), 0, -1), expected)
 
 
 class TestLoss:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from pcptest.trees import (
     ForestModel,
     TreeNode,
     _distinct_rows,
+    _levels_of,
     fit_boosted,
     fit_forest,
 )
@@ -26,8 +28,19 @@ from pcptest.trees import (
 
 # ---------------------------------------------------------------------------
 # Reference prediction: every tree walked over every record, node by node.
-# The models evaluate flat node arrays over distinct design rows instead,
-# and must give the same bits.
+# The models route distinct design rows through the trees' level arrays
+# instead, and must give the same bits.
+
+
+@dataclass
+class TreeRounds:
+    """A boosted model as rounds of TreeNode trees, as the walk reads it."""
+
+    init_scores: np.ndarray
+    rounds: list
+    learning_rate: float
+    n_classes: int
+    importance: np.ndarray
 
 
 def _first_leaf(node):
@@ -316,7 +329,7 @@ def _dense_fit_boosted(X, labels, w, cfg, n_classes=4):
     onehot[np.arange(n), labels] = 1.0
     class_w = np.bincount(labels, weights=w, minlength=n_classes)
     init = np.log(np.clip(class_w / class_w.sum(), PROB_CLIP, None))
-    model = BoostModel(init, [], cfg.learning_rate, n_classes, np.zeros(X.shape[1]))
+    model = TreeRounds(init, [], cfg.learning_rate, n_classes, np.zeros(X.shape[1]))
     scores = np.tile(init, (n, 1))
     for _ in range(cfg.n_rounds):
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -413,7 +426,7 @@ class TestBoostedMatchesDenseGrower:
 
 
 # ---------------------------------------------------------------------------
-# The flat evaluator against the node-by-node walk, bit for bit.
+# Routing through level arrays against the node-by-node walk, bit for bit.
 
 
 @st.composite
@@ -477,12 +490,19 @@ class TestFlatEvaluatorMatchesWalk:
         rounds = [
             [random_tree(rng, max_depth, n_cols, 1) for _ in range(4)] for _ in range(n_trees)
         ]
-        boosted = BoostModel(rng.normal(size=4), rounds, learning_rate, 4, np.zeros(n_cols))
+        walked = TreeRounds(rng.normal(size=4), rounds, learning_rate, 4, np.zeros(n_cols))
+        boosted = BoostModel(
+            walked.init_scores, [_levels_of(r) for r in rounds], learning_rate, 4, walked.importance
+        )
         forest = ForestModel(
             [random_tree(rng, max_depth, n_cols, 4) for _ in range(n_trees)], 4, np.zeros(n_cols)
         )
-        np.testing.assert_array_equal(boosted.predict_probs(X), oracle_boosted_probs(boosted, X))
+        np.testing.assert_array_equal(boosted.predict_probs(X), oracle_boosted_probs(walked, X))
         np.testing.assert_array_equal(forest.predict_probs(X), oracle_forest_probs(forest, X))
+        # The rounds view gives back the trees the levels were read from.
+        assert [[t.to_dict() for t in r] for r in boosted.rounds] == [
+            [t.to_dict() for t in r] for r in rounds
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -503,6 +523,31 @@ class TestFlatEvaluatorMatchesWalk:
         for Z in (X, X[:1]):
             np.testing.assert_array_equal(boosted.predict_probs(Z), oracle_boosted_probs(boosted, Z))
             np.testing.assert_array_equal(forest.predict_probs(Z), oracle_forest_probs(forest, Z))
+
+    @settings(max_examples=40, deadline=None)
+    @given(prediction_designs(), st.integers(1, 5), st.integers(1, 20))
+    def test_rounds_view_round_trips(self, design, max_depth, min_leaf):
+        """A fitted model's rounds view, written out and read back, gives the
+        grower's level arrays and predicts the same bits."""
+        X, rng = design
+        labels = rng.integers(0, 4, len(X))
+        w = rng.uniform(0.2, 1.0, len(X))
+        model = fit_boosted(X, labels, w, BoostConfig(4, max_depth, min_leaf, 0.5))
+        restored = BoostModel.from_doc(json.loads(json.dumps(model.to_doc())), 4)
+        assert restored.to_doc() == model.to_doc()
+        for grown, read in zip(model.levels, restored.levels, strict=True):
+            assert len(grown.splits) == len(read.splits)
+            for arrays, read_arrays in zip(grown.splits, read.splits):
+                for a, b in zip(arrays, read_arrays, strict=True):
+                    np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(grown.value, read.value)
+        for Z in (X, X[:1]):
+            np.testing.assert_array_equal(restored.predict_probs(Z), model.predict_probs(Z))
+
+    def test_constant_column_never_splits(self):
+        leaf = TreeNode(value=np.array([0.5]))
+        with pytest.raises(ValueError, match="column 0"):
+            _levels_of([TreeNode(column=0, left=leaf, right=leaf)])
 
     @pytest.mark.parametrize("kind", ["boosted", "forest", "network"])
     def test_stored_model_file(self, kind, small_dataset, tmp_path):
