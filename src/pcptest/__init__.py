@@ -25,6 +25,7 @@ from .functionals import (
     GroupEstimate,
     PerObsStats,
     debiased_group_correlation,
+    group_estimate,
     group_mean,
     per_obs_stats,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "GroupEstimate",
     "PerObsStats",
     "debiased_group_correlation",
+    "group_estimate",
     "group_mean",
     "per_obs_stats",
     "NetworkConfig",

@@ -37,15 +37,7 @@ from .data import (
     partition,
     save_csv,
 )
-from .functionals import (
-    GroupEstimate,
-    PerObsStats,
-    covariance_score,
-    debiased_group_correlation,
-    group_mean,
-    per_obs_stats,
-    summarize,
-)
+from .functionals import GroupEstimate, PerObsStats, group_estimate, per_obs_stats, summarize
 from .inference import (
     MIN_MC_DRAWS,
     IntersectionInput,
@@ -343,9 +335,8 @@ Groups = dict[str, list[ModalityGroup]]
 def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
     """By-modality group estimates of both statistics for each grouping
     feature, computed once per run for the group table and the intersection
-    tests.  Each is the weighted group mean of a one-step score; a failed
-    debiased correlation gets one warning on stderr."""
-    cov_score = covariance_score(cf, d.c, d.r)
+    tests.  Each is a ``group_estimate``, as in a sorted-groups split; a
+    failed debiased correlation gets one warning on stderr."""
     groups = {}
     for name in cfg.group_features or d.schema.feature_names:
         j = d.schema.feature_index(name)
@@ -353,9 +344,9 @@ def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
         for idx in partition(d, name):
             modality = int(d.covariates[idx[0], j])
             group_id = f"{name}={modality}"
-            cov = group_mean(cov_score, d.w, idx, group_id=group_id)
+            cov = group_estimate("covariance", cf, d.c, d.r, d.w, idx, group_id)
             try:
-                dd = debiased_group_correlation(cf, d.c, d.r, d.w, idx, group_id=group_id)
+                dd = group_estimate("correlation", cf, d.c, d.r, d.w, idx, group_id)
             except DataError as err:
                 _log(f"warning: group {group_id}: debiased correlation written as NaN: {err}")
                 dd = None

@@ -280,32 +280,22 @@ def load_csv(path: str, schema: CategoricalSchema) -> Dataset:
             cov_rows.append(
                 [_parse_int(cells[pos[name]], i, name) for name in schema.feature_names]
             )
-            c = _parse_int(cells[pos["c"]], i, "c")
-            r = _parse_int(cells[pos["r"]], i, "r")
-            if c not in (0, 1):
-                raise DataError(f"row {i}: column c must be 0 or 1, got {c}")
-            if r not in (0, 1):
-                raise DataError(f"row {i}: column r must be 0 or 1, got {r}")
+            cs.append(_parse_int(cells[pos["c"]], i, "c"))
+            rs.append(_parse_int(cells[pos["r"]], i, "r"))
             try:
-                w = float(cells[pos["w"]])
+                ws.append(float(cells[pos["w"]]))
             except ValueError:
                 raise DataError(f"row {i}: column w has non-numeric value")
-            if not (0.0 < w <= 1.0):
-                raise DataError(f"row {i}: column w must lie in (0, 1], got {w}")
-            cs.append(c)
-            rs.append(r)
-            ws.append(w)
         if not cov_rows:
             raise DataError(f"{path}: no data rows")
 
-    # Validate modality codes through the Dataset constructor.
-    return Dataset(
-        schema,
-        np.array(cov_rows, dtype=np.int64),
-        np.array(cs, dtype=np.int64),
-        np.array(rs, dtype=np.int64),
-        np.array(ws, dtype=np.float64),
-    )
+    try:
+        ints = [np.array(column, dtype=np.int64) for column in (cov_rows, cs, rs)]
+    except OverflowError:
+        raise DataError(f"{path}: an integer value lies outside the 64-bit range")
+    # The Dataset constructor checks the modality codes and the c, r and w
+    # ranges, with the same row numbers.
+    return Dataset(schema, *ints, np.array(ws, dtype=np.float64))
 
 
 def save_csv(d: Dataset, path: str) -> None:

@@ -32,9 +32,9 @@ __all__ = [
     "per_obs_stats",
     "covariance_score",
     "correlation_score",
-    "SCORES",
     "group_mean",
     "debiased_group_correlation",
+    "group_estimate",
     "summarize",
     "OrthogonalityReport",
     "orthogonality_check",
@@ -103,10 +103,6 @@ def correlation_score(stats: PerObsStats, c: np.ndarray, r: np.ndarray) -> np.nd
     return np.where(stats.degenerate, 0.0, dc * dr / s + stats.grad2 * dc + stats.grad1 * dr)
 
 
-# Each group statistic's one-step score, by statistic name.
-SCORES = {"covariance": covariance_score, "correlation": correlation_score}
-
-
 @dataclass(frozen=True)
 class GroupEstimate:
     estimate: float
@@ -149,6 +145,26 @@ def debiased_group_correlation(
         raise DataError(f"group {group_id!r} has fewer than 3 usable records")
     psi = correlation_score(stats, c, r)
     return group_mean(psi, weights, idx, group_id)
+
+
+def group_estimate(
+    statistic: str,
+    stats: PerObsStats,
+    c: np.ndarray,
+    r: np.ndarray,
+    weights: np.ndarray,
+    group: np.ndarray | None = None,
+    group_id: str = "",
+) -> GroupEstimate:
+    """The group statistic named ``statistic``, "covariance" or
+    "correlation": the weighted group mean of its one-step score at the
+    predictions ``stats`` of records with outcomes (c, r), with its sandwich
+    standard error.  Every group estimate of both tests is read here."""
+    if statistic == "covariance":
+        return group_mean(covariance_score(stats, c, r), weights, group, group_id)
+    if statistic == "correlation":
+        return debiased_group_correlation(stats, c, r, weights, group, group_id)
+    raise DataError(f"unknown statistic {statistic!r}")
 
 
 @dataclass(frozen=True)

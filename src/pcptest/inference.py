@@ -4,8 +4,10 @@ The intersection test asks whether the smallest group-averaged statistic
 is negative, with Monte Carlo calibrated critical values (a selection
 value k0 and a decision value k).  The sorted-groups test repeatedly
 splits the sample, trains on one half, sorts the other half into quartiles
-of the predicted statistic, tests the lowest quartile directly, and reads
-the split medians as Chernozhukov et al. (arXiv:1712.04802) specify.
+of the predicted statistic, tests the lowest quartile's mean
+conditional statistic, E[C(X) | G] or E[rho(X) | G], and reads the split
+medians as Chernozhukov et al. (arXiv:1712.04802) specify.  Both tests take
+every group estimate from ``functionals.group_estimate``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .data import (
     SplitPlan,
     quantile_group_indices,
 )
-from .functionals import SCORES, GroupEstimate, group_mean, per_obs_stats
+from .functionals import GroupEstimate, group_estimate, group_mean, per_obs_stats
 from .network import NetworkConfig
 from .parallel import call, map_units
 
@@ -214,9 +216,8 @@ class SortedGroupsConfig:
 
 @dataclass(frozen=True)
 class SplitResult:
-    group_quads: np.ndarray  # (n_groups, 4) weighted mean quads, sorted by prediction
-    group_stats: np.ndarray  # (n_groups,) statistic of each mean quad
-    group_ses: np.ndarray  # sandwich SEs of each group's one-step score
+    group_stats: np.ndarray  # (n_groups,) group estimates, sorted by prediction
+    group_ses: np.ndarray  # their sandwich SEs
     predicted_means: np.ndarray  # group means of the predicted statistic
     group_rows: tuple[np.ndarray, ...]  # row indices into the full dataset
     statistic: float  # group 1 (lowest quartile)
@@ -243,7 +244,8 @@ class SortedGroupsResult:
 
     def interval(self, alpha: float) -> tuple[float, float]:
         """Medians over splits of group 1's per-split bounds statistic -/+
-        z_(1-alpha/2) se; the interval covers with probability >= 1 - 2 alpha."""
+        z_(1-alpha/2) se.  The interval covers the median over splits of
+        group 1's mean conditional statistic with probability >= 1 - 2 alpha."""
         z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         lower = np.median([s.statistic - z * s.se for s in self.splits])
         upper = np.median([s.statistic + z * s.se for s in self.splits])
@@ -264,7 +266,7 @@ def _one_split(
         try:
             return _split_result(main, aux, cfg, inner_seed, perm[:n_main]), redraws
         except DataError as err:
-            last_err = err  # empty group or degenerate split; redraw
+            last_err = err  # too few usable records or a zero SE; redraw
     raise DataError(
         f"sorted-groups split failed after {MAX_RETRIES} retries: {last_err}"
     )
@@ -277,34 +279,24 @@ def _split_result(
     inner_seed: int,
     main_rows: np.ndarray,
 ) -> SplitResult:
-    """Train on ``aux``, test on ``main``.  A group's SE is the ``group_mean``
-    SE of the one-step score at the group's mean class one-hot."""
+    """Train on ``aux``, test on ``main``.  Each group's statistic and SE are
+    the ``group_estimate`` of its main-half records at the aux-trained
+    predictions: the group mean of the conditional statistic, CDDF's GATES
+    with C(x) or rho(x) in the place of the treatment effect."""
     grid = [replace(c, seed=inner_seed) for c in cfg.grid]
     if len(grid) > 1:
         grid = [L.hyperopt(aux, grid, SplitPlan(seed=inner_seed)).selected]
     model = L.train_any(aux, grid[0])
 
-    quads = model.predict_quads(main)
-    stats = per_obs_stats(quads)
+    stats = per_obs_stats(model.predict_quads(main))
     values = stats.covariance if cfg.statistic == "covariance" else stats.correlation
     groups = quantile_group_indices(values, main.w, cfg.n_groups)
-
-    onehot = np.eye(4)[main.class_labels()]
-    group_quads = np.array([main.w[idx] @ onehot[idx] / main.w[idx].sum() for idx in groups])
-    at_means = per_obs_stats(group_quads)
-    if cfg.statistic == "correlation" and at_means.degenerate.any():
-        g = int(np.argmax(at_means.degenerate))
-        raise DataError(
-            f"group {g + 1}: correlation undefined at p={at_means.p[g]}, q={at_means.q[g]}"
-        )
-    group_stats = getattr(at_means, cfg.statistic)
-    score = SCORES[cfg.statistic]
-    group_ses = np.array(
-        [
-            group_mean(score(per_obs_stats(quad), main.c[idx], main.r[idx]), main.w[idx]).se
-            for quad, idx in zip(group_quads, groups)
-        ]
-    )
+    estimates = [
+        group_estimate(cfg.statistic, stats, main.c, main.r, main.w, idx, str(g + 1))
+        for g, idx in enumerate(groups)
+    ]
+    group_stats = np.array([e.estimate for e in estimates])
+    group_ses = np.array([e.se for e in estimates])
     predicted_means = np.array([np.average(values[idx], weights=main.w[idx]) for idx in groups])
 
     se1 = group_ses[0]
@@ -312,7 +304,6 @@ def _split_result(
         raise DataError("group 1 standard error is zero; cannot test")
     tstat = group_stats[0] / se1
     return SplitResult(
-        group_quads,
         group_stats,
         group_ses,
         predicted_means,

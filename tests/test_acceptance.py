@@ -404,29 +404,80 @@ def test_criterion_07_boundary_size():
 # 8. Sorted-groups coverage
 
 
+def _group1_truth(d, rho: np.ndarray, split) -> float:
+    """Weighted mean of the true per-record rho over a split's group 1, the
+    quantity its group-1 statistic estimates."""
+    rows = split.group_rows[0]
+    return float(np.average(rho[rows], weights=d.w[rows]))
+
+
 def test_criterion_08_sorted_groups_coverage():
     t0 = time.monotonic()
     dgp = two_feature_dgp()
-    learner = NetworkConfig(depth=0, max_epochs=40, patience=10)
+    learner = NetworkConfig(depth=0, learning_rate=1e-2, max_epochs=100, patience=10)
     reps = 500
 
     def hit(seed: int) -> bool:
         d, truth = sample_dataset(dgp, 2000, seed=seed)
-        lut = truth.lookup()
-        true_quads = truth.quads[
-            [lut[tuple(int(v) for v in cov)] for cov in d.covariates]
-        ]
         res = sorted_groups_run(d, SortedGroupsConfig(n_splits=1, grid=(learner,), seed=seed))
         s = res.splits[0]
-        rows = s.group_rows[0]
-        w = d.w[rows]
-        target = correlation_from_quad(true_quads[rows].T @ w / w.sum())
+        target = _group1_truth(d, truth.record_values(d.covariates), s)
         return s.statistic - 1.96 * s.se <= target <= s.statistic + 1.96 * s.se
 
     coverage = sum(parallel.map_units(hit, range(80_000, 80_000 + reps))) / reps
     elapsed = time.monotonic() - t0
     ok = coverage >= 0.92 and elapsed < 1800.0
     _verdict(8, "sorted-groups coverage", ok, f"coverage {coverage:.3f} (>= 0.92), {elapsed:.0f}s")
+
+
+@pytest.mark.parametrize("statistic", ["correlation", "covariance"])
+def test_criterion_08_boundary_size(statistic):
+    """Size of the sorted-groups test at the boundary of the null: criterion
+    7's DGP with rho* = 0 in every cell.  Within each of its groups of 3
+    cells p rises while q falls, so the statistic of a group's pooled 2x2
+    table is negative although every cell's is 0."""
+    t0 = time.monotonic()
+    dgp = _c7_dgp(np.zeros(C7_CELLS))
+    reps = 100
+
+    def rejected(seed: int) -> bool:
+        d, _ = sample_dataset(dgp, 6333, seed=seed)
+        cfg = SortedGroupsConfig(n_splits=3, statistic=statistic, grid=(C7_LEARNER,), seed=seed)
+        return sorted_groups_run(d, cfg).adjusted_p_value < 0.05
+
+    size = sum(parallel.map_units(rejected, range(81_000, 81_000 + reps))) / reps
+    size_bound = 0.05 + 2 * math.sqrt(0.05 * 0.95 / reps)
+    elapsed = time.monotonic() - t0
+    ok = size <= size_bound and elapsed < 1800.0
+    _verdict(
+        8,
+        f"sorted-groups boundary size, {statistic}",
+        ok,
+        f"size {size:.2f} (<= {size_bound:.3f}), {elapsed:.0f}s",
+    )
+
+
+def test_criterion_08_interval_coverage():
+    """CDDF's split-median interval covers the median over splits of group
+    1's mean conditional rho with probability at least 1 - 2 alpha."""
+    t0 = time.monotonic()
+    dgp = two_feature_dgp()
+    learner = BoostConfig(n_rounds=40, max_depth=3)
+    alphas = (0.05, 0.10)
+    reps = 200
+
+    def hits(seed: int) -> list[bool]:
+        d, truth = sample_dataset(dgp, 2000, seed=seed)
+        res = sorted_groups_run(d, SortedGroupsConfig(n_splits=5, grid=(learner,), seed=seed))
+        rho = truth.record_values(d.covariates)
+        target = float(np.median([_group1_truth(d, rho, s) for s in res.splits]))
+        return [lower <= target <= upper for lower, upper in map(res.interval, alphas)]
+
+    coverage = np.mean(list(parallel.map_units(hits, range(82_000, 82_000 + reps))), axis=0)
+    elapsed = time.monotonic() - t0
+    ok = all(cov >= 1 - 2 * a for cov, a in zip(coverage, alphas)) and elapsed < 1800.0
+    detail = ", ".join(f"{cov:.3f} (>= {1 - 2 * a:.2f}) at alpha {a}" for cov, a in zip(coverage, alphas))
+    _verdict(8, "split-median interval", ok, f"coverage {detail}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -656,6 +656,20 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert "error:" in res.output and "duplicate column(s) ['w']" in res.output
 
+    @pytest.mark.parametrize("column", [0, -3])  # a feature and c
+    def test_integer_beyond_int64_is_validation_error(self, workdir, tmp_path, column):
+        with open(workdir["dataset"]) as fh:
+            lines = fh.read().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = str(2**64)
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+        doc = base_config(workdir, tmp_path / "o", dataset=str(path))
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "estimate")
+        assert res.exit_code == 1
+        (line,) = res.output.splitlines()
+        assert line == f"error: {path}: an integer value lies outside the 64-bit range"
+
     @pytest.mark.parametrize(
         "case, exit_code, message",
         [

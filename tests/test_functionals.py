@@ -13,12 +13,13 @@ from conftest import (
     oracle_marginals,
     oracle_quad_gradient,
 )
-from pcptest.data import Dataset
+from pcptest.data import DataError, Dataset
 from pcptest.functionals import (
     DEGENERATE_TOL,
     correlation_score,
     covariance_score,
     debiased_group_correlation,
+    group_estimate,
     group_mean,
     orthogonality_check,
     per_obs_stats,
@@ -386,6 +387,18 @@ class TestDebiased:
         stats = per_obs_stats(quads[inverse])
         ge = debiased_group_correlation(stats, d.c, d.r, d.w)
         assert abs(ge.estimate - 0.08) < max(3 * ge.se, 1e-3)
+
+    def test_group_estimate_reads_each_statistic_by_name(self):
+        stats, c, r, w = self._stats(seed=4)
+        group = np.arange(0, 400, 3)
+        assert group_estimate("covariance", stats, c, r, w, group) == group_mean(
+            covariance_score(stats, c, r), w, group
+        )
+        assert group_estimate("correlation", stats, c, r, w, group) == (
+            debiased_group_correlation(stats, c, r, w, group)
+        )
+        with pytest.raises(DataError, match="unknown statistic 'median'"):
+            group_estimate("median", stats, c, r, w, group)
 
 
 class TestSummarize:

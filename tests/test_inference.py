@@ -1,4 +1,3 @@
-import math
 import multiprocessing
 from statistics import NormalDist
 
@@ -8,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from conftest import analytic_k0, oracle_quad_gradient
+from conftest import analytic_k0
 from pcptest import inference
 from pcptest import learners as L
 from pcptest.data import DataError
+from pcptest.functionals import group_estimate, per_obs_stats
 from pcptest.inference import (
     IntersectionInput,
     SortedGroupsConfig,
@@ -256,8 +256,7 @@ class TestSortedGroups:
         res = self.run(small_dataset)
         assert len(res.splits) == 3
         for s in res.splits:
-            assert s.group_quads.shape == (4, 4)
-            np.testing.assert_allclose(s.group_quads.sum(axis=1), 1.0, atol=1e-10)
+            assert s.group_stats.shape == s.group_ses.shape == (4,)
             # Groups are sorted by the predicted statistic.
             assert np.all(np.diff(s.predicted_means) >= -1e-12)
             assert 0.0 <= s.p_value <= 1.0
@@ -265,20 +264,29 @@ class TestSortedGroups:
             assert s.tstat == pytest.approx(s.statistic / s.se)
 
     @pytest.mark.parametrize("statistic", ["covariance", "correlation"])
-    def test_ses_match_delta_method_oracle(self, small_dataset, statistic):
-        """Each group's SE is sqrt(grad' Sigma grad) at the group's mean
-        class one-hot, Sigma the sandwich covariance of that mean."""
+    def test_groups_read_the_shared_estimator(
+        self, small_dataset, statistic, monkeypatch, workers
+    ):
+        """Each group's statistic and SE are ``group_estimate`` on its rows,
+        at the predictions of the split's own model: the group mean of the
+        one-step score, as in the intersection test's groups."""
+        workers(1)
         d = small_dataset
-        onehot = np.eye(4)[d.class_labels()]
-        for s in self.run(d, statistic=statistic).splits:
+        models = []
+        train_any = L.train_any
+
+        def recorded(*args, **kw):
+            models.append(train_any(*args, **kw))
+            return models[-1]
+
+        monkeypatch.setattr(L, "train_any", recorded)
+        res = self.run(d, statistic=statistic)
+        assert res.redraws == 0 and len(models) == len(res.splits)
+        for s, model in zip(res.splits, models):
+            stats = per_obs_stats(model.predict_quads(d))
             for g, rows in enumerate(s.group_rows):
-                y, w = onehot[rows], d.w[rows]
-                mean = w @ y / w.sum()
-                resid = y - mean
-                sigma = (resid * (w**2)[:, None]).T @ resid / w.sum() ** 2
-                grad = oracle_quad_gradient(mean, statistic)
-                expected = math.sqrt(grad @ sigma @ grad)
-                assert s.group_ses[g] == pytest.approx(expected, rel=1e-12, abs=0.0)
+                ge = group_estimate(statistic, stats, d.c, d.r, d.w, rows)
+                assert (s.group_stats[g], s.group_ses[g]) == (ge.estimate, ge.se)
 
     def test_fixed_forest_takes_each_splits_seed(self, small_dataset, monkeypatch, workers):
         workers(1)
@@ -307,14 +315,15 @@ class TestSortedGroups:
         r1 = self.run(small_dataset)
         r2 = self.run(small_dataset)
         assert r1.median_statistic == r2.median_statistic
-        np.testing.assert_array_equal(
-            r1.splits[0].group_quads, r2.splits[0].group_quads
-        )
+        for s1, s2 in zip(r1.splits, r2.splits):
+            np.testing.assert_array_equal(s1.group_stats, s2.group_stats)
 
     def test_redraws_are_counted(self, small_dgp):
-        """On 60 records some splits leave a quartile group with a
-        degenerate marginal; those splits are drawn again and counted."""
-        d, _ = sample_dataset(small_dgp, 60, seed=3)
+        """On 30 records a quartile group of the 15-record main half holds
+        about 4 records, so some draws leave one with fewer than the 3
+        usable records a debiased correlation needs; those splits are drawn
+        again and counted."""
+        d, _ = sample_dataset(small_dgp, 30, seed=3)
         res = self.run(d)
         assert len(res.splits) == 3
         assert res.redraws > 0
@@ -367,7 +376,6 @@ class TestSortedGroupsMedians:
     def merged(stats, ses):
         splits = [
             SplitResult(
-                np.full((4, 4), 0.25),
                 np.array([t, 0.1, 0.2, 0.3]),
                 np.array([se, 1.0, 1.0, 1.0]),
                 np.zeros(4),
