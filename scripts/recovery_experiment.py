@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from pcptest.data import CategoricalSchema, make_folds
-from pcptest.functionals import debiased_group_correlation, per_obs_stats
+from pcptest.functionals import group_estimates, per_obs_stats
 from pcptest.inference import IntersectionInput, intersection_test
 from pcptest.learners import cross_fit_predict
 from pcptest.synth import RhoSpec, SyntheticDGP, WeightLaw, compute_ground_truth, sample_dataset
@@ -52,13 +52,8 @@ def build_dgp(rho_cells: np.ndarray) -> SyntheticDGP:
 def one_rep(dgp: SyntheticDGP, n: int, seed: int):
     d, _ = sample_dataset(dgp, n, seed=seed)
     stats = per_obs_stats(cross_fit_predict(d, LEARNER, make_folds(d, 2, seed)))
-    groups = [
-        debiased_group_correlation(
-            stats, d.c, d.r, d.w, np.nonzero(np.isin(d.covariates[:, 0], cells))[0]
-        )
-        for cells in GROUPS
-    ]
-    return np.array([g.estimate for g in groups]), np.array([g.se for g in groups])
+    rows = [np.nonzero(np.isin(d.covariates[:, 0], cells))[0] for cells in GROUPS]
+    return group_estimates("correlation", stats, d.c, d.r, d.w, rows)
 
 
 def main() -> None:

@@ -21,14 +21,7 @@ from .data import (
     save_csv,
     split,
 )
-from .functionals import (
-    GroupEstimate,
-    PerObsStats,
-    debiased_group_correlation,
-    group_estimate,
-    group_mean,
-    per_obs_stats,
-)
+from .functionals import PerObsStats, group_estimates, group_means, per_obs_stats
 from .network import NetworkConfig
 from .synth import GroundTruth, RhoSpec, SyntheticDGP, WeightLaw, sample_dataset
 from .trees import BoostConfig, ForestConfig
@@ -45,11 +38,9 @@ __all__ = [
     "partition",
     "save_csv",
     "split",
-    "GroupEstimate",
     "PerObsStats",
-    "debiased_group_correlation",
-    "group_estimate",
-    "group_mean",
+    "group_estimates",
+    "group_means",
     "per_obs_stats",
     "NetworkConfig",
     "GroundTruth",

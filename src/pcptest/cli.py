@@ -37,7 +37,7 @@ from .data import (
     partition,
     save_csv,
 )
-from .functionals import GroupEstimate, PerObsStats, group_estimate, per_obs_stats, summarize
+from .functionals import MIN_USABLE, PerObsStats, group_estimates, per_obs_stats, summarize
 from .inference import (
     MIN_MC_DRAWS,
     IntersectionInput,
@@ -320,37 +320,44 @@ def _five_number(values: np.ndarray) -> list[float]:
     return [float(np.quantile(values, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
+# The grouped statistics: each one's column in the output tables, and its
+# name in ``group_estimates``.
+GROUP_STATISTICS = {"covariance": "covariance", "dd_correlation": "correlation"}
+
+
 @dataclass(frozen=True)
-class ModalityGroup:
-    modality: int
-    weight: float
-    covariance: GroupEstimate
-    dd_correlation: GroupEstimate | None  # None where the group had too few usable records
+class FeatureGroups:
+    """A grouping feature's observed modalities, in schema order, with their
+    weights and the (estimates, ses) arrays of each statistic over them,
+    keyed by column.  NaN marks a group with too few usable records."""
+
+    modalities: list[int]
+    weights: list[float]
+    estimates: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
-# The modality groups of each grouping feature, in schema order.
-Groups = dict[str, list[ModalityGroup]]
+Groups = dict[str, FeatureGroups]
 
 
 def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
     """By-modality group estimates of both statistics for each grouping
     feature, computed once per run for the group table and the intersection
-    tests.  Each is a ``group_estimate``, as in a sorted-groups split; a
-    failed debiased correlation gets one warning on stderr."""
+    tests, one ``group_estimates`` call per feature and statistic, as in a
+    sorted-groups split.  Each NaN group gets one warning on stderr."""
     groups = {}
     for name in cfg.group_features or d.schema.feature_names:
         j = d.schema.feature_index(name)
-        groups[name] = []
-        for idx in partition(d, name):
-            modality = int(d.covariates[idx[0], j])
-            group_id = f"{name}={modality}"
-            cov = group_estimate("covariance", cf, d.c, d.r, d.w, idx, group_id)
-            try:
-                dd = group_estimate("correlation", cf, d.c, d.r, d.w, idx, group_id)
-            except DataError as err:
-                _log(f"warning: group {group_id}: debiased correlation written as NaN: {err}")
-                dd = None
-            groups[name].append(ModalityGroup(modality, float(d.w[idx].sum()), cov, dd))
+        rows = partition(d, name)
+        modalities = [int(d.covariates[idx[0], j]) for idx in rows]
+        estimates = {}
+        for column, statistic in GROUP_STATISTICS.items():
+            est, _ = estimates[column] = group_estimates(statistic, cf, d.c, d.r, d.w, rows)
+            for g in np.nonzero(np.isnan(est))[0]:
+                _log(
+                    f"warning: group {name}={modalities[g]}: {column} written as NaN:"
+                    f" fewer than {MIN_USABLE} usable records"
+                )
+        groups[name] = FeatureGroups(modalities, [float(d.w[idx].sum()) for idx in rows], estimates)
     return groups
 
 
@@ -427,13 +434,9 @@ def _write_estimates(
     write_table(out, "summary", ["estimate", "statistic", "mean", "dispersion", "min", "max"], rows)
 
     group_rows = []
-    for name, table in groups.items():
-        for g in table:
-            dd = g.dd_correlation
-            dd_cols = [float("nan")] * 2 if dd is None else [dd.estimate, dd.se]
-            group_rows.append(
-                [name, g.modality, g.covariance.estimate, g.covariance.se, *dd_cols, g.weight]
-            )
+    for name, fg in groups.items():
+        columns = [a.tolist() for pair in fg.estimates.values() for a in pair]
+        group_rows += [[name, *row] for row in zip(fg.modalities, *columns, fg.weights)]
     write_table(
         out,
         "group_estimates",
@@ -447,13 +450,10 @@ def _write_estimates(
 
     values = cf.covariance if cfg.statistic == "covariance" else cf.correlation
     box_rows = []
-    for name, codes in d.schema.features:
+    for name in d.schema.feature_names:
         j = d.schema.feature_index(name)
-        for code in codes:
-            mask = d.covariates[:, j] == code
-            if not mask.any():
-                continue
-            box_rows.append([name, int(code)] + _five_number(values[mask]))
+        for idx in partition(d, name):
+            box_rows.append([name, int(d.covariates[idx[0], j])] + _five_number(values[idx]))
     write_table(
         out,
         "boxplot",
@@ -467,20 +467,17 @@ def cmd_test_intersection(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Groups) -> None:
-    """One row per feature, statistic and level.  A feature with a failed
-    debiased group is not tested on that statistic: its rows carry NaN.
+    """One row per feature, statistic and level.  A feature whose estimates
+    of a statistic hold a NaN is not tested on it: its rows carry NaN.
     Every test is run in one call, so all the features with the same
     number of groups share one Monte Carlo draw."""
     nan = float("nan")
     tested, inputs = set(), []
-    for name, table in groups.items():
-        for stat_name in ("covariance", "dd_correlation"):
-            estimates = [getattr(g, stat_name) for g in table]
-            if any(g is None for g in estimates):
+    for name, fg in groups.items():
+        for column, (est, ses) in fg.estimates.items():
+            if np.isnan(est).any():
                 continue
-            tested.add((name, stat_name))
-            est = np.array([g.estimate for g in estimates])
-            ses = np.array([g.se for g in estimates])
+            tested.add((name, column))
             inputs += [
                 IntersectionInput(est, ses, d.n, alpha, cfg.mc_draws, cfg.seed)
                 for alpha in cfg.levels
@@ -488,7 +485,7 @@ def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Grou
     results = iter(intersection_tests(inputs))
     rows = []
     for name in groups:
-        for stat_name in ("covariance", "dd_correlation"):
+        for stat_name in GROUP_STATISTICS:
             for alpha in cfg.levels:
                 if (name, stat_name) not in tested:
                     rows.append([name, stat_name, alpha, nan, nan, nan, "not tested", nan, nan])

@@ -14,12 +14,18 @@ of the record's (c, r) class (Chernozhukov et al., "Double/debiased
 machine learning", Econometrics Journal 2018).  For C the score is the
 residual product (c - p)(r - q); for rho it adds the grad1 and grad2 terms
 to the residual product scaled by 1/sqrt(p(1-p) q(1-q)).
+
+``group_estimates`` scores the records once and hands every group's usable
+records to ``group_means``, the one sandwich-SE kernel, which returns the
+estimates and SEs of all the groups as two arrays.  Both tests read their
+group estimates there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,20 +33,20 @@ from .data import DataError, weighted_mean
 
 __all__ = [
     "PerObsStats",
-    "GroupEstimate",
     "FunctionSummary",
     "per_obs_stats",
     "covariance_score",
     "correlation_score",
-    "group_mean",
-    "debiased_group_correlation",
-    "group_estimate",
+    "group_means",
+    "group_estimates",
     "summarize",
     "OrthogonalityReport",
     "orthogonality_check",
 ]
 
 DEGENERATE_TOL = 1e-9
+# Fewer usable records than this leave a group's estimate undefined (NaN).
+MIN_USABLE = 3
 
 
 @dataclass(frozen=True)
@@ -103,68 +109,50 @@ def correlation_score(stats: PerObsStats, c: np.ndarray, r: np.ndarray) -> np.nd
     return np.where(stats.degenerate, 0.0, dc * dr / s + stats.grad2 * dc + stats.grad1 * dr)
 
 
-@dataclass(frozen=True)
-class GroupEstimate:
-    estimate: float
-    se: float
-
-
-def group_mean(
-    values: np.ndarray,
-    weights: np.ndarray,
-    group: np.ndarray | None = None,
-    group_id: str = "",
-) -> GroupEstimate:
-    """Weighted group mean with its sandwich standard error
-    se^2 = sum w_i^2 (v_i - mean)^2 / (sum w_i)^2."""
+def group_means(
+    values: np.ndarray, weights: np.ndarray, groups: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean of ``values`` over each index set in ``groups``, with
+    its sandwich standard error se^2 = sum w_i^2 (v_i - mean)^2 / (sum w_i)^2.
+    An empty group gets NaN for both."""
     values = np.asarray(values, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if group is not None:
-        values = values[group]
-        weights = weights[group]
-    if values.size == 0:
-        raise DataError(f"group {group_id!r} is empty")
-    est = weighted_mean(values, weights)
-    se = math.sqrt(np.sum(weights**2 * (values - est) ** 2)) / np.sum(weights)
-    return GroupEstimate(est, se)
+    means = np.full(len(groups), np.nan)
+    ses = np.full(len(groups), np.nan)
+    for g, idx in enumerate(groups):
+        v, w = values[idx], weights[idx]
+        if v.size:
+            total = np.sum(w)
+            means[g] = mean = np.sum(w * v) / total
+            ses[g] = math.sqrt(np.sum(w**2 * (v - mean) ** 2)) / total
+    return means, ses
 
 
-def debiased_group_correlation(
-    stats: PerObsStats,
-    c: np.ndarray,
-    r: np.ndarray,
-    weights: np.ndarray,
-    group: np.ndarray | None = None,
-    group_id: str = "",
-) -> GroupEstimate:
-    """Weighted group mean of the correlation's one-step score over the
-    group's non-degenerate records, with its sandwich standard error."""
-    idx = np.arange(len(stats)) if group is None else np.asarray(group)
-    idx = idx[~stats.degenerate[idx]]
-    if len(idx) < 3:
-        raise DataError(f"group {group_id!r} has fewer than 3 usable records")
-    psi = correlation_score(stats, c, r)
-    return group_mean(psi, weights, idx, group_id)
-
-
-def group_estimate(
+def group_estimates(
     statistic: str,
     stats: PerObsStats,
     c: np.ndarray,
     r: np.ndarray,
     weights: np.ndarray,
-    group: np.ndarray | None = None,
-    group_id: str = "",
-) -> GroupEstimate:
+    groups: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
     """The group statistic named ``statistic``, "covariance" or
-    "correlation": the weighted group mean of its one-step score at the
-    predictions ``stats`` of records with outcomes (c, r), with its sandwich
-    standard error.  Every group estimate of both tests is read here."""
+    "correlation", of every index set in ``groups``: the ``group_means`` of
+    its one-step score at the predictions ``stats`` of records with
+    outcomes (c, r), over each group's usable records.  Every record is
+    usable for the covariance, the non-degenerate ones for the
+    correlation; a group with fewer than MIN_USABLE of them gets NaN.
+    Every group estimate of both tests is read here."""
     if statistic == "covariance":
-        return group_mean(covariance_score(stats, c, r), weights, group, group_id)
-    if statistic == "correlation":
-        return debiased_group_correlation(stats, c, r, weights, group, group_id)
-    raise DataError(f"unknown statistic {statistic!r}")
+        scores, usable = covariance_score(stats, c, r), groups
+    elif statistic == "correlation":
+        scores = correlation_score(stats, c, r)
+        usable = [idx[~stats.degenerate[idx]] for idx in groups]
+    else:
+        raise DataError(f"unknown statistic {statistic!r}")
+    return group_means(
+        scores, weights, [idx if len(idx) >= MIN_USABLE else idx[:0] for idx in usable]
+    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ splits the sample, trains on one half, sorts the other half into quartiles
 of the predicted statistic, tests the lowest quartile's mean
 conditional statistic, E[C(X) | G] or E[rho(X) | G], and reads the split
 medians as Chernozhukov et al. (arXiv:1712.04802) specify.  Both tests take
-every group estimate from ``functionals.group_estimate``.
+every group's estimate and SE from one ``functionals.group_estimates``
+call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .data import (
     SplitPlan,
     quantile_group_indices,
 )
-from .functionals import GroupEstimate, group_estimate, group_mean, per_obs_stats
+from .functionals import MIN_USABLE, group_estimates, group_means, per_obs_stats
 from .network import NetworkConfig
 from .parallel import call, map_units
 
@@ -280,7 +281,7 @@ def _split_result(
     main_rows: np.ndarray,
 ) -> SplitResult:
     """Train on ``aux``, test on ``main``.  Each group's statistic and SE are
-    the ``group_estimate`` of its main-half records at the aux-trained
+    the ``group_estimates`` of its main-half records at the aux-trained
     predictions: the group mean of the conditional statistic, CDDF's GATES
     with C(x) or rho(x) in the place of the treatment effect."""
     grid = [replace(c, seed=inner_seed) for c in cfg.grid]
@@ -291,14 +292,11 @@ def _split_result(
     stats = per_obs_stats(model.predict_quads(main))
     values = stats.covariance if cfg.statistic == "covariance" else stats.correlation
     groups = quantile_group_indices(values, main.w, cfg.n_groups)
-    estimates = [
-        group_estimate(cfg.statistic, stats, main.c, main.r, main.w, idx, str(g + 1))
-        for g, idx in enumerate(groups)
-    ]
-    group_stats = np.array([e.estimate for e in estimates])
-    group_ses = np.array([e.se for e in estimates])
-    predicted_means = np.array([np.average(values[idx], weights=main.w[idx]) for idx in groups])
-
+    group_stats, group_ses = group_estimates(
+        cfg.statistic, stats, main.c, main.r, main.w, groups
+    )
+    if np.isnan(group_stats).any():
+        raise DataError(f"a group has fewer than {MIN_USABLE} usable records")
     se1 = group_ses[0]
     if se1 <= 0.0:
         raise DataError("group 1 standard error is zero; cannot test")
@@ -306,7 +304,7 @@ def _split_result(
     return SplitResult(
         group_stats,
         group_ses,
-        predicted_means,
+        group_means(values, main.w, groups)[0],
         tuple(main_rows[idx] for idx in groups),
         float(group_stats[0]),
         float(se1),
@@ -401,29 +399,28 @@ def mc_size_power(
 
 
 def gaussian_group_draw(
-    group_means: Sequence[float],
+    means: Sequence[float],
     dispersion: float,
     n_per_group: int,
     weight_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
 ) -> Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray, int]]:
     """Per-observation draw: each group holds n_per_group values
     mu_g + dispersion * eps with weights from ``weight_sampler`` (ones by
-    default); the group estimate and SE come from the weighted group mean."""
-    mus = np.asarray(group_means, dtype=np.float64)
+    default); the group estimates and SEs are their ``group_means``."""
+    mus = np.asarray(means, dtype=np.float64)
     n_total = n_per_group * mus.size
+    groups = np.arange(n_total).reshape(mus.size, n_per_group)
 
     def draw(rng: np.random.Generator):
-        ests = np.empty(mus.size)
-        ses = np.empty(mus.size)
-        for g, mu in enumerate(mus):
-            v = mu + dispersion * rng.standard_normal(n_per_group)
-            w = (
+        values, weights = [], []
+        for mu in mus:
+            values.append(mu + dispersion * rng.standard_normal(n_per_group))
+            weights.append(
                 np.ones(n_per_group)
                 if weight_sampler is None
                 else weight_sampler(rng, n_per_group)
             )
-            ge: GroupEstimate = group_mean(v, w, group_id=str(g + 1))
-            ests[g], ses[g] = ge.estimate, ge.se
+        ests, ses = group_means(np.concatenate(values), np.concatenate(weights), groups)
         return ests, ses, n_total
 
     return draw

@@ -9,7 +9,12 @@ from scipy.stats import norm
 
 from pcptest import parallel
 from pcptest.data import CategoricalSchema, DataError, Dataset
-from pcptest.functionals import DEGENERATE_TOL, per_obs_stats
+from pcptest.functionals import (
+    DEGENERATE_TOL,
+    correlation_score,
+    covariance_score,
+    per_obs_stats,
+)
 from pcptest.network import PROB_CLIP
 from pcptest.synth import RhoSpec, SyntheticDGP, WeightLaw, sample_dataset
 
@@ -106,6 +111,36 @@ def oracle_quad_gradient(quad, kind):
     grad_p = np.array([0.0, 0.0, 1.0, 1.0])
     grad_q = np.array([0.0, 1.0, 0.0, 1.0])
     return grad_c / s - rho * (dlogs_dp * grad_p + dlogs_dq * grad_q)
+
+
+# The per-group estimator ``group_estimates`` replaced, kept as its oracle:
+# each group scores every record, then indexes its own.
+
+
+def oracle_group_mean(values, weights, group):
+    """One group's weighted mean and sandwich standard error
+    sqrt(sum w_i^2 (v_i - mean)^2) / sum w_i; NaN for an empty group."""
+    values = np.asarray(values, dtype=np.float64)[group]
+    weights = np.asarray(weights, dtype=np.float64)[group]
+    if values.size == 0:
+        return math.nan, math.nan
+    est = float(np.sum(weights * values) / np.sum(weights))
+    return est, math.sqrt(np.sum(weights**2 * (values - est) ** 2)) / np.sum(weights)
+
+
+def oracle_group_estimate(statistic, stats, c, r, weights, group):
+    """One group's statistic over its usable records, every record for the
+    covariance and the non-degenerate ones for the correlation; NaN with
+    fewer than 3 of them."""
+    group = np.asarray(group, dtype=np.int64)
+    if statistic == "covariance":
+        psi = covariance_score(stats, c, r)
+    else:
+        psi = correlation_score(stats, c, r)
+        group = group[~stats.degenerate[group]]
+    if len(group) < 3:
+        return math.nan, math.nan
+    return oracle_group_mean(psi, weights, group)
 
 
 def constant_model_loss(d: Dataset) -> float:

@@ -27,11 +27,7 @@ from pcptest.data import (
     one_hot_encode,
     split,
 )
-from pcptest.functionals import (
-    debiased_group_correlation,
-    orthogonality_check,
-    per_obs_stats,
-)
+from pcptest.functionals import group_estimates, orthogonality_check, per_obs_stats
 from pcptest.inference import (
     IntersectionInput,
     SortedGroupsConfig,
@@ -334,13 +330,8 @@ def _c7_dgp(rho_cells) -> SyntheticDGP:
 def _c7_rep(dgp: SyntheticDGP, seed: int):
     d, _ = sample_dataset(dgp, 6333, seed=seed)
     stats = per_obs_stats(cross_fit_predict(d, C7_LEARNER, make_folds(d, 2, seed)))
-    out = [
-        debiased_group_correlation(
-            stats, d.c, d.r, d.w, np.nonzero(np.isin(d.covariates[:, 0], cells))[0]
-        )
-        for cells in C7_GROUPS
-    ]
-    return np.array([g.estimate for g in out]), np.array([g.se for g in out])
+    rows = [np.nonzero(np.isin(d.covariates[:, 0], cells))[0] for cells in C7_GROUPS]
+    return group_estimates("correlation", stats, d.c, d.r, d.w, rows)
 
 
 def _c7_rejection_rate(dgp: SyntheticDGP, reps: int, base_seed: int) -> float:

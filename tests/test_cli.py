@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import multiprocessing
 import os
@@ -15,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import gaussian_kde
 
-from pcptest import cli, inference, parallel
+from pcptest import cli, functionals, inference, parallel
 from pcptest import learners as L
 from pcptest.cli import OutputDir, RunConfig, load_config, main, silverman_factor, write_density
 from pcptest.data import CategoricalSchema, DataError, Dataset, SplitPlan, load_csv, save_csv
+from pcptest.functionals import per_obs_stats
 
 
 @pytest.fixture(scope="module")
@@ -284,42 +286,66 @@ class TestCommands:
         }[command]
         assert re.search(rf"^test-sorted: 1 splits {when}$", res.output, re.M)
 
-    @pytest.mark.parametrize("command", ["estimate", "test-intersection", "report"])
-    def test_failed_group_estimate_is_reported(self, workdir, tmp_path, command):
-        """A modality with two records cannot carry the debiased
-        correlation: its row is NaN, the feature's dd_correlation
-        intersection rows are not tested, and stderr says which group and
-        why, once."""
+    @staticmethod
+    def _rare_b2_dataset(workdir, path, keep):
+        """The CLI dataset with the records of modality b=2 moved to b=1,
+        except those at positions ``keep`` (a slice) among them."""
         schema = CategoricalSchema.from_yaml(workdir["schema"])
         d = load_csv(workdir["dataset"], schema)
         j = schema.feature_index("b")
         rare = np.nonzero(d.covariates[:, j] == 2)[0]
         covariates = d.covariates.copy()
-        covariates[rare[2:], j] = 1
-        path = str(tmp_path / "rare.csv")
-        save_csv(Dataset(schema, covariates, d.c, d.r, d.w), path)
+        covariates[np.delete(rare, keep), j] = 1
+        save_csv(Dataset(schema, covariates, d.c, d.r, d.w), str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["estimate", "test-intersection", "report"])
+    def test_failed_group_estimate_is_reported(self, workdir, tmp_path, command):
+        """A modality with two records carries neither statistic: its row
+        is NaN, the feature's intersection rows are not tested, and stderr
+        says which group and statistic, once each."""
+        path = self._rare_b2_dataset(workdir, tmp_path / "rare.csv", keep=slice(0, 2))
         doc = base_config(workdir, tmp_path / "o", dataset=path)
         res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
         assert res.exit_code == 0, res.output
         warnings = [line for line in res.output.splitlines() if line.startswith("warning:")]
         assert warnings == [
-            "warning: group b=2: debiased correlation written as NaN: "
-            "group 'b=2' has fewer than 3 usable records"
+            f"warning: group b=2: {column} written as NaN: fewer than 3 usable records"
+            for column in ("covariance", "dd_correlation")
         ]
         if command != "test-intersection":
             with open(tmp_path / "o" / "group_estimates.csv") as fh:
                 rows = [line.split(",") for line in fh.read().splitlines()]
-            assert [r[4] for r in rows[1:] if r[:2] == ["b", "2"]] == ["nan"]
+            assert [r[2:6] for r in rows[1:] if r[:2] == ["b", "2"]] == [["nan"] * 4]
         if command != "estimate":
             with open(tmp_path / "o" / "intersection.csv") as fh:
                 rows = [line.split(",") for line in fh.read().splitlines()[1:]]
             by_test = {(r[0], r[1]): r for r in rows}
             assert len(rows) == 12  # 2 features x 2 statistics x 3 levels
-            assert [r[3:] for r in rows if r[:2] == ["b", "dd_correlation"]] == [
-                ["nan", "nan", "nan", "not tested", "nan", "nan"]
-            ] * 3
-            for key in (("a", "covariance"), ("a", "dd_correlation"), ("b", "covariance")):
-                assert by_test[key][6] in ("rejected", "not rejected")
+            for statistic in ("covariance", "dd_correlation"):
+                assert [r[3:] for r in rows if r[:2] == ["b", statistic]] == [
+                    ["nan", "nan", "nan", "not tested", "nan", "nan"]
+                ] * 3
+                assert by_test["a", statistic][6] in ("rejected", "not rejected")
+
+    @pytest.mark.parametrize("command", ["test-intersection", "report"])
+    def test_one_record_modality_is_not_tested(self, workdir, tmp_path, command):
+        """A one-record group's covariance SE is 0 or rounding noise.  The
+        record kept here gives exactly 0, on which the intersection test
+        used to stop; now both statistics of the group are NaN and its
+        feature is not tested."""
+        path = self._rare_b2_dataset(workdir, tmp_path / "single.csv", keep=slice(1, 2))
+        doc = base_config(workdir, tmp_path / "o", dataset=path)
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
+        assert res.exit_code == 0, res.output
+        assert [line for line in res.output.splitlines() if line.startswith("warning:")] == [
+            f"warning: group b=2: {column} written as NaN: fewer than 3 usable records"
+            for column in ("covariance", "dd_correlation")
+        ]
+        with open(tmp_path / "o" / "intersection.csv") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert [r[6] for r in rows if r[0] == "b"] == ["not tested"] * 6
+        assert all(r[6] in ("rejected", "not rejected") for r in rows if r[0] == "a")
 
     def test_fit_and_hyperopt(self, workdir, tmp_path):
         p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "o"))
@@ -496,6 +522,25 @@ class TestCommands:
             assert multiprocessing.active_children() == []
             manifests.append((tmp_path / "o" / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
+
+
+def test_each_score_is_computed_once_per_feature(monkeypatch, small_dataset):
+    """The group table scores the records once per feature and statistic,
+    not once per group."""
+    calls = {"covariance_score": 0, "correlation_score": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _score=getattr(functionals, name)):
+            calls[_name] += 1
+            return _score(*args)
+
+        monkeypatch.setattr(functionals, name, counted)
+    d = small_dataset
+    raw = np.random.default_rng(0).uniform(0.05, 1.0, (d.n, 4))
+    cf = per_obs_stats(raw / raw.sum(axis=1, keepdims=True))
+    groups = cli._group_estimates(load_config(None), d, cf)
+    assert calls == {"covariance_score": 2, "correlation_score": 2}
+    assert [len(fg.modalities) for fg in groups.values()] == [4, 3]
 
 
 class TestExitCodes:
@@ -813,3 +858,17 @@ class TestRuntimeImports:
         third_party = imported - set(sys.stdlib_module_names) - {"pcptest"}
         assert third_party
         assert {self.DISTRIBUTIONS.get(m, m) for m in third_party} <= declared
+
+    def test_every_export_exists(self):
+        """Each name in the package's ``__all__`` and in each module's is
+        defined, so ``from pcptest import *`` cannot fail on a stale one."""
+        modules = [importlib.import_module("pcptest")] + [
+            importlib.import_module(f"pcptest.{path.stem}")
+            for path in sorted((ROOT / "src" / "pcptest").glob("*.py"))
+            if path.stem != "__init__"
+        ]
+        with_all = [m for m in modules if hasattr(m, "__all__")]
+        assert len(with_all) > 1
+        for module in with_all:
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert missing == [], module.__name__

@@ -10,6 +10,7 @@ from conftest import (
     covariance_from_quad,
     make_dgp,
     oracle_correlation,
+    oracle_group_estimate,
     oracle_marginals,
     oracle_quad_gradient,
 )
@@ -18,9 +19,9 @@ from pcptest.functionals import (
     DEGENERATE_TOL,
     correlation_score,
     covariance_score,
-    debiased_group_correlation,
-    group_estimate,
-    group_mean,
+    MIN_USABLE,
+    group_estimates,
+    group_means,
     orthogonality_check,
     per_obs_stats,
     summarize,
@@ -246,41 +247,48 @@ class TestPerObsStats:
         assert np.all(np.sign(stats.correlation) == np.sign(stats.covariance))
 
 
+def one_group_mean(values, weights, group=None):
+    """``group_means`` of a single group, every record by default."""
+    group = np.arange(len(values)) if group is None else group
+    means, ses = group_means(values, weights, [group])
+    return means[0], ses[0]
+
+
 class TestGroupMean:
     def test_constant_values(self):
-        ge = group_mean(np.full(10, 0.3), np.random.default_rng(0).uniform(0.1, 1, 10))
-        assert ge.estimate == pytest.approx(0.3, abs=1e-14)
-        assert ge.se == pytest.approx(0.0, abs=1e-14)
+        est, se = one_group_mean(np.full(10, 0.3), np.random.default_rng(0).uniform(0.1, 1, 10))
+        assert est == pytest.approx(0.3, abs=1e-14)
+        assert se == pytest.approx(0.0, abs=1e-14)
 
     def test_two_records(self):
-        ge = group_mean(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-        assert ge.estimate == pytest.approx(0.5)
+        est, _ = one_group_mean(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        assert est == pytest.approx(0.5)
 
     def test_se_formula(self):
         rng = np.random.default_rng(3)
         v, w = rng.normal(size=40), rng.uniform(0.2, 1.0, 40)
-        ge = group_mean(v, w)
+        est, se = one_group_mean(v, w)
         m = np.average(v, weights=w)
-        se = np.sqrt(np.sum(w**2 * (v - m) ** 2)) / w.sum()
-        assert ge.se == pytest.approx(se, abs=1e-14)
+        assert se == pytest.approx(np.sqrt(np.sum(w**2 * (v - m) ** 2)) / w.sum(), abs=1e-14)
 
     def test_weight_rescaling_invariance(self):
         rng = np.random.default_rng(4)
         v, w = rng.normal(size=30), rng.uniform(0.2, 1.0, 30)
-        a = group_mean(v, w)
-        b = group_mean(v, 0.37 * w)
-        assert b.estimate == pytest.approx(a.estimate, abs=1e-13)
-        assert b.se == pytest.approx(a.se, abs=1e-13)
+        a = one_group_mean(v, w)
+        b = one_group_mean(v, 0.37 * w)
+        assert b == pytest.approx(a, abs=1e-13)
 
-    def test_empty_group_raises(self):
-        with pytest.raises(Exception, match="empty"):
-            group_mean(np.array([1.0]), np.array([0.5]), np.array([], dtype=np.int64))
+    def test_empty_group_is_nan(self):
+        v, w = np.array([1.0, 2.0]), np.array([0.5, 1.0])
+        means, ses = group_means(v, w, [np.array([], dtype=np.int64), np.array([1])])
+        assert np.isnan(means[0]) and np.isnan(ses[0])
+        assert (means[1], ses[1]) == (2.0, 0.0)
 
     def test_group_subsetting(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
         w = np.ones(4)
-        ge = group_mean(v, w, np.array([1, 3]))
-        assert ge.estimate == pytest.approx(3.0)
+        means, _ = group_means(v, w, [np.array([1, 3]), np.array([0, 1, 3]), np.arange(4)])
+        assert means == pytest.approx([3.0, 7.0 / 3.0, 2.5])
 
     def test_monte_carlo_convergence(self, small_dgp):
         from pcptest.synth import sample_dataset
@@ -297,8 +305,8 @@ class TestGroupMean:
             quads[ci] = np.bincount(labels[mask], weights=d.w[mask], minlength=4)
             quads[ci] /= quads[ci].sum()
         stats = per_obs_stats(quads[inverse])
-        ge = group_mean(stats.covariance, d.w)
-        assert abs(ge.estimate - target) < 3 * max(ge.se, 1e-4)
+        est, se = one_group_mean(stats.covariance, d.w)
+        assert abs(est - target) < 3 * max(se, 1e-4)
 
 
 @given(
@@ -360,15 +368,16 @@ class TestDebiased:
         stats = per_obs_stats(quads)
         c, r = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
         w = np.array([0.5, 1.0, 0.7, 0.9])
-        ge = debiased_group_correlation(stats, c, r, w)
-        expected = group_mean((2 * c - 1) * (2 * r - 1), w)
-        assert ge.estimate == pytest.approx(expected.estimate, abs=1e-12)
-        assert ge.se == pytest.approx(expected.se, abs=1e-12)
+        (est,), (se,) = group_estimates("correlation", stats, c, r, w, [np.arange(4)])
+        (expected_est,), (expected_se,) = group_means((2 * c - 1) * (2 * r - 1), w, [np.arange(4)])
+        assert est == pytest.approx(expected_est, abs=1e-12)
+        assert se == pytest.approx(expected_se, abs=1e-12)
 
     def test_small_group_rejected(self):
         stats, c, r, w = self._stats(seed=8, n=2)
-        with pytest.raises(Exception):
-            debiased_group_correlation(stats, c, r, w)
+        for statistic in ("covariance", "correlation"):
+            est, se = group_estimates(statistic, stats, c, r, w, [np.arange(2)])
+            assert np.isnan(est[0]) and np.isnan(se[0])
 
     def test_plugin_truth_recovers_group_mean(self, small_schema):
         """With true quads plugged in and rho constant in the group, the
@@ -385,20 +394,82 @@ class TestDebiased:
         quads = np.array([gt.quads[gt.lookup()[tuple(c)]] for c in np.unique(d.covariates, axis=0)])
         cells, inverse = np.unique(d.covariates, axis=0, return_inverse=True)
         stats = per_obs_stats(quads[inverse])
-        ge = debiased_group_correlation(stats, d.c, d.r, d.w)
-        assert abs(ge.estimate - 0.08) < max(3 * ge.se, 1e-3)
+        (est,), (se,) = group_estimates("correlation", stats, d.c, d.r, d.w, [np.arange(d.n)])
+        assert abs(est - 0.08) < max(3 * se, 1e-3)
 
     def test_group_estimate_reads_each_statistic_by_name(self):
         stats, c, r, w = self._stats(seed=4)
-        group = np.arange(0, 400, 3)
-        assert group_estimate("covariance", stats, c, r, w, group) == group_mean(
-            covariance_score(stats, c, r), w, group
+        groups = [np.arange(0, 400, 3), np.arange(1, 400, 2)]
+        assert_pairs_equal(
+            group_estimates("covariance", stats, c, r, w, groups),
+            group_means(covariance_score(stats, c, r), w, groups),
         )
-        assert group_estimate("correlation", stats, c, r, w, group) == (
-            debiased_group_correlation(stats, c, r, w, group)
+        assert_pairs_equal(
+            group_estimates("correlation", stats, c, r, w, groups),
+            group_means(correlation_score(stats, c, r), w, groups),
         )
         with pytest.raises(DataError, match="unknown statistic 'median'"):
-            group_estimate("median", stats, c, r, w, group)
+            group_estimates("median", stats, c, r, w, groups)
+
+    def test_usable_record_rule(self):
+        """A group needs MIN_USABLE usable records: any record for the
+        covariance, a non-degenerate one for the correlation."""
+        fine = np.array([0.1, 0.2, 0.3, 0.4])
+        flat = np.array([0.5, 0.5, 0.0, 0.0])  # p = 0: degenerate
+        quads = np.array([fine] * 3 + [flat] * 3)
+        stats = per_obs_stats(quads)
+        c, r, w = np.array([0, 1, 0, 1, 0, 0]), np.array([1, 1, 0, 0, 1, 0]), np.ones(6)
+        groups = [np.array([3, 4, 5] + list(range(k))) for k in range(4)]
+        cov, _ = group_estimates("covariance", stats, c, r, w, groups)
+        rho, _ = group_estimates("correlation", stats, c, r, w, groups)
+        assert not np.isnan(cov).any()
+        assert np.isnan(rho[:MIN_USABLE]).all() and not np.isnan(rho[MIN_USABLE:]).any()
+        cov, _ = group_estimates("covariance", stats, c, r, w, [g[:k] for k, g in enumerate(groups)])
+        assert np.isnan(cov[:MIN_USABLE]).all() and not np.isnan(cov[MIN_USABLE:]).any()
+
+
+def assert_pairs_equal(actual, expected):
+    for a, b in zip(actual, expected, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def grouped_records(draw):
+    """Records (quad, c, r, w), edge and degenerate quads among them, and
+    index sets over them: a disjoint partition into five groups, any of
+    which may be empty, then up to four arbitrary, overlapping subsets."""
+    records = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(edge_quad(), quad_strategy()),
+                st.integers(0, 1),
+                st.integers(0, 1),
+                st.floats(1e-3, 1.0),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    n = len(records)
+    labels = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    groups = [np.nonzero(labels == g)[0] for g in range(5)]
+    subsets = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+    groups += [np.array(s, dtype=np.int64) for s in draw(st.lists(subsets, max_size=4))]
+    quads, c, r, w = (np.array(column) for column in zip(*records))
+    return per_obs_stats(quads), c, r, w, groups
+
+
+@given(grouped_records())
+@settings(max_examples=300, deadline=None)
+def test_group_estimates_match_per_group_oracle(case):
+    """Each group's estimate and SE, NaN below MIN_USABLE usable records,
+    are the per-group oracle's to the bit."""
+    stats, c, r, w, groups = case
+    for statistic in ("covariance", "correlation"):
+        est, ses = group_estimates(statistic, stats, c, r, w, groups)
+        expected = [oracle_group_estimate(statistic, stats, c, r, w, g) for g in groups]
+        assert_bits(est, [e for e, _ in expected])
+        assert_bits(ses, [se for _, se in expected])
 
 
 class TestSummarize:

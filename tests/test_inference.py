@@ -11,7 +11,7 @@ from conftest import analytic_k0
 from pcptest import inference
 from pcptest import learners as L
 from pcptest.data import DataError
-from pcptest.functionals import group_estimate, per_obs_stats
+from pcptest.functionals import group_estimates, per_obs_stats
 from pcptest.inference import (
     IntersectionInput,
     SortedGroupsConfig,
@@ -267,9 +267,10 @@ class TestSortedGroups:
     def test_groups_read_the_shared_estimator(
         self, small_dataset, statistic, monkeypatch, workers
     ):
-        """Each group's statistic and SE are ``group_estimate`` on its rows,
-        at the predictions of the split's own model: the group mean of the
-        one-step score, as in the intersection test's groups."""
+        """Each split's group statistics and SEs are ``group_estimates`` on
+        its group rows, at the predictions of the split's own model: the
+        group mean of the one-step score, as in the intersection test's
+        groups."""
         workers(1)
         d = small_dataset
         models = []
@@ -284,9 +285,9 @@ class TestSortedGroups:
         assert res.redraws == 0 and len(models) == len(res.splits)
         for s, model in zip(res.splits, models):
             stats = per_obs_stats(model.predict_quads(d))
-            for g, rows in enumerate(s.group_rows):
-                ge = group_estimate(statistic, stats, d.c, d.r, d.w, rows)
-                assert (s.group_stats[g], s.group_ses[g]) == (ge.estimate, ge.se)
+            est, ses = group_estimates(statistic, stats, d.c, d.r, d.w, s.group_rows)
+            np.testing.assert_array_equal(s.group_stats, est)
+            np.testing.assert_array_equal(s.group_ses, ses)
 
     def test_fixed_forest_takes_each_splits_seed(self, small_dataset, monkeypatch, workers):
         workers(1)
