@@ -98,7 +98,7 @@ class RunConfig:
             raise DataError(f"unknown hyperopt grid {self.hyperopt_grid!r}")
         # Every section is checked by its owner's rules, used by this run or
         # not, so that every command accepts or rejects the same config.
-        sections = {kind: self._checked(kind, cfg_cls) for kind, (cfg_cls, _) in L.KINDS.items()}
+        sections = {kind: self._checked(kind, family.config) for kind, family in L.KINDS.items()}
         self.learner_cfg = sections[self.learner]
         self.grid = (
             (self.learner_cfg,)
@@ -549,7 +549,7 @@ def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult) -> No
 def cmd_importance(cfg: RunConfig, out: OutputDir) -> None:
     d = load_dataset(cfg)
     t0 = time.monotonic()
-    retrain = L.feature_group_importance(d, cfg.learner_cfg, cfg.plan)
+    retrain, model = L.feature_group_importance(d, cfg.learner_cfg, cfg.plan)
     _log(f"importance: retrain in {time.monotonic() - t0:.1f}s")
     write_table(
         out,
@@ -557,8 +557,7 @@ def cmd_importance(cfg: RunConfig, out: OutputDir) -> None:
         ["omitted_feature", "delta_loss"],
         [[name, delta] for name, delta in retrain.items()],
     )
-    if cfg.learner != "network":
-        model = L.train_any(d, cfg.learner_cfg)
+    if L.KINDS[cfg.learner].impurity:
         imp = L.impurity_importance(model, d.schema)
         write_table(
             out,

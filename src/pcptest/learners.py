@@ -3,9 +3,9 @@
 One model interface covers the softmax network, the random forest, and the
 gradient-boosted ensemble: every fitted model predicts a point on the class
 simplex for each design row, and writes and reads its own parameters.
-``KINDS`` and ``GRID_AXES`` are the only tables of the families.  This
-module also carries the grid-search, cross-fitting, and importance
-procedures, and JSON persistence.
+``KINDS`` and ``GRID_AXES`` are the only tables of the families; a family's
+record holds its grid fitter and tie key, so ``train_any``, ``hyperopt``,
+cross-fitting, importances and model files serve every family alike.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .data import (
     Dataset,
     SplitPlan,
     FoldAssignment,
+    _design_layout,
     one_hot_encode,
     split,
 )
@@ -37,14 +38,13 @@ __all__ = [
     "ClassifierModel",
     "HyperoptReport",
     "LearnerConfig",
+    "Family",
     "KINDS",
     "GRID_AXES",
     "default_grid",
     "cross_entropy_loss",
     "train_any",
     "hyperopt",
-    "hyperopt_network",
-    "hyperopt_trees",
     "cross_fit_units",
     "merge_cross_fit",
     "cross_fit_predict",
@@ -60,21 +60,6 @@ MODEL_FILE_VERSION = 1
 N_CLASSES = 4
 
 LearnerConfig = NetworkConfig | ForestConfig | BoostConfig
-
-# Each family's kind, as model files and the run config's ``learner`` name
-# it, with its config class and its fitted-model class.
-KINDS = {
-    "network": (NetworkConfig, net.NetworkModel),
-    "forest": (ForestConfig, trees.ForestModel),
-    "boosted": (BoostConfig, trees.BoostModel),
-}
-_KIND_OF = {cfg_cls: kind for kind, (cfg_cls, _) in KINDS.items()}
-
-
-def _kind_of(cfg: LearnerConfig) -> str:
-    if type(cfg) not in _KIND_OF:
-        raise DataError(f"unknown learner config type {type(cfg).__name__}")
-    return _KIND_OF[type(cfg)]
 
 
 @dataclass
@@ -95,12 +80,11 @@ class ClassifierModel:
 
 def cross_entropy_loss(model: ClassifierModel, d: Dataset) -> float:
     """Weighted cross-entropy per unit weight, probabilities clipped at 1e-12."""
-    probs = model.predict_quads(d)
-    return net.weighted_cross_entropy(probs, d.class_labels(), d.w)
+    return net.weighted_cross_entropy(model.predict_quads(d), d.class_labels(), d.w)
 
 
 # ---------------------------------------------------------------------------
-# Training entry points
+# The families and the training entry point
 
 
 def _block(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,36 +92,84 @@ def _block(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return one_hot_encode(d), d.class_labels(), d.w
 
 
-def _inner_split(d: Dataset, seed: int):
-    """Hold out 15% for early stopping when the caller only provides one
-    dataset (cross-fitting, sorted-groups)."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(d.n)
-    n_val = max(1, int(np.floor(d.n * 0.15)))
-    return d.take(perm[n_val:]), d.take(perm[:n_val])
+def _fit_networks(d_train: Dataset, validation: Dataset | None, cfgs, fold: int = 0) -> list:
+    """``fit_softmax_networks``, its stacks one ``map_units`` batch.
+    Without a validation block (cross-fitting, sorted-groups) it holds out
+    15% of ``d_train`` for early stopping, drawn with seed ``seed + fold``
+    so that each cross-fitting fold draws its own."""
+    if validation is None:
+        perm = np.random.default_rng(cfgs[0].seed + fold).permutation(d_train.n)
+        n_val = max(1, int(np.floor(d_train.n * 0.15)))
+        d_train, validation = d_train.take(perm[n_val:]), d_train.take(perm[:n_val])
+    if d_train.schema.fingerprint() != validation.schema.fingerprint():
+        raise DataError("train and validation schemas differ")
+    params, _ = net.fit_softmax_networks(*_block(d_train), *_block(validation), cfgs, N_CLASSES)
+    return [net.NetworkModel(p) for p in params]
+
+
+class Family(NamedTuple):
+    """A learner family: its config and fitted-model classes; its grid
+    fitter ``(d_train, validation, configs, fold=0) -> models``, in input
+    order; and its tie key ``(config, n_inputs) -> tuple``, which orders
+    candidates of equal test loss before their grid position does."""
+
+    config: type
+    model: type
+    fit_grid: Callable[..., list]
+    tie_key: Callable[[LearnerConfig, int], tuple]
+
+    @property
+    def impurity(self) -> bool:
+        """Whether the models carry impurity decreases per design column."""
+        return "importance" in self.model.__dataclass_fields__
+
+
+def _tree_family(config: type, model: type, fit_name: str, size_field: str) -> Family:
+    """A tree family.  Its grid fitter reads no validation block and runs
+    each candidate as one ``map_units`` unit, largest first by
+    ``<size_field> * 2**max_depth``; ``trees.<fit_name>`` is looked up per
+    call, so a wrapper on ``trees`` sees it.  Ties go to the earlier one."""
+
+    def fit_grid(d_train: Dataset, validation: Dataset | None, cfgs, fold: int = 0) -> list:
+        fit, block = getattr(trees, fit_name), _block(d_train)
+        size = [getattr(c, size_field) * 2**c.max_depth for c in cfgs]
+        order = sorted(range(len(cfgs)), key=lambda i: -size[i])
+        # One candidate (train_any) fits in place, a unit of its caller's batch.
+        run = map_units if len(cfgs) > 1 else map
+        fitted = dict(zip(order, run(lambda i: fit(*block, cfgs[i], N_CLASSES), order)))
+        return [fitted[i] for i in range(len(cfgs))]
+
+    return Family(config, model, fit_grid, lambda cfg, n_inputs: ())
+
+
+# Each family under its kind, its name in model files and the config's
+# ``learner``.  Network ties go to fewer parameters, then less dropout.
+KINDS = {
+    "network": Family(
+        NetworkConfig,
+        net.NetworkModel,
+        _fit_networks,
+        lambda cfg, n_inputs: (net.count_parameters(cfg, n_inputs, N_CLASSES), cfg.dropout),
+    ),
+    "forest": _tree_family(ForestConfig, trees.ForestModel, "fit_forest", "n_trees"),
+    "boosted": _tree_family(BoostConfig, trees.BoostModel, "fit_boosted", "n_rounds"),
+}
+_KIND_OF = {family.config: kind for kind, family in KINDS.items()}
+
+
+def _kind_of(cfg: LearnerConfig) -> str:
+    if type(cfg) not in _KIND_OF:
+        raise DataError(f"unknown learner config type {type(cfg).__name__}")
+    return _KIND_OF[type(cfg)]
 
 
 def train_any(
-    d_train: Dataset,
-    cfg: LearnerConfig,
-    validation: Dataset | None = None,
-    fold: int = 0,
+    d_train: Dataset, cfg: LearnerConfig, validation: Dataset | None = None, fold: int = 0
 ) -> ClassifierModel:
-    """Fit the learner ``cfg`` configures on ``d_train``.  A network stops
-    early on ``validation``; without one it holds out 15% of ``d_train``,
-    drawn with seed ``cfg.seed + fold`` so that each cross-fitting fold
-    draws its own.  Trees read neither."""
-    kind = _kind_of(cfg)
-    if kind == "network":
-        if validation is None:
-            d_train, validation = _inner_split(d_train, cfg.seed + fold)
-        if d_train.schema.fingerprint() != validation.schema.fingerprint():
-            raise DataError("train and validation schemas differ")
-        params, _ = net.fit_softmax_network(*_block(d_train), *_block(validation), cfg, N_CLASSES)
-        predictor = net.NetworkModel(params)
-    else:
-        fit = trees.fit_forest if kind == "forest" else trees.fit_boosted
-        predictor = fit(*_block(d_train), cfg, N_CLASSES)
+    """Fit the learner ``cfg`` configures on ``d_train``: its family's grid
+    fitter on the one-config grid.  A network stops early on ``validation``,
+    or on 15% of ``d_train`` drawn for ``fold``; trees read neither."""
+    (predictor,) = KINDS[_kind_of(cfg)].fit_grid(d_train, validation, [cfg], fold)
     return ClassifierModel(cfg, d_train.schema.fingerprint(), predictor)
 
 
@@ -186,59 +218,35 @@ def default_grid(cls: type, seed: int = 0, **overrides) -> list[LearnerConfig]:
     ]
 
 
-def _network_tie_key(cfg: NetworkConfig, n_inputs: int) -> tuple:
-    return (net.count_parameters(cfg, n_inputs, N_CLASSES), cfg.dropout)
-
-
-def hyperopt_network(d: Dataset, grid: Sequence[NetworkConfig], plan: SplitPlan) -> HyperoptReport:
-    """Train every candidate on the train block with validation-based early
-    stopping, score on the test block, keep the minimizer.  Exact ties go to
-    the smaller parameter count, then the smaller dropout."""
+def hyperopt(d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan) -> HyperoptReport:
+    """Grid search over one family's candidates on ``plan``'s blocks: the
+    family's grid fitter trains every candidate on the train block, a
+    network stopping early on the validation block, and the least weighted
+    cross-entropy on the test block wins.  Exact ties go to the family's
+    tie key, then to the earlier candidate."""
     if not grid:
         raise DataError("empty hyperparameter grid")
+    family = KINDS[_kind_of(grid[0])]
+    if any(type(cfg) is not family.config for cfg in grid):
+        raise DataError("a hyperparameter grid searches one learner family")
     d_train, d_val, d_test = split(d, plan)
-    n_inputs = d.schema.n_design_columns
-    fits, _ = net.fit_softmax_networks(*_block(d_train), *_block(d_val), grid, N_CLASSES)
     X_test, labels_test, w_test = _block(d_test)
     losses = [
-        net.weighted_cross_entropy(net.forward_probs(params, X_test), labels_test, w_test)
-        for params in fits
+        net.weighted_cross_entropy(model.predict_probs(X_test), labels_test, w_test)
+        for model in family.fit_grid(d_train, d_val, grid)
     ]
-    order = sorted(
-        range(len(grid)),
-        key=lambda i: (losses[i], *_network_tie_key(grid[i], n_inputs), i),
+    n_inputs = d.schema.n_design_columns
+    selected = min(
+        range(len(grid)), key=lambda i: (losses[i], *family.tie_key(grid[i], n_inputs), i)
     )
-    return HyperoptReport(list(grid), losses, order[0])
-
-
-def hyperopt_trees(d: Dataset, grid: Sequence[LearnerConfig], seed: int = 0) -> HyperoptReport:
-    """Grid search on an 80/20 train/test split: every candidate trains on
-    the 80% and the least test loss wins, the first candidate on ties."""
-    if not grid:
-        raise DataError("empty hyperparameter grid")
-    perm = np.random.default_rng(seed).permutation(d.n)
-    n_test = max(1, int(np.floor(d.n * 0.2)))
-    d_test = d.take(perm[:n_test])
-    d_train = d.take(perm[n_test:])
-    losses = [cross_entropy_loss(train_any(d_train, cfg), d_test) for cfg in grid]
-    return HyperoptReport(list(grid), losses, int(np.argmin(losses)))
-
-
-def hyperopt(d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan) -> HyperoptReport:
-    """Grid search over one family's candidates: ``hyperopt_network`` on
-    ``plan`` for networks, ``hyperopt_trees`` with ``plan.seed`` for trees."""
-    if grid and _kind_of(grid[0]) == "network":
-        return hyperopt_network(d, grid, plan)
-    return hyperopt_trees(d, grid, plan.seed)
+    return HyperoptReport(list(grid), losses, selected)
 
 
 # ---------------------------------------------------------------------------
 # Cross-fitting and importances
 
 
-def cross_fit_units(
-    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment
-) -> list[Callable[[], np.ndarray]]:
+def cross_fit_units(d: Dataset, cfg: LearnerConfig, folds: FoldAssignment) -> list[Callable]:
     """The fits of ``cross_fit_predict`` as zero-argument units: fold k's
     fit on the other folds, which predicts fold k.  A fold with fewer than
     10 records to train on raises in its unit."""
@@ -269,44 +277,37 @@ def cross_fit_predict(d: Dataset, cfg: LearnerConfig, folds: FoldAssignment) -> 
     return merge_cross_fit(folds, list(map_units(call, cross_fit_units(d, cfg, folds))))
 
 
-def feature_group_importance(d: Dataset, cfg: LearnerConfig, plan: SplitPlan) -> dict[str, float]:
+def feature_group_importance(
+    d: Dataset, cfg: LearnerConfig, plan: SplitPlan
+) -> tuple[dict[str, float], ClassifierModel]:
     """Additional test loss from retraining without each feature's dummy
-    block; the full model's own entry is 'None' = 0.  The full fit and the
-    retrains run as one ``map_units`` batch."""
+    block; the full model's own entry is 'None' = 0.  Returns the deltas
+    and the full-feature model.  The full fit and the retrains run as one
+    ``map_units`` batch."""
     if d.schema.n_features < 2:
         raise DataError("importance needs at least 2 features")
     names = d.schema.feature_names
     blocks = split(d, plan)
 
-    def fit_loss(omitted: str | None) -> float:
-        d_train, d_val, d_test = blocks
-        if omitted is not None:
-            reduced = _drop_feature_schema(d.schema, omitted)
-            keep = [j for j, name in enumerate(names) if name != omitted]
-            d_train, d_val, d_test = (
-                Dataset(reduced, b.covariates[:, keep].copy(), b.c.copy(), b.r.copy(), b.w.copy())
-                for b in blocks
-            )
-        return cross_entropy_loss(train_any(d_train, cfg, d_val), d_test)
+    def fit(omitted: str | None) -> tuple[ClassifierModel | None, float]:
+        keep = [j for j, name in enumerate(names) if name != omitted]
+        schema = CategoricalSchema(tuple(d.schema.features[j] for j in keep))
+        d_train, d_val, d_test = (
+            Dataset(schema, b.covariates[:, keep], b.c, b.r, b.w) for b in blocks
+        )
+        model = train_any(d_train, cfg, d_val)
+        # Only the full model is read afterwards; the others stay in the worker.
+        return model if omitted is None else None, cross_entropy_loss(model, d_test)
 
-    full_loss, *omitted_losses = map_units(fit_loss, [None, *names])
-    deltas: dict[str, float] = {"None": 0.0}
-    for name, loss in zip(names, omitted_losses):
-        deltas[name] = loss - full_loss
-    return deltas
-
-
-def _drop_feature_schema(schema: CategoricalSchema, name: str) -> CategoricalSchema:
-    feats = tuple(f for f in schema.features if f[0] != name)
-    if len(feats) == len(schema.features):
-        raise DataError(f"unknown feature {name!r}")
-    return CategoricalSchema(feats)
+    (full, full_loss), *omitted_fits = map_units(fit, [None, *names])
+    deltas = {name: loss - full_loss for name, (_, loss) in zip(names, omitted_fits)}
+    return {"None": 0.0} | deltas, full
 
 
 def impurity_importance(model: ClassifierModel, schema: CategoricalSchema) -> dict[str, float]:
     """Impurity decrease from splits, normalized to sum to 1 and aggregated
     per feature (forest: weighted entropy; boosted: weighted SSE)."""
-    if model.kind == "network":
+    if not KINDS[model.kind].impurity:
         raise DataError("impurity importance is only defined for tree models")
     if schema.fingerprint() != model.schema_fingerprint:
         raise DataError("schema does not match the model's schema")
@@ -314,8 +315,6 @@ def impurity_importance(model: ClassifierModel, schema: CategoricalSchema) -> di
     total = raw.sum()
     if total <= 0.0:
         return {name: 0.0 for name, _ in schema.features}
-    from .data import _design_layout
-
     return {
         name: float(raw[list(cols)].sum() / total) for name, cols in _design_layout(schema).items()
     }
@@ -354,7 +353,7 @@ def load_model(path: str, schema: CategoricalSchema) -> ClassifierModel:
         raise DataError(f"{path}: not a model of the {N_CLASSES}-way (c, r) class")
     if doc["schema_fingerprint"] != schema.fingerprint():
         raise DataError("model was trained under a different schema")
-    cfg_cls, model_cls = KINDS[doc["kind"]]
-    cfg = cfg_cls(**{key: v for key, v in doc["config"].items() if key != "type"})
-    predictor = model_cls.from_doc(doc["parameters"], N_CLASSES)
+    family = KINDS[doc["kind"]]
+    cfg = family.config(**{key: v for key, v in doc["config"].items() if key != "type"})
+    predictor = family.model.from_doc(doc["parameters"], N_CLASSES)
     return ClassifierModel(cfg, doc["schema_fingerprint"], predictor)

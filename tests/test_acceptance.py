@@ -41,7 +41,7 @@ from pcptest.learners import (
     cross_entropy_loss,
     cross_fit_predict,
     default_grid,
-    hyperopt_network,
+    hyperopt,
     train_any,
 )
 from pcptest.network import (
@@ -559,7 +559,7 @@ def test_criterion_10_hyperopt_runtime():
     grid = default_grid(NetworkConfig, seed=0)
     assert len(grid) == 108
     t0 = time.monotonic()
-    report = hyperopt_network(d, grid, SplitPlan((0.70, 0.15, 0.15)))
+    report = hyperopt(d, grid, SplitPlan((0.70, 0.15, 0.15)))
     elapsed = time.monotonic() - t0
     ok = elapsed <= 900.0 and np.isfinite(report.selected_loss)
     _verdict(

@@ -372,6 +372,29 @@ class TestCommands:
         with open(tmp_path / "o" / "selected.yaml") as fh:
             assert yaml.safe_load(fh)["n_rounds"] == 2
 
+    @pytest.mark.parametrize(
+        "learner, settings", [("boosted", {"n_rounds": 2}), ("forest", {"n_trees": 2})]
+    )
+    def test_tree_grid_does_not_depend_on_workers(
+        self, workdir, tmp_path, workers, learner, settings
+    ):
+        """Each tree candidate is a unit of one batch, and the losses come
+        back in input order, so the search reads the same on any number of
+        workers."""
+        doc = base_config(
+            workdir, tmp_path / "o", learner=learner, hyperopt_grid="default", **{learner: settings}
+        )
+        p = _write_config(tmp_path / "c.yaml", doc)
+        outputs = []
+        for n in (1, 2):
+            workers(n)
+            res = run_cmd(p, "hyperopt")
+            assert res.exit_code == 0, res.output
+            outputs.append(
+                [(tmp_path / "o" / name).read_bytes() for name in ("candidates.csv", "selected.yaml")]
+            )
+        assert outputs[0] == outputs[1]
+
     def test_importance(self, workdir, tmp_path):
         p = _write_config(tmp_path / "c.yaml", base_config(workdir, tmp_path / "o"))
         res = run_cmd(p, "importance")
@@ -455,8 +478,7 @@ class TestCommands:
             grids.append(grid)
             return L.HyperoptReport(list(grid), [0.0] * len(grid), 0)
 
-        monkeypatch.setattr(L, "hyperopt_network", first_candidate)
-        monkeypatch.setattr(L, "hyperopt_trees", first_candidate)
+        monkeypatch.setattr(L, "hyperopt", first_candidate)
         for learner, settings, size in (
             ("network", {"max_epochs": 1}, 108),
             ("boosted", {"n_rounds": 2}, 27),
@@ -474,7 +496,7 @@ class TestCommands:
             assert res.exit_code == 0, res.output
             assert len(grids) == 2
             assert all(len(grid) == size for grid in grids)
-            assert all(type(c) is L.KINDS[learner][0] for grid in grids for c in grid)
+            assert all(type(c) is L.KINDS[learner].config for grid in grids for c in grid)
             for k, v in settings.items():
                 assert all(getattr(c, k) == v for grid in grids for c in grid)
             seeds = [{c.seed for c in grid} for grid in grids]

@@ -4,14 +4,14 @@ import pytest
 from conftest import constant_model_loss
 from pcptest.data import DataError, SplitPlan, make_folds, split
 from pcptest.learners import (
+    KINDS,
     ClassifierModel,
     HyperoptReport,
     cross_entropy_loss,
     cross_fit_predict,
     default_grid,
     feature_group_importance,
-    hyperopt_network,
-    hyperopt_trees,
+    hyperopt,
     impurity_importance,
     load_model,
     save_model,
@@ -23,6 +23,19 @@ from pcptest.trees import BoostConfig, ForestConfig
 FAST_NET = NetworkConfig(depth=0, max_epochs=30, seed=0)
 FAST_FOREST = ForestConfig(n_trees=10, max_depth=3, seed=0)
 FAST_BOOST = BoostConfig(n_rounds=10, max_depth=2, seed=0)
+PLAN = SplitPlan((0.7, 0.15, 0.15))
+
+# Per family, two candidates (a, b) of the selection contract.  The network
+# pair trains identically at depth 0, so its losses tie and the tie key
+# (less dropout) must pick b; the tree pairs differ in loss.
+CONTRACT_PAIRS = {
+    "network": (
+        NetworkConfig(depth=0, dropout=0.5, max_epochs=10, seed=0),
+        NetworkConfig(depth=0, max_epochs=10, seed=0),
+    ),
+    "forest": (ForestConfig(n_trees=5, max_depth=2, seed=0), FAST_FOREST),
+    "boosted": (BoostConfig(n_rounds=5, max_depth=1, seed=0), FAST_BOOST),
+}
 
 
 class TestTraining:
@@ -108,36 +121,45 @@ class TestHyperopt:
             NetworkConfig(depth=0, max_epochs=20, seed=0),
             NetworkConfig(depth=1, width=4, max_epochs=20, seed=0),
         ]
-        report = hyperopt_network(small_dataset, grid, SplitPlan((0.7, 0.15, 0.15)))
+        report = hyperopt(small_dataset, grid, PLAN)
         assert report.selected_index == int(np.argmin(report.test_losses))
         assert report.selected is grid[report.selected_index]
         assert report.selected_loss == min(report.test_losses)
 
-    def test_tie_break_prefers_fewer_parameters(self, small_dataset):
-        """Identical configs produce identical losses; the first (equal
-        parameters, equal dropout) wins by index."""
-        cfg = NetworkConfig(depth=0, max_epochs=10, seed=0)
-        report = hyperopt_network(
-            small_dataset, [cfg, cfg], SplitPlan((0.7, 0.15, 0.15))
-        )
-        assert report.test_losses[0] == report.test_losses[1]
-        assert report.selected_index == 0
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_selection_contract(self, small_dataset, kind):
+        """One protocol for every family: a repeated candidate repeats its
+        loss, and the least (loss, tie key, position) wins, so the repeats
+        never do.  Every candidate trains on the plan's train block and is
+        scored on its test block."""
+        family = KINDS[kind]
+        a, b = CONTRACT_PAIRS[kind]
+        grid = [a, b, a, b]
+        report = hyperopt(small_dataset, grid, PLAN)
+        losses = report.test_losses
+        assert losses[:2] == losses[2:]
+        n_inputs = small_dataset.schema.n_design_columns
+        keys = [
+            (loss, *family.tie_key(cfg, n_inputs), i)
+            for i, (cfg, loss) in enumerate(zip(grid, losses))
+        ]
+        assert report.selected_index == min(keys)[-1] < 2
+        if kind == "network":  # equal losses: the tie key picks b, with less dropout
+            assert losses[0] == losses[1] and report.selected_index == 1
+        d_train, d_val, d_test = split(small_dataset, PLAN)
+        for cfg, loss in zip(grid, losses):
+            assert loss == cross_entropy_loss(train_any(d_train, cfg, d_val), d_test)
 
-    def test_trees_select_least_test_loss(self, small_dataset):
-        """Equal configs tie; the least test loss wins, the first on ties."""
-        small = ForestConfig(n_trees=5, max_depth=2, seed=0)
-        grid = [small, FAST_FOREST, small, FAST_FOREST]
-        report = hyperopt_trees(small_dataset, grid, seed=0)
-        assert report.test_losses[:2] == report.test_losses[2:]
-        assert report.test_losses[0] != report.test_losses[1]
-        assert report.selected_index == int(np.argmin(report.test_losses[:2]))
-        assert report.selected_loss == min(report.test_losses)
+    def test_mixed_families_rejected(self, small_dataset):
+        """A grid searches one family: a mix is an input error, whichever
+        family comes first."""
+        for grid in ([FAST_NET, FAST_BOOST], [FAST_BOOST, FAST_NET], [FAST_FOREST, FAST_BOOST]):
+            with pytest.raises(DataError, match="one learner family"):
+                hyperopt(small_dataset, grid, PLAN)
 
     def test_empty_grid_rejected(self, small_dataset):
         with pytest.raises(DataError):
-            hyperopt_network(small_dataset, [], SplitPlan((0.7, 0.15, 0.15)))
-        with pytest.raises(DataError):
-            hyperopt_trees(small_dataset, [])
+            hyperopt(small_dataset, [], PLAN)
 
     def test_default_grids_sizes(self):
         """Each default grid is the nested loop over its axes, in loop order,
@@ -176,11 +198,13 @@ class TestHyperopt:
 
 class TestImportance:
     def test_retrain_importance(self, small_dataset):
-        deltas = feature_group_importance(
-            small_dataset, FAST_BOOST, SplitPlan((0.7, 0.15, 0.15))
-        )
+        deltas, full = feature_group_importance(small_dataset, FAST_BOOST, PLAN)
         assert deltas["None"] == 0.0
         assert set(deltas) == {"None", "a", "b"}
+        # The full-feature model is the one fitted on the plan's train block.
+        d_train, _, d_test = split(small_dataset, PLAN)
+        refit = train_any(d_train, FAST_BOOST)
+        np.testing.assert_array_equal(full.predict_quads(d_test), refit.predict_quads(d_test))
 
     def test_impurity_importance_sums_to_one(self, small_dataset):
         model = train_any(small_dataset, FAST_FOREST)
