@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Byte comparison of two source checkouts' outputs on one benchmark workload.
+
+    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --workload W --seed S
+
+The workload's inputs (dataset, schema and run config) are written once,
+by PARENT_DIR's ``benchmarks/workloads.py``, into a scratch directory.  The
+workload's command then runs with each checkout's sources, one checkout
+after the other, on that one config and output path: ``report.txt`` holds
+the config's fingerprint, which hashes the paths, so the paths must be the
+same.  Every output file's SHA-256 digest is printed per checkout, and the
+exit code is 0 when both runs wrote the same files with the same digests,
+1 otherwise.  Nothing in either checkout is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WRITE_INPUTS = """
+import sys
+import workloads
+workload = workloads.WORKLOADS[sys.argv[1]]
+inputs = workloads.write_inputs(workload, int(sys.argv[2]), sys.argv[3])
+print(workload.command)
+print(inputs.config_path)
+print(inputs.out_dir)
+"""
+
+
+def run(checkout: Path, args: list[str], *paths: str) -> str:
+    """``python args`` with ``checkout``'s ``src`` (and ``paths`` under it)
+    first on the import path; its stdout.  A failure ends the comparison."""
+    pythonpath = os.pathsep.join(str(checkout / p) for p in ("src", *paths))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run([sys.executable, *args], cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{checkout}: {' '.join(args[:2])} exited with code {proc.returncode}")
+    return proc.stdout
+
+
+def digests(root: str) -> dict[str, str]:
+    """SHA-256 of every file under ``root``, by path relative to it."""
+    out = {}
+    for path in sorted(Path(root).rglob("*")):
+        if path.is_file():
+            out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path, help="checkout to compare against; writes the inputs")
+    ap.add_argument("change", type=Path, help="checkout with the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    workdir = tempfile.mkdtemp(prefix="compare_outputs-")
+    try:
+        command, config, out_dir = run(
+            checkouts["parent"], ["-c", WRITE_INPUTS, args.workload, str(args.seed), workdir], "benchmarks"
+        ).split()
+        found = {}
+        for side, checkout in checkouts.items():
+            shutil.rmtree(out_dir, ignore_errors=True)
+            run(checkout, ["-m", "pcptest.cli", "--config", config, command])
+            found[side] = digests(out_dir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+    differ = 0
+    for name in sorted(found["parent"].keys() | found["change"].keys()):
+        parent, change = (found[side].get(name, "-" * 64) for side in ("parent", "change"))
+        same = parent == change
+        differ += not same
+        print(f"{'same' if same else 'DIFFERS':7}  {name}  {parent[:16]}  {change[:16]}")
+    print(f"{args.workload} seed {args.seed}: {len(found['parent'])} files in the parent's output, "
+          f"{len(found['change'])} in the change's, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -223,22 +223,53 @@ class OutputDir:
             fh.write("\n")
 
 
-def write_table(out: OutputDir, name: str, header: list[str], rows: Sequence[Sequence]) -> None:
-    """Emit a table as <name>.csv and aligned <name>.txt, formatting each
-    cell once for both: a float to 6 significant digits, anything else by
-    ``str``.  Each .txt line is one format of a template padded to the
-    column widths."""
-    cells = [header] + [
-        [format(v, ".6g") if isinstance(v, float) else str(v) for v in row] for row in rows
-    ]
-    with open(out.path(name + ".csv"), "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(cells)
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    line = "  ".join(f"{{:<{w}}}" for w in widths)
+def _format_column(values: Sequence) -> list[str]:
+    """A column's cells as text: a float to 6 significant digits, anything
+    else by ``str``.  A float array formats each distinct bit pattern once,
+    so ``-0.0`` and ``0.0`` stay apart, as does NaN from every number;
+    ``"%.6g"`` gives the strings of ``format(v, ".6g")``."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
+        return [format(v, ".6g") if isinstance(v, float) else str(v) for v in values]
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map("%.6g".__mod__, distinct.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv(path: str, header: list[str], rows: list[tuple[str, ...]]) -> None:
+    """The CSV of ``csv.writer`` for text cells: ``\\r\\n`` line endings, and a
+    cell quoted where it holds a comma, quote or line break.  Lines are
+    joined directly unless some cell needs quoting, or a row of one empty
+    cell could occur."""
+    text = "".join(itertools.chain(header, *rows))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if len(header) < 2 or any(ch in text for ch in ',"\r\n'):
+            csv.writer(fh).writerows([header, *rows])
+        else:
+            fh.write("\r\n".join(map(",".join, [header, *rows])) + "\r\n")
+
+
+def _columns(header: list[str], rows: Sequence[Sequence]) -> dict[str, list]:
+    """A table built row by row, as ``write_table`` takes it."""
+    return {h: [row[j] for row in rows] for j, h in enumerate(header)}
+
+
+def write_table(out: OutputDir, name: str, table: dict[str, Sequence]) -> None:
+    """Emit a table, given as its columns by header name, as <name>.csv and
+    aligned <name>.txt, formatting each cell once for both.  Each .txt line
+    is one format of a template padded to the column widths, stripped of
+    trailing blanks; the lines are joined without a Python call per row."""
+    header = list(table)
+    columns = [_format_column(values) for values in table.values()]
+    rows = list(zip(*columns))
+    _write_csv(out.path(name + ".csv"), header, rows)
+    widths = [max(len(h), max(map(len, column), default=0)) for h, column in zip(header, columns)]
+    line = "  ".join(f"%-{w}s" for w in widths)
     with open(out.path(name + ".txt"), "w", encoding="utf-8") as fh:
-        fh.write(line.format(*header).rstrip() + "\n")
+        fh.write((line % tuple(header)).rstrip() + "\n")
         fh.write("  ".join("-" * w for w in widths) + "\n")
-        fh.writelines(line.format(*row).rstrip() + "\n" for row in cells[1:])
+        if rows:
+            fh.write("\n".join(map(str.rstrip, map(line.__mod__, rows))) + "\n")
 
 
 def silverman_factor(n: int) -> float:
@@ -269,11 +300,8 @@ def write_density(out: OutputDir, name: str, values: np.ndarray) -> None:
             for i in range(0, len(grid), step)
         ]
         dens = np.concatenate(blocks) / (len(values) * h * np.sqrt(2 * np.pi))
-    with open(out.path(name + ".csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grid", "density"])
-        for g, v in zip(grid, dens):
-            writer.writerow([repr(float(g)), repr(float(v))])
+    rows = list(zip(map(repr, grid.tolist()), map(repr, dens.tolist())))
+    _write_csv(out.path(name + ".csv"), ["grid", "density"], rows)
 
 
 def _log(msg: str) -> None:
@@ -304,7 +332,7 @@ def cmd_hyperopt(cfg: RunConfig, out: OutputDir) -> None:
         [getattr(cand, axis) for axis in axes] + [loss, int(i == report.selected_index)]
         for i, (cand, loss) in enumerate(zip(report.candidates, report.test_losses))
     ]
-    write_table(out, "candidates", axes + ["test_loss", "selected"], rows)
+    write_table(out, "candidates", _columns(axes + ["test_loss", "selected"], rows))
     selected = L._config_doc(report.selected)
     selected["test_loss"] = report.selected_loss
     with open(out.path("selected.yaml"), "w", encoding="utf-8") as fh:
@@ -317,7 +345,7 @@ def cmd_fit(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _five_number(values: np.ndarray) -> list[float]:
-    return [float(np.quantile(values, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    return np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0]).tolist()
 
 
 # The grouped statistics: each one's column in the output tables, and its
@@ -418,12 +446,16 @@ def cmd_estimate(cfg: RunConfig, out: OutputDir) -> None:
 def _write_estimates(
     cfg: RunConfig, out: OutputDir, d: Dataset, cf: PerObsStats, raw: PerObsStats, groups: Groups
 ) -> None:
-    columns = [raw.covariance, raw.correlation, cf.covariance, cf.correlation, d.w]
     write_table(
         out,
         "per_obs_stats",
-        ["raw_covariance", "raw_correlation", "cf_covariance", "cf_correlation", "w"],
-        list(zip(*(column.tolist() for column in columns))),
+        {
+            "raw_covariance": raw.covariance,
+            "raw_correlation": raw.correlation,
+            "cf_covariance": cf.covariance,
+            "cf_correlation": cf.correlation,
+            "w": d.w,
+        },
     )
 
     rows = []
@@ -431,7 +463,11 @@ def _write_estimates(
         for kind in ("covariance", "correlation"):
             s = summarize(getattr(stats, kind), d.w)
             rows.append([label, kind, s.mean, s.dispersion, s.range[0], s.range[1]])
-    write_table(out, "summary", ["estimate", "statistic", "mean", "dispersion", "min", "max"], rows)
+    write_table(
+        out,
+        "summary",
+        _columns(["estimate", "statistic", "mean", "dispersion", "min", "max"], rows),
+    )
 
     group_rows = []
     for name, fg in groups.items():
@@ -440,8 +476,10 @@ def _write_estimates(
     write_table(
         out,
         "group_estimates",
-        ["feature", "modality", "covariance", "cov_se", "dd_correlation", "dd_se", "weight"],
-        group_rows,
+        _columns(
+            ["feature", "modality", "covariance", "cov_se", "dd_correlation", "dd_se", "weight"],
+            group_rows,
+        ),
     )
 
     for label, stats in (("raw", raw), ("cf", cf)):
@@ -453,12 +491,11 @@ def _write_estimates(
     for name in d.schema.feature_names:
         j = d.schema.feature_index(name)
         for idx in partition(d, name):
-            box_rows.append([name, int(d.covariates[idx[0], j])] + _five_number(values[idx]))
+            box_rows.append([name, int(d.covariates[idx[0], j]), *_five_number(values[idx])])
     write_table(
         out,
         "boxplot",
-        ["feature", "modality", "min", "q1", "median", "q3", "max"],
-        box_rows,
+        _columns(["feature", "modality", "min", "q1", "median", "q3", "max"], box_rows),
     )
 
 
@@ -470,7 +507,9 @@ def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Grou
     """One row per feature, statistic and level.  A feature whose estimates
     of a statistic hold a NaN is not tested on it: its rows carry NaN.
     Every test is run in one call, so all the features with the same
-    number of groups share one Monte Carlo draw."""
+    number of groups share one Monte Carlo draw.  A row whose interval was
+    clamped to a point, its upper bound having fallen below its lower one,
+    gets one note on stderr."""
     nan = float("nan")
     tested, inputs = set(), []
     for name, fg in groups.items():
@@ -491,6 +530,11 @@ def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Grou
                     rows.append([name, stat_name, alpha, nan, nan, nan, "not tested", nan, nan])
                     continue
                 res = next(results)
+                if res.ci_clamped:
+                    _log(
+                        f"note: intersection {name} {stat_name} at level {alpha:g}:"
+                        f" ci_b < ci_a, interval written as the point ci_a"
+                    )
                 rows.append(
                     [
                         name,
@@ -507,8 +551,10 @@ def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Grou
     write_table(
         out,
         "intersection",
-        ["group", "statistic", "level", "k0", "k", "test_statistic", "PCP", "ci_a", "ci_b"],
-        rows,
+        _columns(
+            ["group", "statistic", "level", "k0", "k", "test_statistic", "PCP", "ci_a", "ci_b"],
+            rows,
+        ),
     )
 
 
@@ -531,18 +577,20 @@ def _write_sorted(cfg: RunConfig, out: OutputDir, res: SortedGroupsResult) -> No
         + [f"group{g + 1}_{cfg.statistic}" for g in range(scfg.n_groups)]
         + ["group1_se", "tstat", "p_value"]
     )
-    write_table(out, "sorted_splits", header, rows)
+    write_table(out, "sorted_splits", _columns(header, rows))
     write_table(
         out,
         "sorted_median",
-        [f"group{g + 1}_{cfg.statistic}" for g in range(scfg.n_groups)]
-        + ["median_statistic", "median_tstat", "median_p_value", "adjusted_p_value"]
-        + [f"ci_{side}_{a:.6g}" for a in cfg.levels for side in ("lower", "upper")],
-        [
-            list(res.median_group_stats)
-            + [res.median_statistic, res.median_tstat, res.median_p_value, res.adjusted_p_value]
-            + [bound for a in cfg.levels for bound in res.interval(a)]
-        ],
+        _columns(
+            [f"group{g + 1}_{cfg.statistic}" for g in range(scfg.n_groups)]
+            + ["median_statistic", "median_tstat", "median_p_value", "adjusted_p_value"]
+            + [f"ci_{side}_{a:.6g}" for a in cfg.levels for side in ("lower", "upper")],
+            [
+                list(res.median_group_stats)
+                + [res.median_statistic, res.median_tstat, res.median_p_value, res.adjusted_p_value]
+                + [bound for a in cfg.levels for bound in res.interval(a)]
+            ],
+        ),
     )
 
 
@@ -554,17 +602,11 @@ def cmd_importance(cfg: RunConfig, out: OutputDir) -> None:
     write_table(
         out,
         "retrain_importance",
-        ["omitted_feature", "delta_loss"],
-        [[name, delta] for name, delta in retrain.items()],
+        {"omitted_feature": list(retrain), "delta_loss": list(retrain.values())},
     )
     if L.KINDS[cfg.learner].impurity:
         imp = L.impurity_importance(model, d.schema)
-        write_table(
-            out,
-            "impurity_importance",
-            ["feature", "share"],
-            [[name, share] for name, share in imp.items()],
-        )
+        write_table(out, "impurity_importance", {"feature": list(imp), "share": list(imp.values())})
 
 
 def cmd_report(cfg: RunConfig, out: OutputDir) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -249,10 +250,65 @@ def _parse_int(value: str, row: int, col: str) -> int:
         raise DataError(f"row {row}: column {col} has non-integer value {value!r}")
 
 
+def _parse_columns(body: str, header: list[str]) -> np.ndarray | None:
+    """The records after the header as one structured array, field ``f<i>``
+    holding column i: int64, and float64 for ``w``, parsed in one C pass by
+    ``np.loadtxt``.  That parser accepts no cell that ``int`` or ``float``
+    rejects, and reads a float to the same bits.  None where the row parser
+    must read the body: when it is empty, or holds a quote, a blank line or
+    a lone ``\\r``, which ``csv`` reads otherwise, or when a cell fails, whose
+    row only the row parser names."""
+    if (
+        not body
+        or '"' in body
+        or body.count("\r") != body.count("\r\n")
+        or body.startswith(("\n", "\r"))
+        or "\n\n" in body
+        or "\n\r" in body
+    ):
+        return None
+    dtype = np.dtype(",".join("f8" if name == "w" else "i8" for name in header))
+    try:
+        return np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _parse_rows(
+    path: str, body: str, header: list[str], schema: CategoricalSchema
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Covariates, c, r and w of the records after the header, read record
+    by record; an error names the first bad record's row."""
+    pos = {name: header.index(name) for name in header}
+    cov_rows, cs, rs, ws = [], [], [], []
+    for i, cells in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+        if len(cells) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} fields")
+        if any(cell.strip() == "" for cell in cells):
+            raise DataError(f"row {i}: missing value")
+        cov_rows.append(
+            [_parse_int(cells[pos[name]], i, name) for name in schema.feature_names]
+        )
+        cs.append(_parse_int(cells[pos["c"]], i, "c"))
+        rs.append(_parse_int(cells[pos["r"]], i, "r"))
+        try:
+            ws.append(float(cells[pos["w"]]))
+        except ValueError:
+            raise DataError(f"row {i}: column w has non-numeric value")
+    if not cov_rows:
+        raise DataError(f"{path}: no data rows")
+    try:
+        ints = [np.array(column, dtype=np.int64) for column in (cov_rows, cs, rs)]
+    except OverflowError:
+        raise DataError(f"{path}: an integer value lies outside the 64-bit range")
+    return (*ints, np.array(ws, dtype=np.float64))
+
+
 def load_csv(path: str, schema: CategoricalSchema) -> Dataset:
     """Load and validate a comma-separated file with one column per feature
     plus ``c``, ``r``, ``w``.  Row numbers in error messages count data rows
-    starting at 1."""
+    starting at 1.  The records are parsed column by column, and record by
+    record where that fails, so that an error names its row."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -269,46 +325,34 @@ def load_csv(path: str, schema: CategoricalSchema) -> Dataset:
         extra = set(header) - expected
         if extra:
             raise DataError(f"{path}: unexpected column(s) {sorted(extra)}")
-        pos = {name: header.index(name) for name in header}
+        body = fh.read()
 
-        cov_rows, cs, rs, ws = [], [], [], []
-        for i, cells in enumerate(reader, start=1):
-            if len(cells) != len(header):
-                raise DataError(f"row {i}: expected {len(header)} fields")
-            if any(cell.strip() == "" for cell in cells):
-                raise DataError(f"row {i}: missing value")
-            cov_rows.append(
-                [_parse_int(cells[pos[name]], i, name) for name in schema.feature_names]
-            )
-            cs.append(_parse_int(cells[pos["c"]], i, "c"))
-            rs.append(_parse_int(cells[pos["r"]], i, "r"))
-            try:
-                ws.append(float(cells[pos["w"]]))
-            except ValueError:
-                raise DataError(f"row {i}: column w has non-numeric value")
-        if not cov_rows:
-            raise DataError(f"{path}: no data rows")
-
-    try:
-        ints = [np.array(column, dtype=np.int64) for column in (cov_rows, cs, rs)]
-    except OverflowError:
-        raise DataError(f"{path}: an integer value lies outside the 64-bit range")
+    table = _parse_columns(body, header)
+    if table is None:
+        columns = _parse_rows(path, body, header, schema)
+    else:
+        field = {name: table[f"f{i}"] for i, name in enumerate(header)}
+        covariates = np.empty((len(table), schema.n_features), dtype=np.int64)
+        for j, name in enumerate(schema.feature_names):
+            covariates[:, j] = field[name]
+        columns = (covariates, *(field[name].copy() for name in ("c", "r", "w")))
     # The Dataset constructor checks the modality codes and the c, r and w
     # ranges, with the same row numbers.
-    return Dataset(schema, *ints, np.array(ws, dtype=np.float64))
+    return Dataset(schema, *columns)
 
 
 def save_csv(d: Dataset, path: str) -> None:
-    """Write a dataset in the load_csv format.  Weights use shortest-repr
-    float formatting, so save/load round-trips are bit-identical."""
+    """Write a dataset in the load_csv format, one format of a line template
+    per record, 1024 records at a time so that no copy of the whole file is
+    held.  Weights use shortest-repr float formatting, so save/load
+    round-trips are bit-identical."""
+    line = "%d," * (d.schema.n_features + 2) + "%r\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(d.schema.feature_names) + ["c", "r", "w"])
-        for i in range(d.n):
-            writer.writerow(
-                [int(v) for v in d.covariates[i]]
-                + [int(d.c[i]), int(d.r[i]), repr(float(d.w[i]))]
-            )
+        csv.writer(fh).writerow(list(d.schema.feature_names) + ["c", "r", "w"])
+        for start in range(0, d.n, 1024):
+            block = slice(start, start + 1024)
+            ints = np.column_stack([d.covariates[block], d.c[block], d.r[block]]).tolist()
+            fh.write("".join(line % (*row, w) for row, w in zip(ints, d.w[block].tolist())))
 
 
 # ---------------------------------------------------------------------------

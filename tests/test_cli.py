@@ -1,4 +1,5 @@
 import ast
+import csv
 import importlib
 import json
 import multiprocessing
@@ -6,19 +7,28 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import gaussian_kde
 
 from pcptest import cli, functionals, inference, parallel
 from pcptest import learners as L
-from pcptest.cli import OutputDir, RunConfig, load_config, main, silverman_factor, write_density
+from pcptest.cli import (
+    OutputDir,
+    RunConfig,
+    load_config,
+    main,
+    silverman_factor,
+    write_density,
+    write_table,
+)
 from pcptest.data import CategoricalSchema, DataError, Dataset, SplitPlan, load_csv, save_csv
 from pcptest.functionals import per_obs_stats
 
@@ -193,6 +203,103 @@ class TestDensity:
     def test_silverman_factor_is_scipys(self, n):
         values = np.arange(n, dtype=np.float64)
         assert silverman_factor(n) == gaussian_kde(values, bw_method="silverman").factor
+
+
+def write_table_by_rows(root: str, name: str, header: list[str], rows: list[list]) -> None:
+    """The row-by-row ``write_table`` that the column writer replaced, kept
+    as its oracle: ``csv.writer`` for the CSV, one ``str.format`` template
+    for each .txt line."""
+    cells = [header] + [
+        [format(v, ".6g") if isinstance(v, float) else str(v) for v in row] for row in rows
+    ]
+    with open(os.path.join(root, name + ".csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(cells)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths)
+    with open(os.path.join(root, name + ".txt"), "w", encoding="utf-8") as fh:
+        fh.write(line.format(*header).rstrip() + "\n")
+        fh.write("  ".join("-" * w for w in widths) + "\n")
+        fh.writelines(line.format(*row).rstrip() + "\n" for row in cells[1:])
+
+
+# Text that csv must quote or that a template must not interpret.
+CELL_TEXT = st.text(alphabet='ab ,"\r\n%{}-é', max_size=6)
+SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 1e-300, 5e-324, 1e300]
+)
+FLOATS = st.one_of(SPECIAL_FLOATS, st.floats(), st.floats(-1.0, 1.0))
+INTS = st.one_of(st.integers(-(10**20), 10**20), st.booleans())
+
+
+@st.composite
+def table_columns(draw):
+    """A header of 1-5 names and as many columns of one length: all floats
+    (a list or a float array), all ints, all strings, or a mix; a float
+    column repeats a few of its values."""
+    header = draw(st.lists(CELL_TEXT, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 12))
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from(["floats", "float array", "ints", "text", "mixed"]))
+        if kind in ("floats", "float array"):
+            pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
+            column = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            if kind == "float array":
+                column = np.array(column, dtype=np.float64)
+        else:
+            cell = {"ints": INTS, "text": CELL_TEXT, "mixed": st.one_of(FLOATS, INTS, CELL_TEXT)}
+            column = draw(st.lists(cell[kind], min_size=n, max_size=n))
+        columns.append(column)
+    return header, columns
+
+
+class TestWriteTable:
+    @given(table=table_columns())
+    @example(
+        table=(
+            ["x", "y"],
+            [np.array([0.0, -0.0, np.nan, -np.nan, 0.0, 1e-300, -0.0, np.inf]), list(range(8))],
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_the_row_writer(self, table):
+        header, columns = table
+        n = len(columns[0])
+        rows = [[column[i] for column in columns] for i in range(n)]
+        with tempfile.TemporaryDirectory() as root:
+            write_table(OutputDir(root), "t", dict(zip(header, columns)))
+            write_table_by_rows(root, "oracle", header, rows)
+            for ext in (".csv", ".txt"):
+                with open(os.path.join(root, "t" + ext), "rb") as fh:
+                    written = fh.read()
+                with open(os.path.join(root, "oracle" + ext), "rb") as fh:
+                    assert written == fh.read(), ext
+
+
+def test_clamped_interval_is_noted(tmp_path, small_dataset, capsys):
+    """The tight identical estimates of the intersection test's clamp case
+    get one note per level; the separated estimates of its other case get
+    none.  The file still writes the clamped interval as a point."""
+    groups = {
+        "a": cli.FeatureGroups(
+            [0, 1],
+            [1.0, 1.0],
+            {
+                "covariance": (np.array([0.0, 0.0]), np.array([0.5, 0.5])),
+                "dd_correlation": (np.array([0.0, 1.0]), np.array([0.01, 0.01])),
+            },
+        )
+    }
+    cfg = RunConfig(mc_draws=1000)
+    cli._write_intersection(cfg, OutputDir(str(tmp_path)), small_dataset, groups)
+    assert capsys.readouterr().err.splitlines() == [
+        f"note: intersection a covariance at level {alpha:g}:"
+        " ci_b < ci_a, interval written as the point ci_a"
+        for alpha in cfg.levels
+    ]
+    with open(tmp_path / "intersection.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["ci_a"] == r["ci_b"] for r in rows] == [True] * 3 + [False] * 3
 
 
 class TestCommands:
@@ -790,7 +897,8 @@ class TestExitCodes:
             # report logs its cross-fit time before a split fails.
             outputs.append([line for line in res.output.splitlines() if not TIMING.match(line)])
         assert outputs[0] == outputs[1]
-        *warnings, error = outputs[0]
+        # Notes of clamped intervals may come before a split fails.
+        *warnings, error = [line for line in outputs[0] if not line.startswith("note: ")]
         assert error.startswith(message)
         assert all(line.startswith("warning: ") for line in warnings)
         assert bool(warnings) == (case == "report failed split")

@@ -1,8 +1,14 @@
+import csv
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pcptest import data
 from pcptest.data import (
     CategoricalSchema,
     DataError,
@@ -148,6 +154,126 @@ class TestCsv:
         p.write_text("a,b,c,r,w\n0,,0,0,0.5\n")
         with pytest.raises(DataError, match="row 1"):
             load_csv(str(p), small_schema)
+
+
+    def test_save_writes_the_bytes_of_a_row_writer(self, small_schema, tmp_path):
+        """save_csv's line template writes what csv.writer wrote row by row."""
+        d = toy_dataset(small_schema, n=30, seed=5)
+        w = d.w.copy()
+        w[:4] = [1.0, 5e-324, 0.1, 1 / 3]
+        d = Dataset(small_schema, d.covariates, d.c, d.r, w)
+        save_csv(d, str(tmp_path / "d.csv"))
+        with open(tmp_path / "oracle.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(small_schema.feature_names) + ["c", "r", "w"])
+            for i in range(d.n):
+                writer.writerow(
+                    [int(v) for v in d.covariates[i]]
+                    + [int(d.c[i]), int(d.r[i]), repr(float(d.w[i]))]
+                )
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("trailing", [True, False])
+    def test_clean_records_take_the_column_parser(self, newline, trailing):
+        body = newline.join(["0,1,0,1,0.5", "3,2,1,0,1.0", "1,0,0,0,1e-3"]) + newline * trailing
+        table = data._parse_columns(body, ["a", "b", "c", "r", "w"])
+        assert table is not None and len(table) == 3
+        assert table["f4"].tolist() == [0.5, 1.0, 1e-3]
+
+    @pytest.mark.parametrize(
+        "body",
+        ["", "0,1,0,1,0.5\n\n", "\n0,1,0,1,0.5", "0,1,0,1,0.5\r\n\r\n", "0,1,0,1,0.5\r3,2,1,0,1",
+         '"0",1,0,1,0.5\n', "0,1,0,1\n", "0,1_0,0,1,0.5\n", "0, ,0,1,0.5\n"],
+        ids=["empty", "blank line", "leading blank", "blank CRLF", "lone CR", "quote",
+             "short row", "underscore", "blank cell"],
+    )
+    def test_other_records_go_to_the_row_parser(self, body):
+        assert data._parse_columns(body, ["a", "b", "c", "r", "w"]) is None
+
+
+# Cells of the CSV files below: valid ones, and ones the two parsers might
+# read differently.
+ODD_CELLS = st.sampled_from(
+    [" 1", "1 ", "\t1", "+1", "-0", "1_0", "٣", "3.0", "1e0", str(2**64), str(2**63),
+     str(-(2**63)), "", " ", "x", "0x1", "nan", "inf", "-inf", "1e-400", "#1", "1.5e+"]
+)
+WEIGHTS = st.one_of(
+    st.floats(5e-324, 1.0).map(repr),
+    st.floats(5e-324, 1.0).map(lambda w: f"{w:.17g}"),
+    st.floats(5e-324, 1.0).map(lambda w: f"{w:.3e}"),
+    st.sampled_from(["1", "1.", ".5", "0.1000000000000000055511151231257827", " 0.5", "1_0.5",
+                     "٣", "0", "-0.5", "2", "NaN", "Infinity", "1E-3"]),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """The text of a small_schema CSV file: its columns in a drawn order,
+    mostly valid records, then a few drawn faults: odd cells, a quoted
+    cell, a row one field short or long or led by ``#``, a blank or
+    whitespace-only line, LF or CRLF endings, with or without a final line
+    break."""
+    header = draw(st.permutations(["a", "b", "c", "r", "w"]))
+    valid = {
+        "a": st.integers(0, 3).map(str),
+        "b": st.integers(0, 2).map(str),
+        "c": st.integers(0, 1).map(str),
+        "r": st.integers(0, 1).map(str),
+        "w": WEIGHTS,
+    }
+    rows = draw(
+        st.lists(st.tuples(*(valid[name] for name in header)).map(list), min_size=0, max_size=8)
+    )
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, len(row) - 1))
+        fault = draw(st.sampled_from(["odd", "quote", "short", "long", "hash"]))
+        if fault == "hash":  # a comment line to a parser that takes comments
+            row[0] = "#" + row[0]
+        elif fault == "odd":
+            row[j] = draw(ODD_CELLS)
+        elif fault == "quote":
+            row[j] = f'"{row[j]}"'
+        elif fault == "short":
+            del row[j]
+        else:
+            row.insert(j, row[j])
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline * draw(st.booleans())
+
+
+def load_outcome(path, schema):
+    """load_csv's arrays, or the type and text of the error it raised."""
+    try:
+        d = load_csv(path, schema)
+    except DataError as err:
+        return "error", str(err)
+    return "ok", (d.covariates, d.c, d.r, d.w.view(np.int64))
+
+
+@given(text=csv_files())
+@settings(max_examples=400, deadline=None)
+def test_column_parser_loads_what_the_row_parser_loads(small_schema, text):
+    """Parsed by column where it can, a file gives the row parser's arrays,
+    w to the bit, or its DataError with the same text."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "d.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got = load_outcome(path, small_schema)
+        with mock.patch.object(data, "_parse_columns", return_value=None):
+            want = load_outcome(path, small_schema)
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        for a, b in zip(got[1], want[1]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 class TestDesign:

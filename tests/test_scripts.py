@@ -1,7 +1,8 @@
 """Every experiment script still imports and parses its options: each
 ``--help`` runs in a fresh interpreter with the package's sources on the
 path and must exit 0.  The recovery experiment also runs for real, on a
-few small replicates."""
+few small replicates, and the output comparison compares one checkout
+with itself."""
 
 import os
 import subprocess
@@ -36,3 +37,21 @@ def test_recovery_experiment_runs():
     res = run_script(ROOT / "scripts" / "recovery_experiment.py", "--reps", "2", "--n", "600")
     assert res.returncode == 0, res.stderr
     assert "intersection-test rejection rate" in res.stdout
+
+
+def test_compare_outputs_finds_a_checkout_equal_to_itself():
+    res = run_script(
+        ROOT / "scripts" / "compare_outputs.py",
+        str(ROOT),
+        str(ROOT),
+        "--workload",
+        "report-demo12-boosted",
+        "--seed",
+        "2",
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[-1] == (
+        "report-demo12-boosted seed 2: 20 files in the parent's output, 20 in the change's, 0 differ"
+    )
+    assert sum(line.startswith("same ") for line in lines) == 20
