@@ -10,18 +10,24 @@ after the other, on that one config and output path: ``report.txt`` holds
 the config's fingerprint, which hashes the paths, so the paths must be the
 same.  Every output file's SHA-256 digest is printed per checkout, and the
 exit code is 0 when both runs wrote the same files with the same digests,
-1 otherwise.  Nothing in either checkout is changed.
+1 otherwise.  For a CSV file that differs, one more line gives the number
+of cells that differ and, over those that hold a finite number on both
+sides, the largest absolute and relative difference.  Nothing in either
+checkout is changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 WRITE_INPUTS = """
@@ -56,6 +62,34 @@ def digests(root: str) -> dict[str, str]:
     return out
 
 
+def cell_differences(parent: Path, change: Path) -> tuple[int, int, float, float]:
+    """(cells that differ, how many of those hold a finite number on both
+    sides, the largest absolute and the largest relative difference over
+    those) between two CSV files, cell by cell.  A cell on one side only
+    differs and is not numeric; a relative difference is taken against the
+    parent's value, infinite where that is 0."""
+    def rows(path: Path) -> list[list[str]]:
+        with open(path, newline="") as f:
+            return list(csv.reader(f))
+
+    differ = numeric = 0
+    max_abs = max_rel = 0.0
+    for parent_row, change_row in zip_longest(rows(parent), rows(change), fillvalue=[]):
+        for a, b in zip_longest(parent_row, change_row):
+            if a == b:
+                continue
+            differ += 1
+            try:
+                x, y = float(a), float(b)
+            except (TypeError, ValueError):
+                continue
+            if math.isfinite(x) and math.isfinite(y):
+                numeric += 1
+                max_abs = max(max_abs, abs(x - y))
+                max_rel = max(max_rel, abs(x - y) / abs(x) if x else math.inf)
+    return differ, numeric, max_abs, max_rel
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path, help="checkout to compare against; writes the inputs")
@@ -65,25 +99,34 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    workdir = tempfile.mkdtemp(prefix="compare_outputs-")
+    workdir = Path(tempfile.mkdtemp(prefix="compare_outputs-"))
     try:
         command, config, out_dir = run(
-            checkouts["parent"], ["-c", WRITE_INPUTS, args.workload, str(args.seed), workdir], "benchmarks"
+            checkouts["parent"], ["-c", WRITE_INPUTS, args.workload, str(args.seed), str(workdir)],
+            "benchmarks",
         ).split()
+        kept = {side: workdir / f"{side}-output" for side in checkouts}
         found = {}
         for side, checkout in checkouts.items():
             shutil.rmtree(out_dir, ignore_errors=True)
             run(checkout, ["-m", "pcptest.cli", "--config", config, command])
-            found[side] = digests(out_dir)
+            shutil.move(out_dir, kept[side])
+            found[side] = digests(kept[side])
+
+        differ = 0
+        for name in sorted(found["parent"].keys() | found["change"].keys()):
+            parent, change = (found[side].get(name, "-" * 64) for side in ("parent", "change"))
+            same = parent == change
+            differ += not same
+            print(f"{'same' if same else 'DIFFERS':7}  {name}  {parent[:16]}  {change[:16]}")
+            if not same and name.endswith(".csv") and all(name in f for f in found.values()):
+                cells, numeric, max_abs, max_rel = cell_differences(
+                    kept["parent"] / name, kept["change"] / name
+                )
+                print(f"{'':7}  {cells} cells differ, {numeric} of them numeric; largest "
+                      f"difference {max_abs:.3g} absolute, {max_rel:.3g} relative")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-
-    differ = 0
-    for name in sorted(found["parent"].keys() | found["change"].keys()):
-        parent, change = (found[side].get(name, "-" * 64) for side in ("parent", "change"))
-        same = parent == change
-        differ += not same
-        print(f"{'same' if same else 'DIFFERS':7}  {name}  {parent[:16]}  {change[:16]}")
     print(f"{args.workload} seed {args.seed}: {len(found['parent'])} files in the parent's output, "
           f"{len(found['change'])} in the change's, {differ} differ")
     return 1 if differ else 0

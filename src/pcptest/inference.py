@@ -120,22 +120,26 @@ def intersection_test(inp: IntersectionInput) -> IntersectionResult:
 
 def intersection_tests(inputs: Sequence[IntersectionInput]) -> list[IntersectionResult]:
     """``intersection_test`` of every input, in input order.  The normals
-    depend only on (mc_draws, L, seed), so all inputs that share that key,
-    wherever they sit in the list, are tested on one draw."""
-    by_key: dict[tuple[int, int, int], list[int]] = {}
+    depend only on (mc_draws, seed), so all inputs that share that key,
+    wherever they sit in the list, are tested on one stream: the generator
+    fills its draws in C order, so the first mc_draws * L normals of one
+    stream, shaped (mc_draws, L), are the bits of a (mc_draws, L) draw."""
+    by_key: dict[tuple[int, int], dict[int, list[int]]] = {}
     for i, inp in enumerate(inputs):
-        by_key.setdefault((inp.mc_draws, inp.L, inp.seed), []).append(i)
+        by_key.setdefault((inp.mc_draws, inp.seed), {}).setdefault(inp.L, []).append(i)
     results: dict[int, IntersectionResult] = {}
-    for positions in by_key.values():
-        results.update(zip(positions, _tests_on_one_draw([inputs[i] for i in positions])))
+    for (mc_draws, seed), by_width in by_key.items():
+        normals = np.random.default_rng(seed).standard_normal(mc_draws * max(by_width))
+        for width, positions in by_width.items():
+            xi = normals[: mc_draws * width].reshape(mc_draws, width)
+            results.update(zip(positions, _tests_on_one_draw(xi, [inputs[i] for i in positions])))
     return [results[i] for i in range(len(inputs))]
 
 
-def _tests_on_one_draw(inputs: list[IntersectionInput]) -> list[IntersectionResult]:
-    """Each quantile of the draw is taken once: k0 per distinct gamma_n, and
-    the k of every level in one call per distinct kept set."""
-    first = inputs[0]
-    xi = np.random.default_rng(first.seed).standard_normal((first.mc_draws, first.L))
+def _tests_on_one_draw(xi: np.ndarray, inputs: list[IntersectionInput]) -> list[IntersectionResult]:
+    """The tests of inputs with L = xi.shape[1] on the draw ``xi``.  Each
+    quantile of the draw is taken once: k0 per distinct gamma_n, and the k
+    of every level in one call per distinct kept set."""
     # Column by column: a max over the short last axis costs several times
     # as much, and a max is exact in any order.
     row_max = functools.reduce(np.maximum, xi.T)
@@ -155,7 +159,7 @@ def _tests_on_one_draw(inputs: list[IntersectionInput]) -> list[IntersectionResu
 
     k_of: dict[tuple[bytes, float], float] = {}
     for key, (keep, levels) in kept.items():
-        kept_max = row_max if keep.all() else xi[:, keep].max(axis=1)
+        kept_max = row_max if keep.all() else functools.reduce(np.maximum, xi.T[keep])
         ks = np.quantile(kept_max, [1.0 - a for a in levels])
         k_of.update(((key, a), float(k)) for a, k in zip(levels, ks))
 

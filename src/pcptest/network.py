@@ -10,6 +10,16 @@ parameters of the stack live in one (members, P) buffer; each layer is a
 Adam updates the whole buffer at once.  Every member draws the numbers it
 would draw alone, in the same order, so a stacked fit is bit-identical to
 fitting the config alone.
+
+Precision follows mixed-precision training.  Each minibatch step (forward,
+softmax, backward, the Adam moments and the parameter buffer) runs in
+float32, on the training design and weights cast once per stack; the
+kernels run in the dtype of their inputs.  What decides and reports stays
+float64: the initialization, the dropout draws (compared with keep in
+float64), the validation loss behind early stopping and the non-finite
+check, taken from a float64 copy of the stack, and the fitted parameters,
+float64 arrays holding float32 values.  ``loss_and_gradient``,
+``NetworkModel`` and model files are float64.
 """
 
 from __future__ import annotations
@@ -68,6 +78,16 @@ class NetworkConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0.0:
+            raise ValueError("adam_eps must be > 0")
 
 
 @dataclass
@@ -266,6 +286,8 @@ def _fit_stack(
     configs that differ only in dropout.  Returns, per member, (best params,
     TrainingReport) or the NetworkTrainingError that ended its training.
     Floating-point warnings are off: the non-finite loss check reports.
+    The steps run in float32; each epoch's validation losses are taken in
+    float64, in one batched pass over the stack.
 
     A member draws from default_rng(seed) in the one-config order: its
     initialization, one permutation per epoch, then the dropout masks of
@@ -274,11 +296,12 @@ def _fit_stack(
     without dropout has its own."""
     cfg = cfgs[0]
     n_train, n_inputs = X_train.shape
+    X_train, w_train = X_train.astype(np.float32), w_train.astype(np.float32)
     dropping = [cfg.depth > 0 and c.dropout > 0.0 for c in cfgs]
     rngs = {flag: np.random.default_rng(cfg.seed) for flag in dropping}
     init = {flag: init_params(cfg, n_inputs, n_classes, rng) for flag, rng in rngs.items()}
-    params = np.stack([init[flag] for flag in dropping])
-    best = params.copy()
+    params = np.stack([init[flag] for flag in dropping]).astype(np.float32)
+    best = params.astype(np.float64)
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
     grads = np.empty_like(params)
@@ -298,13 +321,16 @@ def _fit_stack(
         else:
             order = np.stack([perms[dropping[j]] for j in active])
         # Without dropout keep is 1, and every draw in [0, 1) keeps its unit.
+        # The draws are compared in float64; a kept unit is scaled by the
+        # float32 1/keep, so the masks do not promote the step to float64.
         keep = np.array([1.0 - cfgs[j].dropout for j in active])[:, None, None]
+        scale = (1.0 / keep).astype(np.float32)
         for start in range(0, n_train, cfg.batch_size):
             batch = order[..., start : start + cfg.batch_size]
             masks = None
             if True in perms:
                 draws = rngs[True].random((cfg.depth, batch.shape[-1], cfg.width))
-                masks = (draws[:, None] < keep) / keep
+                masks = (draws[:, None] < keep) * scale
             scores, hiddens = _forward(views, X_train[batch], masks)
             dscores = _dscores(_softmax(scores), labels_train[batch], w_train[batch])
             _backward(views, hiddens, dscores, grad_views, masks)
@@ -320,10 +346,11 @@ def _fit_stack(
                 / (np.sqrt(adam_v / (1.0 - cfg.beta2**step)) + cfg.adam_eps)
             )
 
+        wide = params.astype(np.float64)
+        val_probs = forward_probs(param_views(wide, cfg, n_inputs, n_classes), X_val)
         stay = []
         for row, j in enumerate(active):
-            member = [(W[row], None if b is None else b[row]) for W, b in views]
-            val_loss = weighted_cross_entropy(forward_probs(member, X_val), labels_val, w_val)
+            val_loss = weighted_cross_entropy(val_probs[row], labels_val, w_val)
             if not math.isfinite(val_loss):
                 c = cfgs[j]
                 shape = f", width {c.width}, dropout {c.dropout:g}" if c.depth else ""
@@ -336,7 +363,7 @@ def _fit_stack(
             report.epochs_run = epoch + 1
             if val_loss < best_val[j]:
                 best_val[j] = val_loss
-                best[j] = params[row]
+                best[j] = wide[row]
                 report.best_epoch = epoch
                 since_best[j] = 0
             else:

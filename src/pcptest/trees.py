@@ -61,6 +61,8 @@ class ForestConfig:
     def __post_init__(self) -> None:
         if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
             raise ValueError("forest config values must be positive")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError("max_features must be None or >= 1")
 
 
 @dataclass(frozen=True)

@@ -782,6 +782,38 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", DATA_COMMANDS)
+    @pytest.mark.parametrize(
+        "learner, settings, message",
+        [
+            ("network", {"batch_size": 0}, "batch_size must be >= 1"),
+            ("network", {"batch_size": -5}, "batch_size must be >= 1"),
+            ("network", {"max_epochs": 0}, "max_epochs must be >= 1"),
+            ("network", {"learning_rate": -1}, "learning_rate must be > 0"),
+            ("network", {"beta1": 1.5}, "beta1 and beta2 must lie in [0, 1)"),
+            ("network", {"adam_eps": 0}, "adam_eps must be > 0"),
+            ("forest", {"max_features": 0}, "max_features must be None or >= 1"),
+            ("forest", {"max_features": -2}, "max_features must be None or >= 1"),
+        ],
+        ids=[
+            "batch-zero", "batch-negative", "epochs-zero", "rate-negative", "beta1", "eps-zero",
+            "features-zero", "features-negative",
+        ],
+    )
+    def test_out_of_range_learner_settings_are_validation_errors(
+        self, workdir, tmp_path, command, learner, settings, message
+    ):
+        """A value the trainer cannot run, or would run without training,
+        is one line naming the learner, exit 1 and no output."""
+        out = tmp_path / "o"
+        doc = base_config(workdir, out, learner=learner, **{learner: settings})
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), command)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line == f"error: invalid {learner} settings: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_unknown_hyperopt_grid_is_validation_error(self, workdir, tmp_path, command):
         out = tmp_path / "o"
         doc = base_config(workdir, out, hyperopt_grid="bogus")

@@ -221,28 +221,36 @@ class TestSharedDraws:
 
 
     def test_one_draw_per_key_wherever_the_inputs_sit(self, monkeypatch):
-        """Inputs with two values of L, interleaved: one draw per L, and the
-        results of testing each input alone, in input order."""
+        """Inputs with two values of L, two draw counts and two seeds,
+        interleaved: one stream per (mc_draws, seed), read by every L of the
+        key, and the results of testing each input alone, in input order."""
         rng = np.random.default_rng(11)
         batch = [
             IntersectionInput(
-                rng.normal(0.0, 0.1, L), rng.uniform(0.01, 0.2, L), 6333, alpha, 1_000, 3
+                rng.normal(0.0, 0.1, L), rng.uniform(0.01, 0.2, L), 6333, alpha, mc_draws, seed
             )
             for L in (7, 3, 7, 3, 3, 7)
             for alpha in (0.05, 0.10)
+            for mc_draws, seed in ((1_000, 3), (2_000, 3), (1_000, 4))
         ]
         draws = []
         one_draw = inference._tests_on_one_draw
 
-        def counted(inputs):
-            draws.append(len(inputs))
-            return one_draw(inputs)
+        def counted(xi, inputs):
+            draws.append((xi, len(inputs)))
+            return one_draw(xi, inputs)
 
         monkeypatch.setattr(inference, "_tests_on_one_draw", counted)
         results = intersection_tests(batch)
-        assert draws == [6, 6]
         monkeypatch.undo()
+        assert [(xi.shape, n) for xi, n in draws] == [
+            ((mc_draws, L), 6) for mc_draws in (1_000, 2_000, 1_000) for L in (7, 3)
+        ]
+        for a, (xi, _) in enumerate(draws):
+            for b, (other, _) in enumerate(draws):
+                assert np.shares_memory(xi, other) == (a // 2 == b // 2)
         assert results == [intersection_test(inp) for inp in batch]
+        assert results == [oracle_intersection_test(inp) for inp in batch]
 
 
 class TestSortedGroups:

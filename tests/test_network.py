@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pcptest import network
 from pcptest.network import (
     NetworkConfig,
     NetworkTrainingError,
@@ -47,7 +48,8 @@ def views_of(cfg, n_inputs, seed, n_outputs=4):
 # ---------------------------------------------------------------------------
 # Oracle: the one-config training loop the stacked trainer replaced.  Each
 # layer is its own array, the passes run layer by layer on one model, and
-# Adam steps layer by layer.
+# Adam steps layer by layer.  The steps run in ``dtype``; the validation
+# loss is taken in float64, as the trainer takes it.
 
 
 def oracle_init(cfg, n_inputs, n_outputs, rng):
@@ -99,15 +101,21 @@ def oracle_backward(params, hiddens, dscores, masks=None):
     return grads
 
 
-def oracle_fit(X_train, labels_train, w_train, X_val, labels_val, w_val, cfg, n_classes):
+def oracle_fit(
+    X_train, labels_train, w_train, X_val, labels_val, w_val, cfg, n_classes, dtype=np.float32
+):
     rng = np.random.default_rng(cfg.seed)
-    params = oracle_init(cfg, X_train.shape[1], n_classes, rng)
+    X_train, w_train = X_train.astype(dtype), w_train.astype(dtype)
+    params = [
+        (W.astype(dtype), None if b is None else b.astype(dtype))
+        for W, b in oracle_init(cfg, X_train.shape[1], n_classes, rng)
+    ]
     m = [(np.zeros_like(W), None if b is None else np.zeros_like(b)) for W, b in params]
     v = [(np.zeros_like(W), None if b is None else np.zeros_like(b)) for W, b in params]
     t = 0
 
-    def copy(ps):
-        return [(W.copy(), None if b is None else b.copy()) for W, b in ps]
+    def wide(ps):
+        return [(W.astype(np.float64), None if b is None else b.astype(np.float64)) for W, b in ps]
 
     def adam_step(grads):
         nonlocal t
@@ -125,7 +133,7 @@ def oracle_fit(X_train, labels_train, w_train, X_val, labels_val, w_val, cfg, n_
                 P -= cfg.learning_rate * (mm / bc1) / (np.sqrt(vv / bc2) + cfg.adam_eps)
 
     report = TrainingReport()
-    best_val, best_params, since_best = math.inf, copy(params), 0
+    best_val, best_params, since_best = math.inf, wide(params), 0
     use_dropout = cfg.depth > 0 and cfg.dropout > 0.0
     keep = 1.0 - cfg.dropout
     n_train = len(labels_train)
@@ -136,7 +144,8 @@ def oracle_fit(X_train, labels_train, w_train, X_val, labels_val, w_val, cfg, n_
             masks = None
             if use_dropout:
                 masks = [
-                    (rng.random((len(batch), cfg.width)) < keep) / keep for _ in range(cfg.depth)
+                    ((rng.random((len(batch), cfg.width)) < keep) / keep).astype(dtype)
+                    for _ in range(cfg.depth)
                 ]
             y, w = labels_train[batch], w_train[batch]
             scores, hiddens = oracle_forward(params, X_train[batch], masks)
@@ -146,14 +155,14 @@ def oracle_fit(X_train, labels_train, w_train, X_val, labels_val, w_val, cfg, n_
             dscores = (probs - onehot) * (w / np.sum(w))[:, None]
             adam_step(oracle_backward(params, hiddens, dscores, masks))
         va = weighted_cross_entropy(
-            oracle_softmax(oracle_forward(params, X_val)[0]), labels_val, w_val
+            oracle_softmax(oracle_forward(wide(params), X_val)[0]), labels_val, w_val
         )
         if not math.isfinite(va):
             raise NetworkTrainingError(f"non-finite loss at epoch {epoch + 1}")
         report.validation_losses.append(va)
         report.epochs_run = epoch + 1
         if va < best_val:
-            best_val, best_params, since_best = va, copy(params), 0
+            best_val, best_params, since_best = va, wide(params), 0
             report.best_epoch = epoch
         else:
             since_best += 1
@@ -264,6 +273,62 @@ class TestStackedMatchesOracle:
             warnings.simplefilter("error")
             with pytest.raises(NetworkTrainingError, match="non-finite loss at epoch 1"):
                 fit_softmax_networks(X, labels, w, X, labels, w, cfgs, 4)
+
+
+@pytest.fixture
+def problem():
+    """A train/validation split whose train size is not a multiple of the
+    batch size, and a grid over depths 0-3 with and without dropout."""
+    X, labels, w = toy_problem(n=190, n_inputs=6, seed=18)
+    split = (X[:150], labels[:150], w[:150], X[150:], labels[150:], w[150:])
+    cfgs = [
+        NetworkConfig(
+            depth=depth, width=6, dropout=dropout, batch_size=16, max_epochs=3,
+            learning_rate=0.01, seed=4,
+        )
+        for depth in range(4)
+        for dropout in (0.0, 0.3)
+    ]
+    return split, cfgs
+
+
+class TestPrecision:
+    """The steps run in float32; the losses that decide and the fitted
+    parameters are float64."""
+
+    def test_validation_losses_track_the_float64_oracle(self, problem):
+        split, cfgs = problem
+        _, reports = fit_softmax_networks(*split, cfgs, 4)
+        for cfg, r in zip(cfgs, reports):
+            _, r_ref = oracle_fit(*split, cfg, 4, dtype=np.float64)
+            assert r.epochs_run == r_ref.epochs_run == 3
+            np.testing.assert_allclose(r.validation_losses, r_ref.validation_losses, rtol=1e-5)
+
+    def test_steps_are_float32_and_validation_float64(self, problem, monkeypatch, workers):
+        workers(1)
+        split, cfgs = problem
+        n_val = len(split[3])
+        seen = []
+        forward = network._forward
+
+        def recorded(params, X, dropout_masks=None):
+            dtypes = {X.dtype} | {a.dtype for layer in params for a in layer if a is not None}
+            if dropout_masks is not None:
+                dtypes.add(dropout_masks.dtype)
+            scores, hiddens = forward(params, X, dropout_masks)
+            seen.append((X.shape[-2] == n_val, dtypes, scores.dtype))
+            return scores, hiddens
+
+        monkeypatch.setattr(network, "_forward", recorded)
+        params, _ = fit_softmax_networks(*split, cfgs, 4)
+        steps = [(d, s) for val, d, s in seen if not val]
+        validations = [(d, s) for val, d, s in seen if val]
+        # Four stacks, three epochs each, 10 minibatches an epoch.
+        assert len(steps) == 4 * 3 * 10 and len(validations) == 4 * 3
+        assert all(d == {np.dtype(np.float32)} and s == np.float32 for d, s in steps)
+        assert all(d == {np.dtype(np.float64)} and s == np.float64 for d, s in validations)
+        for p in params:
+            assert all(a.dtype == np.float64 for layer in p for a in layer if a is not None)
 
 
 class TestPooledGrid:

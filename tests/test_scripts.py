@@ -2,8 +2,10 @@
 ``--help`` runs in a fresh interpreter with the package's sources on the
 path and must exit 0.  The recovery experiment also runs for real, on a
 few small replicates, and the output comparison compares one checkout
-with itself."""
+with itself and counts the cells of two CSV files that differ."""
 
+import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -55,3 +57,26 @@ def test_compare_outputs_finds_a_checkout_equal_to_itself():
         "report-demo12-boosted seed 2: 20 files in the parent's output, 20 in the change's, 0 differ"
     )
     assert sum(line.startswith("same ") for line in lines) == 20
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_counts_the_cells_that_differ(tmp_path):
+    """Numbers, text and a cell on one side only differ; the differences
+    are taken over the numeric ones, relative to the parent's value."""
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("name,loss,note\r\na,1.5,x\r\nb,2,y\r\nc,0,z\r\nd,nan,w\r\n")
+    change.write_text("name,loss,note\r\na,1.5,x\r\nb,2.5,q\r\nc,0.25,z\r\nd,nan,w,extra\r\n")
+    cell_differences = load_script("compare_outputs").cell_differences
+    assert cell_differences(parent, parent) == (0, 0, 0.0, 0.0)
+    cells, numeric, max_abs, max_rel = cell_differences(parent, change)
+    assert (cells, numeric, max_abs) == (4, 2, 0.5)
+    assert max_rel == math.inf
+    parent.write_text("loss\n4\n-2\n")
+    change.write_text("loss\n5\n-2.5\n")
+    assert cell_differences(parent, change) == (2, 2, 1.0, 0.25)
