@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Byte comparison of two source checkouts' outputs on one benchmark workload.
+"""Byte comparison of two source checkouts' outputs on benchmark workloads.
 
-    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --workload W --seed S
+    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --workload W --seed S [S ...]
 
-The workload's inputs (dataset, schema and run config) are written once,
+``--workload all`` compares every workload of PARENT_DIR's
+``benchmarks/workloads.py``; each workload is compared at every seed given.
+For each comparison, the workload's inputs (dataset, schema and run config) are written once,
 by PARENT_DIR's ``benchmarks/workloads.py``, into a scratch directory.  The
 workload's command then runs with each checkout's sources, one checkout
 after the other, on that one config and output path: ``report.txt`` holds
 the config's fingerprint, which hashes the paths, so the paths must be the
-same.  Every output file's SHA-256 digest is printed per checkout, and the
-exit code is 0 when both runs wrote the same files with the same digests,
-1 otherwise.  For a CSV file that differs, one more line gives the number
-of cells that differ and, over those that hold a finite number on both
-sides, the largest absolute and relative difference.  Nothing in either
-checkout is changed.
+same.  Every output file's SHA-256 digest is printed per checkout, then a
+summary line per comparison, and a total line when there are several.  The
+exit code is 0 when every comparison found the same files with the same
+digests on both sides, 1 otherwise.  For a CSV file that differs, one more
+line gives the number of cells that differ and, over those that hold a
+finite number on both sides, the largest absolute and relative difference.
+Nothing in either checkout is changed.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ inputs = workloads.write_inputs(workload, int(sys.argv[2]), sys.argv[3])
 print(workload.command)
 print(inputs.config_path)
 print(inputs.out_dir)
+"""
+
+LIST_WORKLOADS = """
+import workloads
+print(*workloads.WORKLOADS)
 """
 
 
@@ -90,19 +98,13 @@ def cell_differences(parent: Path, change: Path) -> tuple[int, int, float, float
     return differ, numeric, max_abs, max_rel
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("parent", type=Path, help="checkout to compare against; writes the inputs")
-    ap.add_argument("change", type=Path, help="checkout with the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    args = ap.parse_args(argv)
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-
+def compare(checkouts: dict[str, Path], workload: str, seed: int) -> int:
+    """Run one workload at one seed in both checkouts and print the
+    digests; the number of output files that differ."""
     workdir = Path(tempfile.mkdtemp(prefix="compare_outputs-"))
     try:
         command, config, out_dir = run(
-            checkouts["parent"], ["-c", WRITE_INPUTS, args.workload, str(args.seed), str(workdir)],
+            checkouts["parent"], ["-c", WRITE_INPUTS, workload, str(seed), str(workdir)],
             "benchmarks",
         ).split()
         kept = {side: workdir / f"{side}-output" for side in checkouts}
@@ -127,8 +129,27 @@ def main(argv: list[str] | None = None) -> int:
                       f"difference {max_abs:.3g} absolute, {max_rel:.3g} relative")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    print(f"{args.workload} seed {args.seed}: {len(found['parent'])} files in the parent's output, "
+    print(f"{workload} seed {seed}: {len(found['parent'])} files in the parent's output, "
           f"{len(found['change'])} in the change's, {differ} differ")
+    return differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path, help="checkout to compare against; writes the inputs")
+    ap.add_argument("change", type=Path, help="checkout with the change")
+    ap.add_argument("--workload", required=True, help="a workload's name, or all")
+    ap.add_argument("--seed", type=int, nargs="+", required=True)
+    args = ap.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    names = [args.workload]
+    if args.workload == "all":
+        names = run(checkouts["parent"], ["-c", LIST_WORKLOADS], "benchmarks").split()
+
+    runs = [(name, seed) for name in names for seed in args.seed]
+    differ = sum(compare(checkouts, name, seed) for name, seed in runs)
+    if len(runs) > 1:
+        print(f"{len(runs)} comparisons: {differ} files differ")
     return 1 if differ else 0
 
 

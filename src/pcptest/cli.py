@@ -400,14 +400,16 @@ def _fit_batch(
     """Write the estimate, intersection and sorted-groups tables asked for.
     Every fit they need runs in one ``map_units`` batch, largest first: the
     raw fit on every record for the estimates, the cross-fitting folds, then
-    the sorted-groups splits.  The estimate and intersection tables are
-    written while the splits still fit."""
+    the sorted-groups splits, folds and splits grouped into stacks, whose
+    results are merged in input order.  The estimate and intersection
+    tables are written while the splits still fit."""
     d = load_dataset(cfg)
     cross_fit = estimates or intersection
     units = [lambda: L.train_any(d, cfg.learner_cfg).predict_quads(d)] if estimates else []
     if cross_fit:
         folds = make_folds(d, cfg.folds, cfg.seed)
-        units += L.cross_fit_units(d, cfg.learner_cfg, folds)
+        fold_units = L.cross_fit_units(d, cfg.learner_cfg, folds)
+        units += fold_units
     if sorted_groups:
         units += sorted_split_units(d, cfg.sorted_cfg)
     t0 = time.monotonic()
@@ -415,7 +417,8 @@ def _fit_batch(
     try:
         raw = per_obs_stats(next(results)) if estimates else None
         if cross_fit:
-            cf = per_obs_stats(L.merge_cross_fit(folds, list(itertools.islice(results, folds.K))))
+            fold_probs = itertools.chain.from_iterable(itertools.islice(results, len(fold_units)))
+            cf = per_obs_stats(L.merge_cross_fit(folds, list(fold_probs)))
             elapsed = time.monotonic() - t0
             _log(f"{cfg.folds}-fold cross-fit{' + raw fit' * estimates} in {elapsed:.1f}s")
             groups = _group_estimates(cfg, d, cf)
@@ -424,7 +427,7 @@ def _fit_batch(
             if intersection:
                 _write_intersection(cfg, out, d, groups)
         if sorted_groups:
-            res = merge_sorted_splits(cfg.sorted_cfg, list(results))
+            res = merge_sorted_splits(cfg.sorted_cfg, list(itertools.chain.from_iterable(results)))
             elapsed = time.monotonic() - t0
             # The splits share the batch, and its clock, with any folds.
             when = (

@@ -14,6 +14,7 @@ call.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
@@ -257,19 +258,44 @@ class SortedGroupsResult:
         return float(lower), float(upper)
 
 
+def _split_draw(d: Dataset, cfg: SortedGroupsConfig, rng: np.random.Generator):
+    """One draw of a split: the rows of its main half and of its aux half."""
+    perm = rng.permutation(d.n)
+    n_main = int(math.floor(d.n * cfg.main_fraction))
+    if n_main < cfg.n_groups or d.n - n_main < 10:
+        raise DataError("sample too small for the sorted-groups split")
+    return perm[:n_main], perm[n_main:]
+
+
+def _split_learner(aux: Dataset, cfg: SortedGroupsConfig, inner_seed: int) -> L.ClassifierModel:
+    """The split's learner, trained on ``aux``: the grid's one config, or
+    the one that a search on ``aux`` selects, with the split's seed."""
+    grid = [replace(c, seed=inner_seed) for c in cfg.grid]
+    if len(grid) > 1:
+        grid = [L.hyperopt(aux, grid, SplitPlan(seed=inner_seed)).selected]
+    return L.train_any(aux, grid[0])
+
+
 def _one_split(
-    d: Dataset, cfg: SortedGroupsConfig, rng: np.random.Generator, inner_seed: int
+    d: Dataset,
+    cfg: SortedGroupsConfig,
+    rng: np.random.Generator,
+    inner_seed: int,
+    draw: tuple[np.ndarray, np.ndarray],
+    model: L.ClassifierModel | None,
 ) -> tuple[SplitResult, int]:
-    """The split's result and the number of redraws it took."""
+    """The split's result and the number of redraws it took, from its
+    first draw and that draw's learner, if it is already trained.  A draw
+    whose learner or groups fail is drawn again from ``rng``."""
     last_err: Exception | None = None
     for redraws in range(MAX_RETRIES):
-        perm = rng.permutation(d.n)
-        n_main = int(math.floor(d.n * cfg.main_fraction))
-        if n_main < cfg.n_groups or d.n - n_main < 10:
-            raise DataError("sample too small for the sorted-groups split")
-        main, aux = d.take(perm[:n_main]), d.take(perm[n_main:])
+        if redraws:
+            draw, model = _split_draw(d, cfg, rng), None
+        main_rows, aux_rows = draw
         try:
-            return _split_result(main, aux, cfg, inner_seed, perm[:n_main]), redraws
+            if model is None:
+                model = _split_learner(d.take(aux_rows), cfg, inner_seed)
+            return _split_result(model, d.take(main_rows), cfg, main_rows), redraws
         except DataError as err:
             last_err = err  # too few usable records or a zero SE; redraw
     raise DataError(
@@ -278,21 +304,15 @@ def _one_split(
 
 
 def _split_result(
+    model: L.ClassifierModel,
     main: Dataset,
-    aux: Dataset,
     cfg: SortedGroupsConfig,
-    inner_seed: int,
     main_rows: np.ndarray,
 ) -> SplitResult:
-    """Train on ``aux``, test on ``main``.  Each group's statistic and SE are
-    the ``group_estimates`` of its main-half records at the aux-trained
-    predictions: the group mean of the conditional statistic, CDDF's GATES
-    with C(x) or rho(x) in the place of the treatment effect."""
-    grid = [replace(c, seed=inner_seed) for c in cfg.grid]
-    if len(grid) > 1:
-        grid = [L.hyperopt(aux, grid, SplitPlan(seed=inner_seed)).selected]
-    model = L.train_any(aux, grid[0])
-
+    """Test the aux-trained ``model`` on ``main``.  Each group's statistic
+    and SE are the ``group_estimates`` of its main-half records at the
+    model's predictions: the group mean of the conditional statistic,
+    CDDF's GATES with C(x) or rho(x) in the place of the treatment effect."""
     stats = per_obs_stats(model.predict_quads(main))
     values = stats.covariance if cfg.statistic == "covariance" else stats.correlation
     groups = quantile_group_indices(values, main.w, cfg.n_groups)
@@ -319,24 +339,37 @@ def _split_result(
 
 def sorted_split_units(
     d: Dataset, cfg: SortedGroupsConfig
-) -> list[Callable[[], tuple[SplitResult, int]]]:
+) -> list[Callable[[], list[tuple[SplitResult, int]]]]:
     """The cfg.n_splits splits of ``sorted_groups_run`` as zero-argument
-    units, each returning its SplitResult and its redraw count.  Split s
-    draws from the s-th child of SeedSequence(cfg.seed)."""
-
-    def split_of(child: np.random.SeedSequence) -> tuple[SplitResult, int]:
-        rng = np.random.default_rng(child)
-        return _one_split(d, cfg, rng, int(rng.integers(2**31 - 1)))
-
+    units, one per stack of splits (``L.stacks``; with a searched grid,
+    one per split), each returning its splits' SplitResults and redraw
+    counts.  Split s draws from the s-th child of SeedSequence(cfg.seed).
+    A unit's first draws are trained by one ``L.train_many`` call; a split
+    whose first draw fails draws again from its own generator."""
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
-    return [functools.partial(split_of, child) for child in children]
+
+    def split_stack(splits: range) -> list[tuple[SplitResult, int]]:
+        rngs = [np.random.default_rng(children[s]) for s in splits]
+        seeds = [int(rng.integers(2**31 - 1)) for rng in rngs]
+        draws = [_split_draw(d, cfg, rng) for rng in rngs]
+        models = [None] * len(rngs)
+        if len(cfg.grid) == 1:
+            learners = [replace(cfg.grid[0], seed=seed) for seed in seeds]
+            models = L.train_many([d.take(aux) for _, aux in draws], learners)
+        return [_one_split(d, cfg, *split) for split in zip(rngs, seeds, draws, models)]
+
+    if len(cfg.grid) == 1:
+        groups = L.stacks(d, cfg.grid[0], cfg.n_splits)
+    else:
+        groups = [range(s, s + 1) for s in range(cfg.n_splits)]
+    return [functools.partial(split_stack, splits) for splits in groups]
 
 
 def merge_sorted_splits(
     cfg: SortedGroupsConfig, split_results: Sequence[tuple[SplitResult, int]]
 ) -> SortedGroupsResult:
-    """Componentwise medians over the split units' results, and their
-    total redraw count."""
+    """Componentwise medians over the splits' results, and their total
+    redraw count."""
     results, redraws = zip(*split_results)
     stats = np.array([r.group_stats for r in results])
     return SortedGroupsResult(
@@ -353,7 +386,8 @@ def merge_sorted_splits(
 def sorted_groups_run(d: Dataset, cfg: SortedGroupsConfig) -> SortedGroupsResult:
     """Run the sorted-groups procedure over cfg.n_splits random splits and
     report componentwise medians.  All randomness flows from cfg.seed."""
-    return merge_sorted_splits(cfg, list(map_units(call, sorted_split_units(d, cfg))))
+    results = map_units(call, sorted_split_units(d, cfg))
+    return merge_sorted_splits(cfg, list(itertools.chain.from_iterable(results)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ One model interface covers the softmax network, the random forest, and the
 gradient-boosted ensemble: every fitted model predicts a point on the class
 simplex for each design row, and writes and reads its own parameters.
 ``KINDS`` and ``GRID_AXES`` are the only tables of the families; a family's
-record holds its grid fitter and tie key, so ``train_any``, ``hyperopt``,
+record holds its grid fitter, its tie key and its fitter over several
+training sets, so ``train_any``, ``train_many``, ``hyperopt``,
 cross-fitting, importances and model files serve every family alike.
+Cross-fitting folds, and the sorted-groups splits, run as stacks of fits
+(``stacks``); the boosted family grows a stack's training sets in one
+call, bit for bit as it grows each alone.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import network as net
-from . import trees
+from . import parallel, trees
 from .data import (
     CategoricalSchema,
     DataError,
@@ -44,6 +48,8 @@ __all__ = [
     "default_grid",
     "cross_entropy_loss",
     "train_any",
+    "train_many",
+    "stacks",
     "hyperopt",
     "cross_fit_units",
     "merge_cross_fit",
@@ -107,16 +113,40 @@ def _fit_networks(d_train: Dataset, validation: Dataset | None, cfgs, fold: int 
     return [net.NetworkModel(p) for p in params]
 
 
+def _fit_each(d_trains: Sequence[Dataset], cfgs, folds: Sequence[int]) -> list:
+    """One ``train_any`` per training set, in turn."""
+    return [train_any(d, cfg, fold=k) for d, cfg, k in zip(d_trains, cfgs, folds)]
+
+
+def _fit_boosted_stack(d_trains: Sequence[Dataset], cfgs, folds: Sequence[int]) -> list:
+    """``train_any`` of each boosted config on its training set, all grown
+    as one ``trees.fit_boosted_many`` stack.  The configs may differ in
+    their seeds only: boosting reads neither the seed nor the fold."""
+    cfg = replace(cfgs[0], seed=0)
+    if any(replace(other, seed=0) != cfg for other in cfgs):
+        raise DataError("a boosted stack fits one config")
+    fitted = trees.fit_boosted_many([_block(d) for d in d_trains], cfg, N_CLASSES)
+    return [
+        ClassifierModel(cfg, d.schema.fingerprint(), predictor)
+        for d, cfg, predictor in zip(d_trains, cfgs, fitted)
+    ]
+
+
 class Family(NamedTuple):
     """A learner family: its config and fitted-model classes; its grid
     fitter ``(d_train, validation, configs, fold=0) -> models``, in input
-    order; and its tie key ``(config, n_inputs) -> tuple``, which orders
-    candidates of equal test loss before their grid position does."""
+    order; its tie key ``(config, n_inputs) -> tuple``, which orders
+    candidates of equal test loss before their grid position does; and its
+    fitter over several training sets ``(d_trains, configs, folds) ->
+    ClassifierModels``, in input order, and whether that fitter grows them
+    as one stack, the only case in which grouping fits pays."""
 
     config: type
     model: type
     fit_grid: Callable[..., list]
     tie_key: Callable[[LearnerConfig, int], tuple]
+    fit_many: Callable[..., list] = _fit_each
+    stacked: bool = False
 
     @property
     def impurity(self) -> bool:
@@ -124,11 +154,14 @@ class Family(NamedTuple):
         return "importance" in self.model.__dataclass_fields__
 
 
-def _tree_family(config: type, model: type, fit_name: str, size_field: str) -> Family:
+def _tree_family(
+    config: type, model: type, fit_name: str, size_field: str, **stack
+) -> Family:
     """A tree family.  Its grid fitter reads no validation block and runs
     each candidate as one ``map_units`` unit, largest first by
     ``<size_field> * 2**max_depth``; ``trees.<fit_name>`` is looked up per
-    call, so a wrapper on ``trees`` sees it.  Ties go to the earlier one."""
+    call, so a wrapper on ``trees`` sees it.  Ties go to the earlier one.
+    ``stack`` sets ``fit_many`` and ``stacked``, if the family stacks."""
 
     def fit_grid(d_train: Dataset, validation: Dataset | None, cfgs, fold: int = 0) -> list:
         fit, block = getattr(trees, fit_name), _block(d_train)
@@ -139,7 +172,7 @@ def _tree_family(config: type, model: type, fit_name: str, size_field: str) -> F
         fitted = dict(zip(order, run(lambda i: fit(*block, cfgs[i], N_CLASSES), order)))
         return [fitted[i] for i in range(len(cfgs))]
 
-    return Family(config, model, fit_grid, lambda cfg, n_inputs: ())
+    return Family(config, model, fit_grid, lambda cfg, n_inputs: (), **stack)
 
 
 # Each family under its kind, its name in model files and the config's
@@ -152,7 +185,14 @@ KINDS = {
         lambda cfg, n_inputs: (net.count_parameters(cfg, n_inputs, N_CLASSES), cfg.dropout),
     ),
     "forest": _tree_family(ForestConfig, trees.ForestModel, "fit_forest", "n_trees"),
-    "boosted": _tree_family(BoostConfig, trees.BoostModel, "fit_boosted", "n_rounds"),
+    "boosted": _tree_family(
+        BoostConfig,
+        trees.BoostModel,
+        "fit_boosted",
+        "n_rounds",
+        fit_many=_fit_boosted_stack,
+        stacked=True,
+    ),
 }
 _KIND_OF = {family.config: kind for kind, family in KINDS.items()}
 
@@ -171,6 +211,41 @@ def train_any(
     or on 15% of ``d_train`` drawn for ``fold``; trees read neither."""
     (predictor,) = KINDS[_kind_of(cfg)].fit_grid(d_train, validation, [cfg], fold)
     return ClassifierModel(cfg, d_train.schema.fingerprint(), predictor)
+
+
+def train_many(
+    d_trains: Sequence[Dataset], cfgs: Sequence[LearnerConfig], folds: Sequence[int] | None = None
+) -> list[ClassifierModel]:
+    """``train_any(d_trains[i], cfgs[i], fold=folds[i])`` for every i, by
+    the family's ``fit_many``: the configs are of one family, boosted ones
+    differ in their seeds only, and the results are bit for bit those of
+    the lone fits."""
+    family = KINDS[_kind_of(cfgs[0])]
+    if any(type(cfg) is not family.config for cfg in cfgs):
+        raise DataError("train_many fits one learner family")
+    return family.fit_many(d_trains, cfgs, [0] * len(cfgs) if folds is None else folds)
+
+
+# The most distinct design rows at which the fits of a stacking family are
+# grouped into stacks.  A stack's arrays grow with its rows and leave the
+# cache; the crossover is in CHANGES.md.
+STACK_MAX_ROWS = 512
+
+
+def stacks(d: Dataset, cfg: LearnerConfig, n_fits: int) -> list[range]:
+    """Fits 0 .. n_fits - 1 of ``cfg`` on subsets of ``d``, grouped into
+    contiguous stacks in input order, each to run as one ``map_units``
+    unit.  When cfg's family grows its fits as one stack and ``d`` can
+    have at most STACK_MAX_ROWS distinct design rows, there is one stack
+    per worker that a batch of n_fits units gets, the earlier ones larger
+    by at most one fit; otherwise every fit is a stack of its own.  The
+    bound on the rows is the fewer of d's records and its schema's cells,
+    which costs nothing to read.  Grouping changes no result."""
+    n_stacks = n_fits
+    if KINDS[_kind_of(cfg)].stacked and min(d.n, d.schema.n_cells) <= STACK_MAX_ROWS:
+        n_stacks = parallel.pool_size(n_fits)
+    edges = [-(-s * n_fits // n_stacks) for s in range(n_stacks + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +322,25 @@ def hyperopt(d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan) -> Hype
 
 
 def cross_fit_units(d: Dataset, cfg: LearnerConfig, folds: FoldAssignment) -> list[Callable]:
-    """The fits of ``cross_fit_predict`` as zero-argument units: fold k's
-    fit on the other folds, which predicts fold k.  A fold with fewer than
-    10 records to train on raises in its unit."""
+    """The fits of ``cross_fit_predict`` as zero-argument units, one per
+    stack of folds (``stacks``): each trains fold k's model on the other
+    folds, for every fold k of its stack, by one ``train_many`` call, and
+    returns their predictions of their folds.  A fold with fewer than 10
+    records to train on raises in its unit, before any fit."""
 
-    def fold_fit(k: int) -> np.ndarray:
-        train_rows = folds.complement_indices(k)
-        if len(train_rows) < 10:
-            raise DataError(f"fold {k}: too few records to train on")
-        model = train_any(d.take(train_rows), cfg, fold=k)
-        return model.predict_quads(d.take(folds.fold_indices(k)))
+    def stack_fit(ks: range) -> list[np.ndarray]:
+        train_rows = [folds.complement_indices(k) for k in ks]
+        for k, rows in zip(ks, train_rows):
+            if len(rows) < 10:
+                raise DataError(f"fold {k}: too few records to train on")
+        models = train_many([d.take(rows) for rows in train_rows], [cfg] * len(ks), ks)
+        return [model.predict_quads(d.take(folds.fold_indices(k))) for k, model in zip(ks, models)]
 
-    return [functools.partial(fold_fit, k) for k in range(folds.K)]
+    return [functools.partial(stack_fit, ks) for ks in stacks(d, cfg, folds.K)]
 
 
 def merge_cross_fit(folds: FoldAssignment, fold_probs: Sequence[np.ndarray]) -> np.ndarray:
-    """The ``(n, classes)`` cross-fitted array from the K fold units' results."""
+    """The ``(n, classes)`` cross-fitted array from the K folds' predictions."""
     out = np.empty((len(folds.fold_of), fold_probs[0].shape[1]))
     for k, probs in enumerate(fold_probs):
         out[folds.fold_indices(k)] = probs
@@ -274,7 +352,8 @@ def cross_fit_predict(d: Dataset, cfg: LearnerConfig, folds: FoldAssignment) -> 
     the other folds only.  Network folds carve off 15% internally for early
     stopping, mirroring the main training protocol.  The fits run as one
     ``map_units`` batch."""
-    return merge_cross_fit(folds, list(map_units(call, cross_fit_units(d, cfg, folds))))
+    results = map_units(call, cross_fit_units(d, cfg, folds))
+    return merge_cross_fit(folds, list(itertools.chain.from_iterable(results)))
 
 
 def feature_group_importance(

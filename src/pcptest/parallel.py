@@ -77,6 +77,14 @@ def call(unit: Callable):
     return unit()
 
 
+def pool_size(n_units: int) -> int:
+    """The workers that ``map_units`` runs n_units units on: one, in this
+    process, without "fork" and inside a worker."""
+    if mp.parent_process() is not None or "fork" not in mp.get_all_start_methods():
+        return 1
+    return min(worker_count(), n_units)
+
+
 def map_units(fn, units: Sequence) -> Generator:
     """Yield ``fn(u)`` for each unit in input order, computed on up to one
     forked worker per CPU; serial with one worker, without "fork" and inside
@@ -88,8 +96,8 @@ def map_units(fn, units: Sequence) -> Generator:
     is used up or closed, the pool shuts down and the units that have not
     started are cancelled, so no worker outlives it.  Wrap the call in
     ``list(...)`` for all results at once."""
-    workers = min(worker_count(), len(units))
-    if workers < 2 or mp.parent_process() is not None or "fork" not in mp.get_all_start_methods():
+    workers = pool_size(len(units))
+    if workers < 2:
         return (fn(u) for u in units)
     ctx = mp.get_context("fork")
     pool = ProcessPoolExecutor(workers, ctx, initializer=_inherit, initargs=(fn, units))

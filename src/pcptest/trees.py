@@ -5,21 +5,27 @@ never a candidate).  Forest trees are grown depth first on weighted
 bootstrap resamples from the dense design and split by weighted-entropy
 decrease.  Boosted regression trees fit the weighted negative gradient of
 the softmax cross-entropy, one tree per class per round, with Newton leaf
-values.  Boosting compresses the design once per fit to its distinct rows
-with their record counts and per-class weight masses, and grows the class
-trees of a round together, one depth level at a time: a few bincounts over
-(node, active column) pairs give every open node's split histogram, in the
-manner of LightGBM's histogram split finding.  The root's count and weight
-histograms depend on the data alone and are summed once per fit; a leaf
-keeps its rows as a node of every later level, so no level gathers the
-open rows; the last level sums only the gradient and the hessian.  Every
-bin sums the same values in the same order as a per-level pass over the
-open rows would, so the trees are bit-identical to it.
+values.  One grower fits one or several training blocks on the same design
+columns with one config, as a stack: ``fit_boosted`` is its one-block call.
+Boosting compresses each block's design once per fit to its distinct rows
+with their record counts and per-class weight masses, and grows the trees
+of a round together, one depth level at a time; tree t is the pair
+(block f, class k), t = f * n_classes + k, so each block's nodes are
+contiguous at every level.  A few bincounts over (node, active column)
+pairs give every open node's split histogram, in the manner of LightGBM's
+histogram split finding.  The roots' count and weight histograms depend
+on the data alone and are summed once per fit; a leaf keeps its rows as a
+node of every later level, so no level gathers the open rows; the last
+level sums only the gradient and the hessian.  Every bin sums the same
+values in the same order as a per-level pass over one block's open rows
+would, so each block's trees are bit-identical to its lone fit's, and to
+such a pass.
 
 A boosting round is kept as the grower leaves it: for each splitting
 level, the split column of every node at that level (0 at a leaf) and the
 node's first node at the next level, and the leaf values of the last
-level.  One routing function moves rows down those levels, a take and an
+level; the models of one stack share these arrays, each reading its own
+trees.  One routing function moves rows down those levels, a take and an
 add per array and level, in the grower and in prediction alike; a forest
 turns each of its trees into the same form once.  Prediction compresses
 its design the same way and routes the distinct rows only; the sums are
@@ -47,6 +53,7 @@ __all__ = [
     "BoostModel",
     "fit_forest",
     "fit_boosted",
+    "fit_boosted_many",
 ]
 
 
@@ -363,22 +370,27 @@ def fit_forest(
 @dataclass
 class BoostModel:
     init_scores: np.ndarray  # (n_classes,)
-    levels: list[_Levels]  # per round, the class trees; tree k's root is node k
+    # Per round, the class trees of this model and of any fitted in one
+    # stack with it; this model's tree k is tree root + k.
+    levels: list[_Levels]
     learning_rate: float
     n_classes: int
     importance: np.ndarray
+    root: int = 0
 
     @cached_property
     def rounds(self) -> list[list[TreeNode]]:
         """Per round, one TreeNode tree per class: the stored form."""
-        return [_trees_of(rnd) for rnd in self.levels]
+        trees = slice(self.root, self.root + self.n_classes)
+        return [_trees_of(rnd)[trees] for rnd in self.levels]
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
         bits, row_bit, inverse = _routing_rows(X)
         k, m = self.n_classes, len(row_bit)
         scores = np.repeat(self.init_scores[:, None], m, axis=1)  # (n_classes, m)
         if self.learning_rate != 0.0:
-            root = np.repeat(np.arange(k), m)  # item t * m + r: row r in class tree t
+            # Item t * m + r: row r in class tree t.
+            root = np.repeat(np.arange(self.root, self.root + k), m)
             item_bit = np.tile(row_bit, k)
             for rnd in self.levels:
                 node = _route(rnd.splits, root, bits, item_bit)
@@ -405,41 +417,61 @@ class BoostModel:
 
 
 class _DistinctRows:
-    """The design compressed to its distinct rows, with the flat histogram
-    entries that the level-wise grower sums over.
+    """The designs of several training blocks, each compressed to its
+    distinct rows, with the flat histogram entries that the level-wise
+    grower sums over.
 
     Records that share a design row share every split decision and every
     score, so a boosting round needs only each row's record count, total
     weight W and per-class weight masses M: its gradient and hessian sums
-    are M_k - W p_k and W p_k (1 - p_k).  The class trees of a round are
-    grown together; item k * m + r stands for distinct row r in class tree
-    k, and an entry is one (item, active candidate column) pair.  M, the
-    scores, the gradient and the hessian are laid out the same way,
-    class-major.
+    are M_k - W p_k and W p_k (1 - p_k).  Each block is compressed on its
+    own and the blocks' distinct rows are concatenated, block after block;
+    m counts them all.  Tree t = f * n_classes + k is class k's tree of
+    block f, so the trees of one block, and their nodes at every level,
+    are contiguous.  The trees of a round are grown together; item
+    k * m + r stands for row r in class k's tree of r's block, and an entry
+    is one (item, active candidate column) pair.  M, the scores, the
+    gradient and the hessian are laid out the same way, class-major.  A
+    node's items are its block's rows in the order of a lone block, so
+    every bin sums the same values in the same order as a lone fit would.
 
-    The root of every class tree holds every row, so its record count, its
-    W and their histograms depend on the data alone, and so do the splits
-    that leave min_leaf records on each side.  They are summed here once,
-    from class 0's entries, whose rows come in the same order as every
-    other class's, and shared by the roots of all rounds.
+    The root of every tree holds all rows of its block, so its record
+    count, its W and their histograms depend on the data alone, and so do
+    the splits that leave min_leaf records on each side.  They are summed
+    here once per block, from class 0's entries, whose rows come in the
+    same order as every other class's, and shared by the roots of all
+    rounds.
     """
 
     def __init__(
-        self, X: np.ndarray, labels: np.ndarray, w: np.ndarray, n_classes: int, min_leaf: int
+        self,
+        blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        n_classes: int,
+        min_leaf: int,
     ):
-        active, inverse, counts = _distinct_rows(X)  # (m, n_cols)
+        W, M, active, counts = [], [], [], []
+        for X, labels, w in blocks:
+            rows, inverse, row_counts = _distinct_rows(X)
+            m = len(rows)
+            W.append(np.bincount(inverse, weights=w, minlength=m))
+            M.append(
+                np.bincount(labels * m + inverse, weights=w, minlength=n_classes * m).reshape(
+                    n_classes, m
+                )
+            )
+            active.append(rows)
+            counts.append(row_counts)
+        self.block = np.repeat(np.arange(len(blocks)), [len(c) for c in counts])  # of each row
+        active = np.concatenate(active)  # (m, n_cols)
+        counts = np.concatenate(counts).astype(np.float64)
         m, n_cols = active.shape
         self.m, self.n_classes, self.n_cols = m, n_classes, n_cols
-        self.min_leaf = min_leaf
-        self.W = np.bincount(inverse, weights=w, minlength=m)
-        self.M = np.bincount(
-            labels * m + inverse, weights=w, minlength=n_classes * m
-        ).reshape(n_classes, m)
-        counts = counts.astype(np.float64)
+        self.n_blocks, self.min_leaf = len(blocks), min_leaf
+        self.W, self.M = np.concatenate(W), np.concatenate(M, axis=1)
         self.item_count = np.tile(counts, n_classes)
         self.item_W = np.tile(self.W, n_classes)
 
-        # Entries are ordered by class tree, then row, then column, so the
+        # Entries are ordered by class, then row, then column, so the
         # histogram bins of two columns that cover the same rows of a node
         # are summed in the same order and tie exactly.
         r, c = np.nonzero(active[:, 1:])  # the constant column never splits
@@ -452,14 +484,21 @@ class _DistinctRows:
         self.bits, row_bit = _flat_bits(active)
         self.item_bit = np.tile(row_bit, n_classes)
 
-        # The roots: class tree k's is node k of level 0.
-        self.root_node = np.repeat(np.arange(n_classes), m)
+        # The roots: tree f * n_classes + k is node f * n_classes + k of level 0.
+        self.root_block = np.repeat(np.arange(self.n_blocks), n_classes)
+        self.root_node = (self.block * n_classes + np.arange(n_classes)[:, None]).reshape(-1)
         self.root_key = self.root_node[self.entry_item] * n_cols + self.entry_col
-        one_bin = np.zeros(m, dtype=np.intp)
-        root_count = np.tile(np.bincount(one_bin, weights=counts), n_classes)
-        root_n_r = np.tile(np.bincount(c, weights=counts[r], minlength=n_cols), (n_classes, 1))
-        self.root_W = np.tile(np.bincount(one_bin, weights=self.W), n_classes)
-        self.root_W_r = np.tile(np.bincount(c, weights=self.W[r], minlength=n_cols), (n_classes, 1))
+        block_col = self.block[r] * n_cols + c
+
+        def per_root(weights: np.ndarray, key: np.ndarray, width: int) -> np.ndarray:
+            """Each block's sums over its rows, repeated for its class trees."""
+            sums = np.bincount(key, weights=weights, minlength=self.n_blocks * width)
+            return np.repeat(sums.reshape(self.n_blocks, width), n_classes, axis=0)
+
+        root_count = per_root(counts, self.block, 1)[:, 0]
+        root_n_r = per_root(counts[r], block_col, n_cols)
+        self.root_W = per_root(self.W, self.block, 1)[:, 0]
+        self.root_W_r = per_root(self.W[r], block_col, n_cols)
         self.root_W_l = self.root_W[:, None] - self.root_W_r
         self.root_can_split = root_count >= 2 * min_leaf
         self.root_valid = _valid_splits(root_n_r, root_count, self.root_can_split, min_leaf)
@@ -479,11 +518,11 @@ def _grow_round(
     grad: np.ndarray,  # (n_classes, m) summed negative gradient M_k - W p_k
     hess: np.ndarray,  # (n_classes, m) summed hessian W p_k (1 - p_k)
     max_depth: int,
-    importance: np.ndarray,
+    importance: np.ndarray,  # (n_blocks * n_cols,): each block's row, flat
 ) -> tuple[_Levels, np.ndarray]:
-    """Grow one regression tree per class, all classes one depth level at a
-    time; return the trees in level form and the (n_classes, m) leaf value
-    of every row.
+    """Grow one regression tree per block and class, all trees one depth
+    level at a time; return the trees in level form and the
+    (n_classes, m) leaf value of every row.
 
     Each tree fits grad/w by weighted least-squares splits and its leaves
     take the Newton step sum(grad) / sum(hess).  Weighted SSE reduction
@@ -499,14 +538,19 @@ def _grow_round(
     always has a node and no pass gathers the open ones.  A bin sums its
     items in item order, so the leaf's S and H, and its value, come out
     the same at every level; the leaf values of all nodes, and of all rows,
-    are read once, at the last level.
+    are read once, at the last level.  A block whose trees stop splitting
+    keeps its leaves, one node each, while the other blocks grow on, so its
+    trees are those of its lone fit, each leaf carried down to the last
+    level.  Splits add their gains to their block's row of ``importance``
+    in node order, as in a lone fit.
     """
     n_cols, min_leaf = rows.n_cols, rows.min_leaf
     item_grad = grad.reshape(-1)
     item_hess = hess.reshape(-1)
     entry_grad = item_grad[rows.entry_item]
     splits = []
-    is_open = np.ones(rows.n_classes, dtype=bool)  # False: a leaf of an earlier level
+    row_of_node = rows.root_block * n_cols  # each node's block, as its first entry of importance
+    is_open = np.ones(len(row_of_node), dtype=bool)  # False: a leaf of an earlier level
     node_of = rows.root_node
 
     for depth in range(max_depth + 1):
@@ -550,10 +594,11 @@ def _grow_round(
         split = split_col > 0
         if not split.any():
             break
-        np.add.at(importance, split_col[split], best_gain[split])
+        np.add.at(importance, row_of_node[split] + split_col[split], best_gain[split])
         splits.append((split_col, _first_child(split_col)))
         node_of = _route(splits[-1:], node_of, rows.bits, rows.item_bit)
         is_open = np.repeat(split, split + 1)
+        row_of_node = np.repeat(row_of_node, split + 1)
 
     # The level the loop stopped at holds every leaf.
     H = np.bincount(node_of, weights=item_hess, minlength=n_nodes)
@@ -562,19 +607,34 @@ def _grow_round(
     return _Levels(tuple(splits), values[:, None]), leaf_value
 
 
-def fit_boosted(
-    X: np.ndarray, labels: np.ndarray, w: np.ndarray, cfg: BoostConfig, n_classes: int = 4
-) -> BoostModel:
-    class_w = np.bincount(labels, weights=w, minlength=n_classes)
-    init = np.log(np.clip(class_w / class_w.sum(), PROB_CLIP, None))
-    importance = np.zeros(X.shape[1])
-    model = BoostModel(init, [], cfg.learning_rate, n_classes, importance)
+def fit_boosted_many(
+    blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    cfg: BoostConfig,
+    n_classes: int = 4,
+) -> list[BoostModel]:
+    """The boosted models of several training blocks, (design, labels,
+    weights) each, on the same design columns, grown as one stack: each
+    round grows the class trees of every block together, one depth level
+    at a time, and the models share the rounds' level arrays.  Every
+    block's trees, importances and predictions are bit for bit those of
+    its lone fit."""
+    n_cols = blocks[0][0].shape[1]
+    importance = np.zeros(len(blocks) * n_cols)
+    models = []
+    for f, (_, labels, w) in enumerate(blocks):
+        class_w = np.bincount(labels, weights=w, minlength=n_classes)
+        init = np.log(np.clip(class_w / class_w.sum(), PROB_CLIP, None))
+        block_importance = importance[f * n_cols : (f + 1) * n_cols]
+        models.append(
+            BoostModel(init, [], cfg.learning_rate, n_classes, block_importance, f * n_classes)
+        )
     if cfg.learning_rate == 0.0:
-        return model
+        return models
 
-    rows = _DistinctRows(X, labels, w, n_classes, cfg.min_leaf)
+    rows = _DistinctRows(blocks, n_classes, cfg.min_leaf)
     rest = rows.W - rows.M  # weight of each row's records in the other classes
-    scores = np.repeat(init[:, None], rows.m, axis=1)  # (n_classes, m), like M
+    init = np.stack([model.init_scores for model in models], axis=1)  # (n_classes, n_blocks)
+    scores = init.take(rows.block, axis=1)  # (n_classes, m), like M
     for _ in range(cfg.n_rounds):
         probs = _softmax(scores, axis=0)
         q = 1.0 - probs
@@ -585,5 +645,14 @@ def fit_boosted(
         hess = rows.W * probs * q
         levels, leaf_value = _grow_round(rows, grad, hess, cfg.max_depth, importance)
         scores += cfg.learning_rate * leaf_value
-        model.levels.append(levels)
+        for model in models:
+            model.levels.append(levels)
+    return models
+
+
+def fit_boosted(
+    X: np.ndarray, labels: np.ndarray, w: np.ndarray, cfg: BoostConfig, n_classes: int = 4
+) -> BoostModel:
+    """The boosted model of one training block: ``fit_boosted_many`` of it alone."""
+    (model,) = fit_boosted_many([(X, labels, w)], cfg, n_classes)
     return model

@@ -1,6 +1,8 @@
 """Shared fixtures: small schemas and synthetic DGPs used across suites,
-and the scalar oracles several suites compare the package against."""
+the scalar oracles several suites compare the package against, and the
+groupings of fits into stacks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -62,6 +64,14 @@ def workers(monkeypatch):
     With 1 the units run in this process, so calls a test records in a
     list here are all seen."""
     return lambda n: monkeypatch.setattr(parallel, "worker_count", lambda: n)
+
+
+def groupings(n):
+    """Every grouping of fits 0 .. n - 1 into contiguous stacks, from all
+    singletons to one stack, as ``learners.stacks`` returns them."""
+    for cuts in itertools.product([False, True], repeat=n - 1):
+        edges = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), n]
+        yield [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 class DegenerateMarginalError(ValueError):

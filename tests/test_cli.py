@@ -541,7 +541,8 @@ class TestCommands:
     def test_report_runs_one_batch(self, workdir, tmp_path, monkeypatch, workers, n_workers):
         """The raw fit, the folds and the splits of report share one
         map_units call, whichever module calls it, and no worker outlives
-        the command."""
+        the command.  On this 12-cell design the boosted folds, and the
+        splits, form one stack per worker."""
         workers(n_workers)
         batches = []
         map_units = parallel.map_units
@@ -555,8 +556,21 @@ class TestCommands:
         doc = base_config(workdir, tmp_path / "o", folds=3, sorted_splits=4)
         res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "report")
         assert res.exit_code == 0, res.output
-        assert batches == [1 + 3 + 4]
+        assert batches == [1 + n_workers + n_workers]
         assert multiprocessing.active_children() == []
+
+    def test_report_bytes_do_not_depend_on_the_stacks(self, workdir, tmp_path, workers):
+        """One worker stacks the folds, and the splits, into one unit each;
+        two workers into two each.  Both write the same manifest."""
+        doc = base_config(workdir, tmp_path / "o", folds=3, sorted_splits=4)
+        config = _write_config(tmp_path / "c.yaml", doc)
+        manifests = []
+        for n_workers in (1, 2):
+            workers(n_workers)
+            res = run_cmd(config, "report")
+            assert res.exit_code == 0, res.output
+            manifests.append((tmp_path / "o" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
     @pytest.mark.parametrize("command", ["hyperopt", "importance", "test-sorted", "report"])
     def test_run_builds_plan_and_sorted_config_once(self, workdir, tmp_path, monkeypatch, command):

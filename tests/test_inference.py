@@ -1,4 +1,5 @@
 import multiprocessing
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from conftest import analytic_k0
+from conftest import analytic_k0, groupings
 from pcptest import inference
 from pcptest import learners as L
 from pcptest.data import DataError
@@ -253,6 +254,25 @@ class TestSharedDraws:
         assert results == [oracle_intersection_test(inp) for inp in batch]
 
 
+def lone_split(d, cfg, child):
+    """A split of a one-learner grid as ``sorted_groups_run`` makes it, on
+    its own: each draw's learner is a ``train_any`` fit of its aux half,
+    and a draw whose groups fail is drawn again.  Its result and redraw
+    count."""
+    rng = np.random.default_rng(child)
+    learner = replace(cfg.grid[0], seed=int(rng.integers(2**31 - 1)))
+    n_main = d.n // 2
+    for redraws in range(inference.MAX_RETRIES):
+        perm = rng.permutation(d.n)
+        model = L.train_any(d.take(perm[n_main:]), learner)
+        try:
+            main = d.take(perm[:n_main])
+            return inference._split_result(model, main, cfg, perm[:n_main]), redraws
+        except DataError:
+            pass
+    raise AssertionError("no usable draw")
+
+
 class TestSortedGroups:
     def run(self, d, **kw):
         kw.setdefault("grid", (BoostConfig(n_rounds=10, max_depth=2),))
@@ -278,17 +298,18 @@ class TestSortedGroups:
         """Each split's group statistics and SEs are ``group_estimates`` on
         its group rows, at the predictions of the split's own model: the
         group mean of the one-step score, as in the intersection test's
-        groups."""
+        groups.  The splits' models are trained by ``train_many``, as one
+        stack on this 12-cell design."""
         workers(1)
         d = small_dataset
         models = []
-        train_any = L.train_any
+        train_many = L.train_many
 
         def recorded(*args, **kw):
-            models.append(train_any(*args, **kw))
-            return models[-1]
+            models.extend(train_many(*args, **kw))
+            return models[-len(args[0]) :]
 
-        monkeypatch.setattr(L, "train_any", recorded)
+        monkeypatch.setattr(L, "train_many", recorded)
         res = self.run(d, statistic=statistic)
         assert res.redraws == 0 and len(models) == len(res.splits)
         for s, model in zip(res.splits, models):
@@ -354,6 +375,31 @@ class TestSortedGroups:
         assert res.redraws == 1
         monkeypatch.undo()
         assert self.run(small_dataset).redraws == 0
+
+    @pytest.mark.parametrize("n", [30, 3000], ids=["redrawn", "3000"])
+    def test_every_grouping_gives_the_same_splits(self, small_dgp, monkeypatch, workers, n):
+        """All-singleton units, one stack and the groupings between give
+        the same splits, medians and redraw count.  On 30 records some
+        first draws are drawn again, from the split's own generator."""
+        workers(1)
+        d, _ = sample_dataset(small_dgp, n, seed=3)
+        cfg = SortedGroupsConfig(grid=(BoostConfig(n_rounds=10, max_depth=2),), n_splits=3, seed=5)
+        lone = [lone_split(d, cfg, child) for child in np.random.SeedSequence(5).spawn(3)]
+        assert (sum(redraws for _, redraws in lone) > 0) == (n == 30)
+        for grouping in groupings(3):
+            monkeypatch.setattr(L, "stacks", lambda *args, g=grouping: g)
+            res = sorted_groups_run(d, cfg)
+            assert res.redraws == sum(redraws for _, redraws in lone)
+            for s, (s_ref, _) in zip(res.splits, lone, strict=True):
+                for name in ("group_stats", "group_ses", "predicted_means"):
+                    assert getattr(s, name).tobytes() == getattr(s_ref, name).tobytes()
+                assert [r.tolist() for r in s.group_rows] == [r.tolist() for r in s_ref.group_rows]
+                assert (s.statistic, s.se, s.tstat, s.p_value) == (
+                    s_ref.statistic,
+                    s_ref.se,
+                    s_ref.tstat,
+                    s_ref.p_value,
+                )
 
     def test_network_learner(self, small_dataset):
         res = self.run(

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import constant_model_loss
-from pcptest.data import DataError, SplitPlan, make_folds, split
+from conftest import constant_model_loss, groupings
+from pcptest import learners as L
+from pcptest.data import DataError, FoldAssignment, SplitPlan, make_folds, split
 from pcptest.learners import (
     KINDS,
     ClassifierModel,
@@ -15,6 +16,7 @@ from pcptest.learners import (
     impurity_importance,
     load_model,
     save_model,
+    stacks,
     train_any,
 )
 from pcptest.network import NetworkConfig
@@ -271,3 +273,67 @@ class TestPersistence:
             json.dump(doc, fh)
         with pytest.raises(DataError):
             load_model(path, small_dataset.schema)
+
+
+# ---------------------------------------------------------------------------
+# Stacked units: grouping the folds into stacks changes no bit.
+
+
+class TestStackedFolds:
+    def test_stacks_follow_the_family_rows_and_workers(self, small_dataset, workers):
+        """Boosted fits of a 12-cell design form one stack per worker; the
+        other families, and a design above STACK_MAX_ROWS rows, keep one
+        fit per stack."""
+        workers(1)
+        assert stacks(small_dataset, FAST_BOOST, 5) == [range(0, 5)]
+        assert stacks(small_dataset, FAST_FOREST, 3) == [range(i, i + 1) for i in range(3)]
+        assert stacks(small_dataset, FAST_NET, 2) == [range(0, 1), range(1, 2)]
+        workers(2)
+        assert stacks(small_dataset, FAST_BOOST, 5) == [range(0, 3), range(3, 5)]
+        assert stacks(small_dataset, FAST_BOOST, 1) == [range(0, 1)]
+
+    def test_a_stack_fits_one_config(self, small_dataset):
+        """Boosted configs may differ in their seeds only, and a stack
+        holds one family."""
+        d = small_dataset
+        reseeded = BoostConfig(n_rounds=10, max_depth=2, seed=7)
+        models = L.train_many([d, d], [FAST_BOOST, reseeded])
+        assert [model.config for model in models] == [FAST_BOOST, reseeded]
+        with pytest.raises(DataError, match="one config"):
+            L.train_many([d, d], [FAST_BOOST, BoostConfig(n_rounds=10, max_depth=3)])
+        with pytest.raises(DataError, match="one learner family"):
+            L.train_many([d, d], [FAST_BOOST, FAST_FOREST])
+
+    def test_many_rows_are_not_stacked(self, small_dataset, monkeypatch, workers):
+        workers(1)
+        monkeypatch.setattr(L, "STACK_MAX_ROWS", 11)
+        assert stacks(small_dataset, FAST_BOOST, 3) == [range(i, i + 1) for i in range(3)]
+
+    @pytest.mark.parametrize("cfg", [FAST_BOOST, FAST_FOREST], ids=["boosted", "forest"])
+    def test_every_grouping_gives_the_lone_fits(self, small_dataset, cfg, monkeypatch, workers):
+        """Under every grouping, each fold's predictions are those of its
+        own train_any fit on the other folds, bit for bit."""
+        workers(1)
+        d = small_dataset
+        folds = make_folds(d, 4, seed=2)
+        lone = np.empty((d.n, 4))
+        for k in range(folds.K):
+            model = train_any(d.take(folds.complement_indices(k)), cfg, fold=k)
+            lone[folds.fold_indices(k)] = model.predict_quads(d.take(folds.fold_indices(k)))
+        for grouping in groupings(folds.K):
+            monkeypatch.setattr(L, "stacks", lambda *args, g=grouping: g)
+            assert cross_fit_predict(d, cfg, folds).tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_too_few_records_raise_first_in_input_order(
+        self, small_dataset, monkeypatch, workers, n_workers
+    ):
+        """Folds 2 and 3 leave 7 records to train on; fold 2 raises under
+        every grouping, before any fit of its stack."""
+        workers(n_workers)
+        d = small_dataset.take(np.arange(12))
+        folds = FoldAssignment(4, np.array([0, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3]), 0)
+        for grouping in groupings(folds.K):
+            monkeypatch.setattr(L, "stacks", lambda *args, g=grouping: g)
+            with pytest.raises(DataError, match=r"^fold 2: too few records to train on$"):
+                cross_fit_predict(d, FAST_BOOST, folds)

@@ -2,9 +2,11 @@
 ``--help`` runs in a fresh interpreter with the package's sources on the
 path and must exit 0.  The recovery experiment also runs for real, on a
 few small replicates, and the output comparison compares one checkout
-with itself and counts the cells of two CSV files that differ."""
+with itself, runs every workload at every seed asked for, and counts the
+cells of two CSV files that differ."""
 
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -80,3 +82,24 @@ def test_compare_outputs_counts_the_cells_that_differ(tmp_path):
     parent.write_text("loss\n4\n-2\n")
     change.write_text("loss\n5\n-2.5\n")
     assert cell_differences(parent, change) == (2, 2, 1.0, 0.25)
+
+
+def test_compare_outputs_runs_every_workload_at_every_seed(monkeypatch, capsys):
+    """``--workload all`` is every workload of the benchmark, each at every
+    seed given; one differing file in any comparison makes the exit code 1."""
+    module = load_script("compare_outputs")
+    calls = []
+
+    def compare(checkouts, workload, seed):
+        calls.append((workload, seed))
+        return int((workload, seed) == ("report-default8-boosted", 3))
+
+    monkeypatch.setattr(module, "compare", compare)
+    args = [str(ROOT), str(ROOT), "--workload", "all", "--seed", "1", "3"]
+    assert module.main(args) == 1
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert calls == [(name, seed) for name in names for seed in (1, 3)]
+    assert capsys.readouterr().out.splitlines()[-1] == "6 comparisons: 1 files differ"
+    calls.clear()
+    assert module.main([str(ROOT), str(ROOT), "--workload", names[0], "--seed", "3"]) == 0
+    assert calls == [(names[0], 3)]

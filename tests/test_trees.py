@@ -22,6 +22,7 @@ from pcptest.trees import (
     _distinct_rows,
     _levels_of,
     fit_boosted,
+    fit_boosted_many,
     fit_forest,
 )
 
@@ -657,3 +658,72 @@ def test_fit_boosted_bits_are_pinned(case, small_dataset):
     doc = json.dumps(model.to_doc(), sort_keys=True).encode()
     got = (hashlib.sha256(doc).hexdigest(), hashlib.sha256(model.importance.tobytes()).hexdigest())
     assert got == digests
+
+
+# ---------------------------------------------------------------------------
+# Stacked fits: several blocks grown by one fit_boosted_many call, each bit
+# for bit its lone fit_boosted.
+
+
+@st.composite
+def stacked_problems(draw):
+    """1 to 6 training blocks on shared design columns, with one config and
+    class count.  Rows repeat within and across blocks; a block may hold a
+    single distinct row, or too few records to split, so its trees stop at
+    the root while the others grow on."""
+    n_cols = draw(st.integers(2, 7))
+    n_classes = draw(st.sampled_from([2, 4]))
+    cfg = BoostConfig(
+        n_rounds=draw(st.integers(1, 4)),
+        max_depth=draw(st.integers(1, 4)),
+        min_leaf=draw(st.integers(1, 20)),
+        learning_rate=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+    )
+    shared = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, (8, n_cols - 1))
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        patterns = shared[: draw(st.integers(1, 8))]  # rows shared with the other blocks
+        reps = rng.integers(1, draw(st.integers(1, 12)) + 1, len(patterns))
+        rows = np.repeat(patterns, reps, axis=0)
+        n = len(rows)
+        perm = rng.permutation(n)
+        X = np.column_stack([np.ones(n), rows])[perm].astype(float)
+        blocks.append((X, rng.integers(0, n_classes, n), rng.uniform(0.2, 1.0, n)))
+    return blocks, cfg, n_classes
+
+
+def assert_same_model(model, lone, designs):
+    """The same stored trees, importance bytes and predicted bits."""
+    doc = json.dumps(model.to_doc(), sort_keys=True)
+    assert doc == json.dumps(lone.to_doc(), sort_keys=True)
+    assert model.importance.tobytes() == lone.importance.tobytes()
+    for X in designs:
+        assert model.predict_probs(X).tobytes() == lone.predict_probs(X).tobytes()
+
+
+class TestStackedFits:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stacked_problems())
+    def test_each_block_is_its_lone_fit(self, problem):
+        blocks, cfg, n_classes = problem
+        models = fit_boosted_many(blocks, cfg, n_classes)
+        assert len(models) == len(blocks)
+        designs = [X for X, _, _ in blocks]
+        for model, block in zip(models, blocks):
+            assert_same_model(model, fit_boosted(*block, cfg, n_classes), designs)
+
+    def test_blocks_stop_at_different_depths(self, small_dataset):
+        """A block of one distinct row stops at the root, a small one
+        early and a large one at max_depth, within one stack."""
+        X, labels, w = _block(small_dataset)
+        one_row = np.flatnonzero((X == X[0]).all(axis=1))
+        subsets = (one_row, np.arange(30), np.arange(3000))
+        blocks = [(X[idx], labels[idx], w[idx]) for idx in subsets]
+        cfg = BoostConfig(n_rounds=6, max_depth=4, min_leaf=10, learning_rate=0.5)
+        models = fit_boosted_many(blocks, cfg)
+        lone = [fit_boosted(*block, cfg) for block in blocks]
+        depths = [max(len(rnd.splits) for rnd in model.levels) for model in lone]
+        assert depths[0] == 0 and 0 < depths[1] < depths[2] == 4
+        for model, lone_model in zip(models, lone):
+            assert_same_model(model, lone_model, [X])
