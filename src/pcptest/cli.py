@@ -400,25 +400,30 @@ def _fit_batch(
     """Write the estimate, intersection and sorted-groups tables asked for.
     Every fit they need runs in one ``map_units`` batch, largest first: the
     raw fit on every record for the estimates, the cross-fitting folds, then
-    the sorted-groups splits, folds and splits grouped into stacks, whose
-    results are merged in input order.  The estimate and intersection
-    tables are written while the splits still fit."""
+    the sorted-groups splits.  The raw fit and the folds, and the splits,
+    are grouped into stacks (``L.stacks``), whose results are merged in
+    input order; each kind of fit that stacks gets its share of the
+    workers.  The estimate and intersection tables are written while the
+    splits still fit."""
     d = load_dataset(cfg)
     cross_fit = estimates or intersection
-    units = [lambda: L.train_any(d, cfg.learner_cfg).predict_quads(d)] if estimates else []
+    # The kinds of fits that may stack: the folds with the raw fit, and the
+    # splits of a one-learner grid.
+    kinds = int(cross_fit) + int(sorted_groups and not cfg.sorted_cfg.searches)
+    units = []
     if cross_fit:
         folds = make_folds(d, cfg.folds, cfg.seed)
-        fold_units = L.cross_fit_units(d, cfg.learner_cfg, folds)
+        fold_units = L.cross_fit_units(d, cfg.learner_cfg, folds, estimates, kinds)
         units += fold_units
     if sorted_groups:
-        units += sorted_split_units(d, cfg.sorted_cfg)
+        units += sorted_split_units(d, cfg.sorted_cfg, kinds)
     t0 = time.monotonic()
     results = map_units(call, units)
     try:
-        raw = per_obs_stats(next(results)) if estimates else None
         if cross_fit:
-            fold_probs = itertools.chain.from_iterable(itertools.islice(results, len(fold_units)))
-            cf = per_obs_stats(L.merge_cross_fit(folds, list(fold_probs)))
+            probs = itertools.chain.from_iterable(itertools.islice(results, len(fold_units)))
+            raw = per_obs_stats(next(probs)) if estimates else None
+            cf = per_obs_stats(L.merge_cross_fit(folds, list(probs)))
             elapsed = time.monotonic() - t0
             _log(f"{cfg.folds}-fold cross-fit{' + raw fit' * estimates} in {elapsed:.1f}s")
             groups = _group_estimates(cfg, d, cf)

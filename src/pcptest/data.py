@@ -192,14 +192,19 @@ class Dataset:
         return len(self.c)
 
     def take(self, idx: np.ndarray | Sequence[int]) -> "Dataset":
+        """The records at ``idx``, in that order.  Records of a validated
+        dataset are valid, so the subset is not checked again; it must be
+        nonempty, and its columns are read-only copies."""
         idx = np.asarray(idx, dtype=np.int64)
-        return Dataset(
-            self.schema,
-            self.covariates[idx].copy(),
-            self.c[idx].copy(),
-            self.r[idx].copy(),
-            self.w[idx].copy(),
-        )
+        if len(idx) == 0:
+            raise DataError("dataset must be nonempty")
+        sub = object.__new__(Dataset)
+        object.__setattr__(sub, "schema", self.schema)
+        for name in ("covariates", "c", "r", "w"):
+            column = getattr(self, name)[idx]
+            column.setflags(write=False)
+            object.__setattr__(sub, name, column)
+        return sub
 
     def class_labels(self) -> np.ndarray:
         """4-way class index 2*c + r, ordering (00, 01, 10, 11)."""

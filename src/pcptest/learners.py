@@ -5,11 +5,12 @@ gradient-boosted ensemble: every fitted model predicts a point on the class
 simplex for each design row, and writes and reads its own parameters.
 ``KINDS`` and ``GRID_AXES`` are the only tables of the families; a family's
 record holds its grid fitter, its tie key and its fitter over several
-training sets, so ``train_any``, ``train_many``, ``hyperopt``,
-cross-fitting, importances and model files serve every family alike.
-Cross-fitting folds, and the sorted-groups splits, run as stacks of fits
-(``stacks``); the boosted family grows a stack's training sets in one
-call, bit for bit as it grows each alone.
+training sets, so ``train_any``, ``train_many``, ``predict_many``,
+``hyperopt``, cross-fitting, importances and model files serve every
+family alike.  Cross-fitting folds, with the raw fit on every record, and
+the sorted-groups splits run as stacks of fits (``stacks``); the boosted
+family grows a stack's training sets in one call, and predicts with a
+stack's models in one routing pass, bit for bit as it does each alone.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "cross_entropy_loss",
     "train_any",
     "train_many",
+    "predict_many",
     "stacks",
     "hyperopt",
     "cross_fit_units",
@@ -132,14 +134,21 @@ def _fit_boosted_stack(d_trains: Sequence[Dataset], cfgs, folds: Sequence[int]) 
     ]
 
 
+def _predict_each(predictors: Sequence, designs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each fitted model's ``predict_probs`` of its design, in turn."""
+    return [predictor.predict_probs(X) for predictor, X in zip(predictors, designs)]
+
+
 class Family(NamedTuple):
     """A learner family: its config and fitted-model classes; its grid
     fitter ``(d_train, validation, configs, fold=0) -> models``, in input
     order; its tie key ``(config, n_inputs) -> tuple``, which orders
-    candidates of equal test loss before their grid position does; and its
+    candidates of equal test loss before their grid position does; its
     fitter over several training sets ``(d_trains, configs, folds) ->
     ClassifierModels``, in input order, and whether that fitter grows them
-    as one stack, the only case in which grouping fits pays."""
+    as one stack, the only case in which grouping fits pays; and its
+    predictor ``(fitted models, designs) -> probabilities`` for the models
+    of one ``fit_many`` call."""
 
     config: type
     model: type
@@ -147,6 +156,7 @@ class Family(NamedTuple):
     tie_key: Callable[[LearnerConfig, int], tuple]
     fit_many: Callable[..., list] = _fit_each
     stacked: bool = False
+    predict_many: Callable[..., list] = _predict_each
 
     @property
     def impurity(self) -> bool:
@@ -192,6 +202,7 @@ KINDS = {
         "n_rounds",
         fit_many=_fit_boosted_stack,
         stacked=True,
+        predict_many=trees.predict_stack,
     ),
 }
 _KIND_OF = {family.config: kind for kind, family in KINDS.items()}
@@ -226,24 +237,37 @@ def train_many(
     return family.fit_many(d_trains, cfgs, [0] * len(cfgs) if folds is None else folds)
 
 
+def predict_many(models: Sequence[ClassifierModel], ds: Sequence[Dataset]) -> list[np.ndarray]:
+    """``models[i].predict_quads(ds[i])`` for every i, bit for bit, for the
+    models of one ``train_many`` call, by their family's ``predict_many``:
+    a boosted stack routes all the rows of all its models at once."""
+    for model, d in zip(models, ds):
+        if d.schema.fingerprint() != model.schema_fingerprint:
+            raise DataError("dataset schema does not match the model's schema")
+    family = KINDS[models[0].kind]
+    return family.predict_many([m.predictor for m in models], [one_hot_encode(d) for d in ds])
+
+
 # The most distinct design rows at which the fits of a stacking family are
 # grouped into stacks.  A stack's arrays grow with its rows and leave the
 # cache; the crossover is in CHANGES.md.
 STACK_MAX_ROWS = 512
 
 
-def stacks(d: Dataset, cfg: LearnerConfig, n_fits: int) -> list[range]:
+def stacks(d: Dataset, cfg: LearnerConfig, n_fits: int, kinds: int = 1) -> list[range]:
     """Fits 0 .. n_fits - 1 of ``cfg`` on subsets of ``d``, grouped into
     contiguous stacks in input order, each to run as one ``map_units``
     unit.  When cfg's family grows its fits as one stack and ``d`` can
-    have at most STACK_MAX_ROWS distinct design rows, there is one stack
-    per worker that a batch of n_fits units gets, the earlier ones larger
-    by at most one fit; otherwise every fit is a stack of its own.  The
-    bound on the rows is the fewer of d's records and its schema's cells,
-    which costs nothing to read.  Grouping changes no result."""
+    have at most STACK_MAX_ROWS distinct design rows, the fits get
+    max(1, workers // kinds) stacks, the earlier ones larger by at most
+    one fit: ``kinds`` counts the kinds of fits in the batch that stack
+    this way (cross-fitting, sorted-groups splits), and ``workers`` those
+    of the batch.  Otherwise every fit is a stack of its own.  The bound
+    on the rows is the fewer of d's records and its schema's cells, which
+    costs nothing to read.  Grouping changes no result."""
     n_stacks = n_fits
     if KINDS[_kind_of(cfg)].stacked and min(d.n, d.schema.n_cells) <= STACK_MAX_ROWS:
-        n_stacks = parallel.pool_size(n_fits)
+        n_stacks = min(n_fits, max(1, parallel.pool_size(n_fits * kinds) // kinds))
     edges = [-(-s * n_fits // n_stacks) for s in range(n_stacks + 1)]
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -321,22 +345,31 @@ def hyperopt(d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan) -> Hype
 # Cross-fitting and importances
 
 
-def cross_fit_units(d: Dataset, cfg: LearnerConfig, folds: FoldAssignment) -> list[Callable]:
+def cross_fit_units(
+    d: Dataset, cfg: LearnerConfig, folds: FoldAssignment, raw: bool = False, kinds: int = 1
+) -> list[Callable]:
     """The fits of ``cross_fit_predict`` as zero-argument units, one per
-    stack of folds (``stacks``): each trains fold k's model on the other
-    folds, for every fold k of its stack, by one ``train_many`` call, and
-    returns their predictions of their folds.  A fold with fewer than 10
-    records to train on raises in its unit, before any fit."""
+    stack of fits (``stacks``, with the batch's ``kinds``): fold k's model
+    is trained on the other folds and predicts fold k.  With ``raw``, the
+    raw fit comes first: trained on every record, as ``train_any`` with
+    fold 0, it predicts every record.  Each unit trains its fits by one
+    ``train_many`` call, predicts by one ``predict_many`` call and returns
+    the predictions in input order.  A fold with fewer than 10 records to
+    train on raises in its unit, before any fit."""
+    ks = [None] * raw + list(range(folds.K))  # None: the raw fit
 
-    def stack_fit(ks: range) -> list[np.ndarray]:
-        train_rows = [folds.complement_indices(k) for k in ks]
-        for k, rows in zip(ks, train_rows):
-            if len(rows) < 10:
+    def stack_fit(stack: range) -> list[np.ndarray]:
+        fits = [ks[j] for j in stack]
+        train_rows = [None if k is None else folds.complement_indices(k) for k in fits]
+        for k, rows in zip(fits, train_rows):
+            if rows is not None and len(rows) < 10:
                 raise DataError(f"fold {k}: too few records to train on")
-        models = train_many([d.take(rows) for rows in train_rows], [cfg] * len(ks), ks)
-        return [model.predict_quads(d.take(folds.fold_indices(k))) for k, model in zip(ks, models)]
+        d_trains = [d if rows is None else d.take(rows) for rows in train_rows]
+        models = train_many(d_trains, [cfg] * len(fits), [k or 0 for k in fits])  # raw: fold 0
+        tests = [d if k is None else d.take(folds.fold_indices(k)) for k in fits]
+        return predict_many(models, tests)
 
-    return [functools.partial(stack_fit, ks) for ks in stacks(d, cfg, folds.K)]
+    return [functools.partial(stack_fit, stack) for stack in stacks(d, cfg, len(ks), kinds)]
 
 
 def merge_cross_fit(folds: FoldAssignment, fold_probs: Sequence[np.ndarray]) -> np.ndarray:

@@ -30,7 +30,13 @@ add per array and level, in the grower and in prediction alike; a forest
 turns each of its trees into the same form once.  Prediction compresses
 its design the same way and routes the distinct rows only; the sums are
 added in the order of the trees and scattered back to the records, so
-every bit equals a walk of each tree over each record.  ``TreeNode`` stays
+every bit equals a walk of each tree over each record.  The models of one
+stack predict together (``predict_stack``; ``predict_probs`` is its
+one-model call): each model's design is compressed on its own, the
+distinct rows of all of them are concatenated, and each round routes every
+item of every model, tree by row, in one call; each score adds the same
+leaf values in the same order as its model alone, so every model's
+probabilities are its own, bit for bit.  ``TreeNode`` stays
 the stored form of a tree: ``BoostModel.rounds`` builds it from the levels
 on first read, and ``from_doc`` turns it back into levels.
 """
@@ -54,6 +60,7 @@ __all__ = [
     "fit_forest",
     "fit_boosted",
     "fit_boosted_many",
+    "predict_stack",
 ]
 
 
@@ -385,17 +392,7 @@ class BoostModel:
         return [_trees_of(rnd)[trees] for rnd in self.levels]
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
-        bits, row_bit, inverse = _routing_rows(X)
-        k, m = self.n_classes, len(row_bit)
-        scores = np.repeat(self.init_scores[:, None], m, axis=1)  # (n_classes, m)
-        if self.learning_rate != 0.0:
-            # Item t * m + r: row r in class tree t.
-            root = np.repeat(np.arange(self.root, self.root + k), m)
-            item_bit = np.tile(row_bit, k)
-            for rnd in self.levels:
-                node = _route(rnd.splits, root, bits, item_bit)
-                scores += self.learning_rate * rnd.value.take(node, axis=0).reshape(k, m)
-        return _softmax(scores, axis=0).T[inverse]
+        return predict_stack([self], [X])[0]
 
     def to_doc(self) -> dict:
         return {
@@ -656,3 +653,41 @@ def fit_boosted(
     """The boosted model of one training block: ``fit_boosted_many`` of it alone."""
     (model,) = fit_boosted_many([(X, labels, w)], cfg, n_classes)
     return model
+
+
+def predict_stack(models: Sequence[BoostModel], designs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The class probabilities of ``designs[i]`` under ``models[i]``, for
+    models of one stack: they share their rounds' level arrays and their
+    learning rate.  Each design is compressed to its distinct rows on its
+    own and the rows are concatenated, model after model, so every round
+    routes every item of every model in one ``_route`` call.  Item
+    c * m + r stands for row r in class c's tree of r's model, and each
+    score adds the same leaf values in the same order as a model alone
+    would: the probabilities are bit for bit each model's own."""
+    first = models[0]
+    for model in models:
+        if (
+            model.learning_rate != first.learning_rate
+            or model.n_classes != first.n_classes
+            or len(model.levels) != len(first.levels)
+            or any(a is not b for a, b in zip(model.levels, first.levels))
+        ):
+            raise ValueError("predict_stack reads the models of one stack")
+    rows = [_routing_rows(X) for X in designs]
+    sizes = [len(row_bit) for _, row_bit, _ in rows]
+    k, m = first.n_classes, sum(sizes)
+    scores = np.repeat(
+        np.stack([model.init_scores for model in models], axis=1), sizes, axis=1
+    )  # (n_classes, m)
+    if first.learning_rate != 0.0:
+        offsets = np.cumsum([0] + [len(bits) for bits, _, _ in rows[:-1]])
+        bits = np.concatenate([bits for bits, _, _ in rows])
+        row_bit = np.concatenate([row_bit + at for (_, row_bit, _), at in zip(rows, offsets)])
+        row_root = np.repeat([model.root for model in models], sizes)
+        root = (row_root + np.arange(k)[:, None]).reshape(-1)
+        item_bit = np.tile(row_bit, k)
+        for rnd in first.levels:
+            node = _route(rnd.splits, root, bits, item_bit)
+            scores += first.learning_rate * rnd.value.take(node, axis=0).reshape(k, m)
+    probs = np.split(_softmax(scores, axis=0).T, np.cumsum(sizes)[:-1])
+    return [p[inverse] for p, (_, _, inverse) in zip(probs, rows)]

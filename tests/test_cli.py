@@ -541,8 +541,9 @@ class TestCommands:
     def test_report_runs_one_batch(self, workdir, tmp_path, monkeypatch, workers, n_workers):
         """The raw fit, the folds and the splits of report share one
         map_units call, whichever module calls it, and no worker outlives
-        the command.  On this 12-cell design the boosted folds, and the
-        splits, form one stack per worker."""
+        the command.  On this 12-cell design the raw fit joins the boosted
+        folds' stack, and the folds and the splits share the workers: one
+        stack each on one or two workers."""
         workers(n_workers)
         batches = []
         map_units = parallel.map_units
@@ -556,21 +557,24 @@ class TestCommands:
         doc = base_config(workdir, tmp_path / "o", folds=3, sorted_splits=4)
         res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "report")
         assert res.exit_code == 0, res.output
-        assert batches == [1 + n_workers + n_workers]
+        assert batches == [2]
         assert multiprocessing.active_children() == []
 
-    def test_report_bytes_do_not_depend_on_the_stacks(self, workdir, tmp_path, workers):
-        """One worker stacks the folds, and the splits, into one unit each;
-        two workers into two each.  Both write the same manifest."""
+    @pytest.mark.parametrize("command", ["report", "estimate"])
+    def test_report_bytes_do_not_depend_on_the_stacks(self, workdir, tmp_path, workers, command):
+        """Report stacks the raw fit and the folds into one unit and the
+        splits into another on one or two workers, and each into two on
+        four; estimate stacks the raw fit and the folds into one unit per
+        worker.  Every worker count writes the same manifest."""
         doc = base_config(workdir, tmp_path / "o", folds=3, sorted_splits=4)
         config = _write_config(tmp_path / "c.yaml", doc)
         manifests = []
-        for n_workers in (1, 2):
+        for n_workers in (1, 2, 4):
             workers(n_workers)
-            res = run_cmd(config, "report")
+            res = run_cmd(config, command)
             assert res.exit_code == 0, res.output
             manifests.append((tmp_path / "o" / "manifest.json").read_bytes())
-        assert manifests[0] == manifests[1]
+        assert manifests[0] == manifests[1] == manifests[2]
 
     @pytest.mark.parametrize("command", ["hyperopt", "importance", "test-sorted", "report"])
     def test_run_builds_plan_and_sorted_config_once(self, workdir, tmp_path, monkeypatch, command):

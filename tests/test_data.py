@@ -99,6 +99,27 @@ class TestDataset:
         with pytest.raises(DataError, match="must be 0 or 1"):
             Dataset(small_schema, cov, np.array([0]), np.array([2]), np.array([0.5]))
 
+    def test_take_is_the_validated_subset(self, small_schema):
+        """A subset of a validated dataset is not checked again, yet holds
+        the arrays, dtypes and read-only flags that the validating
+        constructor gives it; an empty subset is refused, and a direct
+        construction of invalid records still raises its message."""
+        d = toy_dataset(small_schema, n=40, seed=3)
+        idx = np.array([5, 0, 39, 5, 17])
+        sub = d.take(idx)
+        ref = Dataset(small_schema, d.covariates[idx], d.c[idx], d.r[idx], d.w[idx])
+        assert sub.schema is d.schema
+        for name in ("covariates", "c", "r", "w"):
+            got, want = getattr(sub, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.flags.writeable is want.flags.writeable is False
+            assert not np.shares_memory(got, getattr(d, name))
+        assert d.take([3]).n == 1
+        with pytest.raises(DataError, match="^dataset must be nonempty$"):
+            d.take([])
+        with pytest.raises(DataError, match="^row 2: column w must lie in \\(0, 1\\]$"):
+            Dataset(small_schema, d.covariates[:2], d.c[:2], d.r[:2], np.array([0.5, 1.5]))
+
     def test_class_labels(self, small_schema):
         d = Dataset(
             small_schema,

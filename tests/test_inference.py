@@ -254,6 +254,25 @@ class TestSharedDraws:
         assert results == [oracle_intersection_test(inp) for inp in batch]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3000),
+    st.integers(1, 50),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_quantiles_of_the_sorted_vector_are_the_quantiles(n, n_values, levels, seed):
+    """``_tests_on_one_draw`` takes its quantiles from a sorted copy of each
+    max vector: over random lengths, ties (n draws of n_values values) and
+    levels, they are the bits of ``np.quantile`` of the vector unsorted."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n_values)[rng.integers(0, n_values, n)]
+    levels = levels + [1.0 - levels[0]]
+    assert np.quantile(np.sort(values), levels).tobytes() == np.quantile(values, levels).tobytes()
+    for q in levels:
+        assert np.quantile(np.sort(values), q).tobytes() == np.quantile(values, q).tobytes()
+
+
 def lone_split(d, cfg, child):
     """A split of a one-learner grid as ``sorted_groups_run`` makes it, on
     its own: each draw's learner is a ``train_any`` fit of its aux half,
@@ -267,7 +286,8 @@ def lone_split(d, cfg, child):
         model = L.train_any(d.take(perm[n_main:]), learner)
         try:
             main = d.take(perm[:n_main])
-            return inference._split_result(model, main, cfg, perm[:n_main]), redraws
+            probs = model.predict_quads(main)
+            return inference._split_result(probs, main, cfg, perm[:n_main]), redraws
         except DataError:
             pass
     raise AssertionError("no usable draw")

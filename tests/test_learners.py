@@ -3,21 +3,32 @@ import pytest
 
 from conftest import constant_model_loss, groupings
 from pcptest import learners as L
-from pcptest.data import DataError, FoldAssignment, SplitPlan, make_folds, split
+from pcptest.data import (
+    CategoricalSchema,
+    DataError,
+    Dataset,
+    FoldAssignment,
+    SplitPlan,
+    make_folds,
+    split,
+)
 from pcptest.learners import (
     KINDS,
     ClassifierModel,
     HyperoptReport,
     cross_entropy_loss,
     cross_fit_predict,
+    cross_fit_units,
     default_grid,
     feature_group_importance,
     hyperopt,
     impurity_importance,
     load_model,
+    predict_many,
     save_model,
     stacks,
     train_any,
+    train_many,
 )
 from pcptest.network import NetworkConfig
 from pcptest.trees import BoostConfig, ForestConfig
@@ -292,6 +303,28 @@ class TestStackedFolds:
         assert stacks(small_dataset, FAST_BOOST, 5) == [range(0, 3), range(3, 5)]
         assert stacks(small_dataset, FAST_BOOST, 1) == [range(0, 1)]
 
+    @pytest.mark.parametrize(
+        "n_workers, kinds, expected",
+        [
+            (1, 1, [(0, 6)]),
+            (1, 2, [(0, 6)]),
+            (2, 1, [(0, 3), (3, 6)]),
+            (2, 2, [(0, 6)]),
+            (4, 1, [(0, 2), (2, 3), (3, 5), (5, 6)]),
+            (4, 2, [(0, 3), (3, 6)]),
+        ],
+    )
+    def test_stacks_share_the_workers_among_the_kinds(
+        self, small_dataset, workers, n_workers, kinds, expected
+    ):
+        """Each kind of stacking fit in a batch gets max(1, workers //
+        kinds) stacks of its 6 fits; a lone fit is one stack whatever the
+        share, and a family that does not stack keeps one fit per stack."""
+        workers(n_workers)
+        assert stacks(small_dataset, FAST_BOOST, 6, kinds) == [range(a, b) for a, b in expected]
+        assert stacks(small_dataset, FAST_BOOST, 1, kinds) == [range(0, 1)]
+        assert stacks(small_dataset, FAST_FOREST, 3, kinds) == [range(i, i + 1) for i in range(3)]
+
     def test_a_stack_fits_one_config(self, small_dataset):
         """Boosted configs may differ in their seeds only, and a stack
         holds one family."""
@@ -323,6 +356,41 @@ class TestStackedFolds:
         for grouping in groupings(folds.K):
             monkeypatch.setattr(L, "stacks", lambda *args, g=grouping: g)
             assert cross_fit_predict(d, cfg, folds).tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("cfg", [FAST_BOOST, FAST_FOREST], ids=["boosted", "forest"])
+    def test_the_raw_fit_joins_the_folds(self, small_dataset, cfg, monkeypatch, workers):
+        """With the raw fit, the units' predictions are the raw train_any
+        fit's of every record, then each fold's of its fold, under every
+        grouping of the five fits."""
+        workers(1)
+        d = small_dataset
+        folds = make_folds(d, 4, seed=2)
+        lone = [train_any(d, cfg).predict_quads(d)]
+        for k in range(folds.K):
+            model = train_any(d.take(folds.complement_indices(k)), cfg, fold=k)
+            lone.append(model.predict_quads(d.take(folds.fold_indices(k))))
+        for grouping in groupings(folds.K + 1):
+            monkeypatch.setattr(L, "stacks", lambda *args, g=grouping: g)
+            units = cross_fit_units(d, cfg, folds, raw=True)
+            got = [probs for unit in units for probs in unit()]
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in lone]
+
+    @pytest.mark.parametrize("cfg", [FAST_BOOST, FAST_FOREST], ids=["boosted", "forest"])
+    def test_predict_many_gives_each_models_bits(self, small_dataset, cfg):
+        """The models of one train_many call predict their datasets as each
+        alone would; a dataset of another schema is refused."""
+        d = small_dataset
+        subsets = [d.take(np.arange(a, a + 900)) for a in (0, 700, 2100)]
+        models = train_many(subsets, [cfg] * 3)
+        tests = [d.take(np.arange(a, a + 50)) for a in (2900, 0, 1000)]
+        got = predict_many(models, tests)
+        for model, test, probs in zip(models, tests, got):
+            assert probs.tobytes() == model.predict_quads(test).tobytes()
+        other = Dataset(
+            CategoricalSchema((("x", (0, 1)),)), np.zeros((1, 1), int), d.c[:1], d.r[:1], d.w[:1]
+        )
+        with pytest.raises(DataError, match="schema does not match"):
+            predict_many(models[:1], [other])
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_too_few_records_raise_first_in_input_order(

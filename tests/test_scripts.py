@@ -1,9 +1,9 @@
 """Every experiment script still imports and parses its options: each
 ``--help`` runs in a fresh interpreter with the package's sources on the
 path and must exit 0.  The recovery experiment also runs for real, on a
-few small replicates, and the output comparison compares one checkout
-with itself, runs every workload at every seed asked for, and counts the
-cells of two CSV files that differ."""
+few small replicates, the output comparison compares one checkout with
+itself, runs every workload at every seed asked for, and counts the cells
+of two CSV files that differ, and the batch timeline times one report."""
 
 import importlib.util
 import json
@@ -59,6 +59,29 @@ def test_compare_outputs_finds_a_checkout_equal_to_itself():
         "report-demo12-boosted seed 2: 20 files in the parent's output, 20 in the change's, 0 differ"
     )
     assert sum(line.startswith("same ") for line in lines) == 20
+
+
+def test_batch_timeline_times_the_units_and_the_stages():
+    """One in-process report: a row per pool unit with its worker's pid,
+    start, end and arrival, each unit ending after it starts, and the
+    parent's four stages."""
+    res = run_script(ROOT / "scripts" / "batch_timeline.py", "report-demo12-boosted", "--seed", "2")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0].startswith("report-demo12-boosted seed 2: report, ")
+    assert lines[1].startswith("batch 1: ") and lines[2].split() == [
+        "unit", "pid", "start", "end", "arrived"
+    ]
+    n_units = int(lines[1].split()[2])
+    rows = [line.split() for line in lines[3 : 3 + n_units]]
+    assert [int(row[0]) for row in rows] == list(range(n_units))
+    for _, pid, start, end, arrived in rows:
+        assert int(pid) > 0 and 0.0 <= float(start) <= float(end) <= float(arrived)
+    assert lines[3 + n_units : 5 + n_units] == [
+        "parent stages:", f"  {'stage':<20}  {'start':>9}  {'end':>9}"
+    ]
+    stages = [line.split()[0] for line in lines[5 + n_units :]]
+    assert stages == ["load_dataset", "_write_estimates", "_write_intersection", "_write_sorted"]
 
 
 def load_script(name):

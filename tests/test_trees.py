@@ -24,6 +24,7 @@ from pcptest.trees import (
     fit_boosted,
     fit_boosted_many,
     fit_forest,
+    predict_stack,
 )
 
 
@@ -727,3 +728,47 @@ class TestStackedFits:
         assert depths[0] == 0 and 0 < depths[1] < depths[2] == 4
         for model, lone_model in zip(models, lone):
             assert_same_model(model, lone_model, [X])
+
+
+# ---------------------------------------------------------------------------
+# Stacked prediction: the models of one stack route all their rows at once,
+# and each model's probabilities are bit for bit its own predict_probs.
+
+
+@st.composite
+def stacked_predictions(draw):
+    """A stacked problem and one design per block to predict: random rows
+    on the same columns, most of them absent from every training block."""
+    blocks, cfg, n_classes = draw(stacked_problems())
+    n_cols = blocks[0][0].shape[1]
+    designs = []
+    for _ in blocks:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(1, 40))
+        designs.append(np.column_stack([np.ones(n), rng.integers(0, 2, (n, n_cols - 1))]))
+    return blocks, cfg, n_classes, designs
+
+
+class TestStackedPrediction:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stacked_predictions())
+    def test_each_model_predicts_its_own_bits(self, problem):
+        blocks, cfg, n_classes, designs = problem
+        models = fit_boosted_many(blocks, cfg, n_classes)
+        stacked = predict_stack(models, designs)
+        assert len(stacked) == len(models)
+        for model, X, probs in zip(models, designs, stacked):
+            lone = model.predict_probs(X)
+            assert probs.shape == lone.shape == (len(X), n_classes)
+            assert probs.tobytes() == lone.tobytes()
+        # Any subset of a stack, in any order, is a stack too.
+        reverse = predict_stack(models[::-1], designs[::-1])
+        assert [p.tobytes() for p in reverse] == [p.tobytes() for p in stacked[::-1]]
+
+    def test_models_of_different_stacks_are_refused(self, small_dataset):
+        block = _block(small_dataset)
+        cfg = BoostConfig(n_rounds=2, max_depth=2)
+        (a, b), (c,) = fit_boosted_many([block, block], cfg), fit_boosted_many([block], cfg)
+        assert len(predict_stack([a, b], [block[0], block[0]])) == 2
+        with pytest.raises(ValueError, match="one stack"):
+            predict_stack([a, c], [block[0], block[0]])
