@@ -56,6 +56,10 @@ MANIFEST_FILE_VERSION = 1
 
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
+# The integer fields of a run config, whose types are checked before any
+# other value.
+INTEGER_FIELDS = ("seed", "n", "folds", "mc_draws", "sorted_splits", "sorted_groups")
+
 
 @dataclass
 class RunConfig:
@@ -87,6 +91,18 @@ class RunConfig:
     hyperopt_grid: str = "default"  # "default" or "singleton"
 
     def __post_init__(self) -> None:
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DataError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be at least 0, got {self.seed}")
+        if not isinstance(self.group_features, tuple) or not all(
+            isinstance(name, str) for name in self.group_features
+        ):
+            raise DataError(
+                f"group_features must be a list of feature names, got {self.group_features!r}"
+            )
         if not self.levels:
             raise DataError("no test levels configured")
         for a in self.levels:

@@ -25,7 +25,6 @@ __all__ = [
     "SyntheticDGP",
     "GroundTruth",
     "InfeasibleCellError",
-    "true_prob_quad",
     "sample_dataset",
 ]
 
@@ -210,12 +209,6 @@ def _quads_for_rows(
     return np.clip(quads, 0.0, 1.0)
 
 
-def true_prob_quad(dgp: SyntheticDGP, x: tuple[int, ...]) -> np.ndarray:
-    """Exact (p00, p01, p10, p11) for covariate cell ``x``."""
-    cells = np.asarray(x).reshape(1, -1)
-    return _quads_for_rows(dgp, encode_rows(dgp.schema, cells), cells)[0]
-
-
 def _all_cells_array(schema) -> np.ndarray:
     """Every covariate cell in lexicographic feature order, shape (n_cells, n_features)."""
     sizes = [len(codes) for _, codes in schema.features]
@@ -233,6 +226,21 @@ def _cell_probability(dgp: SyntheticDGP, cells: np.ndarray) -> np.ndarray:
         lut[np.asarray(codes, dtype=np.int64)] = dgp.marginals[j]
         probs *= lut[cells[:, j]]
     return probs
+
+
+def _cell_keys(schema: CategoricalSchema, cells: np.ndarray) -> np.ndarray:
+    """One mixed-radix integer per row of ``cells``: feature j's digit is
+    the rank of its code among the schema's codes.  A row with a code
+    outside the schema gets -1."""
+    keys = np.zeros(len(cells), dtype=np.int64)
+    known = np.ones(len(cells), dtype=bool)
+    for j, (_, codes) in enumerate(schema.features):
+        sorted_codes = np.sort(np.asarray(codes, dtype=np.int64))
+        rank = np.searchsorted(sorted_codes, cells[:, j]).clip(max=len(codes) - 1)
+        known &= sorted_codes.take(rank) == cells[:, j]
+        keys *= len(codes)
+        keys += rank
+    return np.where(known, keys, -1)
 
 
 _GROUND_TRUTH_CHUNK = 65536
@@ -255,9 +263,19 @@ class GroundTruth:
     def record_values(
         self, covariates: np.ndarray, which: str = "correlation"
     ) -> np.ndarray:
+        """The truth of each record's cell: one mixed-radix key per record,
+        found among the cells' sorted keys, and one ``take``."""
         table = {"correlation": self.correlation, "covariance": self.covariance}[which]
-        lut = self.lookup()
-        return np.array([table[lut[tuple(int(v) for v in cov)]] for cov in covariates])
+        cells = np.asarray(self.cells, dtype=np.int64).reshape(len(self.cells), -1)
+        keys = _cell_keys(self.schema, cells)
+        order = np.argsort(keys)
+        keys = keys[order]
+        wanted = _cell_keys(self.schema, np.asarray(covariates, dtype=np.int64))
+        at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        missing = keys.take(at) != wanted
+        if missing.any():
+            raise KeyError(tuple(int(v) for v in covariates[np.argmax(missing)]))
+        return table.take(order.take(at))
 
     def save_csv(self, path: str) -> None:
         import csv

@@ -12,14 +12,19 @@ with their record counts and per-class weight masses, and grows the trees
 of a round together, one depth level at a time; tree t is the pair
 (block f, class k), t = f * n_classes + k, so each block's nodes are
 contiguous at every level.  A few bincounts over (node, active column)
-pairs give every open node's split histogram, in the manner of LightGBM's
-histogram split finding.  The roots' count and weight histograms depend
-on the data alone and are summed once per fit; a leaf keeps its rows as a
-node of every later level, so no level gathers the open rows; the last
-level sums only the gradient and the hessian.  Every bin sums the same
-values in the same order as a per-level pass over one block's open rows
-would, so each block's trees are bit-identical to its lone fit's, and to
-such a pass.
+pairs give every node's split histogram, in the manner of LightGBM's
+histogram split finding.  The split search reads each block's weights
+and gradient on a fixed-point grid of that block, so every histogram bin
+is an exact sum, the same in any order.  At many distinct rows, a level
+below the root sums only its right children, the rows whose split column
+is active, and takes each left child's histogram as its parent's less its
+sibling's (LightGBM's subtraction); at few rows, it sums every node
+directly, in fewer numpy calls.  The roots' count and weight histograms
+depend on the data alone and are summed once per fit; a leaf keeps its
+rows as a node of every later level, so no level gathers the open rows;
+the leaf values are the raw gradient's and hessian's sums, summed at the
+last level alone.  Each block's trees are therefore bit-identical to its
+lone fit's, whichever way each level was summed.
 
 A boosting round is kept as the grower leaves it: for each splitting
 level, the split column of every node at that level (0 at a leaf) and the
@@ -413,10 +418,17 @@ class BoostModel:
         )
 
 
+# Above this many entries, the grower sums only the right children's
+# histograms below the root, and takes each left child's as its parent's
+# less its sibling's; at fewer, fewer numpy calls sum every node's.  The
+# two sides run at the same speed near 4096 entries (one core).
+SUBTRACT_MIN_ENTRIES = 4096
+
+
 class _DistinctRows:
     """The designs of several training blocks, each compressed to its
-    distinct rows, with the flat histogram entries that the level-wise
-    grower sums over.
+    distinct rows, with the (item, active column) entries that the
+    level-wise grower sums its histograms over.
 
     Records that share a design row share every split decision and every
     score, so a boosting round needs only each row's record count, total
@@ -426,18 +438,24 @@ class _DistinctRows:
     m counts them all.  Tree t = f * n_classes + k is class k's tree of
     block f, so the trees of one block, and their nodes at every level,
     are contiguous.  The trees of a round are grown together; item
-    k * m + r stands for row r in class k's tree of r's block, and an entry
-    is one (item, active candidate column) pair.  M, the scores, the
-    gradient and the hessian are laid out the same way, class-major.  A
-    node's items are its block's rows in the order of a lone block, so
-    every bin sums the same values in the same order as a lone fit would.
+    k * m + r stands for row r in class k's tree of r's block.  M, the
+    scores, the gradient and the hessian are laid out the same way,
+    class-major.  Row i of ``item_cols`` holds item i's active columns,
+    column 0 first and always, padded to a common width with column 0 at
+    zero weight: a histogram's column 0 is its node's total.
 
-    The root of every tree holds all rows of its block, so its record
-    count, its W and their histograms depend on the data alone, and so do
-    the splits that leave min_leaf records on each side.  They are summed
-    here once per block, from class 0's entries, whose rows come in the
-    same order as every other class's, and shared by the roots of all
-    rounds.
+    The split search reads W and the gradient on a fixed-point grid of
+    their block: multiples of 2^-k, with 2^(51 - k) above the block's total
+    weight.  Every partial sum of a histogram bin is then a multiple of
+    2^-k below 2^(53 - k), so it is exact in any order: a bin has the same
+    bits whether it adds its entries directly, in any order, or is a
+    parent's bin less its sibling's.  Columns that cut a node the same way
+    tie exactly, and each block's splits are those of its lone fit.
+
+    The root of every tree holds all rows of its block, so its count and W
+    histograms depend on the data alone, and so do the splits that leave
+    min_leaf records on each side.  They are summed here once per block
+    and shared by the roots of all rounds.
     """
 
     def __init__(
@@ -458,56 +476,78 @@ class _DistinctRows:
             )
             active.append(rows)
             counts.append(row_counts)
-        self.block = np.repeat(np.arange(len(blocks)), [len(c) for c in counts])  # of each row
+        sizes = [len(c) for c in counts]
+        self.block = np.repeat(np.arange(len(blocks)), sizes)  # of each row
         active = np.concatenate(active)  # (m, n_cols)
         counts = np.concatenate(counts).astype(np.float64)
         m, n_cols = active.shape
         self.m, self.n_classes, self.n_cols = m, n_classes, n_cols
         self.n_blocks, self.min_leaf = len(blocks), min_leaf
         self.W, self.M = np.concatenate(W), np.concatenate(M, axis=1)
-        self.item_count = np.tile(counts, n_classes)
-        self.item_W = np.tile(self.W, n_classes)
+        total = np.bincount(self.block, weights=self.W, minlength=self.n_blocks)
+        self.scale = np.ldexp(1.0, 51 - np.frexp(total)[1]).take(self.block)  # 2^k of each row
 
-        # Entries are ordered by class, then row, then column, so the
-        # histogram bins of two columns that cover the same rows of a node
-        # are summed in the same order and tie exactly.
-        r, c = np.nonzero(active[:, 1:])  # the constant column never splits
-        c += 1
-        self.entry_item = (np.arange(n_classes)[:, None] * m + r).reshape(-1)
-        self.entry_col = np.tile(c, n_classes)
-        self.entry_count = self.item_count[self.entry_item]
-        self.entry_W = self.item_W[self.entry_item]
+        # Each row's active columns in column order, column 0 first.
+        active[:, 0] = True
+        order = np.argsort(~active, axis=1, kind="stable")[:, : active.sum(axis=1).max()]
+        real = np.take_along_axis(active, order, axis=1)  # False: padding
+        cols = np.where(real, order, 0)
+        entry_count = counts[:, None] * real
+        entry_W = self.quantize(self.W)[:, None] * real
 
-        self.bits, row_bit = _flat_bits(active)
-        self.item_bit = np.tile(row_bit, n_classes)
+        def per_item(a: np.ndarray) -> np.ndarray:
+            return np.tile(a, (n_classes, 1))
+
+        self.item_cols, self.entry_real = per_item(cols), per_item(real)
+        self.entry_count, self.entry_W = per_item(entry_count), per_item(entry_W)
 
         # The roots: tree f * n_classes + k is node f * n_classes + k of level 0.
         self.root_block = np.repeat(np.arange(self.n_blocks), n_classes)
         self.root_node = (self.block * n_classes + np.arange(n_classes)[:, None]).reshape(-1)
-        self.root_key = self.root_node[self.entry_item] * n_cols + self.entry_col
-        block_col = self.block[r] * n_cols + c
+        self.subtract = self.entry_real.size > SUBTRACT_MIN_ENTRIES
+        if self.subtract:  # the roots' gradient sums are matrix products
+            self.design = active.astype(np.float64)
+            ends = np.cumsum(sizes)
+            self.block_rows = [slice(end - size, end) for end, size in zip(ends, sizes)]
+        else:
+            self.root_key = self.entry_keys(self.root_node, self.item_cols)
+        block_key = self.entry_keys(self.block, cols)
+        block_hist = _histograms(block_key, [entry_count, entry_W], self.n_blocks, n_cols)
+        self.root_hist = np.repeat(block_hist, n_classes, axis=1)  # count and W, per tree
+        self.root_valid = _valid_splits(self.root_hist[0], min_leaf)
+        self.bits, row_bit = _flat_bits(active)
+        self.item_bit = np.tile(row_bit, n_classes)
 
-        def per_root(weights: np.ndarray, key: np.ndarray, width: int) -> np.ndarray:
-            """Each block's sums over its rows, repeated for its class trees."""
-            sums = np.bincount(key, weights=weights, minlength=self.n_blocks * width)
-            return np.repeat(sums.reshape(self.n_blocks, width), n_classes, axis=0)
+    def quantize(self, x: np.ndarray) -> np.ndarray:
+        """x (..., m) rounded to each row's block's grid."""
+        return np.rint(x * self.scale) / self.scale
 
-        root_count = per_root(counts, self.block, 1)[:, 0]
-        root_n_r = per_root(counts[r], block_col, n_cols)
-        self.root_W = per_root(self.W, self.block, 1)[:, 0]
-        self.root_W_r = per_root(self.W[r], block_col, n_cols)
-        self.root_W_l = self.root_W[:, None] - self.root_W_r
-        self.root_can_split = root_count >= 2 * min_leaf
-        self.root_valid = _valid_splits(root_n_r, root_count, self.root_can_split, min_leaf)
+    def root_sums(self, x: np.ndarray) -> np.ndarray:
+        """The (n_blocks * n_classes, n_cols) sums of x (n_classes, m) over
+        each root's rows with each column active, one matrix product per
+        block; exact for x on the grid."""
+        return np.concatenate([x[:, rows] @ self.design[rows] for rows in self.block_rows])
+
+    def entry_keys(self, node: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The histogram bin, node * n_cols + column, of every entry of the
+        items at the given nodes, whose columns are ``cols``."""
+        return ((node * self.n_cols)[:, None] + cols).reshape(-1)
 
 
-def _valid_splits(
-    n_r: np.ndarray, count: np.ndarray, can_split: np.ndarray, min_leaf: int
+def _histograms(
+    key: np.ndarray, weights: Sequence[np.ndarray], n_nodes: int, n_cols: int
 ) -> np.ndarray:
-    """The (node, column) splits that leave min_leaf records on each side."""
-    valid = (n_r >= min_leaf) & (count[:, None] - n_r >= min_leaf) & can_split[:, None]
-    valid[:, 0] = False
-    return valid
+    """The (len(weights), n_nodes, n_cols) sums of each weight over the
+    entries' bins."""
+    sums = [np.bincount(key, weights=w.reshape(-1), minlength=n_nodes * n_cols) for w in weights]
+    return np.concatenate(sums).reshape(len(weights), n_nodes, n_cols)
+
+
+def _valid_splits(n_r: np.ndarray, min_leaf: int) -> np.ndarray:
+    """The (node, column) splits that leave min_leaf records on each side,
+    from the record counts of each column's right side.  Column 0, the
+    node's own count, leaves no record on the left."""
+    return (n_r >= min_leaf) & (n_r <= (n_r[:, 0] - min_leaf)[:, None])
 
 
 def _grow_round(
@@ -524,84 +564,109 @@ def _grow_round(
     Each tree fits grad/w by weighted least-squares splits and its leaves
     take the Newton step sum(grad) / sum(hess).  Weighted SSE reduction
     reduces to S_R^2/W_R + S_L^2/W_L - S^2/W with S = sum(grad) and
-    W = sum(w); record counts serve ``rows.min_leaf``.  For all nodes of a
-    level, bincounts over the items give the count, W, S and H of every
-    node, and three bincounts over the key (node * n_cols + column) give
-    the count, W and S of every candidate column's right side at once.
-    The root's count and W, and its valid splits, come from ``rows``; H is
-    summed at the last level alone.
+    W = sum(w); record counts serve ``rows.min_leaf``.  The split search
+    reads W and the gradient on the grids of ``rows``, so its sums are
+    exact.  For all nodes of a level, three bincounts over the key
+    (node * n_cols + column) give the count, W and S of every candidate
+    column's right side, and in column 0 the node's own.  The root's count
+    and W histograms come from ``rows``.  At many entries, the roots' S
+    histograms are one matrix product per block, and below the root only
+    the right children, the items whose split column is active, are
+    summed: each left child is its parent less its sibling, and a leaf
+    keeps its parent's sums.
 
     A leaf stays a node of every later level, with its rows, so every item
-    always has a node and no pass gathers the open ones.  A bin sums its
-    items in item order, so the leaf's S and H, and its value, come out
-    the same at every level; the leaf values of all nodes, and of all rows,
-    are read once, at the last level.  A block whose trees stop splitting
-    keeps its leaves, one node each, while the other blocks grow on, so its
-    trees are those of its lone fit, each leaf carried down to the last
-    level.  Splits add their gains to their block's row of ``importance``
-    in node order, as in a lone fit.
+    always has a node and no pass gathers the open ones; its exact sums,
+    and so its gains, repeat at each later level, so it never splits
+    there.  The leaf values
+    are the raw gradient's and hessian's sums, read once, at the last
+    level; a node sums its items in item order, so a leaf value has the
+    bits of a lone fit's.  A block whose trees stop splitting keeps its
+    leaves, one node each, while the other blocks grow on, so its trees
+    are those of its lone fit, each leaf carried down to the last level.
+    Splits add their gains to their block's row of ``importance`` in node
+    order, as in a lone fit.
     """
     n_cols, min_leaf = rows.n_cols, rows.min_leaf
-    item_grad = grad.reshape(-1)
-    item_hess = hess.reshape(-1)
-    entry_grad = item_grad[rows.entry_item]
+    q = rows.quantize(grad)
+    if not rows.subtract:
+        entry_grad = q.reshape(-1, 1) * rows.entry_real  # every entry's, once a round
     splits = []
     row_of_node = rows.root_block * n_cols  # each node's block, as its first entry of importance
-    is_open = np.ones(len(row_of_node), dtype=bool)  # False: a leaf of an earlier level
     node_of = rows.root_node
 
-    for depth in range(max_depth + 1):
-        n_nodes = len(is_open)
-        S = np.bincount(node_of, weights=item_grad, minlength=n_nodes)
-        if depth == max_depth:
-            break
+    for depth in range(max_depth):
+        n_nodes = len(row_of_node)
         if depth == 0:  # the root's counts and weights depend on the data alone
-            W, key, can_split = rows.root_W, rows.root_key, rows.root_can_split
+            if rows.subtract:
+                S_r = rows.root_sums(q)[None]
+            else:
+                S_r = _histograms(rows.root_key, [entry_grad], n_nodes, n_cols)
+            hist = np.concatenate([rows.root_hist, S_r])
+            valid = rows.root_valid
         else:
-            count = np.bincount(node_of, weights=rows.item_count, minlength=n_nodes)
-            W = np.bincount(node_of, weights=rows.item_W, minlength=n_nodes)
-            key = (node_of * n_cols).take(rows.entry_item)
-            key += rows.entry_col
-            can_split = (count >= 2 * min_leaf) & is_open
-        if not can_split.any():
+            if rows.subtract:
+                hist = _subtracted(rows, hist, split, splits[-1][1], node_of, q.reshape(-1))
+            else:
+                key = rows.entry_keys(node_of, rows.item_cols)
+                hist = _histograms(key, [rows.entry_count, rows.entry_W, entry_grad], n_nodes, n_cols)
+            valid = _valid_splits(hist[0], min_leaf)
+        if not valid.any():
             break
 
-        def hist(weights: np.ndarray) -> np.ndarray:
-            return np.bincount(key, weights=weights, minlength=n_nodes * n_cols).reshape(
-                n_nodes, n_cols
-            )
-
-        if depth == 0:
-            W_r, W_l, valid = rows.root_W_r, rows.root_W_l, rows.root_valid
-        else:
-            n_r, W_r = hist(rows.entry_count), hist(rows.entry_W)
-            W_l = W[:, None] - W_r
-            valid = _valid_splits(n_r, count, can_split, min_leaf)
-        S_r = hist(entry_grad)
-        S_l = S[:, None] - S_r
+        W_r, S_r = hist[1], hist[2]
+        W, S = W_r[:, 0], S_r[:, 0]
         gains = (
             S_r**2 / np.maximum(W_r, PROB_CLIP)
-            + S_l**2 / np.maximum(W_l, PROB_CLIP)
+            + (S[:, None] - S_r) ** 2 / np.maximum(W[:, None] - W_r, PROB_CLIP)
             - (S**2 / W)[:, None]
         )
         gains = np.where(valid, gains, -np.inf)
         best = gains.argmax(axis=1)  # ties go to the lowest column
         best_gain = gains[np.arange(n_nodes), best]
-        split_col = np.where(best_gain > 1e-12, best, 0)  # 0 marks a leaf
-        split = split_col > 0
+        split = best_gain > 1e-12
         if not split.any():
             break
+        split_col = best * split  # 0 marks a leaf
         np.add.at(importance, row_of_node[split] + split_col[split], best_gain[split])
         splits.append((split_col, _first_child(split_col)))
         node_of = _route(splits[-1:], node_of, rows.bits, rows.item_bit)
-        is_open = np.repeat(split, split + 1)
         row_of_node = np.repeat(row_of_node, split + 1)
 
     # The level the loop stopped at holds every leaf.
-    H = np.bincount(node_of, weights=item_hess, minlength=n_nodes)
+    n_nodes = len(row_of_node)
+    S = np.bincount(node_of, weights=grad.reshape(-1), minlength=n_nodes)
+    H = np.bincount(node_of, weights=hess.reshape(-1), minlength=n_nodes)
     values = S / np.maximum(H, PROB_CLIP)
     leaf_value = values.take(node_of).reshape(rows.n_classes, rows.m)
     return _Levels(tuple(splits), values[:, None]), leaf_value
+
+
+def _subtracted(
+    rows: _DistinctRows,
+    parent: np.ndarray,
+    split: np.ndarray,
+    first: np.ndarray,
+    node_of: np.ndarray,
+    item_grad: np.ndarray,
+) -> np.ndarray:
+    """The count, W and S histograms of a level's nodes from those of the
+    level above (``parent``): each right child's summed over its items,
+    each left child's as its parent's less its sibling's, and each leaf's
+    its parent's."""
+    left = first[split]
+    right = left + 1
+    is_right = np.zeros(len(first) + len(right), dtype=bool)
+    is_right[right] = True
+    items = np.flatnonzero(is_right.take(node_of))
+    key = rows.entry_keys(node_of.take(items), rows.item_cols.take(items, axis=0))
+    weights = [a.take(items, axis=0) for a in (rows.entry_count, rows.entry_W)]
+    weights.append(item_grad.take(items)[:, None] * rows.entry_real.take(items, axis=0))
+    direct = _histograms(key, weights, len(is_right), rows.n_cols)[:, right]
+    hist = np.repeat(parent, split + 1, axis=1)
+    hist[:, right] = direct
+    hist[:, left] -= direct
+    return hist
 
 
 def fit_boosted_many(

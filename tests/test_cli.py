@@ -870,6 +870,43 @@ class TestExitCodes:
         assert line.startswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"seed": -1}, "seed must be at least 0, got -1"),
+            ({"folds": 2.5}, "folds must be an integer, got 2.5"),
+            ({"mc_draws": 100.5}, "mc_draws must be an integer, got 100.5"),
+            ({"sorted_splits": 2.5}, "sorted_splits must be an integer, got 2.5"),
+            ({"sorted_groups": True}, "sorted_groups must be an integer, got True"),
+            ({"group_features": "ab"}, "group_features must be a list of feature names, got 'ab'"),
+        ],
+        ids=["negative-seed", "folds", "mc_draws", "sorted_splits", "sorted_groups", "features"],
+    )
+    def test_ill_typed_entries_are_validation_errors(
+        self, workdir, tmp_path, monkeypatch, entry, message
+    ):
+        """A value of the wrong type or sign is one line naming its key,
+        exit 1 and no output, before the dataset is read."""
+        monkeypatch.setattr(cli, "load_dataset", lambda cfg: pytest.fail("read the dataset"))
+        out = tmp_path / "o"
+        doc = base_config(workdir, out, **entry)
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "test-intersection")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line == f"error: {message}"
+        assert not out.exists()
+
+    def test_negative_seed_option_is_validation_error(self, workdir, tmp_path):
+        out = tmp_path / "o"
+        p = _write_config(tmp_path / "c.yaml", base_config(workdir, out))
+        res = CliRunner().invoke(main, ["--config", p, "--seed", "-1", "test-intersection"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line == "error: seed must be at least 0, got -1"
+        assert not out.exists()
+
     def test_duplicate_column_is_validation_error(self, workdir, tmp_path):
         with open(workdir["dataset"]) as fh:
             lines = fh.read().splitlines()

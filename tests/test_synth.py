@@ -10,14 +10,27 @@ from pcptest.synth import (
     RhoSpec,
     SyntheticDGP,
     WeightLaw,
+    _quads_for_rows,
     compute_ground_truth,
     sample_dataset,
-    true_prob_quad,
 )
 
 
 def logistic(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def true_prob_quad(dgp: SyntheticDGP, x: tuple[int, ...]) -> np.ndarray:
+    """Exact (p00, p01, p10, p11) for covariate cell ``x``, one cell at a time."""
+    cells = np.asarray(x).reshape(1, -1)
+    return _quads_for_rows(dgp, encode_rows(dgp.schema, cells), cells)[0]
+
+
+def record_values_by_lookup(gt, covariates, which="correlation"):
+    """The truth of each record's cell through a dict lookup per record."""
+    table = {"correlation": gt.correlation, "covariance": gt.covariance}[which]
+    lut = gt.lookup()
+    return np.array([table[lut[tuple(int(v) for v in cov)]] for cov in covariates])
 
 
 class TestTrueQuad:
@@ -80,6 +93,29 @@ class TestGroundTruth:
         lut = gt.lookup()
         assert vals[0] == gt.correlation[lut[(0, 0)]]
         assert vals[1] == gt.correlation[lut[(3, 2)]]
+
+    @pytest.mark.parametrize("which", ["correlation", "covariance"])
+    @pytest.mark.parametrize("codes", [(0, 1, 2, 3), (7, -2, 40, 3)], ids=["plain", "unsorted"])
+    def test_record_values_match_lookup(self, codes, which):
+        """Bit for bit the per-record dict lookup, on a sample's own truth
+        (the cells it drew, in sorted order) and on schema codes that are
+        neither sorted nor contiguous."""
+        schema = CategoricalSchema((("a", codes), ("b", (5, 1, 2)), ("c", (0, 1))))
+        dgp = make_dgp(schema, coef_p=[0.1, 0.2, -0.3, 0.1, 0.2, 0.0, 0.3], coef_q=[-1.0] + [0.2] * 6)
+        d, gt = sample_dataset(dgp, 500, seed=2)
+        got = gt.record_values(d.covariates, which=which)
+        assert got.tobytes() == record_values_by_lookup(gt, d.covariates, which).tobytes()
+        full = compute_ground_truth(dgp)
+        assert (
+            full.record_values(d.covariates, which).tobytes()
+            == record_values_by_lookup(full, d.covariates, which).tobytes()
+        )
+
+    def test_record_values_of_a_cell_without_truth(self, small_dgp):
+        d, gt = sample_dataset(small_dgp, 5, seed=1)
+        absent = next(c for c in compute_ground_truth(small_dgp).cells if c not in gt.lookup())
+        with pytest.raises(KeyError):
+            gt.record_values(np.array([absent]))
 
     def test_nonuniform_marginals(self, small_schema):
         marg = ((0.7, 0.1, 0.1, 0.1), (0.5, 0.25, 0.25))

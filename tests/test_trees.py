@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pcptest.data import default_schema, one_hot_encode
 from pcptest.learners import _block, load_model, save_model
 from pcptest.network import _softmax, forward_probs
+from pcptest import trees
 from pcptest.synth import RhoSpec, SyntheticDGP, WeightLaw, sample_dataset
 from pcptest.trees import (
     PROB_CLIP,
@@ -574,9 +575,9 @@ class TestFlatEvaluatorMatchesWalk:
 
 # ---------------------------------------------------------------------------
 # Fitted bits, pinned.  The digests were recorded from the grower that
-# gathered the open items at every level and recomputed the root's
-# histograms every round; any change to the order in which a histogram bin
-# or a node total is summed shows up here.
+# searched splits on fixed-point sums, by histogram subtraction at many
+# entries; any change to a split, a leaf value's summation order or an
+# importance gain shows up here.
 
 
 def _default8_sample(n: int):
@@ -604,8 +605,8 @@ PINNED_FITS = {
         BoostConfig(n_rounds=12, max_depth=3),
         "cr",
         (
-            "f325442c424e7779b1122c7e5893cd2e2eeafefae0b56dcbbf643b6d638f85b1",
-            "3a3160e8d2e16a1ffa1463dc28ee2230ff778393c2af84ccf0ae4019e78cbb3b",
+            "a9eb71d706b22b09388af215c075e044f7777879b1b716dcecf420f8ee247aa0",
+            "64679ede8bac54f2daa9aab9ba57f03efddd83255c6a64e51f51980ba6092153",
         ),
     ),
     "12-cell": (
@@ -613,8 +614,8 @@ PINNED_FITS = {
         BoostConfig(n_rounds=80, max_depth=4, min_leaf=10, learning_rate=0.5),
         "cr",
         (
-            "5a3ff74986ff64139573dcede8c5f1471025d130239acec87ad08c2ce2240be5",
-            "973842a90efc6395ab45ec7b3bcab87abc1495f2e591f1a4d056d7fb305f2f21",
+            "af422ffaade553cdddbf4649e03efbe6920bd80eff64d27662987c12857a1999",
+            "34f979882fed772bf7ce455da4b85a7d5ec6eb46d166c598d09beed338be9106",
         ),
     ),
     "early-leaves": (  # leaves at depths 3 to 6
@@ -622,8 +623,8 @@ PINNED_FITS = {
         BoostConfig(n_rounds=4, max_depth=6, min_leaf=5),
         "cr",
         (
-            "6b9ebbd3a82055c84f8106e049e48e59940ff5267af0b9404cd94f25f4f5cef4",
-            "10455cc20aecd70df5dcd0b0f5534cd15eb22d9707352f8f11868fa388d87bec",
+            "773d7e8e6ea62565d52bad72dfed9c457c432db45469093439e7b06a99294ad2",
+            "1029d81016a27fdbd63cc7fdfebc696c7d368400790d4e1a13150f418f509e20",
         ),
     ),
     "stumps": (
@@ -631,8 +632,8 @@ PINNED_FITS = {
         BoostConfig(n_rounds=10, max_depth=1),
         "cr",
         (
-            "21c2bdc69d7670cc2df0cb2df4bc61b79207c8d7fbf44088205a2c13667ec87d",
-            "77d20f6dfc6b9f2c5151c0537c51fac7ba09115299a670b04ccef3aa95f16cf5",
+            "0eacf34a0289401ed10c24cdbf01dfa4677b32da322d87812e1fb47871c4eda0",
+            "f4fdab08d30f8861acd4bb7419b601f0fb4aec71ada1ef5cb726fd2b9d1c9b36",
         ),
     ),
     "target-c": (
@@ -640,8 +641,8 @@ PINNED_FITS = {
         BoostConfig(n_rounds=8, max_depth=3),
         "c",
         (
-            "9716a2e3d59a92c2ee1a9f122f48193ba0bc4ab218a49a667d4aa0bea880489d",
-            "01cb2168d604c173979bc3840f9c7fba6608473ffbb0e3157d2b15e921a4d790",
+            "797a252042f4380bd840cd46f25e8ee0dd510cf3e14d242551b2bebe63e1f214",
+            "3540a25ea6a90ac916bda143d9d076bee13252d786366037f4976c54ea7c5661",
         ),
     ),
 }
@@ -728,6 +729,68 @@ class TestStackedFits:
         assert depths[0] == 0 and 0 < depths[1] < depths[2] == 4
         for model, lone_model in zip(models, lone):
             assert_same_model(model, lone_model, [X])
+
+
+# ---------------------------------------------------------------------------
+# Histogram subtraction: below the root, a large problem sums only the
+# right children's histograms and takes each left child's as its parent's
+# less its sibling's.  Small problems sum every node directly; the bound is
+# lowered here so that the subtraction runs on them too.
+
+
+def _direct_sums(rows, node_of, item_grad, n_nodes):
+    """Each node's count, W and S histograms, summed over its items in
+    reverse item order, through the dense design rows."""
+    weights = (rows.entry_count[:, 0], rows.entry_W[:, 0], item_grad)
+    sums = np.zeros((3, n_nodes, rows.n_cols))
+    for node in range(n_nodes):
+        items = np.flatnonzero(node_of == node)[::-1]
+        design = rows.design[items % rows.m]
+        for i, w in enumerate(weights):
+            sums[i, node] = (w[items][:, None] * design).sum(axis=0)
+    return sums
+
+
+class TestHistogramSubtraction:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stacked_problems())
+    def test_subtracted_bins_are_direct_sums(self, problem):
+        """Every bin of every node below the root, the left children's
+        taken by subtraction included, is bit for bit the direct sum of the
+        gridded values in another order."""
+        blocks, cfg, n_classes = problem
+        levels = []
+
+        def recorded(rows, parent, split, first, node_of, item_grad):
+            hist = subtracted(rows, parent, split, first, node_of, item_grad)
+            levels.append((rows, node_of, item_grad, hist))
+            return hist
+
+        subtracted = trees._subtracted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trees, "SUBTRACT_MIN_ENTRIES", 0)
+            mp.setattr(trees, "_subtracted", recorded)
+            fit_boosted_many(blocks, cfg, n_classes)
+        for rows, node_of, item_grad, hist in levels:
+            np.testing.assert_array_equal(
+                hist, _direct_sums(rows, node_of, item_grad, hist.shape[1])
+            )
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stacked_problems())
+    def test_each_block_is_its_lone_fit_either_way(self, problem):
+        """With subtraction on, each block of a stack is its lone fit, and
+        both are the fits that sum every node directly."""
+        blocks, cfg, n_classes = problem
+        designs = [X for X, _, _ in blocks]
+        direct = fit_boosted_many(blocks, cfg, n_classes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trees, "SUBTRACT_MIN_ENTRIES", 0)
+            models = fit_boosted_many(blocks, cfg, n_classes)
+            lone = [fit_boosted(*block, cfg, n_classes) for block in blocks]
+        for model, lone_model, direct_model in zip(models, lone, direct):
+            assert_same_model(model, lone_model, designs)
+            assert_same_model(model, direct_model, designs)
 
 
 # ---------------------------------------------------------------------------
