@@ -8,23 +8,22 @@ scratch directory, and its command runs once, in this process, with the
 package from ``src/``.  For that run a few of the package's functions are
 wrapped from outside; no file of the package is edited:
 
-- every ``map_units`` batch that this process starts tags each unit with
-  its position and times it where it runs, in a forked worker or here;
-  each unit's worker pid, start and end are printed, and the time the
-  command took its result;
+- every ``map_units`` batch that the command starts, outside any unit,
+  tags each unit with its position and times it where it runs, here or in
+  a forked child; each unit's pid, whether it ran here, its start and end
+  are printed, and the time the command took its result;
 - ``cli.load_dataset``, ``cli._write_estimates``, ``cli._write_intersection``
   and ``cli._write_sorted`` are timed as the parent's stages.
 
 Times are milliseconds from the start of the command, read from the
-monotonic clock, which forked workers share.  BLAS runs one thread in this
-process, as in the benchmark; the workers pin their own.
+monotonic clock, which forked children share.  BLAS runs one thread in
+this process, as in the benchmark; the pool pins every unit's to one.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import multiprocessing as mp
 import os
 import shutil
 import sys
@@ -70,9 +69,9 @@ class Timeline:
                 fh.write(f"{batch} {i} {os.getpid()} {start!r} {end!r}\n")
 
     def map_units(self, original, fn, units):
-        """``original(fn, units)``, timed, when called in this process; a
-        worker's own batches run as they are."""
-        if mp.parent_process() is not None:
+        """``original(fn, units)``, timed, when the command calls it; a
+        batch inside a unit, here or in a child, runs as it is."""
+        if parallel.in_unit():
             return original(fn, units)
         batch = Batch(len(units))
         self.batches.append(batch)
@@ -156,11 +155,12 @@ def main(argv: list[str] | None = None) -> int:
           f"{1e3 * (t1 - t0):.1f} ms")
     for b, batch in enumerate(timeline.batches):
         print(f"batch {b + 1}: {batch.n_units} units")
-        print(f"  {'unit':>4}  {'pid':>8}  {'start':>9}  {'end':>9}  {'arrived':>9}")
+        print(f"  {'unit':>4}  {'pid':>8}  {'ran':>5}  {'start':>9}  {'end':>9}  {'arrived':>9}")
         for i in range(batch.n_units):
             pid, start, end = units.get((b, i), ("-", None, None))
+            ran = "-" if start is None else "here" if pid == os.getpid() else "child"
             arrived = batch.arrived[i] if i < len(batch.arrived) else None
-            print(f"  {i:>4}  {pid:>8}  {ms(start):>9}  {ms(end):>9}  {ms(arrived):>9}")
+            print(f"  {i:>4}  {pid:>8}  {ran:>5}  {ms(start):>9}  {ms(end):>9}  {ms(arrived):>9}")
     print("parent stages:")
     print(f"  {'stage':<20}  {'start':>9}  {'end':>9}")
     for name, start, end in sorted(timeline.stages, key=lambda stage: stage[1]):

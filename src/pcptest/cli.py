@@ -13,6 +13,7 @@ import csv
 import hashlib
 import itertools
 import json
+import numbers
 import os
 import sys
 import time
@@ -61,6 +62,11 @@ DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 INTEGER_FIELDS = ("seed", "n", "folds", "mc_draws", "sorted_splits", "sorted_groups")
 
 
+def _is_number(value) -> bool:
+    """A real number, as YAML reads one; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """A run's settings.  Checking them builds each owner's object once, kept
@@ -103,6 +109,11 @@ class RunConfig:
             raise DataError(
                 f"group_features must be a list of feature names, got {self.group_features!r}"
             )
+        if not _is_number(self.main_fraction):
+            raise DataError(f"main_fraction must be a number, got {self.main_fraction!r}")
+        if not isinstance(self.levels, tuple) or not all(_is_number(a) for a in self.levels):
+            shown = list(self.levels) if isinstance(self.levels, tuple) else self.levels
+            raise DataError(f"levels must be a list of numbers, got {shown!r}")
         if not self.levels:
             raise DataError("no test levels configured")
         for a in self.levels:

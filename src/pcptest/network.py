@@ -148,16 +148,23 @@ def init_params(
     return flat
 
 
-def _forward(params: MLPParams, X: np.ndarray, dropout_masks: np.ndarray | None = None):
-    """Returns (scores, cached hidden activations).  Stacked parameters
-    (leading member axis) give stacked outputs."""
+def _forward(
+    params: MLPParams, X: np.ndarray, dropout_masks: np.ndarray | None = None, *, keep: bool = True
+):
+    """Returns (scores, the input and hidden activations that a backward
+    pass reads).  With ``keep`` false no backward pass follows: each layer's
+    activations are dropped once the next layer has them, and the list is
+    empty.  Stacked parameters (leading member axis) give stacked outputs."""
     h = X
-    hiddens = [h]
+    hiddens = [h] if keep else []
     for i, (W, b) in enumerate(params[:-1]):
-        h = np.maximum(h @ W + b[..., None, :], 0.0)
+        h = h @ W
+        h += b[..., None, :]  # W and b share one dtype, so in place is exact
+        np.maximum(h, 0.0, out=h)
         if dropout_masks is not None:
             h = h * dropout_masks[i]
-        hiddens.append(h)
+        if keep:
+            hiddens.append(h)
     W, b = params[-1]
     scores = h @ W if b is None else h @ W + b[..., None, :]
     return scores, hiddens
@@ -186,7 +193,7 @@ def _softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def forward_probs(params: MLPParams, X: np.ndarray) -> np.ndarray:
-    scores, _ = _forward(params, X)
+    scores, _ = _forward(params, X, keep=False)
     return _softmax(scores)
 
 

@@ -879,8 +879,14 @@ class TestExitCodes:
             ({"sorted_splits": 2.5}, "sorted_splits must be an integer, got 2.5"),
             ({"sorted_groups": True}, "sorted_groups must be an integer, got True"),
             ({"group_features": "ab"}, "group_features must be a list of feature names, got 'ab'"),
+            ({"main_fraction": "x"}, "main_fraction must be a number, got 'x'"),
+            ({"levels": 0.05}, "levels must be a list of numbers, got 0.05"),
+            ({"levels": ["a"]}, "levels must be a list of numbers, got ['a']"),
         ],
-        ids=["negative-seed", "folds", "mc_draws", "sorted_splits", "sorted_groups", "features"],
+        ids=[
+            "negative-seed", "folds", "mc_draws", "sorted_splits", "sorted_groups", "features",
+            "main_fraction", "levels-scalar", "levels-entry",
+        ],
     )
     def test_ill_typed_entries_are_validation_errors(
         self, workdir, tmp_path, monkeypatch, entry, message

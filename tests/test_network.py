@@ -311,11 +311,11 @@ class TestPrecision:
         seen = []
         forward = network._forward
 
-        def recorded(params, X, dropout_masks=None):
+        def recorded(params, X, dropout_masks=None, **kwargs):
             dtypes = {X.dtype} | {a.dtype for layer in params for a in layer if a is not None}
             if dropout_masks is not None:
                 dtypes.add(dropout_masks.dtype)
-            scores, hiddens = forward(params, X, dropout_masks)
+            scores, hiddens = forward(params, X, dropout_masks, **kwargs)
             seen.append((X.shape[-2] == n_val, dtypes, scores.dtype))
             return scores, hiddens
 
@@ -408,6 +408,21 @@ class TestForward:
         manual = np.exp(scores - scores.max(axis=1, keepdims=True))
         manual /= manual.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_probs_match_the_kept_pass(self, depth, dtype):
+        """Dropping the activations as the pass goes changes no bit: lone
+        and stacked parameters, as the validation pass and the steps run."""
+        X, _, _ = toy_problem(n=120)
+        cfg = NetworkConfig(depth=depth, width=6)
+        stacked = np.stack([init_params(cfg, X.shape[1], 4, np.random.default_rng(s)) for s in range(3)])
+        X = X.astype(dtype)
+        for flat in (stacked[0], stacked):
+            params = param_views(flat.astype(dtype), cfg, X.shape[1], 4)
+            probs = forward_probs(params, X)
+            assert probs.dtype == dtype
+            np.testing.assert_array_equal(probs, _softmax(network._forward(params, X)[0]))
 
     def test_views_alias_the_flat_buffer(self):
         cfg = NetworkConfig(depth=2, width=3)

@@ -62,21 +62,23 @@ def test_compare_outputs_finds_a_checkout_equal_to_itself():
 
 
 def test_batch_timeline_times_the_units_and_the_stages():
-    """One in-process report: a row per pool unit with its worker's pid,
-    start, end and arrival, each unit ending after it starts, and the
-    parent's four stages."""
+    """One in-process report: a row per pool unit with its pid, where it
+    ran, start, end and arrival, each unit ending after it starts, unit 0
+    and only the units on its pid run here, and the parent's four stages."""
     res = run_script(ROOT / "scripts" / "batch_timeline.py", "report-demo12-boosted", "--seed", "2")
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert lines[0].startswith("report-demo12-boosted seed 2: report, ")
     assert lines[1].startswith("batch 1: ") and lines[2].split() == [
-        "unit", "pid", "start", "end", "arrived"
+        "unit", "pid", "ran", "start", "end", "arrived"
     ]
     n_units = int(lines[1].split()[2])
     rows = [line.split() for line in lines[3 : 3 + n_units]]
     assert [int(row[0]) for row in rows] == list(range(n_units))
-    for _, pid, start, end, arrived in rows:
+    for _, pid, ran, start, end, arrived in rows:
         assert int(pid) > 0 and 0.0 <= float(start) <= float(end) <= float(arrived)
+        assert ran == ("here" if pid == rows[0][1] else "child")
+    assert rows[0][2] == "here"
     assert lines[3 + n_units : 5 + n_units] == [
         "parent stages:", f"  {'stage':<20}  {'start':>9}  {'end':>9}"
     ]
