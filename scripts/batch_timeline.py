@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Timeline of one run of a benchmark workload: its pool units and the parent's stages.
 
-    python3 scripts/batch_timeline.py WORKLOAD --seed S
+    python3 scripts/batch_timeline.py WORKLOAD --seed S [--repeat N]
 
 The workload's inputs are written by ``benchmarks/workloads.py`` into a
-scratch directory, and its command runs once, in this process, with the
-package from ``src/``.  For that run a few of the package's functions are
-wrapped from outside; no file of the package is edited:
+scratch directory, and its command runs N times (1 by default), one run
+after the other, in this process, with the package from ``src/``; the
+timeline of the last run is printed.  The benchmark times warm runs, and
+a first, cold run overstates its units.  For each run a few of the
+package's functions are wrapped from outside; no file of the package is
+edited:
 
 - every ``map_units`` batch that the command starts, outside any unit,
   tags each unit with its position and times it where it runs, here or in
@@ -108,12 +111,22 @@ class Timeline:
         return found
 
 
-def run(workload_name: str, seed: int, workdir: str) -> tuple[Timeline, float, float]:
-    """Run the workload once under the wrappers; the timeline, and the
-    command's start and end."""
+def run(
+    workload_name: str, seed: int, workdir: str, repeat: int = 1
+) -> tuple[Timeline, float, float]:
+    """Run the workload ``repeat`` times on one set of inputs; the last
+    run's timeline, and its command's start and end."""
     workload = workloads.WORKLOADS[workload_name]
     inputs = workloads.write_inputs(workload, seed, workdir)
-    timeline = Timeline(os.path.join(workdir, "units"))
+    cfg = cli.load_config(inputs.config_path)
+    for r in range(repeat):
+        timeline, start, end = run_once(workload, cfg, os.path.join(workdir, f"units{r}"))
+    return timeline, start, end
+
+
+def run_once(workload, cfg, logdir: str) -> tuple[Timeline, float, float]:
+    """Run the workload's command once under the wrappers."""
+    timeline = Timeline(logdir)
     os.makedirs(timeline.logdir)
     patches = []
     for module in MAP_UNITS_USERS:
@@ -124,7 +137,6 @@ def run(workload_name: str, seed: int, workdir: str) -> tuple[Timeline, float, f
         patches.append((cli, name, getattr(cli, name)))
         setattr(cli, name, timeline.stage(name, getattr(cli, name)))
     try:
-        cfg = cli.load_config(inputs.config_path)
         start = time.monotonic()
         cli.run_command(workload.command, cfg)
         end = time.monotonic()
@@ -138,11 +150,14 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--repeat", type=int, default=1, help="runs in this process; the last is printed")
     args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
 
     workdir = tempfile.mkdtemp(prefix="batch_timeline-")
     try:
-        timeline, t0, t1 = run(args.workload, args.seed, workdir)
+        timeline, t0, t1 = run(args.workload, args.seed, workdir, args.repeat)
         units = timeline.units()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -152,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
 
     command = workloads.WORKLOADS[args.workload].command
     print(f"{args.workload} seed {args.seed}: {command}, {parallel.worker_count()} CPUs, "
-          f"{1e3 * (t1 - t0):.1f} ms")
+          f"run {args.repeat} of {args.repeat}, {1e3 * (t1 - t0):.1f} ms")
     for b, batch in enumerate(timeline.batches):
         print(f"batch {b + 1}: {batch.n_units} units")
         print(f"  {'unit':>4}  {'pid':>8}  {'ran':>5}  {'start':>9}  {'end':>9}  {'arrived':>9}")

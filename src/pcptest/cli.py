@@ -34,16 +34,17 @@ from .data import (
     SplitPlan,
     default_schema,
     load_csv,
+    load_yaml,
     make_folds,
     partition,
     save_csv,
 )
 from .functionals import MIN_USABLE, PerObsStats, group_estimates, per_obs_stats, summarize
 from .inference import (
-    MIN_MC_DRAWS,
     IntersectionInput,
     SortedGroupsConfig,
     SortedGroupsResult,
+    check_mc_draws,
     intersection_tests,
     merge_sorted_splits,
     sorted_split_units,
@@ -135,8 +136,7 @@ class RunConfig:
         self.plan = SplitPlan(self.split_fractions, self.seed)
         if self.folds < MIN_FOLDS:
             raise DataError(f"folds must be at least {MIN_FOLDS}")
-        if self.mc_draws < MIN_MC_DRAWS:
-            raise DataError(f"mc_draws must be at least {MIN_MC_DRAWS}")
+        check_mc_draws(self.mc_draws)
         self.sorted_cfg = SortedGroupsConfig(
             self.sorted_groups,
             self.sorted_splits,
@@ -167,7 +167,7 @@ def load_config(path: str | None, **overrides) -> RunConfig:
     doc = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh) or {}
+            doc = load_yaml(fh) or {}
         version = doc.pop("version", CONFIG_FILE_VERSION)
         if version != CONFIG_FILE_VERSION:
             raise DataError(f"unsupported config version {version} in {path}")
@@ -250,25 +250,29 @@ class OutputDir:
             fh.write("\n")
 
 
-def _format_column(values: Sequence) -> list[str]:
-    """A column's cells as text: a float to 6 significant digits, anything
+def _format_column(values: Sequence) -> tuple[list[str], list[str] | None]:
+    """A column's cells as text, and for a float array its distinct texts
+    (None for any other column): a float to 6 significant digits, anything
     else by ``str``.  A float array formats each distinct bit pattern once,
     so ``-0.0`` and ``0.0`` stay apart, as does NaN from every number;
     ``"%.6g"`` gives the strings of ``format(v, ".6g")``."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
-        return [format(v, ".6g") if isinstance(v, float) else str(v) for v in values]
+        return [format(v, ".6g") if isinstance(v, float) else str(v) for v in values], None
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(list(map("%.6g".__mod__, distinct.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+    text = list(map("%.6g".__mod__, distinct.view(np.float64).tolist()))
+    return np.array(text, dtype=object)[inverse].tolist(), text
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple[str, ...]]) -> None:
+def _write_csv(
+    path: str, header: list[str], rows: list[tuple[str, ...]], text: Sequence[str] | None = None
+) -> None:
     """The CSV of ``csv.writer`` for text cells: ``\\r\\n`` line endings, and a
     cell quoted where it holds a comma, quote or line break.  Lines are
     joined directly unless some cell needs quoting, or a row of one empty
-    cell could occur."""
-    text = "".join(itertools.chain(header, *rows))
+    cell could occur.  ``text`` holds every cell that may need quoting, by
+    default the header and every row."""
+    text = "".join(itertools.chain(header, *rows) if text is None else text)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if len(header) < 2 or any(ch in text for ch in ',"\r\n'):
             csv.writer(fh).writerows([header, *rows])
@@ -285,12 +289,19 @@ def write_table(out: OutputDir, name: str, table: dict[str, Sequence]) -> None:
     """Emit a table, given as its columns by header name, as <name>.csv and
     aligned <name>.txt, formatting each cell once for both.  Each .txt line
     is one format of a template padded to the column widths, stripped of
-    trailing blanks; the lines are joined without a Python call per row."""
+    trailing blanks; the lines are joined without a Python call per row.
+    A float column's text, "%.6g" of a float, never needs quoting, and its
+    width is that of its longest distinct text."""
     header = list(table)
-    columns = [_format_column(values) for values in table.values()]
+    formatted = [_format_column(values) for values in table.values()]
+    columns = [cells for cells, _ in formatted]
     rows = list(zip(*columns))
-    _write_csv(out.path(name + ".csv"), header, rows)
-    widths = [max(len(h), max(map(len, column), default=0)) for h, column in zip(header, columns)]
+    quotable = itertools.chain(header, *(cells for cells, floats in formatted if floats is None))
+    _write_csv(out.path(name + ".csv"), header, rows, quotable)
+    widths = [
+        max(len(h), max(map(len, cells if floats is None else floats), default=0))
+        for h, (cells, floats) in zip(header, formatted)
+    ]
     line = "  ".join(f"%-{w}s" for w in widths)
     with open(out.path(name + ".txt"), "w", encoding="utf-8") as fh:
         fh.write((line % tuple(header)).rstrip() + "\n")

@@ -4,6 +4,15 @@ Every observation carries integer modality codes for each categorical
 feature, two binary outcomes ``c`` (coverage choice) and ``r`` (at-fault
 claim), and a sampling weight ``w`` in (0, 1].  All downstream estimation
 is weighted by ``w``.
+
+A dataset that was loaded or built is a root; ``Dataset.take`` keeps each
+record's index into its root.  The root encodes its design once, on first
+use, as its active pattern (1 byte a cell), and compresses it to its
+distinct rows once, when a tree learner first asks.  A subset's design is
+a row gather of the root's, and its distinct rows are the root's rows
+that its records hit, found by one bincount: in the root's lexicographic
+order, which is the order that ``distinct_rows`` of the subset's own
+design gives, so each is bit for bit what encoding the subset gives.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -24,11 +34,14 @@ __all__ = [
     "SplitPlan",
     "FoldAssignment",
     "DataError",
+    "DistinctRows",
     "default_schema",
+    "load_yaml",
     "load_csv",
     "save_csv",
     "one_hot_encode",
     "encode_rows",
+    "distinct_rows",
     "split",
     "make_folds",
     "weighted_mean",
@@ -41,6 +54,16 @@ SCHEMA_FILE_VERSION = 1
 
 class DataError(ValueError):
     """Raised on malformed input data or schema violations."""
+
+
+# libyaml's parser where it is built, Python's otherwise: both build the same
+# documents and raise ``yaml.YAMLError``.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(fh):
+    """The document of a YAML stream, read as ``yaml.safe_load`` reads it."""
+    return yaml.load(fh, Loader=_YAML_LOADER)
 
 
 @dataclass(frozen=True)
@@ -121,7 +144,7 @@ class CategoricalSchema:
     @classmethod
     def from_yaml(cls, path: str) -> "CategoricalSchema":
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = load_yaml(fh)
         if not isinstance(doc, dict) or doc.get("version") != SCHEMA_FILE_VERSION:
             raise DataError(f"unsupported schema file version in {path}")
         feats = tuple(
@@ -144,6 +167,36 @@ def default_schema() -> CategoricalSchema:
             ("gender", (0, 1)),
         )
     )
+
+
+class DistinctRows(NamedTuple):
+    """A design compressed to its distinct rows, in lexicographic order of
+    their active (> 0.5) patterns, which are all that a tree reads."""
+
+    active: np.ndarray  # (m, width) bool: each distinct row's active pattern
+    inverse: np.ndarray  # (n,) the row of every record
+    counts: np.ndarray  # (m,) the records of every row
+
+
+def distinct_rows(X: np.ndarray) -> DistinctRows:
+    """The distinct rows of a design, or of its active pattern."""
+    active = X if X.dtype == bool else X > 0.5
+    # Packing the bits keeps the lexicographic row order and sorts 8
+    # columns per byte; up to 64 columns, one big-endian word per row keeps
+    # it too and sorts as a plain vector.
+    packed = np.packbits(active, axis=1)
+    if packed.shape[1] <= 8:
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        packed = words.view(">u8").reshape(-1)
+    _, first, inverse, counts = np.unique(
+        packed,
+        axis=0,
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return DistinctRows(active[first], inverse.reshape(-1), counts)
 
 
 @dataclass(frozen=True)
@@ -183,6 +236,9 @@ class Dataset:
             raise DataError(f"row {row + 1}: column w must lie in (0, 1]")
         for arr in (self.covariates, self.c, self.r, self.w):
             arr.setflags(write=False)
+        # A built dataset is a root: no dataset it was taken from.
+        object.__setattr__(self, "_root", None)
+        object.__setattr__(self, "_root_rows", None)
 
     def __len__(self) -> int:
         return len(self.c)
@@ -194,7 +250,8 @@ class Dataset:
     def take(self, idx: np.ndarray | Sequence[int]) -> "Dataset":
         """The records at ``idx``, in that order.  Records of a validated
         dataset are valid, so the subset is not checked again; it must be
-        nonempty, and its columns are read-only copies."""
+        nonempty, and its columns are read-only copies.  The subset keeps
+        its records' indices into the root."""
         idx = np.asarray(idx, dtype=np.int64)
         if len(idx) == 0:
             raise DataError("dataset must be nonempty")
@@ -204,11 +261,50 @@ class Dataset:
             column = getattr(self, name)[idx]
             column.setflags(write=False)
             object.__setattr__(sub, name, column)
+        root = self if self._root is None else self._root
+        object.__setattr__(sub, "_root", root)
+        object.__setattr__(sub, "_root_rows", idx if root is self else self._root_rows[idx])
         return sub
 
     def class_labels(self) -> np.ndarray:
         """4-way class index 2*c + r, ordering (00, 01, 10, 11)."""
         return (2 * self.c + self.r).astype(np.int64)
+
+    def design(self) -> np.ndarray:
+        """The ``(n, width)`` float design of the records, the rows of
+        ``encode_rows``: a gather of the root's active pattern."""
+        if self._root is None:
+            return self._active.astype(np.float64)
+        return self._root._active.take(self._root_rows, axis=0).astype(np.float64)
+
+    def distinct_rows(self) -> DistinctRows:
+        """``distinct_rows`` of the design, bit for bit: the root's rows
+        that the records hit, in the root's order, with their counts."""
+        if self._root is None:
+            return self._distinct
+        whole = self._root._distinct
+        row = whole.inverse.take(self._root_rows)
+        counts = np.bincount(row, minlength=len(whole.counts))
+        hit = np.flatnonzero(counts)
+        number = np.zeros(len(counts), dtype=whole.inverse.dtype)
+        number[hit] = np.arange(len(hit))
+        return DistinctRows(whole.active.take(hit, axis=0), number.take(row), counts.take(hit))
+
+    # The root's encodings, each made once, on first use; read-only, as
+    # every subset shares them.
+
+    @cached_property
+    def _active(self) -> np.ndarray:
+        active = encode_rows(self.schema, self.covariates, dtype=bool)
+        active.setflags(write=False)
+        return active
+
+    @cached_property
+    def _distinct(self) -> DistinctRows:
+        rows = distinct_rows(self._active)
+        for array in rows:
+            array.setflags(write=False)
+        return rows
 
 
 def _design_layout(schema: CategoricalSchema) -> dict[str, tuple[int, ...]]:
@@ -221,16 +317,19 @@ def _design_layout(schema: CategoricalSchema) -> dict[str, tuple[int, ...]]:
     return feature_columns
 
 
-def encode_rows(schema: CategoricalSchema, covariates: np.ndarray) -> np.ndarray:
+def encode_rows(
+    schema: CategoricalSchema, covariates: np.ndarray, dtype: type = np.float64
+) -> np.ndarray:
     """Dummy-code covariate rows (any array of modality codes) to design rows:
     a leading constant, then per-feature dummy blocks omitting each feature's
-    reference (first-listed) modality."""
+    reference (first-listed) modality.  With ``dtype=bool``, the active
+    pattern of the rows."""
     covariates = np.asarray(covariates)
     if covariates.ndim == 1:
         covariates = covariates[None, :]
     n = covariates.shape[0]
-    X = np.zeros((n, schema.n_design_columns))
-    X[:, 0] = 1.0
+    X = np.zeros((n, schema.n_design_columns), dtype=dtype)
+    X[:, 0] = 1
     col = 1
     for j, (_, codes) in enumerate(schema.features):
         for code in codes[1:]:
@@ -240,8 +339,8 @@ def encode_rows(schema: CategoricalSchema, covariates: np.ndarray) -> np.ndarray
 
 
 def one_hot_encode(d: Dataset) -> np.ndarray:
-    """The ``(n, width)`` design of every record of ``d``."""
-    return encode_rows(d.schema, d.covariates)
+    """The ``(n, width)`` design of every record of ``d``: ``d.design()``."""
+    return d.design()
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "intersection_test",
     "intersection_tests",
     "gamma_n",
+    "sorted_quantile",
     "SortedGroupsConfig",
     "SplitResult",
     "SortedGroupsResult",
@@ -59,6 +60,16 @@ def gamma_n(n: int) -> float:
 
 
 MIN_MC_DRAWS = 100
+# A draw holds 8 * mc_draws * L bytes: 32 MB at this bound with L = 4.
+MAX_MC_DRAWS = 1_000_000
+
+
+def check_mc_draws(mc_draws: int) -> None:
+    """Raise ``DataError`` unless MIN_MC_DRAWS <= mc_draws <= MAX_MC_DRAWS."""
+    if mc_draws < MIN_MC_DRAWS:
+        raise DataError(f"mc_draws must be at least {MIN_MC_DRAWS}")
+    if mc_draws > MAX_MC_DRAWS:
+        raise DataError(f"mc_draws must be at most {MAX_MC_DRAWS}, got {mc_draws}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +98,7 @@ class IntersectionInput:
             raise DataError("alpha must lie in (0, 1)")
         if self.n < 2:
             raise DataError("n must be at least 2")
-        if self.mc_draws < MIN_MC_DRAWS:
-            raise DataError(f"mc_draws must be at least {MIN_MC_DRAWS}")
+        check_mc_draws(self.mc_draws)
 
     @property
     def L(self) -> int:
@@ -141,10 +151,7 @@ def _tests_on_one_draw(xi: np.ndarray, inputs: list[IntersectionInput]) -> list[
     """The tests of inputs with L = xi.shape[1] on the draw ``xi``.  Each
     quantile of the draw is taken once: k0 per distinct gamma_n, and the k
     of every level in one call per distinct kept set.  Each max vector is
-    sorted once and its quantiles taken from the sorted copy: a type-7
-    quantile reads only order statistics, so its value is the same, and
-    ``np.quantile`` selects them from a sorted vector at a fraction of the
-    cost."""
+    sorted once and its quantiles read from it (``sorted_quantile``)."""
     # Column by column: a max over the short last axis costs several times
     # as much, and a max is exact in any order.
     row_max = np.sort(functools.reduce(np.maximum, xi.T))
@@ -154,7 +161,7 @@ def _tests_on_one_draw(xi: np.ndarray, inputs: list[IntersectionInput]) -> list[
     for inp in inputs:
         gam = gamma_n(inp.n)
         if gam not in k0_of:
-            k0_of[gam] = float(np.quantile(row_max, gam))
+            k0_of[gam] = float(sorted_quantile(row_max, gam))
         k0 = k0_of[gam]
         threshold = np.min(inp.estimates + k0 * inp.ses)
         keep = inp.estimates <= threshold + 2.0 * k0 * inp.ses
@@ -165,7 +172,7 @@ def _tests_on_one_draw(xi: np.ndarray, inputs: list[IntersectionInput]) -> list[
     k_of: dict[tuple[bytes, float], float] = {}
     for key, (keep, levels) in kept.items():
         kept_max = row_max if keep.all() else np.sort(functools.reduce(np.maximum, xi.T[keep]))
-        ks = np.quantile(kept_max, [1.0 - a for a in levels])
+        ks = sorted_quantile(kept_max, [1.0 - a for a in levels])
         k_of.update(((key, a), float(k)) for a, k in zip(levels, ks))
 
     results = []
@@ -183,6 +190,26 @@ def _tests_on_one_draw(xi: np.ndarray, inputs: list[IntersectionInput]) -> list[
             IntersectionResult(gam, k0, selected, k, statistic, statistic < 0.0, (a, b), clamped)
         )
     return results
+
+
+def sorted_quantile(values: np.ndarray, q) -> np.ndarray:
+    """``np.quantile(values, q)`` (type 7, linear) of sorted ``values``, bit
+    for bit, read from the order statistics without a copy or a partition:
+    numpy's virtual index (n - 1) q, its clamping of the two neighbours at
+    the ends and its ``_lerp``, which interpolates from the nearer side."""
+    n = len(values)
+    index = np.asarray((n - 1) * np.asarray(q, dtype=np.float64))
+    below = np.floor(index, out=...)
+    above = np.add(below, 1, out=...)
+    below[index >= n - 1] = above[index >= n - 1] = -1
+    below[index < 0] = above[index < 0] = 0
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = index - below
+    a, b = values[below], values[above]
+    diff = b - a
+    out = np.add(a, diff * gamma, out=...)
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +388,7 @@ def sorted_split_units(
     ``L.predict_many`` call; a split whose first draw fails draws again
     from its own generator."""
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
+    L.encode(d, cfg.grid[0])
 
     def split_stack(splits: range) -> list[tuple[SplitResult, int]]:
         rngs = [np.random.default_rng(children[s]) for s in splits]

@@ -7,7 +7,10 @@ simplex for each design row, and writes and reads its own parameters.
 record holds its grid fitter, its tie key and its fitter over several
 training sets, so ``train_any``, ``train_many``, ``predict_many``,
 ``hyperopt``, cross-fitting, importances and model files serve every
-family alike.  Cross-fitting folds, with the raw fit on every record, and
+family alike.  A family reads a dataset's dense design or its distinct
+rows, both taken from the encodings that the dataset's root makes once;
+the callers that fork build them before their batch, so the workers
+inherit them.  Cross-fitting folds, with the raw fit on every record, and
 the sorted-groups splits run as stacks of fits (``stacks``); the boosted
 family grows a stack's training sets in one call, and predicts with a
 stack's models in one routing pass, bit for bit as it does each alone.
@@ -32,7 +35,6 @@ from .data import (
     SplitPlan,
     FoldAssignment,
     _design_layout,
-    one_hot_encode,
     split,
 )
 from .network import NetworkConfig
@@ -48,6 +50,7 @@ __all__ = [
     "GRID_AXES",
     "default_grid",
     "cross_entropy_loss",
+    "encode",
     "train_any",
     "train_many",
     "predict_many",
@@ -83,7 +86,7 @@ class ClassifierModel:
     def predict_quads(self, d: Dataset) -> np.ndarray:
         if d.schema.fingerprint() != self.schema_fingerprint:
             raise DataError("dataset schema does not match the model's schema")
-        return self.predictor.predict_probs(one_hot_encode(d))
+        return self.predictor.predict_probs(KINDS[self.kind].predict_input(d))
 
 
 def cross_entropy_loss(model: ClassifierModel, d: Dataset) -> float:
@@ -95,9 +98,10 @@ def cross_entropy_loss(model: ClassifierModel, d: Dataset) -> float:
 # The families and the training entry point
 
 
-def _block(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(design, labels, weights): what every trainer reads of a dataset."""
-    return one_hot_encode(d), d.class_labels(), d.w
+def _block(d: Dataset, read: Callable = Dataset.design) -> tuple:
+    """(design, labels, weights): what every trainer reads of a dataset,
+    its design as ``read`` reads it."""
+    return read(d), d.class_labels(), d.w
 
 
 def _fit_networks(d_train: Dataset, validation: Dataset | None, cfgs, fold: int = 0) -> list:
@@ -127,7 +131,8 @@ def _fit_boosted_stack(d_trains: Sequence[Dataset], cfgs, folds: Sequence[int]) 
     cfg = replace(cfgs[0], seed=0)
     if any(replace(other, seed=0) != cfg for other in cfgs):
         raise DataError("a boosted stack fits one config")
-    fitted = trees.fit_boosted_many([_block(d) for d in d_trains], cfg, N_CLASSES)
+    blocks = [_block(d, Dataset.distinct_rows) for d in d_trains]
+    fitted = trees.fit_boosted_many(blocks, cfg, N_CLASSES)
     return [
         ClassifierModel(cfg, d.schema.fingerprint(), predictor)
         for d, cfg, predictor in zip(d_trains, cfgs, fitted)
@@ -146,9 +151,10 @@ class Family(NamedTuple):
     candidates of equal test loss before their grid position does; its
     fitter over several training sets ``(d_trains, configs, folds) ->
     ClassifierModels``, in input order, and whether that fitter grows them
-    as one stack, the only case in which grouping fits pays; and its
+    as one stack, the only case in which grouping fits pays; its
     predictor ``(fitted models, designs) -> probabilities`` for the models
-    of one ``fit_many`` call."""
+    of one ``fit_many`` call; and how its fitters and its predictors read
+    a dataset's design: ``Dataset.design`` or ``Dataset.distinct_rows``."""
 
     config: type
     model: type
@@ -157,6 +163,8 @@ class Family(NamedTuple):
     fit_many: Callable[..., list] = _fit_each
     stacked: bool = False
     predict_many: Callable[..., list] = _predict_each
+    fit_input: Callable[[Dataset], object] = Dataset.design
+    predict_input: Callable[[Dataset], object] = Dataset.design
 
     @property
     def impurity(self) -> bool:
@@ -167,14 +175,16 @@ class Family(NamedTuple):
 def _tree_family(
     config: type, model: type, fit_name: str, size_field: str, **stack
 ) -> Family:
-    """A tree family.  Its grid fitter reads no validation block and runs
-    each candidate as one ``map_units`` unit, largest first by
-    ``<size_field> * 2**max_depth``; ``trees.<fit_name>`` is looked up per
-    call, so a wrapper on ``trees`` sees it.  Ties go to the earlier one.
-    ``stack`` sets ``fit_many`` and ``stacked``, if the family stacks."""
+    """A tree family, which predicts from distinct rows.  Its grid fitter
+    reads no validation block and runs each candidate as one ``map_units``
+    unit, largest first by ``<size_field> * 2**max_depth``;
+    ``trees.<fit_name>`` is looked up per call, so a wrapper on ``trees``
+    sees it.  Ties go to the earlier one.  ``stack`` sets ``fit_many`` and
+    ``stacked``, if the family stacks, and ``fit_input``."""
+    fit_input = stack.get("fit_input", Dataset.design)
 
     def fit_grid(d_train: Dataset, validation: Dataset | None, cfgs, fold: int = 0) -> list:
-        fit, block = getattr(trees, fit_name), _block(d_train)
+        fit, block = getattr(trees, fit_name), _block(d_train, fit_input)
         size = [getattr(c, size_field) * 2**c.max_depth for c in cfgs]
         order = sorted(range(len(cfgs)), key=lambda i: -size[i])
         # One candidate (train_any) fits in place, a unit of its caller's batch.
@@ -182,7 +192,14 @@ def _tree_family(
         fitted = dict(zip(order, run(lambda i: fit(*block, cfgs[i], N_CLASSES), order)))
         return [fitted[i] for i in range(len(cfgs))]
 
-    return Family(config, model, fit_grid, lambda cfg, n_inputs: (), **stack)
+    return Family(
+        config,
+        model,
+        fit_grid,
+        lambda cfg, n_inputs: (),
+        predict_input=Dataset.distinct_rows,
+        **stack,
+    )
 
 
 # Each family under its kind, its name in model files and the config's
@@ -203,6 +220,7 @@ KINDS = {
         fit_many=_fit_boosted_stack,
         stacked=True,
         predict_many=trees.predict_stack,
+        fit_input=Dataset.distinct_rows,
     ),
 }
 _KIND_OF = {family.config: kind for kind, family in KINDS.items()}
@@ -212,6 +230,14 @@ def _kind_of(cfg: LearnerConfig) -> str:
     if type(cfg) not in _KIND_OF:
         raise DataError(f"unknown learner config type {type(cfg).__name__}")
     return _KIND_OF[type(cfg)]
+
+
+def encode(d: Dataset, cfg: LearnerConfig) -> None:
+    """Make the root encodings of ``d`` that cfg's family fits and predicts
+    from, before a batch forks, so that its units inherit them."""
+    family = KINDS[_kind_of(cfg)]
+    family.fit_input(d)
+    family.predict_input(d)
 
 
 def train_any(
@@ -245,7 +271,7 @@ def predict_many(models: Sequence[ClassifierModel], ds: Sequence[Dataset]) -> li
         if d.schema.fingerprint() != model.schema_fingerprint:
             raise DataError("dataset schema does not match the model's schema")
     family = KINDS[models[0].kind]
-    return family.predict_many([m.predictor for m in models], [one_hot_encode(d) for d in ds])
+    return family.predict_many([m.predictor for m in models], [family.predict_input(d) for d in ds])
 
 
 # The most distinct design rows at which the fits of a stacking family are
@@ -329,7 +355,7 @@ def hyperopt(d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan) -> Hype
     if any(type(cfg) is not family.config for cfg in grid):
         raise DataError("a hyperparameter grid searches one learner family")
     d_train, d_val, d_test = split(d, plan)
-    X_test, labels_test, w_test = _block(d_test)
+    X_test, labels_test, w_test = _block(d_test, family.predict_input)
     losses = [
         net.weighted_cross_entropy(model.predict_probs(X_test), labels_test, w_test)
         for model in family.fit_grid(d_train, d_val, grid)
@@ -355,7 +381,9 @@ def cross_fit_units(
     fold 0, it predicts every record.  Each unit trains its fits by one
     ``train_many`` call, predicts by one ``predict_many`` call and returns
     the predictions in input order.  A fold with fewer than 10 records to
-    train on raises in its unit, before any fit."""
+    train on raises in its unit, before any fit.  The encodings of ``d``
+    that the units read are made here, once."""
+    encode(d, cfg)
     ks = [None] * raw + list(range(folds.K))  # None: the raw fit
 
     def stack_fit(stack: range) -> list[np.ndarray]:
@@ -395,18 +423,17 @@ def feature_group_importance(
     """Additional test loss from retraining without each feature's dummy
     block; the full model's own entry is 'None' = 0.  Returns the deltas
     and the full-feature model.  The full fit and the retrains run as one
-    ``map_units`` batch."""
+    ``map_units`` batch; each retrain's unit builds its dataset without the
+    feature, encoded once for its three blocks."""
     if d.schema.n_features < 2:
         raise DataError("importance needs at least 2 features")
     names = d.schema.feature_names
-    blocks = split(d, plan)
 
     def fit(omitted: str | None) -> tuple[ClassifierModel | None, float]:
         keep = [j for j, name in enumerate(names) if name != omitted]
         schema = CategoricalSchema(tuple(d.schema.features[j] for j in keep))
-        d_train, d_val, d_test = (
-            Dataset(schema, b.covariates[:, keep], b.c, b.r, b.w) for b in blocks
-        )
+        reduced = d if omitted is None else Dataset(schema, d.covariates[:, keep], d.c, d.r, d.w)
+        d_train, d_val, d_test = split(reduced, plan)
         model = train_any(d_train, cfg, d_val)
         # Only the full model is read afterwards; the others stay in the worker.
         return model if omitted is None else None, cross_entropy_loss(model, d_test)

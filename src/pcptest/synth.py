@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from .data import CategoricalSchema, DataError, Dataset, encode_rows
+from .data import CategoricalSchema, DataError, Dataset, encode_rows, load_yaml
 from .functionals import per_obs_stats
 
 __all__ = [
@@ -150,7 +150,7 @@ class SyntheticDGP:
     @classmethod
     def from_yaml(cls, path: str) -> "SyntheticDGP":
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = load_yaml(fh)
         if doc.get("version") != DGP_FILE_VERSION:
             raise DataError(f"unsupported DGP file version in {path}")
         schema = CategoricalSchema(

@@ -6,25 +6,27 @@ bootstrap resamples from the dense design and split by weighted-entropy
 decrease.  Boosted regression trees fit the weighted negative gradient of
 the softmax cross-entropy, one tree per class per round, with Newton leaf
 values.  One grower fits one or several training blocks on the same design
-columns with one config, as a stack: ``fit_boosted`` is its one-block call.
-Boosting compresses each block's design once per fit to its distinct rows
-with their record counts and per-class weight masses, and grows the trees
-of a round together, one depth level at a time; tree t is the pair
-(block f, class k), t = f * n_classes + k, so each block's nodes are
-contiguous at every level.  A few bincounts over (node, active column)
-pairs give every node's split histogram, in the manner of LightGBM's
-histogram split finding.  The split search reads each block's weights
-and gradient on a fixed-point grid of that block, so every histogram bin
-is an exact sum, the same in any order.  At many distinct rows, a level
-below the root sums only its right children, the rows whose split column
-is active, and takes each left child's histogram as its parent's less its
-sibling's (LightGBM's subtraction); at few rows, it sums every node
-directly, in fewer numpy calls.  The roots' count and weight histograms
-depend on the data alone and are summed once per fit; a leaf keeps its
-rows as a node of every later level, so no level gathers the open rows;
-the leaf values are the raw gradient's and hessian's sums, summed at the
-last level alone.  Each block's trees are therefore bit-identical to its
-lone fit's, whichever way each level was summed.
+columns with one config, as a stack: ``fit_boosted`` is its one-block
+call.  Boosting and every prediction read a design as its distinct rows
+(``data.DistinctRows``): a dataset's ``distinct_rows``, its share of its
+root's one compression, or a dense design compressed on the call.
+Boosting weighs each row by its record count and per-class weight
+masses, and grows the trees of a round together, one depth level at a
+time; tree t is the pair (block f, class k), t = f * n_classes + k, so
+each block's nodes are contiguous at every level.  A few bincounts over
+(node, active column) pairs give every node's split histogram, in the
+manner of LightGBM's histogram split finding.  The split search reads each
+block's weights and gradient on a fixed-point grid of that block, so
+every histogram bin is an exact sum, the same in any order.  At many
+distinct rows, a level below the root sums only its right children, the
+rows whose split column is active, and takes each left child's histogram
+as its parent's less its sibling's (LightGBM's subtraction); at few rows,
+it sums every node directly, in fewer numpy calls.  The roots' count and
+weight histograms depend on the data alone and are summed once per fit; a
+leaf keeps its rows as a node of every later level, so no level gathers
+the open rows; the leaf values are the raw gradient's and hessian's sums,
+summed at the last level alone.  Each block's trees are therefore
+bit-identical to its lone fit's, whichever way each level was summed.
 
 A boosting round is kept as the grower leaves it: for each splitting
 level, the split column of every node at that level (0 at a leaf) and the
@@ -32,18 +34,17 @@ node's first node at the next level, and the leaf values of the last
 level; the models of one stack share these arrays, each reading its own
 trees.  One routing function moves rows down those levels, a take and an
 add per array and level, in the grower and in prediction alike; a forest
-turns each of its trees into the same form once.  Prediction compresses
-its design the same way and routes the distinct rows only; the sums are
-added in the order of the trees and scattered back to the records, so
-every bit equals a walk of each tree over each record.  The models of one
-stack predict together (``predict_stack``; ``predict_probs`` is its
-one-model call): each model's design is compressed on its own, the
-distinct rows of all of them are concatenated, and each round routes every
-item of every model, tree by row, in one call; each score adds the same
-leaf values in the same order as its model alone, so every model's
-probabilities are its own, bit for bit.  ``TreeNode`` stays
-the stored form of a tree: ``BoostModel.rounds`` builds it from the levels
-on first read, and ``from_doc`` turns it back into levels.
+turns each of its trees into the same form once.  Prediction routes the
+distinct rows only; the sums are added in the order of the trees and
+scattered back to the records, so every bit equals a walk of each tree
+over each record.  The models of one stack predict together
+(``predict_stack``; ``predict_probs`` is its one-model call): the
+distinct rows of all of them are concatenated, and each round routes
+every item of every model, tree by row, in one call; each score adds the
+same leaf values in the same order as its model alone, so every model's
+probabilities are its own, bit for bit.  ``TreeNode`` stays the stored
+form of a tree: ``BoostModel.rounds`` builds it from the levels on first
+read, and ``from_doc`` turns it back into levels.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import DistinctRows, distinct_rows
 from .network import PROB_CLIP, _softmax
 
 __all__ = [
@@ -131,43 +133,21 @@ class TreeNode:
         )
 
 
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The active (> 0.5) pattern of each distinct design row, with the row
-    of every record and the record count of every row.  Every split
-    decision reads only the active pattern."""
-    active = X > 0.5
-    # Packing the bits keeps the lexicographic row order and sorts 8
-    # columns per byte; up to 64 columns, one big-endian word per row keeps
-    # it too and sorts as a plain vector.
-    packed = np.packbits(active, axis=1)
-    if packed.shape[1] <= 8:
-        words = np.zeros((len(packed), 8), dtype=np.uint8)
-        words[:, : packed.shape[1]] = packed
-        packed = words.view(">u8").reshape(-1)
-    _, first, inverse, counts = np.unique(
-        packed,
-        axis=0,
-        return_index=True,
-        return_inverse=True,
-        return_counts=True,
-    )
-    return active[first], inverse.reshape(-1), counts
+def _rows_of(design: np.ndarray | DistinctRows) -> DistinctRows:
+    """A design's distinct rows: given, as a dataset's ``distinct_rows``, or
+    compressed here from a dense design."""
+    return design if isinstance(design, DistinctRows) else distinct_rows(design)
 
 
 def _flat_bits(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, n_cols) active pattern as ``_route`` reads it, flat, and the
-    first bit of each row.  Column 0 never splits, so it is cleared: a leaf
-    (split column 0) routes its rows on to its own node at the next level."""
+    """The (m, n_cols) active pattern as ``_route`` reads it, as a flat
+    copy, and the first bit of each row.  Column 0 never splits, so it is
+    cleared: a leaf (split column 0) routes its rows on to its own node at
+    the next level."""
     m, n_cols = active.shape
-    active[:, 0] = False
-    return active.reshape(-1).view(np.uint8), np.arange(0, m * n_cols, n_cols)
-
-
-def _routing_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of X as ``_route`` reads them, the first bit of each
-    row, and the row of every record."""
-    active, inverse, _ = _distinct_rows(X)
-    return *_flat_bits(active), inverse
+    bits = active.astype(np.uint8)
+    bits[:, 0] = 0
+    return bits.reshape(-1), np.arange(0, m * n_cols, n_cols)
 
 
 @dataclass(frozen=True)
@@ -322,13 +302,14 @@ class ForestModel:
     def _levels(self) -> list[_Levels]:
         return [_levels_of([tree]) for tree in self.trees]
 
-    def predict_probs(self, X: np.ndarray) -> np.ndarray:
-        bits, row_bit, inverse = _routing_rows(X)
+    def predict_probs(self, X: np.ndarray | DistinctRows) -> np.ndarray:
+        rows = _rows_of(X)
+        bits, row_bit = _flat_bits(rows.active)
         root = np.zeros(len(row_bit), dtype=np.intp)
         acc = np.zeros((len(row_bit), self.n_classes))
         for tree in self._levels:
             acc += tree.value.take(_route(tree.splits, root, bits, row_bit), axis=0)
-        return (acc / len(self.trees))[inverse]
+        return (acc / len(self.trees))[rows.inverse]
 
     def to_doc(self) -> dict:
         return {
@@ -396,7 +377,7 @@ class BoostModel:
         trees = slice(self.root, self.root + self.n_classes)
         return [_trees_of(rnd)[trees] for rnd in self.levels]
 
-    def predict_probs(self, X: np.ndarray) -> np.ndarray:
+    def predict_probs(self, X: np.ndarray | DistinctRows) -> np.ndarray:
         return predict_stack([self], [X])[0]
 
     def to_doc(self) -> dict:
@@ -426,23 +407,23 @@ SUBTRACT_MIN_ENTRIES = 4096
 
 
 class _DistinctRows:
-    """The designs of several training blocks, each compressed to its
-    distinct rows, with the (item, active column) entries that the
-    level-wise grower sums its histograms over.
+    """The distinct rows of several training blocks, with the (item, active
+    column) entries that the level-wise grower sums its histograms over.
 
     Records that share a design row share every split decision and every
     score, so a boosting round needs only each row's record count, total
     weight W and per-class weight masses M: its gradient and hessian sums
-    are M_k - W p_k and W p_k (1 - p_k).  Each block is compressed on its
-    own and the blocks' distinct rows are concatenated, block after block;
-    m counts them all.  Tree t = f * n_classes + k is class k's tree of
-    block f, so the trees of one block, and their nodes at every level,
-    are contiguous.  The trees of a round are grown together; item
-    k * m + r stands for row r in class k's tree of r's block.  M, the
-    scores, the gradient and the hessian are laid out the same way,
-    class-major.  Row i of ``item_cols`` holds item i's active columns,
+    are M_k - W p_k and W p_k (1 - p_k).  The blocks' distinct rows are
+    concatenated, block after block; m counts them all.  Tree
+    t = f * n_classes + k is class k's tree of block f, so the trees of one
+    block, and their nodes at every level, are contiguous.  The trees of a
+    round are grown together; item k * m + r stands for row r in class k's
+    tree of r's block.  M, the scores, the gradient and the hessian are
+    laid out the same way, class-major.  Row r of ``entry_cols`` holds row r's active columns,
     column 0 first and always, padded to a common width with column 0 at
-    zero weight: a histogram's column 0 is its node's total.
+    zero weight: a histogram's column 0 is its node's total.  Every item
+    of row r reads that row's entries; only at few entries are the count
+    and W entries tiled per item, for one bincount a level.
 
     The split search reads W and the gradient on a fixed-point grid of
     their block: multiples of 2^-k, with 2^(51 - k) above the block's total
@@ -460,26 +441,23 @@ class _DistinctRows:
 
     def __init__(
         self,
-        blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        blocks: Sequence[tuple[DistinctRows, np.ndarray, np.ndarray]],
         n_classes: int,
         min_leaf: int,
     ):
-        W, M, active, counts = [], [], [], []
-        for X, labels, w in blocks:
-            rows, inverse, row_counts = _distinct_rows(X)
-            m = len(rows)
-            W.append(np.bincount(inverse, weights=w, minlength=m))
+        W, M = [], []
+        for rows, labels, w in blocks:
+            m = len(rows.counts)
+            W.append(np.bincount(rows.inverse, weights=w, minlength=m))
             M.append(
-                np.bincount(labels * m + inverse, weights=w, minlength=n_classes * m).reshape(
-                    n_classes, m
-                )
+                np.bincount(
+                    labels * m + rows.inverse, weights=w, minlength=n_classes * m
+                ).reshape(n_classes, m)
             )
-            active.append(rows)
-            counts.append(row_counts)
-        sizes = [len(c) for c in counts]
+        sizes = [len(rows.counts) for rows, _, _ in blocks]
         self.block = np.repeat(np.arange(len(blocks)), sizes)  # of each row
-        active = np.concatenate(active)  # (m, n_cols)
-        counts = np.concatenate(counts).astype(np.float64)
+        active = np.concatenate([rows.active for rows, _, _ in blocks])  # (m, n_cols)
+        counts = np.concatenate([rows.counts for rows, _, _ in blocks]).astype(np.float64)
         m, n_cols = active.shape
         self.m, self.n_classes, self.n_cols = m, n_classes, n_cols
         self.n_blocks, self.min_leaf = len(blocks), min_leaf
@@ -487,32 +465,30 @@ class _DistinctRows:
         total = np.bincount(self.block, weights=self.W, minlength=self.n_blocks)
         self.scale = np.ldexp(1.0, 51 - np.frexp(total)[1]).take(self.block)  # 2^k of each row
 
-        # Each row's active columns in column order, column 0 first.
+        # Each row's active columns in column order, column 0 first, and
+        # their entries; item k * m + r reads row r's.
         active[:, 0] = True
         order = np.argsort(~active, axis=1, kind="stable")[:, : active.sum(axis=1).max()]
-        real = np.take_along_axis(active, order, axis=1)  # False: padding
-        cols = np.where(real, order, 0)
-        entry_count = counts[:, None] * real
-        entry_W = self.quantize(self.W)[:, None] * real
-
-        def per_item(a: np.ndarray) -> np.ndarray:
-            return np.tile(a, (n_classes, 1))
-
-        self.item_cols, self.entry_real = per_item(cols), per_item(real)
-        self.entry_count, self.entry_W = per_item(entry_count), per_item(entry_W)
+        self.entry_real = np.take_along_axis(active, order, axis=1)  # False: padding
+        self.entry_cols = np.where(self.entry_real, order, 0)
+        self.entry_count = counts[:, None] * self.entry_real
+        self.entry_W = self.quantize(self.W)[:, None] * self.entry_real
 
         # The roots: tree f * n_classes + k is node f * n_classes + k of level 0.
         self.root_block = np.repeat(np.arange(self.n_blocks), n_classes)
         self.root_node = (self.block * n_classes + np.arange(n_classes)[:, None]).reshape(-1)
-        self.subtract = self.entry_real.size > SUBTRACT_MIN_ENTRIES
+        self.subtract = n_classes * self.entry_real.size > SUBTRACT_MIN_ENTRIES
         if self.subtract:  # the roots' gradient sums are matrix products
             self.design = active.astype(np.float64)
             ends = np.cumsum(sizes)
             self.block_rows = [slice(end - size, end) for end, size in zip(ends, sizes)]
-        else:
-            self.root_key = self.entry_keys(self.root_node, self.item_cols)
-        block_key = self.entry_keys(self.block, cols)
-        block_hist = _histograms(block_key, [entry_count, entry_W], self.n_blocks, n_cols)
+        else:  # every item's count and W entries, for one bincount a level
+            self.item_count, self.item_W = (
+                np.tile(a, (n_classes, 1)) for a in (self.entry_count, self.entry_W)
+            )
+            self.root_key = self.entry_keys(self.root_node, self.entry_cols)
+        block_key = self.entry_keys(self.block, self.entry_cols)
+        block_hist = _histograms(block_key, [self.entry_count, self.entry_W], self.n_blocks, n_cols)
         self.root_hist = np.repeat(block_hist, n_classes, axis=1)  # count and W, per tree
         self.root_valid = _valid_splits(self.root_hist[0], min_leaf)
         self.bits, row_bit = _flat_bits(active)
@@ -530,8 +506,9 @@ class _DistinctRows:
 
     def entry_keys(self, node: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The histogram bin, node * n_cols + column, of every entry of the
-        items at the given nodes, whose columns are ``cols``."""
-        return ((node * self.n_cols)[:, None] + cols).reshape(-1)
+        items at the given nodes, whose columns are ``cols``: a row of cols
+        per item, or per row when ``node`` holds every item."""
+        return ((node.reshape(-1, len(cols)) * self.n_cols)[..., None] + cols).reshape(-1)
 
 
 def _histograms(
@@ -590,7 +567,7 @@ def _grow_round(
     n_cols, min_leaf = rows.n_cols, rows.min_leaf
     q = rows.quantize(grad)
     if not rows.subtract:
-        entry_grad = q.reshape(-1, 1) * rows.entry_real  # every entry's, once a round
+        entry_grad = q[..., None] * rows.entry_real  # every item's entries, once a round
     splits = []
     row_of_node = rows.root_block * n_cols  # each node's block, as its first entry of importance
     node_of = rows.root_node
@@ -608,8 +585,8 @@ def _grow_round(
             if rows.subtract:
                 hist = _subtracted(rows, hist, split, splits[-1][1], node_of, q.reshape(-1))
             else:
-                key = rows.entry_keys(node_of, rows.item_cols)
-                hist = _histograms(key, [rows.entry_count, rows.entry_W, entry_grad], n_nodes, n_cols)
+                key = rows.entry_keys(node_of, rows.entry_cols)
+                hist = _histograms(key, [rows.item_count, rows.item_W, entry_grad], n_nodes, n_cols)
             valid = _valid_splits(hist[0], min_leaf)
         if not valid.any():
             break
@@ -659,9 +636,10 @@ def _subtracted(
     is_right = np.zeros(len(first) + len(right), dtype=bool)
     is_right[right] = True
     items = np.flatnonzero(is_right.take(node_of))
-    key = rows.entry_keys(node_of.take(items), rows.item_cols.take(items, axis=0))
-    weights = [a.take(items, axis=0) for a in (rows.entry_count, rows.entry_W)]
-    weights.append(item_grad.take(items)[:, None] * rows.entry_real.take(items, axis=0))
+    item_rows = items % rows.m
+    key = rows.entry_keys(node_of.take(items), rows.entry_cols.take(item_rows, axis=0))
+    weights = [a.take(item_rows, axis=0) for a in (rows.entry_count, rows.entry_W)]
+    weights.append(item_grad.take(items)[:, None] * rows.entry_real.take(item_rows, axis=0))
     direct = _histograms(key, weights, len(is_right), rows.n_cols)[:, right]
     hist = np.repeat(parent, split + 1, axis=1)
     hist[:, right] = direct
@@ -670,17 +648,18 @@ def _subtracted(
 
 
 def fit_boosted_many(
-    blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    blocks: Sequence[tuple[np.ndarray | DistinctRows, np.ndarray, np.ndarray]],
     cfg: BoostConfig,
     n_classes: int = 4,
 ) -> list[BoostModel]:
     """The boosted models of several training blocks, (design, labels,
     weights) each, on the same design columns, grown as one stack: each
     round grows the class trees of every block together, one depth level
-    at a time, and the models share the rounds' level arrays.  Every
-    block's trees, importances and predictions are bit for bit those of
-    its lone fit."""
-    n_cols = blocks[0][0].shape[1]
+    at a time, and the models share the rounds' level arrays.  A design is
+    dense or its distinct rows.  Every block's trees, importances and
+    predictions are bit for bit those of its lone fit."""
+    blocks = [(_rows_of(X), labels, w) for X, labels, w in blocks]
+    n_cols = blocks[0][0].active.shape[1]
     importance = np.zeros(len(blocks) * n_cols)
     models = []
     for f, (_, labels, w) in enumerate(blocks):
@@ -713,22 +692,28 @@ def fit_boosted_many(
 
 
 def fit_boosted(
-    X: np.ndarray, labels: np.ndarray, w: np.ndarray, cfg: BoostConfig, n_classes: int = 4
+    X: np.ndarray | DistinctRows,
+    labels: np.ndarray,
+    w: np.ndarray,
+    cfg: BoostConfig,
+    n_classes: int = 4,
 ) -> BoostModel:
     """The boosted model of one training block: ``fit_boosted_many`` of it alone."""
     (model,) = fit_boosted_many([(X, labels, w)], cfg, n_classes)
     return model
 
 
-def predict_stack(models: Sequence[BoostModel], designs: Sequence[np.ndarray]) -> list[np.ndarray]:
+def predict_stack(
+    models: Sequence[BoostModel], designs: Sequence[np.ndarray | DistinctRows]
+) -> list[np.ndarray]:
     """The class probabilities of ``designs[i]`` under ``models[i]``, for
     models of one stack: they share their rounds' level arrays and their
-    learning rate.  Each design is compressed to its distinct rows on its
-    own and the rows are concatenated, model after model, so every round
-    routes every item of every model in one ``_route`` call.  Item
-    c * m + r stands for row r in class c's tree of r's model, and each
-    score adds the same leaf values in the same order as a model alone
-    would: the probabilities are bit for bit each model's own."""
+    learning rate.  Each design's distinct rows are concatenated, model
+    after model, so every round routes every item of every model in one
+    ``_route`` call.  Item c * m + r stands for row r in class c's tree of
+    r's model, and each score adds the same leaf values in the same order
+    as a model alone would: the probabilities are bit for bit each model's
+    own."""
     first = models[0]
     for model in models:
         if (
@@ -738,16 +723,14 @@ def predict_stack(models: Sequence[BoostModel], designs: Sequence[np.ndarray]) -
             or any(a is not b for a, b in zip(model.levels, first.levels))
         ):
             raise ValueError("predict_stack reads the models of one stack")
-    rows = [_routing_rows(X) for X in designs]
-    sizes = [len(row_bit) for _, row_bit, _ in rows]
+    rows = [_rows_of(X) for X in designs]
+    sizes = [len(r.counts) for r in rows]
     k, m = first.n_classes, sum(sizes)
     scores = np.repeat(
         np.stack([model.init_scores for model in models], axis=1), sizes, axis=1
     )  # (n_classes, m)
     if first.learning_rate != 0.0:
-        offsets = np.cumsum([0] + [len(bits) for bits, _, _ in rows[:-1]])
-        bits = np.concatenate([bits for bits, _, _ in rows])
-        row_bit = np.concatenate([row_bit + at for (_, row_bit, _), at in zip(rows, offsets)])
+        bits, row_bit = _flat_bits(np.concatenate([r.active for r in rows]))
         row_root = np.repeat([model.root for model in models], sizes)
         root = (row_root + np.arange(k)[:, None]).reshape(-1)
         item_bit = np.tile(row_bit, k)
@@ -755,4 +738,4 @@ def predict_stack(models: Sequence[BoostModel], designs: Sequence[np.ndarray]) -
             node = _route(rnd.splits, root, bits, item_bit)
             scores += first.learning_rate * rnd.value.take(node, axis=0).reshape(k, m)
     probs = np.split(_softmax(scores, axis=0).T, np.cumsum(sizes)[:-1])
-    return [p[inverse] for p, (_, _, inverse) in zip(probs, rows)]
+    return [p[r.inverse] for p, r in zip(probs, rows)]

@@ -261,6 +261,7 @@ class TestWriteTable:
             [np.array([0.0, -0.0, np.nan, -np.nan, 0.0, 1e-300, -0.0, np.inf]), list(range(8))],
         )
     )
+    @example(table=(['a,"b"', "c\n"], [np.array([1.0, -2.5, np.nan]), np.array([1e6, 0.0, 1e6])]))
     @settings(max_examples=300, deadline=None)
     def test_same_bytes_as_the_row_writer(self, table):
         header, columns = table
@@ -671,6 +672,40 @@ class TestCommands:
         assert manifests[0] == manifests[1]
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_demo12_report_encodes_and_compresses_once(tmp_path, monkeypatch, workers, n_workers):
+    """A demo12 report, the benchmark's, encodes its dataset's design once
+    and compresses it once, in this process before its batch forks: no
+    unit, here or in a worker, encodes or compresses a block of its own."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
+    inputs = workloads.write_inputs(workloads.WORKLOADS["report-demo12-boosted"], 1, str(tmp_path))
+    log = tmp_path / "calls.txt"
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+
+        return call
+
+    from pcptest import data, trees
+
+    for module, name in ((data, "encode_rows"), (data, "distinct_rows"), (trees, "distinct_rows")):
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    workers(n_workers)
+    cfg = load_config(inputs.config_path)
+    cli.run_command("report", cfg)
+    assert log.read_text().splitlines() == [
+        f"encode_rows {os.getpid()}",
+        f"distinct_rows {os.getpid()}",
+    ]
+
+
 def test_each_score_is_computed_once_per_feature(monkeypatch, small_dataset):
     """The group table scores the records once per feature and statistic,
     not once per group."""
@@ -902,6 +937,24 @@ class TestExitCodes:
         (line,) = res.output.splitlines()
         assert line == f"error: {message}"
         assert not out.exists()
+
+    def test_huge_mc_draws_is_rejected_by_the_config_alone(self, workdir, tmp_path, monkeypatch):
+        """An mc_draws above the bound is one line naming it, exit 1 and no
+        output: the config check rejects it before the dataset is read, so
+        no Monte Carlo draw is made."""
+        monkeypatch.setattr(cli, "load_dataset", lambda cfg: pytest.fail("read the dataset"))
+        monkeypatch.setattr(cli, "intersection_tests", lambda inputs: pytest.fail("drew normals"))
+        out = tmp_path / "o"
+        doc = base_config(workdir, out, mc_draws=10**15)
+        res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "report")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line == f"error: mc_draws must be at most {inference.MAX_MC_DRAWS}, got {10**15}"
+        assert not out.exists()
+        with pytest.raises(DataError, match="mc_draws"):
+            RunConfig(mc_draws=inference.MAX_MC_DRAWS + 1)
+        assert RunConfig(mc_draws=inference.MAX_MC_DRAWS).mc_draws == inference.MAX_MC_DRAWS
 
     def test_negative_seed_option_is_validation_error(self, workdir, tmp_path):
         out = tmp_path / "o"

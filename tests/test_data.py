@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcptest import data
+import yaml
+
 from pcptest.data import (
     CategoricalSchema,
     DataError,
@@ -16,7 +18,10 @@ from pcptest.data import (
     FoldAssignment,
     SplitPlan,
     default_schema,
+    distinct_rows,
+    encode_rows,
     load_csv,
+    load_yaml,
     make_folds,
     one_hot_encode,
     partition,
@@ -314,6 +319,77 @@ class TestDesign:
         )
         row = one_hot_encode(d)[0]
         assert row.tolist() == [1.0, 0, 0, 0, 0, 0]
+
+
+@st.composite
+def nested_takes(draw):
+    """A random schema of 1-12 features with 2-12 modalities each (up to
+    133 design columns), a dataset on it, and a chain of 1-3 takes, each
+    of any size, in any order, with repeats or without."""
+    sizes = draw(st.lists(st.integers(2, 12), min_size=1, max_size=12))
+    schema = CategoricalSchema(tuple((f"f{j}", tuple(range(k))) for j, k in enumerate(sizes)))
+    d = toy_dataset(schema, n=draw(st.integers(1, 300)), seed=draw(st.integers(0, 2**32 - 1)))
+    chain = []
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(1, 3))):
+        n = chain[-1].n if chain else d.n
+        replace = draw(st.booleans())
+        size = draw(st.integers(1, 2 * n if replace else n))
+        chain.append((chain[-1] if chain else d).take(rng.choice(n, size, replace=replace)))
+    return d, chain
+
+
+def assert_same_arrays(a, b):
+    for x, y in zip(a, b, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
+class TestRootEncodings:
+    @settings(max_examples=150, deadline=None)
+    @given(nested_takes())
+    def test_a_subset_reads_what_its_own_encoding_gives(self, problem):
+        """Through nested takes, a subset's gathered design is the
+        encoding of its own records, and its share of the root's distinct
+        rows is ``distinct_rows`` of that design: rows, order, inverse and
+        counts."""
+        d, chain = problem
+        for sub in [d, *chain]:
+            X = encode_rows(sub.schema, sub.covariates)
+            assert_same_arrays([sub.design()], [X])
+            assert_same_arrays(sub.distinct_rows(), distinct_rows(X))
+
+    def test_the_root_encodes_once(self, small_schema, monkeypatch):
+        """Every subset, however taken, reads the root's one encoding and
+        one compression; the root's arrays are read-only."""
+        calls = []
+        for name in ("encode_rows", "distinct_rows"):
+            original = getattr(data, name)
+            monkeypatch.setattr(
+                data, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
+        d = toy_dataset(small_schema, n=200)
+        subsets = [d.take(np.arange(0, 200, 3)), d.take(np.arange(100)).take([5, 5, 7])]
+        for sub in [d, *subsets, d]:
+            sub.design()
+            sub.distinct_rows()
+        assert calls == ["encode_rows", "distinct_rows"]
+        assert not d.distinct_rows().active.flags.writeable
+
+
+class TestYaml:
+    def test_load_yaml_reads_what_safe_load_reads(self, tmp_path, small_schema):
+        doc = {"seed": 3, "levels": [0.01, 0.1], "w": 1e-3, "name": "x", "on": True, "n": None}
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(doc) + "extra: 1e5\nmixed: [1, '2', 3.0]\n")
+        with open(path) as a, open(path) as b:
+            assert load_yaml(a) == yaml.safe_load(b)
+
+    def test_malformed_yaml_raises_yaml_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("a: [1, 2\nb: c: d\n")
+        with open(path) as fh, pytest.raises(yaml.YAMLError):
+            load_yaml(fh)
 
 
 class TestSplitsAndFolds:

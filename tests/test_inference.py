@@ -24,6 +24,7 @@ from pcptest.inference import (
     mc_size_power,
     merge_sorted_splits,
     sorted_groups_run,
+    sorted_quantile,
 )
 from pcptest.network import NetworkConfig
 from pcptest.synth import sample_dataset
@@ -139,6 +140,8 @@ class TestIntersectionTest:
             self.inp([0.1], [0.1], alpha=1.5)
         with pytest.raises(DataError):
             self.inp([0.1], [0.1], mc_draws=10)
+        with pytest.raises(DataError, match="mc_draws must be at most 1000000"):
+            self.inp([0.1], [0.1], mc_draws=inference.MAX_MC_DRAWS + 1)
 
     @given(shift=st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=25, deadline=None)
@@ -262,15 +265,18 @@ class TestSharedDraws:
     st.integers(0, 2**32 - 1),
 )
 def test_quantiles_of_the_sorted_vector_are_the_quantiles(n, n_values, levels, seed):
-    """``_tests_on_one_draw`` takes its quantiles from a sorted copy of each
-    max vector: over random lengths, ties (n draws of n_values values) and
-    levels, they are the bits of ``np.quantile`` of the vector unsorted."""
+    """``_tests_on_one_draw`` reads its quantiles from a sorted copy of each
+    max vector by ``sorted_quantile``: over random lengths, ties (n draws
+    of n_values values) and levels, with 0, 1 and a gamma_n among them,
+    they are the bits of ``np.quantile`` of the vector unsorted, as a
+    vector and one by one."""
     rng = np.random.default_rng(seed)
     values = rng.normal(size=n_values)[rng.integers(0, n_values, n)]
-    levels = levels + [1.0 - levels[0]]
-    assert np.quantile(np.sort(values), levels).tobytes() == np.quantile(values, levels).tobytes()
+    levels = levels + [1.0 - levels[0], 0.0, 1.0, gamma_n(n + 1)]
+    ordered = np.sort(values)
+    assert sorted_quantile(ordered, levels).tobytes() == np.quantile(values, levels).tobytes()
     for q in levels:
-        assert np.quantile(np.sort(values), q).tobytes() == np.quantile(values, q).tobytes()
+        assert sorted_quantile(ordered, q).tobytes() == np.quantile(values, q).tobytes()
 
 
 def lone_split(d, cfg, child):

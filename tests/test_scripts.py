@@ -62,13 +62,17 @@ def test_compare_outputs_finds_a_checkout_equal_to_itself():
 
 
 def test_batch_timeline_times_the_units_and_the_stages():
-    """One in-process report: a row per pool unit with its pid, where it
-    ran, start, end and arrival, each unit ending after it starts, unit 0
-    and only the units on its pid run here, and the parent's four stages."""
-    res = run_script(ROOT / "scripts" / "batch_timeline.py", "report-demo12-boosted", "--seed", "2")
+    """Two in-process reports, the last printed: a row per pool unit with
+    its pid, where it ran, start, end and arrival, each unit ending after
+    it starts, unit 0 and only the units on its pid run here, and the
+    parent's four stages."""
+    res = run_script(
+        ROOT / "scripts" / "batch_timeline.py", "report-demo12-boosted", "--seed", "2", "--repeat", "2"
+    )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert lines[0].startswith("report-demo12-boosted seed 2: report, ")
+    assert ", run 2 of 2, " in lines[0]
     assert lines[1].startswith("batch 1: ") and lines[2].split() == [
         "unit", "pid", "ran", "start", "end", "arrived"
     ]

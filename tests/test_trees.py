@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcptest.data import default_schema, one_hot_encode
+from pcptest.data import default_schema, distinct_rows, encode_rows, one_hot_encode
 from pcptest.learners import _block, load_model, save_model
 from pcptest.network import _softmax, forward_probs
 from pcptest import trees
@@ -20,7 +20,6 @@ from pcptest.trees import (
     ForestConfig,
     ForestModel,
     TreeNode,
-    _distinct_rows,
     _levels_of,
     fit_boosted,
     fit_boosted_many,
@@ -470,7 +469,7 @@ def test_distinct_rows_in_lexicographic_order(n_cols, n, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 2, (n, n_cols)).astype(float)
     X[rng.integers(n)] = X[rng.integers(n)]
-    rows, inverse, counts = _distinct_rows(X)
+    rows, inverse, counts = distinct_rows(X)
     ref, ref_inverse, ref_counts = np.unique(
         X > 0.5, axis=0, return_inverse=True, return_counts=True
     )
@@ -740,8 +739,13 @@ class TestStackedFits:
 
 def _direct_sums(rows, node_of, item_grad, n_nodes):
     """Each node's count, W and S histograms, summed over its items in
-    reverse item order, through the dense design rows."""
-    weights = (rows.entry_count[:, 0], rows.entry_W[:, 0], item_grad)
+    reverse item order, through the dense design rows; item k * m + r
+    has row r's count and W."""
+    weights = (
+        np.tile(rows.entry_count[:, 0], rows.n_classes),
+        np.tile(rows.entry_W[:, 0], rows.n_classes),
+        item_grad,
+    )
     sums = np.zeros((3, n_nodes, rows.n_cols))
     for node in range(n_nodes):
         items = np.flatnonzero(node_of == node)[::-1]
@@ -835,3 +839,37 @@ class TestStackedPrediction:
         assert len(predict_stack([a, b], [block[0], block[0]])) == 2
         with pytest.raises(ValueError, match="one stack"):
             predict_stack([a, c], [block[0], block[0]])
+
+
+# ---------------------------------------------------------------------------
+# Shared compression: a dataset's blocks read their distinct rows from the
+# root's one compression.  Fits and predictions from that form are bit for
+# bit those from each block's own dense design.
+
+
+class TestSharedCompression:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(["small", "default8"]), st.integers(0, 2**32 - 1))
+    def test_fits_and_predictions_read_either_form(self, small_dataset, sample, seed):
+        """Nested subsets of a 12-cell dataset (few rows: every node
+        summed) and of a default8 sample (nearly all rows distinct:
+        histogram subtraction): stacked and lone boosted fits, forest fits
+        and every prediction are the same bits from the shared rows as from
+        the dense designs."""
+        d = small_dataset if sample == "small" else _default8_sample(1500)
+        rng = np.random.default_rng(seed)
+        outer = d.take(rng.choice(d.n, d.n * 3 // 4, replace=False))
+        subsets = [d, outer, outer.take(rng.choice(outer.n, outer.n // 2, replace=False))]
+        dense = [(encode_rows(s.schema, s.covariates), s.class_labels(), s.w) for s in subsets]
+        shared = [(s.distinct_rows(), labels, w) for s, (_, labels, w) in zip(subsets, dense)]
+        cfg = BoostConfig(n_rounds=3, max_depth=3, min_leaf=5, learning_rate=0.5)
+        stacks = fit_boosted_many(dense, cfg), fit_boosted_many(shared, cfg)
+        for f, (from_dense, from_shared) in enumerate(zip(*stacks)):
+            assert_same_model(from_shared, from_dense, [])
+            assert_same_model(fit_boosted(*shared[f], cfg), from_dense, [])
+        for models in stacks:
+            probs = [predict_stack(models, [X for X, _, _ in blocks]) for blocks in (dense, shared)]
+            assert [p.tobytes() for p in probs[0]] == [p.tobytes() for p in probs[1]]
+        forest = fit_forest(*dense[1], ForestConfig(n_trees=3, max_depth=3, min_leaf=5, seed=seed))
+        for (X, _, _), (rows, _, _) in zip(dense, shared):
+            assert forest.predict_probs(rows).tobytes() == forest.predict_probs(X).tobytes()
