@@ -39,7 +39,6 @@ __all__ = [
     "load_yaml",
     "load_csv",
     "save_csv",
-    "one_hot_encode",
     "encode_rows",
     "distinct_rows",
     "split",
@@ -336,11 +335,6 @@ def encode_rows(
             X[:, col] = covariates[:, j] == code
             col += 1
     return X
-
-
-def one_hot_encode(d: Dataset) -> np.ndarray:
-    """The ``(n, width)`` design of every record of ``d``: ``d.design()``."""
-    return d.design()
 
 
 # ---------------------------------------------------------------------------

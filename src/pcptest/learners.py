@@ -7,13 +7,14 @@ simplex for each design row, and writes and reads its own parameters.
 record holds its grid fitter, its tie key and its fitter over several
 training sets, so ``train_any``, ``train_many``, ``predict_many``,
 ``hyperopt``, cross-fitting, importances and model files serve every
-family alike.  A family reads a dataset's dense design or its distinct
-rows, both taken from the encodings that the dataset's root makes once;
-the callers that fork build them before their batch, so the workers
-inherit them.  Cross-fitting folds, with the raw fit on every record, and
-the sorted-groups splits run as stacks of fits (``stacks``); the boosted
-family grows a stack's training sets in one call, and predicts with a
-stack's models in one routing pass, bit for bit as it does each alone.
+family alike.  The network reads a dataset's dense design and the tree
+families its distinct rows, both taken from the encodings that the
+dataset's root makes once; the callers that fork build them before their
+batch, so the workers inherit them.  Cross-fitting folds, with the raw
+fit on every record, and the sorted-groups splits run as stacks of fits
+(``stacks``); the boosted family grows a stack's training sets in one
+call, and predicts with a stack's models in one routing pass, bit for bit
+as it does each alone.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class ClassifierModel:
     def predict_quads(self, d: Dataset) -> np.ndarray:
         if d.schema.fingerprint() != self.schema_fingerprint:
             raise DataError("dataset schema does not match the model's schema")
-        return self.predictor.predict_probs(KINDS[self.kind].predict_input(d))
+        return self.predictor.predict_probs(KINDS[self.kind].read(d))
 
 
 def cross_entropy_loss(model: ClassifierModel, d: Dataset) -> float:
@@ -154,7 +155,8 @@ class Family(NamedTuple):
     as one stack, the only case in which grouping fits pays; its
     predictor ``(fitted models, designs) -> probabilities`` for the models
     of one ``fit_many`` call; and how its fitters and its predictors read
-    a dataset's design: ``Dataset.design`` or ``Dataset.distinct_rows``."""
+    a dataset's design (``read``): ``Dataset.design`` or
+    ``Dataset.distinct_rows``."""
 
     config: type
     model: type
@@ -163,8 +165,7 @@ class Family(NamedTuple):
     fit_many: Callable[..., list] = _fit_each
     stacked: bool = False
     predict_many: Callable[..., list] = _predict_each
-    fit_input: Callable[[Dataset], object] = Dataset.design
-    predict_input: Callable[[Dataset], object] = Dataset.design
+    read: Callable[[Dataset], object] = Dataset.design
 
     @property
     def impurity(self) -> bool:
@@ -172,24 +173,22 @@ class Family(NamedTuple):
         return "importance" in self.model.__dataclass_fields__
 
 
-def _tree_family(
-    config: type, model: type, fit_name: str, size_field: str, **stack
-) -> Family:
-    """A tree family, which predicts from distinct rows.  Its grid fitter
-    reads no validation block and runs each candidate as one ``map_units``
-    unit, largest first by ``<size_field> * 2**max_depth``;
-    ``trees.<fit_name>`` is looked up per call, so a wrapper on ``trees``
-    sees it.  Ties go to the earlier one.  ``stack`` sets ``fit_many`` and
-    ``stacked``, if the family stacks, and ``fit_input``."""
-    fit_input = stack.get("fit_input", Dataset.design)
+def _tree_family(config: type, model: type, fit: Callable, size_field: str, **stack) -> Family:
+    """A tree family, which fits and predicts from distinct rows.  Its grid
+    fitter reads no validation block and runs each candidate, ``fit(block,
+    config)``, as one ``map_units`` unit, largest first by
+    ``<size_field> * 2**max_depth``; ``fit`` reads the fitter of ``trees``
+    per call, so a wrapper on ``trees`` sees it.  Ties go to the earlier
+    one.  ``stack`` sets ``fit_many``, ``stacked`` and ``predict_many``, if
+    the family stacks."""
 
     def fit_grid(d_train: Dataset, validation: Dataset | None, cfgs, fold: int = 0) -> list:
-        fit, block = getattr(trees, fit_name), _block(d_train, fit_input)
+        block = _block(d_train, Dataset.distinct_rows)
         size = [getattr(c, size_field) * 2**c.max_depth for c in cfgs]
         order = sorted(range(len(cfgs)), key=lambda i: -size[i])
         # One candidate (train_any) fits in place, a unit of its caller's batch.
         run = map_units if len(cfgs) > 1 else map
-        fitted = dict(zip(order, run(lambda i: fit(*block, cfgs[i], N_CLASSES), order)))
+        fitted = dict(zip(order, run(lambda i: fit(block, cfgs[i]), order)))
         return [fitted[i] for i in range(len(cfgs))]
 
     return Family(
@@ -197,7 +196,7 @@ def _tree_family(
         model,
         fit_grid,
         lambda cfg, n_inputs: (),
-        predict_input=Dataset.distinct_rows,
+        read=Dataset.distinct_rows,
         **stack,
     )
 
@@ -211,16 +210,20 @@ KINDS = {
         _fit_networks,
         lambda cfg, n_inputs: (net.count_parameters(cfg, n_inputs, N_CLASSES), cfg.dropout),
     ),
-    "forest": _tree_family(ForestConfig, trees.ForestModel, "fit_forest", "n_trees"),
+    "forest": _tree_family(
+        ForestConfig,
+        trees.ForestModel,
+        lambda block, cfg: trees.fit_forest(*block, cfg, N_CLASSES),
+        "n_trees",
+    ),
     "boosted": _tree_family(
         BoostConfig,
         trees.BoostModel,
-        "fit_boosted",
+        lambda block, cfg: trees.fit_boosted_many([block], cfg, N_CLASSES)[0],
         "n_rounds",
         fit_many=_fit_boosted_stack,
         stacked=True,
         predict_many=trees.predict_stack,
-        fit_input=Dataset.distinct_rows,
     ),
 }
 _KIND_OF = {family.config: kind for kind, family in KINDS.items()}
@@ -235,9 +238,7 @@ def _kind_of(cfg: LearnerConfig) -> str:
 def encode(d: Dataset, cfg: LearnerConfig) -> None:
     """Make the root encodings of ``d`` that cfg's family fits and predicts
     from, before a batch forks, so that its units inherit them."""
-    family = KINDS[_kind_of(cfg)]
-    family.fit_input(d)
-    family.predict_input(d)
+    KINDS[_kind_of(cfg)].read(d)
 
 
 def train_any(
@@ -271,7 +272,7 @@ def predict_many(models: Sequence[ClassifierModel], ds: Sequence[Dataset]) -> li
         if d.schema.fingerprint() != model.schema_fingerprint:
             raise DataError("dataset schema does not match the model's schema")
     family = KINDS[models[0].kind]
-    return family.predict_many([m.predictor for m in models], [family.predict_input(d) for d in ds])
+    return family.predict_many([m.predictor for m in models], [family.read(d) for d in ds])
 
 
 # The most distinct design rows at which the fits of a stacking family are
@@ -355,7 +356,7 @@ def hyperopt(d: Dataset, grid: Sequence[LearnerConfig], plan: SplitPlan) -> Hype
     if any(type(cfg) is not family.config for cfg in grid):
         raise DataError("a hyperparameter grid searches one learner family")
     d_train, d_val, d_test = split(d, plan)
-    X_test, labels_test, w_test = _block(d_test, family.predict_input)
+    X_test, labels_test, w_test = _block(d_test, family.read)
     losses = [
         net.weighted_cross_entropy(model.predict_probs(X_test), labels_test, w_test)
         for model in family.fit_grid(d_train, d_val, grid)
@@ -492,7 +493,12 @@ def load_model(path: str, schema: CategoricalSchema) -> ClassifierModel:
         raise DataError(f"{path}: not a model of the {N_CLASSES}-way (c, r) class")
     if doc["schema_fingerprint"] != schema.fingerprint():
         raise DataError("model was trained under a different schema")
-    family = KINDS[doc["kind"]]
-    cfg = family.config(**{key: v for key, v in doc["config"].items() if key != "type"})
-    predictor = family.model.from_doc(doc["parameters"], N_CLASSES)
+    try:
+        family = KINDS[doc["kind"]]
+        cfg = family.config(**{key: v for key, v in doc["config"].items() if key != "type"})
+        predictor = family.model.from_doc(doc["parameters"], N_CLASSES)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: malformed model file: {err}") from None
+    if family.impurity and len(predictor.importance) != schema.n_design_columns:
+        raise DataError(f"{path}: malformed model file: importance of the wrong length")
     return ClassifierModel(cfg, doc["schema_fingerprint"], predictor)

@@ -44,7 +44,6 @@ __all__ = [
     "forward_probs",
     "weighted_cross_entropy",
     "loss_and_gradient",
-    "fit_softmax_network",
     "fit_softmax_networks",
 ]
 
@@ -428,20 +427,3 @@ def fit_softmax_networks(
         if isinstance(fitted[key], NetworkTrainingError):
             raise fitted[key]
     return [fitted[k][0] for k in keys], [fitted[k][1] for k in keys]
-
-
-def fit_softmax_network(
-    X_train: np.ndarray,
-    labels_train: np.ndarray,
-    w_train: np.ndarray,
-    X_val: np.ndarray,
-    labels_val: np.ndarray,
-    w_val: np.ndarray,
-    cfg: NetworkConfig,
-    n_classes: int,
-) -> tuple[MLPParams, TrainingReport]:
-    """fit_softmax_networks for one config."""
-    params, reports = fit_softmax_networks(
-        X_train, labels_train, w_train, X_val, labels_val, w_val, [cfg], n_classes
-    )
-    return params[0], reports[0]

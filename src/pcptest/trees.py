@@ -1,57 +1,38 @@
 """Tree ensembles over dummy-coded designs: random forest and gradient boosting.
 
 Both learners split on the binary design columns (the constant column is
-never a candidate).  Forest trees are grown depth first on weighted
-bootstrap resamples from the dense design and split by weighted-entropy
-decrease.  Boosted regression trees fit the weighted negative gradient of
-the softmax cross-entropy, one tree per class per round, with Newton leaf
-values.  One grower fits one or several training blocks on the same design
-columns with one config, as a stack: ``fit_boosted`` is its one-block
-call.  Boosting and every prediction read a design as its distinct rows
-(``data.DistinctRows``): a dataset's ``distinct_rows``, its share of its
-root's one compression, or a dense design compressed on the call.
-Boosting weighs each row by its record count and per-class weight
-masses, and grows the trees of a round together, one depth level at a
-time; tree t is the pair (block f, class k), t = f * n_classes + k, so
-each block's nodes are contiguous at every level.  A few bincounts over
-(node, active column) pairs give every node's split histogram, in the
-manner of LightGBM's histogram split finding.  The split search reads each
-block's weights and gradient on a fixed-point grid of that block, so
-every histogram bin is an exact sum, the same in any order.  At many
-distinct rows, a level below the root sums only its right children, the
-rows whose split column is active, and takes each left child's histogram
-as its parent's less its sibling's (LightGBM's subtraction); at few rows,
-it sums every node directly, in fewer numpy calls.  The roots' count and
-weight histograms depend on the data alone and are summed once per fit; a
-leaf keeps its rows as a node of every later level, so no level gathers
-the open rows; the leaf values are the raw gradient's and hessian's sums,
-summed at the last level alone.  Each block's trees are therefore
-bit-identical to its lone fit's, whichever way each level was summed.
+never a candidate) and grow their trees one depth level at a time on a
+design's distinct rows (``data.DistinctRows``: a dataset's
+``distinct_rows``, its share of its root's one compression, or a dense
+design compressed on the call).  Records that share a design row share
+every split decision, so a few bincounts over (node, active column)
+entries (``_entries``) give every node's split histogram, in the manner of
+LightGBM's histogram split finding, and every bin is an exact sum, the
+same in any order.  A forest tree is grown on a weighted bootstrap
+resample, whose integer counts it sums per row and class, and split by
+weighted-entropy decrease; the trees grow in groups of bounded size
+(``_grow_forest``).  Boosted regression trees fit the weighted negative
+gradient of the softmax cross-entropy, one tree per class per round, with
+Newton leaf values, on a fixed-point grid; one grower fits one or several
+training blocks as a stack, each block's trees bit-identical to its lone
+fit's (``_DistinctRows``, ``_grow_round``).
 
-A boosting round is kept as the grower leaves it: for each splitting
-level, the split column of every node at that level (0 at a leaf) and the
-node's first node at the next level, and the leaf values of the last
-level; the models of one stack share these arrays, each reading its own
-trees.  One routing function moves rows down those levels, a take and an
-add per array and level, in the grower and in prediction alike; a forest
-turns each of its trees into the same form once.  Prediction routes the
-distinct rows only; the sums are added in the order of the trees and
-scattered back to the records, so every bit equals a walk of each tree
-over each record.  The models of one stack predict together
-(``predict_stack``; ``predict_probs`` is its one-model call): the
-distinct rows of all of them are concatenated, and each round routes
-every item of every model, tree by row, in one call; each score adds the
-same leaf values in the same order as its model alone, so every model's
-probabilities are its own, bit for bit.  ``TreeNode`` stays the stored
-form of a tree: ``BoostModel.rounds`` builds it from the levels on first
-read, and ``from_doc`` turns it back into levels.
+Every tree is kept as its grower leaves it (``_Levels``): per splitting
+level, each node's split column (0 at a leaf) and first node at the next
+level, and the leaf values of the last level.  A forest's trees are one
+such form; a boosting round's class trees are another, shared by the
+models of one stack.  One routing function moves rows down the levels, in
+both growers and in prediction.  Prediction routes the distinct rows only
+and adds the leaf values in tree order, so every bit equals a walk of
+each tree over each record; the models of one boosted stack predict in
+one routing pass (``predict_stack``).  A model file stores each tree as
+nested dicts, written straight from the levels and read straight back.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +42,9 @@ from .network import PROB_CLIP, _softmax
 __all__ = [
     "ForestConfig",
     "BoostConfig",
-    "TreeNode",
     "ForestModel",
     "BoostModel",
     "fit_forest",
-    "fit_boosted",
     "fit_boosted_many",
     "predict_stack",
 ]
@@ -101,38 +80,6 @@ class BoostConfig:
             raise ValueError("learning rate must be >= 0")
 
 
-@dataclass
-class TreeNode:
-    """Internal node (column + children) or leaf (value vector)."""
-
-    column: int = -1
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: np.ndarray | None = None
-
-    def is_leaf(self) -> bool:
-        return self.value is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf():
-            return {"value": [float(v) for v in self.value]}
-        return {
-            "column": self.column,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
-        if "value" in doc:
-            return cls(value=np.asarray(doc["value"], dtype=np.float64))
-        return cls(
-            column=int(doc["column"]),
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
-        )
-
-
 def _rows_of(design: np.ndarray | DistinctRows) -> DistinctRows:
     """A design's distinct rows: given, as a dataset's ``distinct_rows``, or
     compressed here from a dense design."""
@@ -150,9 +97,21 @@ def _flat_bits(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits.reshape(-1), np.arange(0, m * n_cols, n_cols)
 
 
+def _entries(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, active column) entries that the growers sum histograms
+    over: row r's active columns in column order, column 0 first and
+    always, padded to a common width with column 0; and which entries are
+    real rather than padding.  A histogram's column 0 is its node's total."""
+    inactive = ~active
+    inactive[:, 0] = False
+    order = np.argsort(inactive, axis=1, kind="stable")[:, : (~inactive).sum(axis=1).max()]
+    real = ~np.take_along_axis(inactive, order, axis=1)
+    return np.where(real, order, 0), real
+
+
 @dataclass(frozen=True)
 class _Levels:
-    """Trees as the level-wise grower leaves them: index arrays per level.
+    """Trees as the level-wise growers leave them: index arrays per level.
 
     For each splitting level, ``splits`` holds the split column of every
     node at that level, 0 at a leaf, and the node's first node at the next
@@ -165,6 +124,10 @@ class _Levels:
 
     splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # per level: (split column, first child)
     value: np.ndarray  # (nodes of the last level, value_dim)
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.splits[0][0]) if self.splits else len(self.value)
 
 
 def _first_child(split_col: np.ndarray) -> np.ndarray:
@@ -191,44 +154,69 @@ def _route(
     return node
 
 
-def _levels_of(trees: list[TreeNode]) -> _Levels:
-    """The level form of TreeNode trees, read level by level."""
-    splits, nodes = [], list(trees)
-    while not all(node.is_leaf() for node in nodes):
-        if any(not node.is_leaf() and node.column < 1 for node in nodes):
-            raise ValueError("a tree splits on column 0, the constant column")
-        split_col = np.array([0 if node.is_leaf() else node.column for node in nodes])
-        splits.append((split_col, _first_child(split_col)))
-        nodes = [
-            child
-            for node in nodes
-            for child in ((node,) if node.is_leaf() else (node.left, node.right))
-        ]
-    return _Levels(tuple(splits), np.array([node.value for node in nodes]))
+def _concat_levels(parts: Sequence[_Levels]) -> _Levels:
+    """The trees of several level forms as one, part after part; a part
+    that stops splitting sooner carries its leaves down to the last level."""
+    depth = max(len(part.splits) for part in parts)
+    split_cols = [
+        [split_col for split_col, _ in part.splits]
+        + [np.zeros(len(part.value), np.intp)] * (depth - len(part.splits))
+        for part in parts
+    ]
+    splits = tuple((col, _first_child(col)) for col in map(np.concatenate, zip(*split_cols)))
+    return _Levels(splits, np.concatenate([part.value for part in parts]))
 
 
-def _trees_of(levels: _Levels) -> list[TreeNode]:
-    """The TreeNode roots of trees in level form, built from the last level up."""
-    nodes = [TreeNode(value=value) for value in levels.value]
+def _tree_docs(levels: _Levels) -> list[dict]:
+    """The trees as a model file stores them, built from the last level up:
+    nested dicts, ``{"column", "left", "right"}`` at a split, ``{"value"}``
+    at a leaf."""
+    nodes = [{"value": value} for value in levels.value.tolist()]
     for split_col, first in reversed(levels.splits):
         nodes = [
-            TreeNode(column=col, left=nodes[f], right=nodes[f + 1]) if col else nodes[f]
+            {"column": col, "left": nodes[f], "right": nodes[f + 1]} if col else nodes[f]
             for col, f in zip(split_col.tolist(), first.tolist())
         ]
     return nodes
 
 
-def _weighted_entropy(class_w: np.ndarray) -> float:
-    total = class_w.sum()
-    if total <= 0.0:
-        return 0.0
-    p = class_w / total
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+def _split_column(node: dict, n_cols: int) -> int:
+    """A stored node's split column, 0 at a leaf."""
+    if "value" in node:
+        return 0
+    if "column" not in node:
+        raise ValueError("a tree node holds neither a value nor a column")
+    col = node["column"]
+    if type(col) is not int or not 1 <= col < n_cols:
+        raise ValueError(f"a tree splits on column {col!r}, outside [1, {n_cols})")
+    return col
+
+
+def _levels_of(trees: Sequence[dict], value_dim: int, n_cols: int) -> _Levels:
+    """The level form of stored trees (``_tree_docs``' dicts), read level
+    by level.  Raises ValueError where prediction could not route a row:
+    no trees, a split column outside [1, n_cols), a leaf value not of
+    length value_dim, or a node with neither."""
+    if not trees:
+        raise ValueError("no trees")
+    splits, nodes = [], list(trees)
+    while True:
+        split_col = np.array([_split_column(node, n_cols) for node in nodes], dtype=np.intp)
+        if not split_col.any():
+            break
+        splits.append((split_col, _first_child(split_col)))
+        nodes = [
+            child
+            for node, col in zip(nodes, split_col.tolist())
+            for child in ((node["left"], node["right"]) if col else (node,))
+        ]
+    if any(len(node["value"]) != value_dim for node in nodes):
+        raise ValueError(f"a leaf value is not of length {value_dim}")
+    return _Levels(tuple(splits), np.array([node["value"] for node in nodes], dtype=np.float64))
 
 
 def _entropy_by_column(class_w_cols: np.ndarray) -> np.ndarray:
-    """Weighted entropy per column from (n_classes, n_cols) class masses."""
+    """Weighted entropy per column from (n_classes, ...) class masses."""
     totals = class_w_cols.sum(axis=0)
     safe = np.clip(totals, PROB_CLIP, None)
     p = class_w_cols / safe
@@ -237,123 +225,161 @@ def _entropy_by_column(class_w_cols: np.ndarray) -> np.ndarray:
     return np.where(totals > 0.0, -terms.sum(axis=0), 0.0)
 
 
-def _grow_classification_tree(
-    X: np.ndarray,
-    labels: np.ndarray,
-    w: np.ndarray,
-    n_classes: int,
-    max_depth: int,
-    min_leaf: int,
-    max_features: int | None,
-    rng: np.random.Generator,
-    importance: np.ndarray,
-) -> TreeNode:
-    candidates = np.arange(1, X.shape[1])  # skip the constant column
-    onehot_w = np.zeros((X.shape[0], n_classes))
-    onehot_w[np.arange(X.shape[0]), labels] = w
+# A forest grows its trees in groups of at most this many (tree, row,
+# class, active column) entries, and prediction routes them in groups of as
+# many (tree, row) items; one tree is the least group.  No result depends on
+# it.  On one core, default fits on default8 ran as fast at 2^16 to 2^21.
+FOREST_GROUP_ENTRIES = 2**17
 
-    def leaf(idx: np.ndarray) -> TreeNode:
-        class_w = onehot_w[idx].sum(axis=0)
-        return TreeNode(value=class_w / class_w.sum())
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        class_w = onehot_w[idx].sum(axis=0)
-        if depth >= max_depth or len(idx) < 2 * min_leaf or (class_w > 0).sum() <= 1:
-            return leaf(idx)
-        if max_features is not None and max_features < len(candidates):
-            cols = np.sort(rng.choice(candidates, size=max_features, replace=False))
-        else:
-            cols = candidates
-        Xc = X[np.ix_(idx, cols)]
-        n_right = Xc.sum(axis=0)
-        valid = (n_right >= min_leaf) & (len(idx) - n_right >= min_leaf)
-        if not valid.any():
-            return leaf(idx)
-        cw_right = onehot_w[idx].T @ Xc  # (n_classes, n_cols)
-        cw_left = class_w[:, None] - cw_right
-        parent = class_w.sum() * _weighted_entropy(class_w)
-        gains = parent - (
-            cw_left.sum(axis=0) * _entropy_by_column(cw_left)
-            + cw_right.sum(axis=0) * _entropy_by_column(cw_right)
-        )
-        gains = np.where(valid, gains, -np.inf)
-        best = int(np.argmax(gains))
-        if gains[best] <= 1e-15:
-            return leaf(idx)
-        best_col = int(cols[best])
-        importance[best_col] += gains[best]
-        right = X[idx, best_col] > 0.5
-        return TreeNode(
-            column=best_col,
-            left=grow(idx[~right], depth + 1),
-            right=grow(idx[right], depth + 1),
-        )
-
-    return grow(np.arange(X.shape[0]), 0)
+def _tree_groups(n_trees: int, per_tree: int) -> list[range]:
+    """Trees 0 .. n_trees - 1 in consecutive groups of at most
+    FOREST_GROUP_ENTRIES // per_tree trees."""
+    size = max(1, FOREST_GROUP_ENTRIES // per_tree)
+    return [range(start, min(start + size, n_trees)) for start in range(0, n_trees, size)]
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    levels: _Levels  # tree t's root is node t of level 0
     n_classes: int
     importance: np.ndarray  # raw weighted-entropy decrease per design column
 
-    @cached_property
-    def _levels(self) -> list[_Levels]:
-        return [_levels_of([tree]) for tree in self.trees]
-
     def predict_probs(self, X: np.ndarray | DistinctRows) -> np.ndarray:
+        """A group of trees routes the distinct rows in one pass."""
         rows = _rows_of(X)
         bits, row_bit = _flat_bits(rows.active)
-        root = np.zeros(len(row_bit), dtype=np.intp)
-        acc = np.zeros((len(row_bit), self.n_classes))
-        for tree in self._levels:
-            acc += tree.value.take(_route(tree.splits, root, bits, row_bit), axis=0)
-        return (acc / len(self.trees))[rows.inverse]
+        m, n_trees = len(row_bit), self.levels.n_trees
+        acc = np.zeros((m, self.n_classes))
+        for group in _tree_groups(n_trees, m):
+            root = np.repeat(np.arange(group.start, group.stop), m)
+            node = _route(self.levels.splits, root, bits, np.tile(row_bit, len(group)))
+            for leaf in node.reshape(len(group), m):
+                acc += self.levels.value.take(leaf, axis=0)
+        return (acc / n_trees)[rows.inverse]
 
     def to_doc(self) -> dict:
-        return {
-            "trees": [t.to_dict() for t in self.trees],
-            "importance": self.importance.tolist(),
-        }
+        return {"trees": _tree_docs(self.levels), "importance": self.importance.tolist()}
 
     @classmethod
     def from_doc(cls, doc: dict, n_classes: int) -> "ForestModel":
-        return cls(
-            [TreeNode.from_dict(t) for t in doc["trees"]],
-            n_classes,
-            np.asarray(doc["importance"], dtype=np.float64),
+        importance = np.asarray(doc["importance"], dtype=np.float64)
+        return cls(_levels_of(doc["trees"], n_classes, len(importance)), n_classes, importance)
+
+
+def _grow_forest(
+    rows: DistinctRows,
+    layout: tuple,  # _entries and _flat_bits of rows.active
+    labels: np.ndarray,
+    p: np.ndarray,
+    rngs: list[np.random.Generator],
+    cfg: ForestConfig,
+    n_classes: int,
+    importance: np.ndarray,
+) -> _Levels:
+    """Grow one classification tree per generator, all of them one depth
+    level at a time, and return them in level form.
+
+    Each tree draws its bootstrap resample, then its nodes' candidate
+    columns, from its generator.  An item is a (tree, row, class) with
+    in-bag records: it weighs its entries by their number and their count
+    mass, and two bincounts over (class, node, column) give both for every
+    node's column's right side, and in column 0 for the node.  A node below
+    max_depth with 2 * min_leaf in-bag records of two classes or more may
+    split: in node order, it draws max_features columns, unless that leaves
+    none out, and takes the largest entropy decrease above 1e-15 that
+    leaves min_leaf in-bag records on each side, ties to the lowest column.
+    A node that does not split is a leaf for good.  Gains add to
+    ``importance`` tree by tree, so no grouping of the trees changes it.
+    """
+    m, n_cols = rows.active.shape
+    n, g, k = len(labels), len(rngs), n_classes
+    entry_cols, entry_real, bits, row_bit = layout
+    draws = cfg.max_features is not None and cfg.max_features < n_cols - 1
+
+    resample = np.stack([np.bincount(rng.choice(n, size=n, p=p), minlength=n) for rng in rngs])
+    key = ((np.arange(g)[:, None] * k + labels) * m + rows.inverse).reshape(-1)
+    in_bag = np.bincount(key, weights=(resample > 0).reshape(-1), minlength=g * k * m)
+    mass = np.bincount(key, weights=resample.reshape(-1), minlength=g * k * m)
+    item = np.flatnonzero(in_bag)
+    tree_class, row = np.divmod(item, m)
+    node_of, item_class = np.divmod(tree_class, k)  # tree t's root is node t
+    real = entry_real.take(row, axis=0)
+    weights = [in_bag.take(item)[:, None] * real, mass.take(item)[:, None] * real]
+    cols, item_bit = entry_cols.take(row, axis=0), row_bit.take(row)
+
+    splits, gained = [], []
+    tree_of = np.arange(g)  # of each node
+    may_split = np.ones(g, dtype=bool)
+    for _ in range(cfg.max_depth):
+        n_nodes = len(tree_of)
+        key = (((item_class * n_nodes + node_of) * n_cols)[:, None] + cols).reshape(-1)
+        hist = _histograms(key, weights, k * n_nodes, n_cols).reshape(2, k, n_nodes, n_cols)
+        count, right = hist[0].sum(axis=0), hist[1]
+        total = right[:, :, 0]  # (k, n_nodes): each node's class masses
+        may_split &= (count[:, 0] >= 2 * cfg.min_leaf) & ((total > 0).sum(axis=0) > 1)
+        valid = _valid_splits(count, cfg.min_leaf) & may_split[:, None]
+        if draws:
+            drawn = np.zeros_like(valid)
+            for node in np.flatnonzero(may_split).tolist():
+                rng = rngs[tree_of[node]]
+                drawn[node, rng.choice(n_cols - 1, size=cfg.max_features, replace=False) + 1] = True
+            valid &= drawn
+        left = total[:, :, None] - right
+        gains = (total.sum(axis=0) * _entropy_by_column(total))[:, None] - (
+            left.sum(axis=0) * _entropy_by_column(left)
+            + right.sum(axis=0) * _entropy_by_column(right)
         )
+        gains = np.where(valid, gains, -np.inf)
+        best = gains.argmax(axis=1)  # ties go to the lowest column
+        best_gain = gains[np.arange(n_nodes), best]
+        split = best_gain > 1e-15
+        if not split.any():
+            break
+        split_col = best * split  # 0 marks a leaf
+        gained.append((tree_of[split], split_col[split], best_gain[split]))
+        splits.append((split_col, _first_child(split_col)))
+        node_of = _route(splits[-1:], node_of, bits, item_bit)
+        tree_of = np.repeat(tree_of, split + 1)
+        may_split = np.repeat(split, split + 1)  # a split's children; never a leaf
+
+    if gained:
+        tree, col, gain = (np.concatenate(a) for a in zip(*gained))
+        order = np.argsort(tree, kind="stable")
+        np.add.at(importance, col[order], gain[order])
+    n_nodes = len(tree_of)
+    leaf = np.bincount(node_of * k + item_class, weights=mass.take(item), minlength=n_nodes * k)
+    leaf = leaf.reshape(n_nodes, k)
+    return _Levels(tuple(splits), leaf / leaf.sum(axis=1, keepdims=True))
 
 
 def fit_forest(
-    X: np.ndarray, labels: np.ndarray, w: np.ndarray, cfg: ForestConfig, n_classes: int = 4
+    X: np.ndarray | DistinctRows,
+    labels: np.ndarray,
+    w: np.ndarray,
+    cfg: ForestConfig,
+    n_classes: int = 4,
 ) -> ForestModel:
     """Bootstrap draws record i with probability proportional to w_i; the
-    resample multiplicities act as the training weights of each tree."""
-    n = X.shape[0]
+    resample multiplicities act as the training weights of each tree, which
+    draws from the t-th generator spawned from ``cfg.seed``.  A design is
+    dense or its distinct rows."""
+    rows = _rows_of(X)
     p = w / w.sum()
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    importance = np.zeros(X.shape[1])
-    trees = []
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        counts = np.bincount(rng.choice(n, size=n, p=p), minlength=n).astype(np.float64)
-        in_bag = counts > 0
-        trees.append(
-            _grow_classification_tree(
-                X[in_bag],
-                labels[in_bag],
-                counts[in_bag],
-                n_classes,
-                cfg.max_depth,
-                cfg.min_leaf,
-                cfg.max_features,
-                rng,
-                importance,
-            )
+    rngs = [np.random.default_rng(seq) for seq in seeds]
+    layout = (*_entries(rows.active), *_flat_bits(rows.active))
+    # A tree holds its n draws, and entries for at most each (row, class)
+    # pair of the records.
+    pairs = np.count_nonzero(np.bincount(labels * len(rows.counts) + rows.inverse))
+    importance = np.zeros(rows.active.shape[1])
+    parts = [
+        _grow_forest(
+            rows, layout, labels, p, rngs[group.start : group.stop], cfg, n_classes, importance
         )
-    return ForestModel(trees, n_classes, importance)
+        for group in _tree_groups(cfg.n_trees, len(labels) + pairs * layout[0].shape[1])
+    ]
+    return ForestModel(_concat_levels(parts), n_classes, importance)
 
 
 # ---------------------------------------------------------------------------
@@ -371,31 +397,29 @@ class BoostModel:
     importance: np.ndarray
     root: int = 0
 
-    @cached_property
-    def rounds(self) -> list[list[TreeNode]]:
-        """Per round, one TreeNode tree per class: the stored form."""
-        trees = slice(self.root, self.root + self.n_classes)
-        return [_trees_of(rnd)[trees] for rnd in self.levels]
-
     def predict_probs(self, X: np.ndarray | DistinctRows) -> np.ndarray:
         return predict_stack([self], [X])[0]
 
     def to_doc(self) -> dict:
+        trees = slice(self.root, self.root + self.n_classes)
         return {
             "init_scores": self.init_scores.tolist(),
-            "rounds": [[t.to_dict() for t in rnd] for rnd in self.rounds],
+            "rounds": [_tree_docs(rnd)[trees] for rnd in self.levels],
             "learning_rate": self.learning_rate,
             "importance": self.importance.tolist(),
         }
 
     @classmethod
     def from_doc(cls, doc: dict, n_classes: int) -> "BoostModel":
+        importance = np.asarray(doc["importance"], dtype=np.float64)
+        if any(len(rnd) != n_classes for rnd in doc["rounds"]):
+            raise ValueError(f"a boosting round holds other than {n_classes} trees")
         return cls(
             np.asarray(doc["init_scores"], dtype=np.float64),
-            [_levels_of([TreeNode.from_dict(t) for t in rnd]) for rnd in doc["rounds"]],
+            [_levels_of(rnd, 1, len(importance)) for rnd in doc["rounds"]],
             float(doc["learning_rate"]),
             n_classes,
-            np.asarray(doc["importance"], dtype=np.float64),
+            importance,
         )
 
 
@@ -419,11 +443,10 @@ class _DistinctRows:
     block, and their nodes at every level, are contiguous.  The trees of a
     round are grown together; item k * m + r stands for row r in class k's
     tree of r's block.  M, the scores, the gradient and the hessian are
-    laid out the same way, class-major.  Row r of ``entry_cols`` holds row r's active columns,
-    column 0 first and always, padded to a common width with column 0 at
-    zero weight: a histogram's column 0 is its node's total.  Every item
-    of row r reads that row's entries; only at few entries are the count
-    and W entries tiled per item, for one bincount a level.
+    laid out the same way, class-major.  Row r of ``entry_cols`` holds
+    row r's ``_entries``, the padding at zero weight.  Every item of row r
+    reads that row's entries; only at few entries are the count and W
+    entries tiled per item, for one bincount a level.
 
     The split search reads W and the gradient on a fixed-point grid of
     their block: multiples of 2^-k, with 2^(51 - k) above the block's total
@@ -465,12 +488,9 @@ class _DistinctRows:
         total = np.bincount(self.block, weights=self.W, minlength=self.n_blocks)
         self.scale = np.ldexp(1.0, 51 - np.frexp(total)[1]).take(self.block)  # 2^k of each row
 
-        # Each row's active columns in column order, column 0 first, and
-        # their entries; item k * m + r reads row r's.
+        # Each row's entries; item k * m + r reads row r's.
         active[:, 0] = True
-        order = np.argsort(~active, axis=1, kind="stable")[:, : active.sum(axis=1).max()]
-        self.entry_real = np.take_along_axis(active, order, axis=1)  # False: padding
-        self.entry_cols = np.where(self.entry_real, order, 0)
+        self.entry_cols, self.entry_real = _entries(active)
         self.entry_count = counts[:, None] * self.entry_real
         self.entry_W = self.quantize(self.W)[:, None] * self.entry_real
 
@@ -689,18 +709,6 @@ def fit_boosted_many(
         for model in models:
             model.levels.append(levels)
     return models
-
-
-def fit_boosted(
-    X: np.ndarray | DistinctRows,
-    labels: np.ndarray,
-    w: np.ndarray,
-    cfg: BoostConfig,
-    n_classes: int = 4,
-) -> BoostModel:
-    """The boosted model of one training block: ``fit_boosted_many`` of it alone."""
-    (model,) = fit_boosted_many([(X, labels, w)], cfg, n_classes)
-    return model
 
 
 def predict_stack(

@@ -23,7 +23,6 @@ from pcptest.data import (
     load_csv,
     load_yaml,
     make_folds,
-    one_hot_encode,
     partition,
     quantile_group_indices,
     save_csv,
@@ -305,7 +304,7 @@ def test_column_parser_loads_what_the_row_parser_loads(small_schema, text):
 class TestDesign:
     def test_one_hot_width(self, small_schema):
         d = toy_dataset(small_schema)
-        X = one_hot_encode(d)
+        X = d.design()
         assert X.shape == (d.n, 1 + 3 + 2)
         assert np.all(X[:, 0] == 1.0)
 
@@ -317,7 +316,7 @@ class TestDesign:
             np.array([0]),
             np.array([0.5]),
         )
-        row = one_hot_encode(d)[0]
+        row = d.design()[0]
         assert row.tolist() == [1.0, 0, 0, 0, 0, 0]
 
 

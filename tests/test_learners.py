@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -284,6 +287,57 @@ class TestPersistence:
             json.dump(doc, fh)
         with pytest.raises(DataError):
             load_model(path, small_dataset.schema)
+
+    @pytest.mark.parametrize("kind", ["boosted", "forest"])
+    @pytest.mark.parametrize(
+        "break_tree",
+        [
+            lambda root, leaf: root.update(column=6),  # the design has 6 columns
+            lambda root, leaf: root.update(column=0),
+            lambda root, leaf: root.update(column=-1),
+            lambda root, leaf: leaf["value"].append(0.5),
+            lambda root, leaf: leaf.pop("value"),
+        ],
+        ids=["past-the-design", "constant-column", "negative-column", "long-leaf", "empty-node"],
+    )
+    def test_load_rejects_unroutable_trees(self, small_dataset, tmp_path, kind, break_tree):
+        """A stored tree that prediction could not route is an input error
+        that names the file, not a misroute or a traceback."""
+        import json
+
+        doc = json.loads((Path(__file__).parent / "data" / f"{kind}_model.json").read_text())
+        params = doc["parameters"]
+        root = params["rounds"][0][0] if kind == "boosted" else params["trees"][0]
+        leaf = root
+        while "value" not in leaf:
+            leaf = leaf["left"]
+        break_tree(root, leaf)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        match = f"^{re.escape(str(path))}: malformed model file: "
+        with pytest.raises(DataError, match=match) as err:
+            load_model(str(path), small_dataset.schema)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(kind="tree"),
+            lambda doc: doc["config"].update(depth=3),
+            lambda doc: doc["config"].update(n_trees=0),
+            lambda doc: doc["parameters"].update(importance=[0.0] * 7),
+        ],
+        ids=["unknown-kind", "unknown-field", "out-of-range-field", "long-importance"],
+    )
+    def test_load_rejects_malformed_headers(self, small_dataset, tmp_path, edit):
+        import json
+
+        doc = json.loads((Path(__file__).parent / "data" / "forest_model.json").read_text())
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: malformed model file: "):
+            load_model(str(path), small_dataset.schema)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from pcptest.network import (
     PROB_CLIP,
     TrainingReport,
     count_parameters,
-    fit_softmax_network,
     fit_softmax_networks,
     forward_probs,
     init_params,
@@ -258,7 +257,7 @@ class TestStackedMatchesOracle:
         params, reports = fit_softmax_networks(*split, cfgs, 4)
         assert all(p is params[0] for p in params)
         assert all(r is reports[0] for r in reports)
-        single, _ = fit_softmax_network(*split, cfgs[-1], 4)
+        (single,), _ = fit_softmax_networks(*split, cfgs[-1:], 4)
         assert np.array_equal(flat_of(params[0]), flat_of(single))
 
     def test_non_finite_loss_raises(self):
@@ -507,32 +506,32 @@ class TestTraining:
         X, labels, w = toy_problem(n=300)
         cfg = NetworkConfig(depth=1, width=8, dropout=0.2, seed=5, max_epochs=30)
         Xv, lv, wv = X[:60], labels[:60], w[:60]
-        p1, r1 = fit_softmax_network(X, labels, w, Xv, lv, wv, cfg, 4)
-        p2, r2 = fit_softmax_network(X, labels, w, Xv, lv, wv, cfg, 4)
+        (p1,), (r1,) = fit_softmax_networks(X, labels, w, Xv, lv, wv, [cfg], 4)
+        (p2,), (r2,) = fit_softmax_networks(X, labels, w, Xv, lv, wv, [cfg], 4)
         assert np.array_equal(flat_of(p1), flat_of(p2))
         assert r1.validation_losses == r2.validation_losses
 
     def test_seed_changes_result(self):
         X, labels, w = toy_problem(n=300)
         Xv, lv, wv = X[:60], labels[:60], w[:60]
-        p1, _ = fit_softmax_network(
-            X, labels, w, Xv, lv, wv, NetworkConfig(depth=1, width=8, seed=1, max_epochs=10), 4
+        (p1,), _ = fit_softmax_networks(
+            X, labels, w, Xv, lv, wv, [NetworkConfig(depth=1, width=8, seed=1, max_epochs=10)], 4
         )
-        p2, _ = fit_softmax_network(
-            X, labels, w, Xv, lv, wv, NetworkConfig(depth=1, width=8, seed=2, max_epochs=10), 4
+        (p2,), _ = fit_softmax_networks(
+            X, labels, w, Xv, lv, wv, [NetworkConfig(depth=1, width=8, seed=2, max_epochs=10)], 4
         )
         assert not np.array_equal(flat_of(p1), flat_of(p2))
 
     def test_loss_decreases(self):
         X, labels, w = toy_problem(n=500, seed=7)
         cfg = NetworkConfig(depth=0, seed=3, max_epochs=200)
-        params, report = fit_softmax_network(X, labels, w, X, labels, w, cfg, 4)
+        _, (report,) = fit_softmax_networks(X, labels, w, X, labels, w, [cfg], 4)
         assert report.validation_losses[report.best_epoch] < report.validation_losses[0]
 
     def test_early_stopping(self):
         X, labels, w = toy_problem(n=300, seed=8)
         cfg = NetworkConfig(depth=0, seed=3, max_epochs=500, patience=3)
-        _, report = fit_softmax_network(X, labels, w, X[:50], labels[:50], w[:50], cfg, 4)
+        _, (report,) = fit_softmax_networks(X, labels, w, X[:50], labels[:50], w[:50], [cfg], 4)
         if report.epochs_run < cfg.max_epochs:
             # Stopped early: no improvement in the last `patience` epochs.
             tail = report.validation_losses[report.best_epoch + 1 :]
@@ -543,7 +542,7 @@ class TestTraining:
         X, labels, w = toy_problem(n=300, seed=9)
         Xv, lv, wv = X[:80], labels[:80], w[:80]
         cfg = NetworkConfig(depth=1, width=4, seed=6, max_epochs=60)
-        params, report = fit_softmax_network(X, labels, w, Xv, lv, wv, cfg, 4)
+        (params,), (report,) = fit_softmax_networks(X, labels, w, Xv, lv, wv, [cfg], 4)
         val = weighted_cross_entropy(forward_probs(params, Xv), lv, wv)
         assert val == pytest.approx(min(report.validation_losses), abs=1e-10)
 

@@ -132,3 +132,23 @@ def test_compare_outputs_runs_every_workload_at_every_seed(monkeypatch, capsys):
     calls.clear()
     assert module.main([str(ROOT), str(ROOT), "--workload", names[0], "--seed", "3"]) == 0
     assert calls == [(names[0], 3)]
+
+
+def test_benchmark_tracer_resolves_every_name(monkeypatch):
+    """The benchmark's tracer wraps every public function of each layer and
+    every model method it names, and puts them all back on exit: a change
+    to the package that breaks a name the tracer reads fails here."""
+    path = ROOT / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets()
+    assert {name for name, *_ in targets} >= {
+        f"{layer}.{qual}" for layer, quals in tracer.METHODS.items() for qual in quals
+    }
+    with tracer.Tracer():
+        for _, _, owner, attr, original in targets:
+            assert getattr(owner, attr) is not original
+    for _, _, owner, attr, original in targets:
+        assert getattr(owner, attr) is original

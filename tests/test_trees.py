@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcptest.data import default_schema, distinct_rows, encode_rows, one_hot_encode
+from pcptest.data import default_schema, distinct_rows, encode_rows
 from pcptest.learners import _block, load_model, save_model
 from pcptest.network import _softmax, forward_probs
 from pcptest import trees
@@ -19,69 +19,67 @@ from pcptest.trees import (
     BoostModel,
     ForestConfig,
     ForestModel,
-    TreeNode,
+    _entropy_by_column,
     _levels_of,
-    fit_boosted,
+    _route,
     fit_boosted_many,
     fit_forest,
     predict_stack,
 )
 
 
+def lone_boosted(X, labels, w, cfg, n_classes=4):
+    """The boosted model of one training block: a stack of one."""
+    (model,) = fit_boosted_many([(X, labels, w)], cfg, n_classes)
+    return model
+
+
 # ---------------------------------------------------------------------------
-# Reference prediction: every tree walked over every record, node by node.
-# The models route distinct design rows through the trees' level arrays
-# instead, and must give the same bits.
-
-
-@dataclass
-class TreeRounds:
-    """A boosted model as rounds of TreeNode trees, as the walk reads it."""
-
-    init_scores: np.ndarray
-    rounds: list
-    learning_rate: float
-    n_classes: int
-    importance: np.ndarray
+# Reference prediction: every stored tree (the nested dicts of a model
+# file) walked over every record, node by node.  The models route distinct
+# design rows through the trees' level arrays instead, and must give the
+# same bits.
 
 
 def _first_leaf(node):
-    while not node.is_leaf():
-        node = node.left
+    while "value" not in node:
+        node = node["left"]
     return node
 
 
 def _predict_tree(node, X):
     """Vectorized traversal; returns (n, value_dim)."""
-    out = np.empty((X.shape[0], len(_first_leaf(node).value)))
+    out = np.empty((X.shape[0], len(_first_leaf(node)["value"])))
     stack = [(node, np.arange(X.shape[0]))]
     while stack:
         nd, idx = stack.pop()
         if len(idx) == 0:
             continue
-        if nd.is_leaf():
-            out[idx] = nd.value
+        if "value" in nd:
+            out[idx] = nd["value"]
             continue
-        go_right = X[idx, nd.column] > 0.5
-        stack.append((nd.left, idx[~go_right]))
-        stack.append((nd.right, idx[go_right]))
+        go_right = X[idx, nd["column"]] > 0.5
+        stack.append((nd["left"], idx[~go_right]))
+        stack.append((nd["right"], idx[go_right]))
     return out
 
 
-def oracle_boosted_probs(model, X):
-    scores = np.tile(model.init_scores, (X.shape[0], 1))
-    if model.learning_rate != 0.0:
-        for round_trees in model.rounds:
+def oracle_boosted_probs(doc, X):
+    """A boosted model's probabilities from its stored form (``to_doc``)."""
+    scores = np.tile(doc["init_scores"], (X.shape[0], 1))
+    if doc["learning_rate"] != 0.0:
+        for round_trees in doc["rounds"]:
             for k, tree in enumerate(round_trees):
-                scores[:, k] += model.learning_rate * _predict_tree(tree, X)[:, 0]
+                scores[:, k] += doc["learning_rate"] * _predict_tree(tree, X)[:, 0]
     return _softmax(scores)
 
 
-def oracle_forest_probs(model, X):
-    acc = np.zeros((X.shape[0], model.n_classes))
-    for tree in model.trees:
+def oracle_forest_probs(doc, X):
+    """A forest's probabilities from its stored form (``to_doc``)."""
+    acc = np.zeros((X.shape[0], len(_first_leaf(doc["trees"][0])["value"])))
+    for tree in doc["trees"]:
         acc += _predict_tree(tree, X)
-    return acc / len(model.trees)
+    return acc / len(doc["trees"])
 
 
 def design_problem(n=600, n_cols=6, seed=0, n_classes=4):
@@ -98,38 +96,46 @@ def design_problem(n=600, n_cols=6, seed=0, n_classes=4):
 def collect_leaves(node, depth=0, sizes=None):
     if sizes is None:
         sizes = []
-    if node.is_leaf():
+    if "value" in node:
         sizes.append(depth)
     else:
-        collect_leaves(node.left, depth + 1, sizes)
-        collect_leaves(node.right, depth + 1, sizes)
+        collect_leaves(node["left"], depth + 1, sizes)
+        collect_leaves(node["right"], depth + 1, sizes)
     return sizes
 
 
-class TestTreeNode:
+class TestStoredTrees:
+    TREE = {
+        "column": 2,
+        "left": {"value": [0.1, 0.9]},
+        "right": {"column": 1, "left": {"value": [0.5, 0.5]}, "right": {"value": [0.8, 0.2]}},
+    }
+
     def test_dict_roundtrip(self):
-        tree = TreeNode(
-            column=2,
-            left=TreeNode(value=np.array([0.1, 0.9])),
-            right=TreeNode(
-                column=1,
-                left=TreeNode(value=np.array([0.5, 0.5])),
-                right=TreeNode(value=np.array([0.8, 0.2])),
-            ),
-        )
-        restored = TreeNode.from_dict(tree.to_dict())
+        model = ForestModel.from_doc({"trees": [self.TREE], "importance": [0.0] * 3}, 2)
+        assert model.to_doc()["trees"] == [self.TREE]
         X = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-        np.testing.assert_array_equal(_predict_tree(tree, X), _predict_tree(restored, X))
+        np.testing.assert_array_equal(model.predict_probs(X), _predict_tree(self.TREE, X))
 
     def test_predict_routes_on_column(self):
-        tree = TreeNode(
-            column=1,
-            left=TreeNode(value=np.array([1.0, 0.0])),
-            right=TreeNode(value=np.array([0.0, 1.0])),
-        )
-        X = np.array([[1.0, 0.0], [1.0, 1.0]])
-        out = _predict_tree(tree, X)
+        tree = {"column": 1, "left": {"value": [1.0, 0.0]}, "right": {"value": [0.0, 1.0]}}
+        model = ForestModel(_levels_of([tree], 2, 2), 2, np.zeros(2))
+        out = model.predict_probs(np.array([[1.0, 0.0], [1.0, 1.0]]))
         np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "node, match",
+        [
+            ({"column": 0, "left": {"value": [0.5]}, "right": {"value": [0.5]}}, "column 0"),
+            ({"column": 3, "left": {"value": [0.5]}, "right": {"value": [0.5]}}, "column 3"),
+            ({"column": 1.0, "left": {"value": [0.5]}, "right": {"value": [0.5]}}, "column 1.0"),
+            ({"column": 1, "left": {"value": [0.5, 0.5]}, "right": {"value": [0.5]}}, "length 1"),
+            ({"left": {"value": [0.5]}, "right": {"value": [0.5]}}, "neither"),
+        ],
+    )
+    def test_unroutable_trees_are_refused(self, node, match):
+        with pytest.raises(ValueError, match=match):
+            _levels_of([node], 1, 3)
 
 
 class TestForest:
@@ -164,7 +170,8 @@ class TestForest:
     def test_max_depth_respected(self):
         X, labels, w = design_problem(n_cols=10)
         model = fit_forest(X, labels, w, ForestConfig(n_trees=5, max_depth=3, seed=4))
-        for tree in model.trees:
+        assert len(model.levels.splits) <= 3
+        for tree in model.to_doc()["trees"]:
             assert max(collect_leaves(tree)) <= 3
 
     def test_importance_skips_constant_column(self):
@@ -184,18 +191,18 @@ class TestForest:
 class TestBoosted:
     def test_zero_learning_rate_gives_class_frequencies(self):
         X, labels, w = design_problem()
-        model = fit_boosted(X, labels, w, BoostConfig(n_rounds=5, learning_rate=0.0))
+        model = lone_boosted(X, labels, w, BoostConfig(n_rounds=5, learning_rate=0.0))
         probs = model.predict_probs(X[:3])
         class_w = np.bincount(labels, weights=w, minlength=4)
         expected = class_w / class_w.sum()
         np.testing.assert_allclose(probs, np.tile(expected, (3, 1)), atol=1e-12)
-        assert model.rounds == []
+        assert model.levels == [] and model.to_doc()["rounds"] == []
 
     def test_loss_improves_over_rounds(self):
         X, labels, w = design_problem(seed=7)
         losses = []
         for rounds in (1, 10, 40):
-            model = fit_boosted(
+            model = lone_boosted(
                 X, labels, w, BoostConfig(n_rounds=rounds, max_depth=3, min_leaf=10)
             )
             probs = model.predict_probs(X)
@@ -212,27 +219,27 @@ class TestBoosted:
         X = np.column_stack([np.ones(n), rng.integers(0, 2, n)]).astype(float)
         labels = rng.integers(0, 4, n)
         w = rng.uniform(0.5, 1.0, n)
-        model = fit_boosted(X, labels, w, BoostConfig(n_rounds=1, max_depth=1, min_leaf=5))
+        model = lone_boosted(X, labels, w, BoostConfig(n_rounds=1, max_depth=1, min_leaf=5))
         class_w = np.bincount(labels, weights=w, minlength=4)
         p0 = class_w / class_w.sum()
-        tree0 = model.rounds[0][0]
-        if tree0.is_leaf():
+        tree0 = model.to_doc()["rounds"][0][0]
+        if "value" in tree0:
             idx = np.arange(n)
             grad = w * ((labels == 0) - p0[0])
             hess = w * p0[0] * (1 - p0[0])
-            assert tree0.value[0] == pytest.approx(grad.sum() / hess.sum(), abs=1e-12)
+            assert tree0["value"][0] == pytest.approx(grad.sum() / hess.sum(), abs=1e-12)
         else:
-            right = X[:, tree0.column] > 0.5
-            for side, mask in ((tree0.left, ~right), (tree0.right, right)):
+            right = X[:, tree0["column"]] > 0.5
+            for side, mask in ((tree0["left"], ~right), (tree0["right"], right)):
                 grad = w[mask] * ((labels[mask] == 0) - p0[0])
                 hess = w[mask] * p0[0] * (1 - p0[0])
-                assert side.value[0] == pytest.approx(grad.sum() / hess.sum(), abs=1e-12)
+                assert side["value"][0] == pytest.approx(grad.sum() / hess.sum(), abs=1e-12)
 
     def test_deterministic(self):
         X, labels, w = design_problem(seed=9)
         cfg = BoostConfig(n_rounds=15, max_depth=3)
-        p1 = fit_boosted(X, labels, w, cfg).predict_probs(X)
-        p2 = fit_boosted(X, labels, w, cfg).predict_probs(X)
+        p1 = lone_boosted(X, labels, w, cfg).predict_probs(X)
+        p2 = lone_boosted(X, labels, w, cfg).predict_probs(X)
         np.testing.assert_array_equal(p1, p2)
 
     def test_separable_data_learned(self):
@@ -240,7 +247,7 @@ class TestBoosted:
         n = 800
         X = np.column_stack([np.ones(n), rng.integers(0, 2, (n, 2))]).astype(float)
         labels = (2 * X[:, 1] + X[:, 2]).astype(int)
-        model = fit_boosted(
+        model = lone_boosted(
             X, labels, np.ones(n), BoostConfig(n_rounds=100, max_depth=3, min_leaf=5)
         )
         probs = model.predict_probs(X)
@@ -267,30 +274,228 @@ class TestMinLeaf:
         )
 
         def check(node, idx, Xb):
-            if node.is_leaf():
+            if "value" in node:
                 return
-            right = Xb[idx, node.column] > 0.5
+            right = Xb[idx, node["column"]] > 0.5
             assert right.sum() >= 1 and (~right).sum() >= 1
-            check(node.left, idx[~right], Xb)
-            check(node.right, idx[right], Xb)
+            check(node["left"], idx[~right], Xb)
+            check(node["right"], idx[right], Xb)
 
         # The in-bag sample differs per tree; verify on the full data the
         # weaker property that no routing produces an empty side.
-        for tree in model.trees:
+        for tree in model.to_doc()["trees"]:
             check(tree, np.arange(n), X)
 
 
 # ---------------------------------------------------------------------------
+# Reference forest: every node gathers its in-bag records' dense design
+# columns, one node at a time, as the forest grew before its trees were
+# grown level-wise.  Depth first, it draws each node's candidate columns in
+# that older order; breadth first, in the level-wise grower's order: level
+# by level, in node order.  fit_forest must grow the same trees, bit for
+# bit, from distinct rows and level-wise histograms: at max_features=None
+# either way, and with drawn columns breadth first.
+
+
+def _weighted_entropy(class_w):
+    total = class_w.sum()
+    if total <= 0.0:
+        return 0.0
+    p = class_w / total
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum())
+
+
+def _dense_forest_tree(
+    X, labels, w, n_classes, max_depth, min_leaf, max_features, rng, importance, breadth_first
+):
+    candidates = np.arange(1, X.shape[1])  # skip the constant column
+    onehot_w = np.zeros((X.shape[0], n_classes))
+    onehot_w[np.arange(X.shape[0]), labels] = w
+    root = {}
+    pending = deque([(np.arange(X.shape[0]), 0, root)])
+    while pending:
+        idx, depth, node = pending.popleft() if breadth_first else pending.pop()
+        class_w = onehot_w[idx].sum(axis=0)
+        leaf = {"value": (class_w / class_w.sum()).tolist()}
+        if depth >= max_depth or len(idx) < 2 * min_leaf or (class_w > 0).sum() <= 1:
+            node.update(leaf)
+            continue
+        if max_features is not None and max_features < len(candidates):
+            cols = np.sort(rng.choice(candidates, size=max_features, replace=False))
+        else:
+            cols = candidates
+        Xc = X[np.ix_(idx, cols)]
+        n_right = Xc.sum(axis=0)
+        valid = (n_right >= min_leaf) & (len(idx) - n_right >= min_leaf)
+        if not valid.any():
+            node.update(leaf)
+            continue
+        cw_right = onehot_w[idx].T @ Xc  # (n_classes, n_cols)
+        cw_left = class_w[:, None] - cw_right
+        parent = class_w.sum() * _weighted_entropy(class_w)
+        gains = parent - (
+            cw_left.sum(axis=0) * _entropy_by_column(cw_left)
+            + cw_right.sum(axis=0) * _entropy_by_column(cw_right)
+        )
+        gains = np.where(valid, gains, -np.inf)
+        best = int(np.argmax(gains))
+        if gains[best] <= 1e-15:
+            node.update(leaf)
+            continue
+        best_col = int(cols[best])
+        importance[best_col] += gains[best]
+        right = X[idx, best_col] > 0.5
+        node.update(column=best_col, left={}, right={})
+        children = [(idx[~right], depth + 1, node["left"]), (idx[right], depth + 1, node["right"])]
+        pending.extend(children if breadth_first else children[::-1])
+    return root
+
+
+def _dense_fit_forest(X, labels, w, cfg, n_classes=4, breadth_first=False):
+    """The stored form of the forest, ``{"trees", "importance"}``."""
+    n = X.shape[0]
+    p = w / w.sum()
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+    importance = np.zeros(X.shape[1])
+    forest = []
+    for seq in seeds:
+        rng = np.random.default_rng(seq)
+        counts = np.bincount(rng.choice(n, size=n, p=p), minlength=n).astype(np.float64)
+        in_bag = counts > 0
+        forest.append(
+            _dense_forest_tree(
+                X[in_bag],
+                labels[in_bag],
+                counts[in_bag],
+                n_classes,
+                cfg.max_depth,
+                cfg.min_leaf,
+                cfg.max_features,
+                rng,
+                importance,
+                breadth_first,
+            )
+        )
+    return {"trees": forest, "importance": importance}
+
+
+@st.composite
+def forest_problems(draw):
+    """A binary design with duplicated rows, in shuffled record order, and
+    a forest config that may draw its candidate columns."""
+    n_cols = draw(st.integers(2, 8))
+    n_distinct = draw(st.integers(1, 20))
+    bits = st.lists(st.booleans(), min_size=n_cols - 1, max_size=n_cols - 1)
+    patterns = np.array(draw(st.lists(bits, min_size=n_distinct, max_size=n_distinct)), dtype=float)
+    reps = draw(st.lists(st.integers(1, 12), min_size=n_distinct, max_size=n_distinct))
+    rows = np.repeat(patterns.reshape(n_distinct, n_cols - 1), reps, axis=0)
+    n = len(rows)
+    n_classes = draw(st.sampled_from([2, 4]))
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    X = np.column_stack([np.ones(n), rows])[perm]
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(1, 5)),
+        min_leaf=draw(st.integers(1, 15)),
+        max_features=draw(st.one_of(st.none(), st.integers(1, n_cols))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return X, labels[perm], rng.uniform(0.2, 1.0, n), cfg, n_classes
+
+
+def assert_same_forest(model, ref, X):
+    """The same stored trees and predicted bits, and the same importances
+    up to the order their gains were added in."""
+    assert model.to_doc()["trees"] == ref["trees"]
+    assert model.predict_probs(X).tobytes() == oracle_forest_probs(ref, X).tobytes()
+    np.testing.assert_allclose(model.importance, ref["importance"], rtol=1e-12, atol=0.0)
+
+
+class TestForestMatchesDenseGrower:
+    @pytest.mark.parametrize("sample", ["12-cell", "default8"])
+    def test_same_trees_without_drawn_columns(self, sample, small_dataset):
+        """On the 12-cell design and on a default8 sample with thousands of
+        distinct rows, the trees and predictions of both draw orders."""
+        d = small_dataset if sample == "12-cell" else _default8_sample(4000)
+        X, labels, w = _block(d)
+        assert sample == "12-cell" or len(d.distinct_rows().counts) > 3000
+        cfg = ForestConfig(n_trees=25, max_depth=5, min_leaf=5, max_features=None, seed=7)
+        model = fit_forest(d.distinct_rows(), labels, w, cfg)
+        assert_same_forest(model, _dense_fit_forest(X, labels, w, cfg), X)
+        assert_same_forest(model, _dense_fit_forest(X, labels, w, cfg, breadth_first=True), X)
+
+    @pytest.mark.parametrize("sample", ["12-cell", "default8"])
+    def test_drawn_columns_breadth_first(self, sample, small_dataset):
+        d = small_dataset if sample == "12-cell" else _default8_sample(2000)
+        X, labels, w = _block(d)
+        cfg = ForestConfig(n_trees=20, max_depth=5, min_leaf=5, max_features=3, seed=3)
+        model = fit_forest(d.distinct_rows(), labels, w, cfg)
+        assert_same_forest(model, _dense_fit_forest(X, labels, w, cfg, breadth_first=True), X)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(forest_problems())
+    def test_same_trees_breadth_first(self, problem):
+        X, labels, w, cfg, n_classes = problem
+        model = fit_forest(X, labels, w, cfg, n_classes)
+        ref = _dense_fit_forest(X, labels, w, cfg, n_classes, breadth_first=True)
+        assert_same_forest(model, ref, X)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(forest_problems())
+    def test_group_bound_changes_no_bit(self, problem):
+        """Trees grown, and routed in prediction, one at a time or all at
+        once give the same model file, importance and prediction bits."""
+        X, labels, w, cfg, n_classes = problem
+        fits = []
+        for bound in (1, 2**17, 2**60):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trees, "FOREST_GROUP_ENTRIES", bound)
+                model = fit_forest(X, labels, w, cfg, n_classes)
+                probs = model.predict_probs(X)
+            fits.append((json.dumps(model.to_doc()), model.importance.tobytes(), probs.tobytes()))
+        assert fits[0] == fits[1] == fits[2]
+
+    @pytest.mark.parametrize("max_features", [None, 2])
+    def test_depth_and_leaf_sizes_from_levels(self, max_features, small_dataset):
+        """Read from the level arrays: no tree is deeper than max_depth, and
+        every leaf of a tree that split holds min_leaf of its in-bag records
+        or more."""
+        X, labels, w = _block(small_dataset)
+        cfg = ForestConfig(n_trees=12, max_depth=4, min_leaf=30, max_features=max_features, seed=5)
+        model = fit_forest(small_dataset.distinct_rows(), labels, w, cfg)
+        levels = model.levels
+        assert 0 < len(levels.splits) <= cfg.max_depth
+        n = len(labels)
+        bits = X.astype(np.uint8)
+        bits[:, 0] = 0
+        for t, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)):
+            rng = np.random.default_rng(seq)
+            in_bag = np.flatnonzero(np.bincount(rng.choice(n, size=n, p=w / w.sum()), minlength=n))
+            root = np.full(len(in_bag), t)
+            leaf = _route(levels.splits, root, bits.reshape(-1), in_bag * X.shape[1])
+            # Tree t's leaves: the last level's nodes that its root reaches.
+            first, last = t, t
+            for split_col, child in levels.splits:
+                first, last = child[first], child[last] + (split_col[last] > 0)
+            held = np.bincount(leaf, minlength=len(levels.value))[first : last + 1]
+            if last > first:
+                assert held.min() >= cfg.min_leaf
+
+
+# ---------------------------------------------------------------------------
 # Reference boosting: every node gathers its records' dense design columns
-# and grows each class tree on its own, depth first.  fit_boosted must grow
-# the same trees from distinct rows and level-wise histograms.
+# and grows each class tree on its own, depth first.  fit_boosted_many must
+# grow the same trees from distinct rows and level-wise histograms.
 
 
 def _dense_regression_tree(X, grad, hess, w, max_depth, min_leaf, importance):
     candidates = np.arange(1, X.shape[1])
 
     def leaf(idx):
-        return TreeNode(value=np.array([grad[idx].sum() / max(hess[idx].sum(), PROB_CLIP)]))
+        return {"value": [grad[idx].sum() / max(hess[idx].sum(), PROB_CLIP)]}
 
     def grow(idx, depth):
         if depth >= max_depth or len(idx) < 2 * min_leaf:
@@ -316,11 +521,11 @@ def _dense_regression_tree(X, grad, hess, w, max_depth, min_leaf, importance):
         best_col = int(candidates[best])
         importance[best_col] += gains[best]
         right = X[idx, best_col] > 0.5
-        return TreeNode(
-            column=best_col,
-            left=grow(idx[~right], depth + 1),
-            right=grow(idx[right], depth + 1),
-        )
+        return {
+            "column": best_col,
+            "left": grow(idx[~right], depth + 1),
+            "right": grow(idx[right], depth + 1),
+        }
 
     return grow(np.arange(X.shape[0]), 0)
 
@@ -331,7 +536,12 @@ def _dense_fit_boosted(X, labels, w, cfg, n_classes=4):
     onehot[np.arange(n), labels] = 1.0
     class_w = np.bincount(labels, weights=w, minlength=n_classes)
     init = np.log(np.clip(class_w / class_w.sum(), PROB_CLIP, None))
-    model = TreeRounds(init, [], cfg.learning_rate, n_classes, np.zeros(X.shape[1]))
+    model = {
+        "init_scores": init,
+        "rounds": [],
+        "learning_rate": cfg.learning_rate,
+        "importance": np.zeros(X.shape[1]),
+    }
     scores = np.tile(init, (n, 1))
     for _ in range(cfg.n_rounds):
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -341,11 +551,11 @@ def _dense_fit_boosted(X, labels, w, cfg, n_classes=4):
             grad = w * (onehot[:, k] - probs[:, k])
             hess = w * probs[:, k] * (1.0 - probs[:, k])
             tree = _dense_regression_tree(
-                X, grad, hess, w, cfg.max_depth, cfg.min_leaf, model.importance
+                X, grad, hess, w, cfg.max_depth, cfg.min_leaf, model["importance"]
             )
             scores[:, k] += cfg.learning_rate * _predict_tree(tree, X)[:, 0]
             round_trees.append(tree)
-        model.rounds.append(round_trees)
+        model["rounds"].append(round_trees)
     return model
 
 
@@ -357,20 +567,20 @@ def assert_same_tree(tree, ref, X, idx):
     itself must take the lowest of the columns that cut the node the same
     way.  Leaf values are Newton steps whose hessian sums can be tiny, so
     they are compared relative to their size."""
-    if ref.is_leaf():
-        assert tree.is_leaf()
-        np.testing.assert_allclose(tree.value, ref.value, rtol=1e-9, atol=1e-9)
+    if "value" in ref:
+        assert "value" in tree
+        np.testing.assert_allclose(tree["value"], ref["value"], rtol=1e-9, atol=1e-9)
         return
-    assert not tree.is_leaf()
-    right = X[idx, ref.column] > 0.5
-    tree_right = X[idx, tree.column] > 0.5
-    lower = X[np.ix_(idx, np.arange(1, tree.column))] > 0.5
+    assert "column" in tree
+    right = X[idx, ref["column"]] > 0.5
+    tree_right = X[idx, tree["column"]] > 0.5
+    lower = X[np.ix_(idx, np.arange(1, tree["column"]))] > 0.5
     assert not (lower == tree_right[:, None]).all(axis=0).any()
     if np.array_equal(tree_right, right):
-        pairs = ((tree.left, ref.left), (tree.right, ref.right))
+        pairs = ((tree["left"], ref["left"]), (tree["right"], ref["right"]))
     else:
-        assert np.array_equal(tree_right, ~right), (tree.column, ref.column)
-        pairs = ((tree.right, ref.left), (tree.left, ref.right))
+        assert np.array_equal(tree_right, ~right), (tree["column"], ref["column"])
+        pairs = ((tree["right"], ref["left"]), (tree["left"], ref["right"]))
     assert_same_tree(*pairs[0], X, idx[~right])
     assert_same_tree(*pairs[1], X, idx[right])
 
@@ -407,10 +617,11 @@ class TestBoostedMatchesDenseGrower:
     @given(boosting_problems())
     def test_same_trees_and_predictions(self, problem):
         X, labels, w, cfg = problem
-        model = fit_boosted(X, labels, w, cfg)
+        model = lone_boosted(X, labels, w, cfg)
         ref = _dense_fit_boosted(X, labels, w, cfg)
-        assert len(model.rounds) == len(ref.rounds)
-        for round_trees, ref_trees in zip(model.rounds, ref.rounds):
+        rounds = model.to_doc()["rounds"]
+        assert len(rounds) == len(ref["rounds"])
+        for round_trees, ref_trees in zip(rounds, ref["rounds"]):
             for tree, ref_tree in zip(round_trees, ref_trees):
                 assert_same_tree(tree, ref_tree, X, np.arange(len(X)))
         np.testing.assert_allclose(
@@ -421,8 +632,8 @@ class TestBoostedMatchesDenseGrower:
         X, labels, w = design_problem(seed=12)
         cfg = BoostConfig(n_rounds=10, max_depth=3, min_leaf=10)
         np.testing.assert_allclose(
-            fit_boosted(X, labels, w, cfg).importance,
-            _dense_fit_boosted(X, labels, w, cfg).importance,
+            lone_boosted(X, labels, w, cfg).importance,
+            _dense_fit_boosted(X, labels, w, cfg)["importance"],
             rtol=1e-9,
         )
 
@@ -454,12 +665,12 @@ def prediction_designs(draw):
 def random_tree(rng, depth, n_cols, value_dim):
     """A tree of at most the given depth; depth 0 is a lone leaf."""
     if depth == 0 or rng.random() < 0.2:
-        return TreeNode(value=rng.normal(size=value_dim))
-    return TreeNode(
-        column=int(rng.integers(1, n_cols)),
-        left=random_tree(rng, depth - 1, n_cols, value_dim),
-        right=random_tree(rng, depth - 1, n_cols, value_dim),
-    )
+        return {"value": rng.normal(size=value_dim).tolist()}
+    return {
+        "column": int(rng.integers(1, n_cols)),
+        "left": random_tree(rng, depth - 1, n_cols, value_dim),
+        "right": random_tree(rng, depth - 1, n_cols, value_dim),
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -492,19 +703,21 @@ class TestFlatEvaluatorMatchesWalk:
         rounds = [
             [random_tree(rng, max_depth, n_cols, 1) for _ in range(4)] for _ in range(n_trees)
         ]
-        walked = TreeRounds(rng.normal(size=4), rounds, learning_rate, 4, np.zeros(n_cols))
+        walked = dict(init_scores=rng.normal(size=4), rounds=rounds, learning_rate=learning_rate)
         boosted = BoostModel(
-            walked.init_scores, [_levels_of(r) for r in rounds], learning_rate, 4, walked.importance
+            walked["init_scores"],
+            [_levels_of(r, 1, n_cols) for r in rounds],
+            learning_rate,
+            4,
+            np.zeros(n_cols),
         )
-        forest = ForestModel(
-            [random_tree(rng, max_depth, n_cols, 4) for _ in range(n_trees)], 4, np.zeros(n_cols)
-        )
+        stored = {"trees": [random_tree(rng, max_depth, n_cols, 4) for _ in range(n_trees)]}
+        forest = ForestModel(_levels_of(stored["trees"], 4, n_cols), 4, np.zeros(n_cols))
         np.testing.assert_array_equal(boosted.predict_probs(X), oracle_boosted_probs(walked, X))
-        np.testing.assert_array_equal(forest.predict_probs(X), oracle_forest_probs(forest, X))
-        # The rounds view gives back the trees the levels were read from.
-        assert [[t.to_dict() for t in r] for r in boosted.rounds] == [
-            [t.to_dict() for t in r] for r in rounds
-        ]
+        np.testing.assert_array_equal(forest.predict_probs(X), oracle_forest_probs(stored, X))
+        # The levels give back the trees they were read from.
+        assert boosted.to_doc()["rounds"] == rounds
+        assert forest.to_doc()["trees"] == stored["trees"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -518,38 +731,41 @@ class TestFlatEvaluatorMatchesWalk:
         X, rng = design
         labels = rng.integers(0, 4, len(X))
         w = rng.uniform(0.2, 1.0, len(X))
-        boosted = fit_boosted(
+        boosted = lone_boosted(
             X, labels, w, BoostConfig(3, max_depth, min_leaf, learning_rate)
         )
         forest = fit_forest(X, labels, w, ForestConfig(3, max_depth, min_leaf, None, seed=1))
         for Z in (X, X[:1]):
-            np.testing.assert_array_equal(boosted.predict_probs(Z), oracle_boosted_probs(boosted, Z))
-            np.testing.assert_array_equal(forest.predict_probs(Z), oracle_forest_probs(forest, Z))
+            np.testing.assert_array_equal(
+                boosted.predict_probs(Z), oracle_boosted_probs(boosted.to_doc(), Z)
+            )
+            np.testing.assert_array_equal(
+                forest.predict_probs(Z), oracle_forest_probs(forest.to_doc(), Z)
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(prediction_designs(), st.integers(1, 5), st.integers(1, 20))
-    def test_rounds_view_round_trips(self, design, max_depth, min_leaf):
-        """A fitted model's rounds view, written out and read back, gives the
+    def test_stored_form_round_trips(self, design, max_depth, min_leaf):
+        """A fitted model's stored form, written out and read back, gives the
         grower's level arrays and predicts the same bits."""
         X, rng = design
         labels = rng.integers(0, 4, len(X))
         w = rng.uniform(0.2, 1.0, len(X))
-        model = fit_boosted(X, labels, w, BoostConfig(4, max_depth, min_leaf, 0.5))
-        restored = BoostModel.from_doc(json.loads(json.dumps(model.to_doc())), 4)
-        assert restored.to_doc() == model.to_doc()
-        for grown, read in zip(model.levels, restored.levels, strict=True):
-            assert len(grown.splits) == len(read.splits)
-            for arrays, read_arrays in zip(grown.splits, read.splits):
-                for a, b in zip(arrays, read_arrays, strict=True):
-                    np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(grown.value, read.value)
-        for Z in (X, X[:1]):
-            np.testing.assert_array_equal(restored.predict_probs(Z), model.predict_probs(Z))
-
-    def test_constant_column_never_splits(self):
-        leaf = TreeNode(value=np.array([0.5]))
-        with pytest.raises(ValueError, match="column 0"):
-            _levels_of([TreeNode(column=0, left=leaf, right=leaf)])
+        boosted = lone_boosted(X, labels, w, BoostConfig(4, max_depth, min_leaf, 0.5))
+        forest = fit_forest(X, labels, w, ForestConfig(4, max_depth, min_leaf, 2, seed=2))
+        for model in (boosted, forest):
+            restored = type(model).from_doc(json.loads(json.dumps(model.to_doc())), 4)
+            assert restored.to_doc() == model.to_doc()
+            grown_levels = model.levels if model is boosted else [model.levels]
+            read_levels = restored.levels if model is boosted else [restored.levels]
+            for grown, read in zip(grown_levels, read_levels, strict=True):
+                assert len(grown.splits) == len(read.splits)
+                for arrays, read_arrays in zip(grown.splits, read.splits):
+                    for a, b in zip(arrays, read_arrays, strict=True):
+                        np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(grown.value, read.value)
+            for Z in (X, X[:1]):
+                np.testing.assert_array_equal(restored.predict_probs(Z), model.predict_probs(Z))
 
     @pytest.mark.parametrize("kind", ["boosted", "forest", "network"])
     def test_stored_model_file(self, kind, small_dataset, tmp_path):
@@ -559,15 +775,14 @@ class TestFlatEvaluatorMatchesWalk:
         path = Path(__file__).parent / "data" / f"{kind}_model.json"
         model = load_model(str(path), small_dataset.schema)
         assert model.kind == kind
-        X = one_hot_encode(small_dataset)
+        X = small_dataset.design()
+        stored = json.loads(path.read_text())["parameters"]
         oracle = {
             "boosted": oracle_boosted_probs,
             "forest": oracle_forest_probs,
-            "network": lambda net, X: forward_probs(net.layers, X),
+            "network": lambda _, X: forward_probs(model.predictor.layers, X),
         }[kind]
-        np.testing.assert_array_equal(
-            model.predict_quads(small_dataset), oracle(model.predictor, X)
-        )
+        np.testing.assert_array_equal(model.predict_quads(small_dataset), oracle(stored, X))
         save_model(model, str(tmp_path / "model.json"))
         assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
 
@@ -652,10 +867,10 @@ def test_fit_boosted_bits_are_pinned(case, small_dataset):
     sample, cfg, labels, digests = PINNED_FITS[case]
     d = _default8_sample(2000) if sample == "default8" else small_dataset
     if labels == "cr":
-        model = fit_boosted(*_block(d), cfg)
+        model = lone_boosted(*_block(d), cfg)
     else:
         X, _, w = _block(d)
-        model = fit_boosted(X, d.c, w, cfg, n_classes=2)
+        model = lone_boosted(X, d.c, w, cfg, n_classes=2)
     doc = json.dumps(model.to_doc(), sort_keys=True).encode()
     got = (hashlib.sha256(doc).hexdigest(), hashlib.sha256(model.importance.tobytes()).hexdigest())
     assert got == digests
@@ -663,7 +878,7 @@ def test_fit_boosted_bits_are_pinned(case, small_dataset):
 
 # ---------------------------------------------------------------------------
 # Stacked fits: several blocks grown by one fit_boosted_many call, each bit
-# for bit its lone fit_boosted.
+# for bit its lone fit.
 
 
 @st.composite
@@ -712,7 +927,7 @@ class TestStackedFits:
         assert len(models) == len(blocks)
         designs = [X for X, _, _ in blocks]
         for model, block in zip(models, blocks):
-            assert_same_model(model, fit_boosted(*block, cfg, n_classes), designs)
+            assert_same_model(model, lone_boosted(*block, cfg, n_classes), designs)
 
     def test_blocks_stop_at_different_depths(self, small_dataset):
         """A block of one distinct row stops at the root, a small one
@@ -723,7 +938,7 @@ class TestStackedFits:
         blocks = [(X[idx], labels[idx], w[idx]) for idx in subsets]
         cfg = BoostConfig(n_rounds=6, max_depth=4, min_leaf=10, learning_rate=0.5)
         models = fit_boosted_many(blocks, cfg)
-        lone = [fit_boosted(*block, cfg) for block in blocks]
+        lone = [lone_boosted(*block, cfg) for block in blocks]
         depths = [max(len(rnd.splits) for rnd in model.levels) for model in lone]
         assert depths[0] == 0 and 0 < depths[1] < depths[2] == 4
         for model, lone_model in zip(models, lone):
@@ -791,7 +1006,7 @@ class TestHistogramSubtraction:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trees, "SUBTRACT_MIN_ENTRIES", 0)
             models = fit_boosted_many(blocks, cfg, n_classes)
-            lone = [fit_boosted(*block, cfg, n_classes) for block in blocks]
+            lone = [lone_boosted(*block, cfg, n_classes) for block in blocks]
         for model, lone_model, direct_model in zip(models, lone, direct):
             assert_same_model(model, lone_model, designs)
             assert_same_model(model, direct_model, designs)
@@ -866,7 +1081,7 @@ class TestSharedCompression:
         stacks = fit_boosted_many(dense, cfg), fit_boosted_many(shared, cfg)
         for f, (from_dense, from_shared) in enumerate(zip(*stacks)):
             assert_same_model(from_shared, from_dense, [])
-            assert_same_model(fit_boosted(*shared[f], cfg), from_dense, [])
+            assert_same_model(lone_boosted(*shared[f], cfg), from_dense, [])
         for models in stacks:
             probs = [predict_stack(models, [X for X, _, _ in blocks]) for blocks in (dense, shared)]
             assert [p.tobytes() for p in probs[0]] == [p.tobytes() for p in probs[1]]
