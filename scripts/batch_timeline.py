@@ -13,8 +13,8 @@ edited:
 
 - every ``map_units`` batch that the command starts, outside any unit,
   tags each unit with its position and times it where it runs, here or in
-  a forked child; each unit's pid, whether it ran here, its start and end
-  are printed, and the time the command took its result;
+  a forked child; each unit's function, pid, whether it ran here, its
+  start and end are printed, and the time the command took its result;
 - ``cli.load_dataset``, ``cli._write_estimates``, ``cli._write_intersection``
   and ``cli._write_sorted`` are timed as the parent's stages.
 
@@ -47,10 +47,22 @@ STAGES = ("load_dataset", "_write_estimates", "_write_intersection", "_write_sor
 MAP_UNITS_USERS = (cli, inference, learners, network, parallel)
 
 
+def unit_name(fn, unit) -> str:
+    """The name of the function that runs ``unit``: a thunk's own, under
+    ``parallel.call``, else ``fn``'s; a partial's is its function's."""
+    runs = unit if fn is parallel.call else fn
+    runs = getattr(runs, "func", runs)
+    return getattr(runs, "__name__", type(runs).__name__)
+
+
 @dataclass
 class Batch:
-    n_units: int
+    names: list[str]
     arrived: list[float] = field(default_factory=list)
+
+    @property
+    def n_units(self) -> int:
+        return len(self.names)
 
 
 @dataclass
@@ -76,7 +88,7 @@ class Timeline:
         batch inside a unit, here or in a child, runs as it is."""
         if parallel.in_unit():
             return original(fn, units)
-        batch = Batch(len(units))
+        batch = Batch([unit_name(fn, u) for u in units])
         self.batches.append(batch)
         timed = functools.partial(self.timed_unit, fn, len(self.batches) - 1)
         return self._arrivals(original(timed, list(enumerate(units))), batch)
@@ -170,12 +182,15 @@ def main(argv: list[str] | None = None) -> int:
           f"run {args.repeat} of {args.repeat}, {1e3 * (t1 - t0):.1f} ms")
     for b, batch in enumerate(timeline.batches):
         print(f"batch {b + 1}: {batch.n_units} units")
-        print(f"  {'unit':>4}  {'pid':>8}  {'ran':>5}  {'start':>9}  {'end':>9}  {'arrived':>9}")
-        for i in range(batch.n_units):
+        width = max(len("function"), *map(len, batch.names))
+        print(f"  {'unit':>4}  {'function':<{width}}  {'pid':>8}  {'ran':>5}  {'start':>9}"
+              f"  {'end':>9}  {'arrived':>9}")
+        for i, name in enumerate(batch.names):
             pid, start, end = units.get((b, i), ("-", None, None))
             ran = "-" if start is None else "here" if pid == os.getpid() else "child"
             arrived = batch.arrived[i] if i < len(batch.arrived) else None
-            print(f"  {i:>4}  {pid:>8}  {ran:>5}  {ms(start):>9}  {ms(end):>9}  {ms(arrived):>9}")
+            print(f"  {i:>4}  {name:<{width}}  {pid:>8}  {ran:>5}  {ms(start):>9}  {ms(end):>9}"
+                  f"  {ms(arrived):>9}")
     print("parent stages:")
     print(f"  {'stage':<20}  {'start':>9}  {'end':>9}")
     for name, start, end in sorted(timeline.stages, key=lambda stage: stage[1]):

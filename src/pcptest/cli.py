@@ -10,6 +10,7 @@ so the manifest itself stays reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -41,16 +42,19 @@ from .data import (
 )
 from .functionals import MIN_USABLE, PerObsStats, group_estimates, per_obs_stats, summarize
 from .inference import (
+    FullSetQuantiles,
     IntersectionInput,
     SortedGroupsConfig,
     SortedGroupsResult,
     check_mc_draws,
-    intersection_tests,
+    full_set_quantiles,
+    gamma_n,
+    kept_set_tests,
     merge_sorted_splits,
     sorted_split_units,
 )
 from .network import NetworkTrainingError
-from .parallel import call, map_units
+from .parallel import call, map_units, release_pages, shared_array
 from .synth import InfeasibleCellError, SyntheticDGP, sample_dataset
 
 CONFIG_FILE_VERSION = 1
@@ -405,15 +409,22 @@ class FeatureGroups:
 Groups = dict[str, FeatureGroups]
 
 
-def _group_estimates(cfg: RunConfig, d: Dataset, cf: PerObsStats) -> Groups:
+def _partitions(cfg: RunConfig, d: Dataset) -> dict[str, list[np.ndarray]]:
+    """Each grouping feature's ``partition`` of the records."""
+    return {name: partition(d, name) for name in cfg.group_features or d.schema.feature_names}
+
+
+def _group_estimates(
+    d: Dataset, cf: PerObsStats, partitions: dict[str, list[np.ndarray]]
+) -> Groups:
     """By-modality group estimates of both statistics for each grouping
-    feature, computed once per run for the group table and the intersection
-    tests, one ``group_estimates`` call per feature and statistic, as in a
-    sorted-groups split.  Each NaN group gets one warning on stderr."""
+    feature, from its partition, computed once per run for the group table
+    and the intersection tests, one ``group_estimates`` call per feature
+    and statistic, as in a sorted-groups split.  Each NaN group gets one
+    warning on stderr."""
     groups = {}
-    for name in cfg.group_features or d.schema.feature_names:
+    for name, rows in partitions.items():
         j = d.schema.feature_index(name)
-        rows = partition(d, name)
         modalities = [int(d.covariates[idx[0], j]) for idx in rows]
         estimates = {}
         for column, statistic in GROUP_STATISTICS.items():
@@ -441,8 +452,12 @@ def _fit_batch(
     the sorted-groups splits.  The raw fit and the folds, and the splits,
     are grouped into stacks (``L.stacks``), whose results are merged in
     input order; each kind of fit that stacks gets its share of the
-    workers.  The estimate and intersection tables are written while the
-    splits still fit."""
+    workers.  The intersection tests' Monte Carlo draw is one more unit,
+    the second: ``full_set_quantiles`` fills a buffer shared with the
+    workers, as wide as the widest grouping feature, and returns the
+    critical values of the full sets.  Each result is taken when it is
+    needed, in input order.  The estimate and intersection tables are
+    written while the splits still fit."""
     d = load_dataset(cfg)
     cross_fit = estimates or intersection
     # The kinds of fits that may stack: the folds with the raw fit, and the
@@ -450,27 +465,46 @@ def _fit_batch(
     kinds = int(cross_fit) + int(sorted_groups and not cfg.sorted_cfg.searches)
     units = []
     if cross_fit:
+        partitions = _partitions(cfg, d)
         folds = make_folds(d, cfg.folds, cfg.seed)
-        fold_units = L.cross_fit_units(d, cfg.learner_cfg, folds, estimates, kinds)
-        units += fold_units
+        units += L.cross_fit_units(d, cfg.learner_cfg, folds, estimates, kinds)
+    if intersection:
+        widths = {len(rows) for rows in partitions.values()}
+        normals = shared_array(cfg.mc_draws * max(widths))
+        # Second, so that with two workers or more a child takes it at once.
+        draw = functools.partial(
+            _intersection_draw, normals, cfg.mc_draws, cfg.seed, widths, d.n, cfg.levels
+        )
+        units.insert(1, draw)
+    fold_at = [i for i in range(len(units)) if not (intersection and i == 1)]
+    first_split = len(units)
     if sorted_groups:
         units += sorted_split_units(d, cfg.sorted_cfg, kinds)
     t0 = time.monotonic()
     results = map_units(call, units)
+    taken: list = []
+
+    def result(i: int):
+        """Unit i's result, taking the batch's results, in input order, up
+        to it."""
+        taken.extend(itertools.islice(results, max(0, i + 1 - len(taken))))
+        return taken[i]
+
     try:
         if cross_fit:
-            probs = itertools.chain.from_iterable(itertools.islice(results, len(fold_units)))
+            probs = itertools.chain.from_iterable(result(i) for i in fold_at)
             raw = per_obs_stats(next(probs)) if estimates else None
             cf = per_obs_stats(L.merge_cross_fit(folds, list(probs)))
             elapsed = time.monotonic() - t0
             _log(f"{cfg.folds}-fold cross-fit{' + raw fit' * estimates} in {elapsed:.1f}s")
-            groups = _group_estimates(cfg, d, cf)
+            groups = _group_estimates(d, cf, partitions)
             if estimates:
                 _write_estimates(cfg, out, d, cf, raw, groups)
             if intersection:
-                _write_intersection(cfg, out, d, groups)
+                _write_intersection(cfg, out, d, groups, normals, result(1))
         if sorted_groups:
-            res = merge_sorted_splits(cfg.sorted_cfg, list(itertools.chain.from_iterable(results)))
+            splits = [result(i) for i in range(first_split, len(units))]
+            res = merge_sorted_splits(cfg.sorted_cfg, list(itertools.chain.from_iterable(splits)))
             elapsed = time.monotonic() - t0
             # The splits share the batch, and its clock, with any folds.
             when = (
@@ -483,6 +517,17 @@ def _fit_batch(
             _write_sorted(cfg, out, res)
     finally:
         results.close()
+
+
+def _intersection_draw(
+    normals: np.ndarray, mc_draws: int, seed: int, widths: set[int], n: int, levels
+) -> FullSetQuantiles:
+    """The intersection tests' draw unit: ``full_set_quantiles`` on the
+    shared buffer ``normals``, whose pages then leave this process's
+    resident set, where they would sit under every later unit's."""
+    full = full_set_quantiles(normals, mc_draws, seed, widths, [gamma_n(n)], levels)
+    release_pages(normals)
+    return full
 
 
 def cmd_estimate(cfg: RunConfig, out: OutputDir) -> None:
@@ -549,13 +594,21 @@ def cmd_test_intersection(cfg: RunConfig, out: OutputDir) -> None:
     _fit_batch(cfg, out, intersection=True)
 
 
-def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Groups) -> None:
+def _write_intersection(
+    cfg: RunConfig,
+    out: OutputDir,
+    d: Dataset,
+    groups: Groups,
+    normals: np.ndarray,
+    full: FullSetQuantiles,
+) -> None:
     """One row per feature, statistic and level.  A feature whose estimates
     of a statistic hold a NaN is not tested on it: its rows carry NaN.
-    Every test is run in one call, so all the features with the same
-    number of groups share one Monte Carlo draw.  A row whose interval was
-    clamped to a point, its upper bound having fallen below its lower one,
-    gets one note on stderr."""
+    Every test reads the one Monte Carlo draw in ``normals`` and the
+    critical values ``full`` of its full sets, which the batch's draw unit
+    made; ``kept_set_tests`` adds those of the strict-subset kept sets.  A
+    row whose interval was clamped to a point, its upper bound having
+    fallen below its lower one, gets one note on stderr."""
     nan = float("nan")
     tested, inputs = set(), []
     for name, fg in groups.items():
@@ -567,7 +620,7 @@ def _write_intersection(cfg: RunConfig, out: OutputDir, d: Dataset, groups: Grou
                 IntersectionInput(est, ses, d.n, alpha, cfg.mc_draws, cfg.seed)
                 for alpha in cfg.levels
             ]
-    results = iter(intersection_tests(inputs))
+    results = iter(kept_set_tests(normals, cfg.mc_draws, full, inputs))
     rows = []
     for name in groups:
         for stat_name in GROUP_STATISTICS:

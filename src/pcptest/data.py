@@ -65,6 +65,65 @@ def load_yaml(fh):
     return yaml.load(fh, Loader=_YAML_LOADER)
 
 
+def load_yaml_mapping(path: str) -> dict:
+    """The document of the YAML file ``path``, which must be a mapping:
+    any other document is a ``DataError`` that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        doc = load_yaml(fh)
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a mapping of keys, got {type(doc).__name__}")
+    return doc
+
+
+_REQUIRED = object()
+
+
+def read_entry(path: str, doc, key: str, convert=None, *, default=_REQUIRED, where: str = ""):
+    """``convert(doc[key])`` (the value itself without ``convert``) of a
+    mapping ``doc`` read from the file ``path``, at the place ``where`` in
+    it; ``default`` where the key is absent, if one is given.  A ``doc``
+    that is not a mapping, a missing key, and a value that ``convert``
+    rejects with a ``TypeError`` or ``ValueError`` are each a ``DataError``
+    that names the file and the key."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: {where or 'the document'} must be a mapping, got {doc!r}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise DataError(f"{path}: missing key {name!r}")
+        return default
+    if convert is None:
+        return doc[key]
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as err:
+        raise DataError(f"{path}: invalid {name!r}: {err}") from err
+
+
+def as_list(value) -> list:
+    """``value``, which must be a YAML list."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def schema_features(path: str, doc: dict, where: str = "") -> tuple:
+    """The features of the schema mapping ``doc`` read from ``path``, at
+    ``where`` in it: a list of mappings with a ``name`` and a list of
+    integer ``codes``."""
+    place = f"{where}.features" if where else "features"
+    features = read_entry(path, doc, "features", as_list, where=where)
+    return tuple(
+        (
+            read_entry(path, f, "name", str, where=f"{place}[{i}]"),
+            read_entry(
+                path, f, "codes", lambda v: tuple(int(c) for c in as_list(v)), where=f"{place}[{i}]"
+            ),
+        )
+        for i, f in enumerate(features)
+    )
+
+
 @dataclass(frozen=True)
 class CategoricalSchema:
     """Ordered categorical features; the first listed code of each feature
@@ -142,14 +201,10 @@ class CategoricalSchema:
 
     @classmethod
     def from_yaml(cls, path: str) -> "CategoricalSchema":
-        with open(path, encoding="utf-8") as fh:
-            doc = load_yaml(fh)
-        if not isinstance(doc, dict) or doc.get("version") != SCHEMA_FILE_VERSION:
+        doc = load_yaml_mapping(path)
+        if doc.get("version") != SCHEMA_FILE_VERSION:
             raise DataError(f"unsupported schema file version in {path}")
-        feats = tuple(
-            (str(f["name"]), tuple(int(c) for c in f["codes"])) for f in doc["features"]
-        )
-        return cls(feats)
+        return cls(schema_features(path, doc))
 
 
 def default_schema() -> CategoricalSchema:

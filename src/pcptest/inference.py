@@ -2,13 +2,21 @@
 
 The intersection test asks whether the smallest group-averaged statistic
 is negative, with Monte Carlo calibrated critical values (a selection
-value k0 and a decision value k).  The sorted-groups test repeatedly
-splits the sample, trains on one half, sorts the other half into quartiles
-of the predicted statistic, tests the lowest quartile's mean
-conditional statistic, E[C(X) | G] or E[rho(X) | G], and reads the split
-medians as Chernozhukov et al. (arXiv:1712.04802) specify.  Both tests take
-every group's estimate and SE from one ``functionals.group_estimates``
-call.
+value k0 and a decision value k).  It runs in two phases.  The first,
+``full_set_quantiles``, depends only on (mc_draws, seed), the widths and
+the levels: it fills a given buffer with the normals and reads k0 and the
+k of every full set.  The second, ``kept_set_tests``, finds each input's
+kept set and reads the k of each strict subset from the same buffer.
+``intersection_tests`` runs both back to back; the CLI runs the first as a
+unit of its fit batch, on a buffer shared with the pool's workers, so
+that a worker draws while this process fits.
+
+The sorted-groups test repeatedly splits the sample, trains on one half,
+sorts the other half into quartiles of the predicted statistic, tests the
+lowest quartile's mean conditional statistic, E[C(X) | G] or E[rho(X) | G],
+and reads the split medians as Chernozhukov et al. (arXiv:1712.04802)
+specify.  Both tests take every group's estimate and SE from one
+``functionals.group_estimates`` call.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +46,9 @@ __all__ = [
     "IntersectionResult",
     "intersection_test",
     "intersection_tests",
+    "FullSetQuantiles",
+    "full_set_quantiles",
+    "kept_set_tests",
     "gamma_n",
     "sorted_quantile",
     "SortedGroupsConfig",
@@ -60,7 +71,8 @@ def gamma_n(n: int) -> float:
 
 
 MIN_MC_DRAWS = 100
-# A draw holds 8 * mc_draws * L bytes: 32 MB at this bound with L = 4.
+# A draw holds 8 * mc_draws * L bytes, L the widest grouping feature's
+# modality count: 96 MB at this bound on the default schema (L = 12).
 MAX_MC_DRAWS = 1_000_000
 
 
@@ -132,53 +144,102 @@ def intersection_test(inp: IntersectionInput) -> IntersectionResult:
 def intersection_tests(inputs: Sequence[IntersectionInput]) -> list[IntersectionResult]:
     """``intersection_test`` of every input, in input order.  The normals
     depend only on (mc_draws, seed), so all inputs that share that key,
-    wherever they sit in the list, are tested on one stream: the generator
-    fills its draws in C order, so the first mc_draws * L normals of one
-    stream, shaped (mc_draws, L), are the bits of a (mc_draws, L) draw."""
-    by_key: dict[tuple[int, int], dict[int, list[int]]] = {}
+    wherever they sit in the list, are tested on one stream: both phases,
+    ``full_set_quantiles`` and then ``kept_set_tests``, read one buffer."""
+    by_key: dict[tuple[int, int], list[int]] = {}
     for i, inp in enumerate(inputs):
-        by_key.setdefault((inp.mc_draws, inp.seed), {}).setdefault(inp.L, []).append(i)
+        by_key.setdefault((inp.mc_draws, inp.seed), []).append(i)
     results: dict[int, IntersectionResult] = {}
-    for (mc_draws, seed), by_width in by_key.items():
-        normals = np.random.default_rng(seed).standard_normal(mc_draws * max(by_width))
-        for width, positions in by_width.items():
-            xi = normals[: mc_draws * width].reshape(mc_draws, width)
-            results.update(zip(positions, _tests_on_one_draw(xi, [inputs[i] for i in positions])))
+    for (mc_draws, seed), positions in by_key.items():
+        group = [inputs[i] for i in positions]
+        widths = {inp.L for inp in group}
+        normals = np.empty(mc_draws * max(widths))
+        full = full_set_quantiles(
+            normals,
+            mc_draws,
+            seed,
+            widths,
+            {gamma_n(inp.n) for inp in group},
+            {inp.alpha for inp in group},
+        )
+        results.update(zip(positions, kept_set_tests(normals, mc_draws, full, group)))
     return [results[i] for i in range(len(inputs))]
 
 
-def _tests_on_one_draw(xi: np.ndarray, inputs: list[IntersectionInput]) -> list[IntersectionResult]:
-    """The tests of inputs with L = xi.shape[1] on the draw ``xi``.  Each
-    quantile of the draw is taken once: k0 per distinct gamma_n, and the k
-    of every level in one call per distinct kept set.  Each max vector is
-    sorted once and its quantiles read from it (``sorted_quantile``)."""
-    # Column by column: a max over the short last axis costs several times
-    # as much, and a max is exact in any order.
-    row_max = np.sort(functools.reduce(np.maximum, xi.T))
-    k0_of: dict[float, float] = {}
-    kept: dict[bytes, tuple[np.ndarray, list[float]]] = {}  # kept set -> (mask, levels)
+@dataclass(frozen=True)
+class FullSetQuantiles:
+    """The critical values that one Monte Carlo stream gives every group
+    kept: k0 by (L, gamma_n) and k by (L, alpha)."""
+
+    k0: dict[tuple[int, float], float]
+    k: dict[tuple[int, float], float]
+
+
+def full_set_quantiles(
+    normals: np.ndarray,
+    mc_draws: int,
+    seed: int,
+    widths: Iterable[int],
+    gammas: Iterable[float],
+    levels: Iterable[float],
+) -> FullSetQuantiles:
+    """The test's data-independent phase.  Fills the first mc_draws *
+    max(widths) entries of the flat buffer ``normals`` with the stream of
+    ``seed``, and reads, for each width L, k0 at each gamma and the k of
+    the full set at each level from the sorted row maxima of the draw
+    ``xi``, its first mc_draws * L normals shaped (mc_draws, L).  The
+    generator fills in C order, so ``xi`` has the bits of a (mc_draws, L)
+    draw.  Only these few floats are returned: a pool unit that runs this
+    on a shared buffer sends no normals back."""
+    widths, gammas, alphas = sorted(set(widths)), sorted(set(gammas)), sorted(set(levels))
+    qs = [1.0 - a for a in alphas]
+    stream = normals[: mc_draws * widths[-1]]
+    np.random.default_rng(seed).standard_normal(out=stream)
+    k0, k = {}, {}
+    for width in widths:
+        xi = stream[: mc_draws * width].reshape(mc_draws, width)
+        row_max = _sorted_row_max(xi, range(width), min(gammas + qs))
+        k0.update(zip(((width, g) for g in gammas), sorted_quantile(row_max, gammas).tolist()))
+        k.update(zip(((width, a) for a in alphas), sorted_quantile(row_max, qs).tolist()))
+    return FullSetQuantiles(k0, k)
+
+
+def kept_set_tests(
+    normals: np.ndarray,
+    mc_draws: int,
+    full: FullSetQuantiles,
+    inputs: Sequence[IntersectionInput],
+) -> list[IntersectionResult]:
+    """The test's data-dependent phase: the tests of ``inputs``, all of
+    this (mc_draws, seed), on the buffer that ``full_set_quantiles`` filled
+    and the values it read.  An input's k is its full set's when it keeps
+    every group; each strict-subset kept set of a width sorts its row
+    maxima once and reads the k of every level it is tested at."""
     selections = []
+    # A kept set's key is its mask's bytes, one per group, so the masks of
+    # two widths never share one.
+    subsets: dict[bytes, tuple[np.ndarray, list[float]]] = {}
     for inp in inputs:
         gam = gamma_n(inp.n)
-        if gam not in k0_of:
-            k0_of[gam] = float(sorted_quantile(row_max, gam))
-        k0 = k0_of[gam]
+        k0 = full.k0[inp.L, gam]
         threshold = np.min(inp.estimates + k0 * inp.ses)
         keep = inp.estimates <= threshold + 2.0 * k0 * inp.ses
         key = keep.tobytes()
-        kept.setdefault(key, (keep, []))[1].append(inp.alpha)
+        if not keep.all():
+            subsets.setdefault(key, (keep, []))[1].append(inp.alpha)
         selections.append((gam, k0, keep, key))
 
     k_of: dict[tuple[bytes, float], float] = {}
-    for key, (keep, levels) in kept.items():
-        kept_max = row_max if keep.all() else np.sort(functools.reduce(np.maximum, xi.T[keep]))
-        ks = sorted_quantile(kept_max, [1.0 - a for a in levels])
+    for key, (keep, levels) in subsets.items():
+        xi = normals[: mc_draws * keep.size].reshape(mc_draws, keep.size)
+        qs = [1.0 - a for a in levels]
+        ks = sorted_quantile(_sorted_row_max(xi, np.nonzero(keep)[0], min(qs)), qs)
         k_of.update(((key, a), float(k)) for a, k in zip(levels, ks))
 
     results = []
     for inp, (gam, k0, keep, key) in zip(inputs, selections):
         est, ses = inp.estimates, inp.ses
-        k = k_of[key, inp.alpha]
+        k = k_of[key, inp.alpha] if key in subsets else full.k[inp.L, inp.alpha]
         selected = tuple(int(i) for i in np.nonzero(keep)[0])
         statistic = float(np.min(est[keep] + k * ses[keep]))
         a = float(np.min(est + k * ses))
@@ -190,6 +251,33 @@ def _tests_on_one_draw(xi: np.ndarray, inputs: list[IntersectionInput]) -> list[
             IntersectionResult(gam, k0, selected, k, statistic, statistic < 0.0, (a, b), clamped)
         )
     return results
+
+
+# Rows of a draw that ``_sorted_row_max`` reduces at a time: a block of a
+# 12-column draw, 384 kB, stays in cache while its columns are read.
+ROW_BLOCK = 4096
+
+
+def _sorted_row_max(xi: np.ndarray, columns: Sequence[int], lowest: float) -> np.ndarray:
+    """The max of each row of ``xi`` over ``columns``, sorted from the
+    order statistic on which ``sorted_quantile`` reads its quantile at
+    ``lowest``: the quantiles at ``lowest`` and above read the bits of the
+    whole vector sorted.  The maxima are taken column by column, in order,
+    into one vector, a block of rows at a time: a max over the short last
+    axis costs several times as much, a whole column at a time reads the
+    draw once per column, and a max is exact in any order."""
+    first, *rest = columns
+    out = np.empty(len(xi))
+    for start in range(0, len(xi), ROW_BLOCK):
+        block, maxima = xi[start : start + ROW_BLOCK], out[start : start + ROW_BLOCK]
+        np.copyto(maxima, block[:, first])
+        for j in rest:
+            np.maximum(maxima, block[:, j], out=maxima)
+    # sorted_quantile's lower neighbour of (n - 1) lowest, the least it reads.
+    below = int((len(out) - 1) * lowest)
+    out.partition(below)
+    out[below:].sort()
+    return out
 
 
 def sorted_quantile(values: np.ndarray, q) -> np.ndarray:

@@ -9,17 +9,22 @@ unit 0 itself, and later claims from the same counter whenever the result it
 must yield next has not arrived, so it never waits while a unit is left.
 Every unit runs OpenBLAS on one thread, and a batch called inside a unit
 runs serially.  Results come back lazily, so a caller can work on the first
-ones while the children still fit the rest.
+ones while the children still fit the rest.  A unit whose output is large
+writes it into a ``shared_array`` made before the batch, and returns only
+what is small: the intersection test's draw unit fills its normals there.
 """
 
 import contextlib
 import ctypes
+import mmap
 import multiprocessing as mp
 import os
 import queue
 import threading
 from collections.abc import Callable, Generator, Sequence
 from multiprocessing.connection import wait
+
+import numpy as np
 
 # True while a unit runs: in a child for its whole life, here for one unit.
 _in_unit = False
@@ -91,6 +96,25 @@ def _as_unit(blas: list[tuple[Callable, Callable]]):
 def in_unit() -> bool:
     """Whether a ``map_units`` unit is running in this process."""
     return _in_unit
+
+
+def shared_array(size: int) -> np.ndarray:
+    """A float64 vector of ``size`` zeros in an anonymous ``MAP_SHARED``
+    mapping.  Made before a batch forks, it is one memory for the batch:
+    what a unit writes to it in any worker, this process reads, and no
+    bytes go through a pipe.  Its pages are taken as they are first
+    written, and the mapping goes with the last view of it."""
+    # An anonymous mmap is MAP_SHARED unless asked otherwise.
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+
+
+def release_pages(array: np.ndarray) -> None:
+    """Take the pages of ``array``, made by ``shared_array``, out of this
+    process's resident set, where the platform has ``madvise``.  The
+    mapping keeps their contents: a later read in any process maps them
+    again."""
+    if hasattr(mmap, "MADV_DONTNEED"):
+        array.base.obj.madvise(mmap.MADV_DONTNEED)
 
 
 def call(unit: Callable):

@@ -16,7 +16,16 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from .data import CategoricalSchema, DataError, Dataset, encode_rows, load_yaml
+from .data import (
+    CategoricalSchema,
+    DataError,
+    Dataset,
+    as_list,
+    encode_rows,
+    load_yaml_mapping,
+    read_entry,
+    schema_features,
+)
 from .functionals import per_obs_stats
 
 __all__ = [
@@ -149,34 +158,37 @@ class SyntheticDGP:
 
     @classmethod
     def from_yaml(cls, path: str) -> "SyntheticDGP":
-        with open(path, encoding="utf-8") as fh:
-            doc = load_yaml(fh)
+        """The DGP of a file that ``to_yaml`` writes.  Each missing or
+        ill-typed entry is a ``DataError`` that names the file and the key;
+        ``rho`` and ``weights`` and their entries may be left out."""
+        doc = load_yaml_mapping(path)
         if doc.get("version") != DGP_FILE_VERSION:
             raise DataError(f"unsupported DGP file version in {path}")
-        schema = CategoricalSchema(
-            tuple(
-                (str(f["name"]), tuple(int(c) for c in f["codes"]))
-                for f in doc["schema"]["features"]
-            )
-        )
-        rho_doc = doc.get("rho", {})
-        rho = RhoSpec(
-            kind=rho_doc.get("kind", "constant"),
-            value=float(rho_doc.get("value", 0.0)),
-            scale=float(rho_doc.get("scale", 0.0)),
-            coefs=tuple(float(v) for v in rho_doc.get("coefs", ())),
-        )
-        w_doc = doc.get("weights", {})
+        features = schema_features(path, read_entry(path, doc, "schema"), "schema")
+
+        def numbers(value) -> tuple[float, ...]:
+            return tuple(float(v) for v in as_list(value))
+
+        def number(part: dict, where: str, key: str, default: float) -> float:
+            return read_entry(path, part, key, float, default=default, where=where)
+
+        rho = read_entry(path, doc, "rho", default={})
+        weights = read_entry(path, doc, "weights", default={})
         return cls(
-            schema=schema,
-            marginals=tuple(tuple(float(p) for p in m) for m in doc["marginals"]),
-            coef_p=np.asarray(doc["coef_p"], dtype=np.float64),
-            coef_q=np.asarray(doc["coef_q"], dtype=np.float64),
-            rho=rho,
+            schema=CategoricalSchema(features),
+            marginals=read_entry(path, doc, "marginals", lambda v: tuple(map(numbers, as_list(v)))),
+            coef_p=np.asarray(read_entry(path, doc, "coef_p", numbers)),
+            coef_q=np.asarray(read_entry(path, doc, "coef_q", numbers)),
+            rho=RhoSpec(
+                kind=read_entry(path, rho, "kind", default="constant", where="rho"),
+                value=number(rho, "rho", "value", 0.0),
+                scale=number(rho, "rho", "scale", 0.0),
+                coefs=read_entry(path, rho, "coefs", numbers, default=(), where="rho"),
+            ),
             weights=WeightLaw(
-                pi_one=float(w_doc.get("pi_one", 0.4)),
-                alpha=float(w_doc.get("alpha", 2.0)),
-                beta=float(w_doc.get("beta", 2.0)),
+                pi_one=number(weights, "weights", "pi_one", 0.4),
+                alpha=number(weights, "weights", "alpha", 2.0),
+                beta=number(weights, "weights", "beta", 2.0),
             ),
         )
 

@@ -292,7 +292,10 @@ def test_clamped_interval_is_noted(tmp_path, small_dataset, capsys):
         )
     }
     cfg = RunConfig(mc_draws=1000)
-    cli._write_intersection(cfg, OutputDir(str(tmp_path)), small_dataset, groups)
+    normals = np.empty(cfg.mc_draws * 2)
+    gammas = [inference.gamma_n(small_dataset.n)]
+    full = inference.full_set_quantiles(normals, cfg.mc_draws, cfg.seed, [2], gammas, cfg.levels)
+    cli._write_intersection(cfg, OutputDir(str(tmp_path)), small_dataset, groups, normals, full)
     assert capsys.readouterr().err.splitlines() == [
         f"note: intersection a covariance at level {alpha:g}:"
         " ci_b < ci_a, interval written as the point ci_a"
@@ -540,17 +543,18 @@ class TestCommands:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_report_runs_one_batch(self, workdir, tmp_path, monkeypatch, workers, n_workers):
-        """The raw fit, the folds and the splits of report share one
-        map_units call, whichever module calls it, and no worker outlives
-        the command.  On this 12-cell design the raw fit joins the boosted
-        folds' stack, and the folds and the splits share the workers: one
-        stack each on one or two workers."""
+        """The raw fit, the folds, the intersection test's draw and the
+        splits of report share one map_units call, whichever module calls
+        it, and no worker outlives the command.  On this 12-cell design
+        the raw fit joins the boosted folds' stack, and the folds and the
+        splits share the workers: one stack each on one or two workers,
+        with the draw between them."""
         workers(n_workers)
         batches = []
         map_units = parallel.map_units
 
         def counted(fn, units):
-            batches.append(len(units))
+            batches.append([getattr(u, "func", u).__name__ for u in units])
             return map_units(fn, units)
 
         for module in (parallel, L, inference, cli):
@@ -558,7 +562,7 @@ class TestCommands:
         doc = base_config(workdir, tmp_path / "o", folds=3, sorted_splits=4)
         res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "report")
         assert res.exit_code == 0, res.output
-        assert batches == [2]
+        assert batches == [["stack_fit", "_intersection_draw", "split_stack"]]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", ["report", "estimate"])
@@ -720,7 +724,7 @@ def test_each_score_is_computed_once_per_feature(monkeypatch, small_dataset):
     d = small_dataset
     raw = np.random.default_rng(0).uniform(0.05, 1.0, (d.n, 4))
     cf = per_obs_stats(raw / raw.sum(axis=1, keepdims=True))
-    groups = cli._group_estimates(load_config(None), d, cf)
+    groups = cli._group_estimates(d, cf, cli._partitions(load_config(None), d))
     assert calls == {"covariance_score": 2, "correlation_score": 2}
     assert [len(fg.modalities) for fg in groups.values()] == [4, 3]
 
@@ -943,7 +947,7 @@ class TestExitCodes:
         output: the config check rejects it before the dataset is read, so
         no Monte Carlo draw is made."""
         monkeypatch.setattr(cli, "load_dataset", lambda cfg: pytest.fail("read the dataset"))
-        monkeypatch.setattr(cli, "intersection_tests", lambda inputs: pytest.fail("drew normals"))
+        monkeypatch.setattr(cli, "shared_array", lambda size: pytest.fail("drew normals"))
         out = tmp_path / "o"
         doc = base_config(workdir, out, mc_draws=10**15)
         res = run_cmd(_write_config(tmp_path / "c.yaml", doc), "report")
@@ -1048,6 +1052,57 @@ class TestExitCodes:
         assert error.startswith(message)
         assert all(line.startswith("warning: ") for line in warnings)
         assert bool(warnings) == (case == "report failed split")
+
+    def _bad_file_ends_in_one_line(self, tmp_path, command, config, path, message):
+        """``command`` on ``config`` exits 1 with the one line ``error:
+        <path>: <message>``, without a traceback or an output directory."""
+        out = tmp_path / "o"
+        res = run_cmd(_write_config(tmp_path / "c.yaml", {**config, "out": str(out)}), command)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.splitlines() == [f"error: {path}: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "codes, message",
+        [
+            (
+                ["x", 1, 2],
+                "invalid 'features[0].codes': invalid literal for int() with base 10: 'x'",
+            ),
+            (5, "invalid 'features[0].codes': expected a list, got 5"),
+        ],
+        ids=["code-x", "codes-int"],
+    )
+    def test_bad_schema_codes_are_validation_errors(self, workdir, tmp_path, codes, message):
+        schema = tmp_path / "schema.yaml"
+        features = [{"name": "a", "codes": codes}, {"name": "b", "codes": [0, 1, 2]}]
+        _write_config(schema, {"version": 1, "features": features})
+        config = {"dataset": workdir["dataset"], "schema": str(schema)}
+        self._bad_file_ends_in_one_line(tmp_path, "estimate", config, schema, message)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "expected a mapping of keys, got list"),
+            (
+                lambda doc: {**doc, "marginals": [["x", 0.5, 0.25, 0.25], doc["marginals"][1]]},
+                "invalid 'marginals': could not convert string to float: 'x'",
+            ),
+            (
+                lambda doc: {k: v for k, v in doc.items() if k != "coef_p"},
+                "missing key 'coef_p'",
+            ),
+        ],
+        ids=["list", "marginal-x", "no-coef_p"],
+    )
+    def test_bad_dgp_files_are_validation_errors(self, workdir, tmp_path, edit, message):
+        with open(workdir["dgp"], encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        dgp = tmp_path / "dgp.yaml"
+        _write_config(dgp, edit(doc))
+        config = {"dgp": str(dgp), "n": 50}
+        self._bad_file_ends_in_one_line(tmp_path, "simulate", config, dgp, message)
 
     def test_failed_run_leaves_no_partial_output(self, workdir, tmp_path):
         """The directories a failed run made are removed, and one that was

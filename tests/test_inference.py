@@ -226,8 +226,9 @@ class TestSharedDraws:
 
     def test_one_draw_per_key_wherever_the_inputs_sit(self, monkeypatch):
         """Inputs with two values of L, two draw counts and two seeds,
-        interleaved: one stream per (mc_draws, seed), read by every L of the
-        key, and the results of testing each input alone, in input order."""
+        interleaved: one stream per (mc_draws, seed), as wide as its widest
+        L, on which both phases test every input of the key, and the
+        results of testing each input alone, in input order."""
         rng = np.random.default_rng(11)
         batch = [
             IntersectionInput(
@@ -237,24 +238,63 @@ class TestSharedDraws:
             for alpha in (0.05, 0.10)
             for mc_draws, seed in ((1_000, 3), (2_000, 3), (1_000, 4))
         ]
-        draws = []
-        one_draw = inference._tests_on_one_draw
+        phases = []
+        full_set, kept_set = inference.full_set_quantiles, inference.kept_set_tests
 
-        def counted(xi, inputs):
-            draws.append((xi, len(inputs)))
-            return one_draw(xi, inputs)
+        def first(normals, mc_draws, seed, widths, gammas, levels):
+            phases.append(("full", normals, mc_draws, seed, sorted(widths)))
+            return full_set(normals, mc_draws, seed, widths, gammas, levels)
 
-        monkeypatch.setattr(inference, "_tests_on_one_draw", counted)
+        def second(normals, mc_draws, full, inputs):
+            phases.append(("kept", normals, mc_draws, len(inputs)))
+            return kept_set(normals, mc_draws, full, inputs)
+
+        monkeypatch.setattr(inference, "full_set_quantiles", first)
+        monkeypatch.setattr(inference, "kept_set_tests", second)
         results = intersection_tests(batch)
         monkeypatch.undo()
-        assert [(xi.shape, n) for xi, n in draws] == [
-            ((mc_draws, L), 6) for mc_draws in (1_000, 2_000, 1_000) for L in (7, 3)
-        ]
-        for a, (xi, _) in enumerate(draws):
-            for b, (other, _) in enumerate(draws):
-                assert np.shares_memory(xi, other) == (a // 2 == b // 2)
+        keys = ((1_000, 3), (2_000, 3), (1_000, 4))
+        assert [p[0] for p in phases] == ["full", "kept"] * 3
+        for (mc_draws, seed), (full, kept) in zip(keys, zip(phases[::2], phases[1::2])):
+            assert full[2:] == (mc_draws, seed, [3, 7])
+            assert kept[1] is full[1] and kept[2:] == (mc_draws, 12)
+            assert full[1].shape == (mc_draws * 7,)
         assert results == [intersection_test(inp) for inp in batch]
         assert results == [oracle_intersection_test(inp) for inp in batch]
+
+
+@settings(max_examples=40, deadline=None)
+@given(intersection_batches(), st.integers(1, 3), st.integers(1, 10**6))
+def test_two_phases_on_a_wider_buffer_are_the_oracle(batch, extra, prefix):
+    """The data-independent phase on a buffer wider than any input, then
+    the data-dependent one on what it left there, give each input the
+    result of its own draw, field for field, over mixed widths, kept sets
+    and levels.  The draw is a prefix of the buffer's fill, and a prefix
+    of an ``out=`` fill has the bits of a draw of that size."""
+    by_key = {}
+    for inp in batch:
+        by_key.setdefault((inp.mc_draws, inp.seed), []).append(inp)
+    for (mc_draws, seed), inputs in by_key.items():
+        widths = {inp.L for inp in inputs}
+        normals = np.full(mc_draws * (max(widths) + extra), np.nan)
+        full = inference.full_set_quantiles(
+            normals,
+            mc_draws,
+            seed,
+            widths,
+            {gamma_n(inp.n) for inp in inputs},
+            {inp.alpha for inp in inputs},
+        )
+        results = inference.kept_set_tests(normals, mc_draws, full, inputs)
+        assert results == [oracle_intersection_test(inp) for inp in inputs]
+        drawn = mc_draws * max(widths)
+        fresh = np.random.default_rng(seed).standard_normal(drawn)
+        assert normals[:drawn].tobytes() == fresh.tobytes()
+        assert np.isnan(normals[drawn:]).all()
+        np.random.default_rng(seed).standard_normal(out=normals)
+        size = prefix % normals.size + 1
+        expected = np.random.default_rng(seed).standard_normal(size)
+        assert normals[:size].tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,18 +305,25 @@ class TestSharedDraws:
     st.integers(0, 2**32 - 1),
 )
 def test_quantiles_of_the_sorted_vector_are_the_quantiles(n, n_values, levels, seed):
-    """``_tests_on_one_draw`` reads its quantiles from a sorted copy of each
-    max vector by ``sorted_quantile``: over random lengths, ties (n draws
-    of n_values values) and levels, with 0, 1 and a gamma_n among them,
-    they are the bits of ``np.quantile`` of the vector unsorted, as a
-    vector and one by one."""
+    """Both phases of the intersection test read their quantiles by
+    ``sorted_quantile`` from each max vector, sorted from the least order
+    statistic that the least level reads (``_sorted_row_max``): over random
+    lengths, ties (n draws of n_values values) and levels, with 0, 1 and a
+    gamma_n among them, they are the bits of ``np.quantile`` of the vector
+    unsorted, as a vector and one by one, from a full sort and from a sort
+    of the tail that the levels read."""
     rng = np.random.default_rng(seed)
     values = rng.normal(size=n_values)[rng.integers(0, n_values, n)]
-    levels = levels + [1.0 - levels[0], 0.0, 1.0, gamma_n(n + 1)]
+    reads = levels + [1.0 - levels[0], 1.0, gamma_n(n + 1)]
+    levels = reads + [0.0]
     ordered = np.sort(values)
     assert sorted_quantile(ordered, levels).tobytes() == np.quantile(values, levels).tobytes()
     for q in levels:
         assert sorted_quantile(ordered, q).tobytes() == np.quantile(values, q).tobytes()
+    tail = inference._sorted_row_max(values[:, None], [0], min(reads))
+    assert sorted_quantile(tail, reads).tobytes() == np.quantile(values, reads).tobytes()
+    for q in reads:
+        assert sorted_quantile(tail, q).tobytes() == np.quantile(values, q).tobytes()
 
 
 def lone_split(d, cfg, child):

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from pcptest import parallel
@@ -175,3 +176,29 @@ def test_a_unit_run_here_pins_blas_and_restores_it(workers):
         assert blas_thread_counts() == [2] * len(before)
     finally:
         set_blas_threads(before)
+
+
+def test_units_write_a_shared_array_for_this_process(workers):
+    """What the units write to a ``shared_array`` made before the batch,
+    in a child (unit 1, taken while this process sleeps in unit 0) or
+    here, this process reads; ``release_pages`` keeps every value, in the
+    process that wrote them and in this one."""
+    workers(2)
+    shared = parallel.shared_array(3 * 1024)
+
+    def fill(u):
+        if u == 0:
+            time.sleep(0.2)
+        block = shared[u * 1024 : (u + 1) * 1024]
+        block[:] = np.arange(1024) + 1000 * u
+        parallel.release_pages(shared)
+        return os.getpid(), float(block.sum())
+
+    out = list(parallel.map_units(fill, range(3)))
+    assert out[1][0] != os.getpid()
+    expected = np.concatenate([np.arange(1024) + 1000.0 * u for u in range(3)])
+    assert shared.tobytes() == expected.tobytes()
+    assert [total for _, total in out] == [float(block.sum()) for block in np.split(expected, 3)]
+    parallel.release_pages(shared)
+    assert shared.tobytes() == expected.tobytes()
+    assert multiprocessing.active_children() == []

@@ -63,9 +63,10 @@ def test_compare_outputs_finds_a_checkout_equal_to_itself():
 
 def test_batch_timeline_times_the_units_and_the_stages():
     """Two in-process reports, the last printed: a row per pool unit with
-    its pid, where it ran, start, end and arrival, each unit ending after
-    it starts, unit 0 and only the units on its pid run here, and the
-    parent's four stages."""
+    its function, pid, where it ran, start, end and arrival, each unit
+    ending after it starts, unit 0 and only the units on its pid run here,
+    and the parent's four stages.  The report's units are its fold stack,
+    the intersection test's draw and its split stack."""
     res = run_script(
         ROOT / "scripts" / "batch_timeline.py", "report-demo12-boosted", "--seed", "2", "--repeat", "2"
     )
@@ -74,15 +75,16 @@ def test_batch_timeline_times_the_units_and_the_stages():
     assert lines[0].startswith("report-demo12-boosted seed 2: report, ")
     assert ", run 2 of 2, " in lines[0]
     assert lines[1].startswith("batch 1: ") and lines[2].split() == [
-        "unit", "pid", "ran", "start", "end", "arrived"
+        "unit", "function", "pid", "ran", "start", "end", "arrived"
     ]
     n_units = int(lines[1].split()[2])
     rows = [line.split() for line in lines[3 : 3 + n_units]]
     assert [int(row[0]) for row in rows] == list(range(n_units))
-    for _, pid, ran, start, end, arrived in rows:
+    assert [row[1] for row in rows] == ["stack_fit", "_intersection_draw", "split_stack"]
+    for _, _, pid, ran, start, end, arrived in rows:
         assert int(pid) > 0 and 0.0 <= float(start) <= float(end) <= float(arrived)
-        assert ran == ("here" if pid == rows[0][1] else "child")
-    assert rows[0][2] == "here"
+        assert ran == ("here" if pid == rows[0][2] else "child")
+    assert rows[0][3] == "here"
     assert lines[3 + n_units : 5 + n_units] == [
         "parent stages:", f"  {'stage':<20}  {'start':>9}  {'end':>9}"
     ]
